@@ -1,8 +1,10 @@
 """Command-line front door: synth, ingest, train, evaluate, predict.
 
-Every subcommand writes the fully resolved configuration (defaults <
-config file < flags) next to its outputs, so runs are reproducible from
-the artifacts alone. Exit codes: 0 success, 1 validation error, 2 runtime
+Each value is resolved in the order built-in defaults (HyperParams for
+the hyperparameters) < --preset < --config file < flags on the command
+line. Every subcommand writes the fully resolved configuration, the values
+it actually used, next to its outputs, so runs are reproducible from the
+artifacts alone. Exit codes: 0 success, 1 validation error, 2 runtime
 failure.
 """
 
@@ -12,22 +14,19 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import io
-from .data_model import (HyperParams, InitScheme, TableKind, standardize,
-                         validate_tables)
+from .data_model import HyperParams, InitScheme, TableKind, validate_tables
 from .evaluation import (MetaMiningData, Protocol, run_lodo, run_lodwo,
                          run_lowo)
 from .metric_learning import ObjectiveKind, train
 from .preference import (build_preference_from_significance,
                          build_preference_matrix)
-from .recommend import (Strategy, Task, knn_predict_dataset_prefs,
-                        knn_predict_workflow_prefs, predict_pair,
-                        predict_dataset_prefs_direct,
-                        predict_workflow_prefs_direct)
+from .recommend import OBJECTIVES, TASKS, Strategy, Task, predict
 from .synth import SynthConfig, SynthMode, generate
 
 # Hyperparameter presets mirroring the published experiment settings,
@@ -47,8 +46,10 @@ PRESETS = {
                             "mu1": 10.0, "mu2": 0.0},
 }
 
-HYPER_FLAGS = ("mu1", "mu2", "alpha", "beta", "gamma", "neighbors",
-               "max_iters", "rel_tol", "seed", "t", "init")
+# HyperParams field -> the dest of its CLI flag and config key
+_HYPER_FIELDS = {f.name: "neighbors" if f.name == "n_neighbors" else f.name
+                 for f in fields(HyperParams)}
+HYPER_FLAGS = tuple(_HYPER_FIELDS.values())
 
 _STRATEGY_ALIASES = {
     "def": Strategy.DEFAULT,
@@ -68,43 +69,47 @@ class CliError(Exception):
 
 
 def _resolve_config(args, names):
-    """defaults (argparse) < config file < explicit flags."""
-    resolved = {name: getattr(args, name) for name in names
-                if hasattr(args, name)}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        argv = getattr(args, "_argv", ())
-        for key, value in file_cfg.items():
-            if key in resolved and f"--{key.replace('_', '-')}" not in argv \
-                    and f"--{key}" not in argv:
-                resolved[key] = value
-    return resolved
+    """The parsed values of the given names; _parse has already layered
+    the preset and the config file beneath the flags."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
-def _hyper_from(resolved, objective=None, preset=None):
-    values = {
-        "mu1": resolved.get("mu1", 0.5),
-        "mu2": resolved.get("mu2", 0.5),
-        "alpha": resolved.get("alpha", 1.0),
-        "beta": resolved.get("beta", 1.0),
-        "gamma": resolved.get("gamma", 1.0),
-        "n_neighbors": resolved.get("neighbors", 5),
-        "max_iters": resolved.get("max_iters", 5000),
-        "rel_tol": resolved.get("rel_tol", 1e-8),
-        "seed": resolved.get("seed", 0),
-        "t": resolved.get("t"),
-        "init": InitScheme(resolved.get("init", "seeded_gaussian")),
-    }
-    if preset:
-        key = (preset, objective)
-        if key not in PRESETS:
-            known = sorted({p for p, _ in PRESETS})
-            raise CliError(f"no preset {preset!r} for objective {objective!r} "
-                           f"(known presets: {known})", exit_code=1)
-        for name, value in PRESETS[key].items():
-            values[name] = value
+def _hyper_from(resolved):
+    values = {field: resolved[dest] for field, dest in _HYPER_FIELDS.items()}
+    values["init"] = InitScheme(values["init"])
     return HyperParams(**values)
+
+
+def _preset_values(preset, objective):
+    """A preset's hyperparameters under their CLI dests."""
+    if (preset, objective) not in PRESETS:
+        known = sorted({p for p, _ in PRESETS})
+        raise CliError(f"no preset {preset!r} for objective {objective!r} "
+                       f"(known presets: {known})", exit_code=1)
+    return {_HYPER_FIELDS[k]: v for k, v in PRESETS[preset, objective].items()}
+
+
+def _parse(parser, argv):
+    """Parse argv over layered defaults: built-in < preset < config file.
+
+    Preset and config values become defaults of the chosen subcommand's
+    parser and argv is parsed again, so every flag on the command line wins,
+    however it is spelled (--max-iters=5, --max-it 5)."""
+    args = parser.parse_args(argv)
+    config = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            config = {k: v for k, v in json.load(fh).items()
+                      if k in vars(args) and k not in ("func", "subcommand")}
+    preset = getattr(args, "preset", None) or config.get("preset")
+    # evaluate looks its preset up under the combined objective
+    objective = getattr(args, "objective", "f4")
+    layered = {**(_preset_values(preset, objective) if preset else {}),
+               **config}
+    if not layered:
+        return args
+    parser.subcommands[args.subcommand].set_defaults(**layered)
+    return parser.parse_args(argv)
 
 
 def _write_resolved_config(out_path, subcommand, resolved):
@@ -215,8 +220,7 @@ def cmd_train(args):
                                       *HYPER_FLAGS))
     data = _load_bundle(resolved["bundle"])
     kind = ObjectiveKind(resolved["objective"])
-    hyper = _hyper_from(resolved, objective=kind.value,
-                        preset=resolved.get("preset"))
+    hyper = _hyper_from(resolved)
     params, trace = train(kind, data.x, data.a, data.r, hyper)
     summary = {
         "iterations": trace.iterations,
@@ -243,9 +247,7 @@ def cmd_evaluate(args):
     except KeyError as exc:
         raise CliError(f"unknown strategy {exc.args[0]!r} "
                        f"(known: {sorted(_STRATEGY_ALIASES)})", exit_code=1)
-    objective = {"lodo": "f4", "lowo": "f4", "lodwo": "f4"}[protocol.value]
-    hyper = _hyper_from(resolved, objective=objective,
-                        preset=resolved.get("preset"))
+    hyper = _hyper_from(resolved)
     runner = {Protocol.LODO: run_lodo, Protocol.LOWO: run_lowo,
               Protocol.LODWO: run_lodwo}[protocol]
     report = runner(data, strategies, hyper, jobs=resolved["jobs"])
@@ -272,63 +274,58 @@ def cmd_predict(args):
                                       "neighbors", "out"))
     params = io.load_model(resolved["model"])
     task = Task(resolved["task"])
+    # the model's own strategy, the first in OBJECTIVES with its objective:
+    # kNN for f1/f2, direct scoring for f3/f4
+    strategy = next((s for s, o in OBJECTIVES.items() if o == params.objective),
+                    None)
+    if strategy is None or task not in TASKS[strategy]:
+        raise CliError({
+            Task.WORKFLOW_PREFS: "model cannot rank workflows for a dataset",
+            Task.DATASET_PREFS: "model cannot rank datasets for a workflow",
+            Task.PAIR_SCORE: "homogeneous model cannot score dataset-workflow pairs",
+        }[task], exit_code=1)
+    n = resolved["neighbors"]
+    if n is None:
+        n = params.hyper.n_neighbors
+    elif n < 1:
+        raise CliError(f"--neighbors must be positive, got {n}", exit_code=1)
     data = _load_bundle(resolved["bundle"])
-    n = resolved.get("neighbors") or params.hyper.n_neighbors
 
-    def check_names(table, expected, label):
+    def queries(flag, kind, expected):
+        if not resolved[flag]:
+            raise CliError(f"task {task.value} needs --{flag}", exit_code=1)
+        table = io.read_descriptor_csv(resolved[flag], kind)
         if expected is not None and tuple(table.feature_names) != tuple(expected):
-            raise CliError(f"{label} feature names do not match the model", exit_code=1)
+            raise CliError(f"{kind.value} feature names do not match the model",
+                           exit_code=1)
+        if not np.isfinite(table.features).all():
+            raise CliError(f"{resolved[flag]}: non-finite {kind.value} "
+                           "descriptor values", exit_code=1)
+        return table
+
+    qx = qa = None
+    if task is not Task.DATASET_PREFS:
+        qx = queries("x", TableKind.DATASET, params.x_feature_names)
+    if task is not Task.WORKFLOW_PREFS:
+        qa = queries("a", TableKind.WORKFLOW, params.a_feature_names)
+
+    def serve(x_new, a_new):
+        return predict(strategy, task, x_new, a_new, data.x, data.a, data.r,
+                       params, n)
 
     rows = []
-    if task is Task.WORKFLOW_PREFS:
-        queries = io.read_descriptor_csv(resolved["x"], TableKind.DATASET)
-        check_names(queries, params.x_feature_names, "dataset")
-        for eid, feats in zip(queries.entity_ids, queries.features):
-            q = params.transform_dataset(feats)
-            if params.heterogeneous:
-                a_std = params.transform_workflow(data.a.features)
-                pred = predict_workflow_prefs_direct(q, a_std, params,
-                                                     strategy=_direct_tag(params))
-            else:
-                if params.objective != "f1":
-                    raise CliError("model cannot rank workflows for a dataset",
-                                   exit_code=1)
-                train_std = params.transform_dataset(data.x.features)
-                pred = knn_predict_workflow_prefs(q, train_std, data.r, params, n)
-            for wid, score in zip(data.a.entity_ids, pred.values):
-                rows.append([eid, wid, repr(float(score)), pred.strategy.value,
-                             ";".join(pred.flags)])
-    elif task is Task.DATASET_PREFS:
-        queries = io.read_descriptor_csv(resolved["a"], TableKind.WORKFLOW)
-        check_names(queries, params.a_feature_names, "workflow")
-        for eid, feats in zip(queries.entity_ids, queries.features):
-            q = params.transform_workflow(feats)
-            if params.heterogeneous:
-                x_std = params.transform_dataset(data.x.features)
-                pred = predict_dataset_prefs_direct(q, x_std, params,
-                                                    strategy=_direct_tag(params))
-            else:
-                if params.objective != "f2":
-                    raise CliError("model cannot rank datasets for a workflow",
-                                   exit_code=1)
-                train_std = params.transform_workflow(data.a.features)
-                pred = knn_predict_dataset_prefs(q, train_std, data.r, params, n)
-            for did, score in zip(data.x.entity_ids, pred.values):
-                rows.append([eid, did, repr(float(score)), pred.strategy.value,
-                             ";".join(pred.flags)])
-    else:  # pair scores
-        if not params.heterogeneous:
-            raise CliError("homogeneous model cannot score dataset-workflow pairs",
-                           exit_code=1)
-        qx = io.read_descriptor_csv(resolved["x"], TableKind.DATASET)
-        qa = io.read_descriptor_csv(resolved["a"], TableKind.WORKFLOW)
-        check_names(qx, params.x_feature_names, "dataset")
-        check_names(qa, params.a_feature_names, "workflow")
+    if task is Task.PAIR_SCORE:
         for xid, xf in zip(qx.entity_ids, qx.features):
             for aid, af in zip(qa.entity_ids, qa.features):
-                score = predict_pair(params.transform_dataset(xf),
-                                     params.transform_workflow(af), params)
-                rows.append([xid, aid, repr(score), _direct_tag(params).value, ""])
+                score = float(serve(xf, af).values)
+                rows.append([xid, aid, repr(score), strategy.value, ""])
+    else:
+        q, targets = (qx, data.a.entity_ids) if qa is None else (qa, data.x.entity_ids)
+        for qid, feats in zip(q.entity_ids, q.features):
+            pred = serve(feats, None) if qa is None else serve(None, feats)
+            for tid, score in zip(targets, pred.values):
+                rows.append([qid, tid, repr(float(score)), pred.strategy.value,
+                             ";".join(pred.flags)])
 
     out = Path(resolved["out"])
     with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -340,23 +337,17 @@ def cmd_predict(args):
     return 0
 
 
-def _direct_tag(params):
-    return Strategy.F4_DIRECT if params.objective == "f4" else Strategy.F3_DIRECT
-
-
 def _add_hyper_flags(p):
-    p.add_argument("--mu1", type=float, default=0.5)
-    p.add_argument("--mu2", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--neighbors", type=int, default=5)
-    p.add_argument("--max-iters", type=int, default=5000, dest="max_iters")
-    p.add_argument("--rel-tol", type=float, default=1e-8, dest="rel_tol")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--init", choices=["seeded_gaussian", "svd_warm_start"],
-                   default="seeded_gaussian")
+    """One flag per HyperParams field, defaulting to the field's default."""
+    defaults = HyperParams().to_dict()
+    for field, dest in _HYPER_FIELDS.items():
+        default = defaults[field]
+        if field == "init":
+            spec = {"choices": [s.value for s in InitScheme]}
+        else:  # t, the one optional field, defaults to None
+            spec = {"type": int if default is None else type(default)}
+        p.add_argument(f"--{dest.replace('_', '-')}", dest=dest,
+                       default=default, **spec)
     p.add_argument("--preset", default=None)
 
 
@@ -368,6 +359,7 @@ def build_parser():
     parser.add_argument("--config", default=None,
                         help="JSON file of flag defaults (flags still win)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.subcommands = sub.choices  # name -> subparser, for _parse
 
     p = sub.add_parser("synth", help="generate a synthetic problem")
     p.add_argument("--n", type=int, default=30)
@@ -426,9 +418,8 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    args._argv = tuple(sys.argv[1:] if argv is None else argv)
     try:
+        args = _parse(parser, argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

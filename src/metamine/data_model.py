@@ -4,7 +4,7 @@ matrices, learned-model parameters, and the shared numeric utilities
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -201,13 +201,9 @@ class HyperParams:
             raise ValueError("rel_tol must be positive")
 
     def to_dict(self):
-        return {
-            "mu1": self.mu1, "mu2": self.mu2,
-            "alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,
-            "n_neighbors": self.n_neighbors, "max_iters": self.max_iters,
-            "rel_tol": self.rel_tol, "seed": self.seed,
-            "init": self.init.value, "t": self.t,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["init"] = self.init.value
+        return d
 
     @classmethod
     def from_dict(cls, d):
@@ -251,10 +247,6 @@ class ModelParams:
 
     def transform_workflow(self, features: np.ndarray) -> np.ndarray:
         return self.a_standardization.apply(features)
-
-    @property
-    def heterogeneous(self) -> bool:
-        return self.objective in ("f3", "f4")
 
 
 @dataclass(frozen=True)

@@ -7,19 +7,16 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 from scipy import stats
 
 from .data_model import (DescriptorTable, HyperParams, PerformanceMatrix,
-                         PreferenceMatrix, standardize)
+                         PreferenceMatrix)
 from .metric_learning import ObjectiveKind, train
 from .preference import spearman
-from .recommend import (PreferencePrediction, Strategy, Task,
-                        default_strategy, euclidean_strategy,
-                        knn_predict_dataset_prefs, knn_predict_workflow_prefs,
-                        predict_dataset_prefs_direct,
-                        predict_workflow_prefs_direct)
+from .recommend import OBJECTIVES, TASKS, Strategy, Task, predict
 
 HIGHER_IS_BETTER = {"rho": True, "t5p": True, "mae": False}
 
@@ -191,23 +188,23 @@ def compare_strategies(report: EvaluationReport, strategy, baseline, metric):
     return wins, total, binomial_sign_test(wins, total)
 
 
-_MODEL_FOR_STRATEGY = {
-    Strategy.F1_KNN: ObjectiveKind.F1,
-    Strategy.F2_KNN: ObjectiveKind.F2,
-    Strategy.F3_DIRECT: ObjectiveKind.F3,
-    Strategy.F4_DIRECT: ObjectiveKind.F4,
-    Strategy.F4_KNN: ObjectiveKind.F4,
-}
+# task each protocol serves, and how its exclusion notices name it
+_TASK = {Protocol.LODO: Task.WORKFLOW_PREFS, Protocol.LOWO: Task.DATASET_PREFS,
+         Protocol.LODWO: Task.PAIR_SCORE}
+_TASK_NAME = {Task.WORKFLOW_PREFS: "workflow ranking",
+              Task.DATASET_PREFS: "dataset ranking",
+              Task.PAIR_SCORE: "pair scoring"}
 
 
 def _train_fold_models(strategies, x_train, a_train, r_train, hyper):
-    kinds = {_MODEL_FOR_STRATEGY[s] for s in strategies
-             if s in _MODEL_FOR_STRATEGY}
-    return {kind: train(kind, x_train, a_train, r_train, hyper)[0]
+    kinds = {ObjectiveKind(OBJECTIVES[s]) for s in strategies if s in OBJECTIVES}
+    return {kind.value: train(kind, x_train, a_train, r_train, hyper)[0]
             for kind in sorted(kinds, key=lambda k: k.value)}
 
 
-def _vector_metrics(pred, truth, perf_row=None, top_k=5):
+def _metrics(pred, truth, perf_row=None, top_k=5):
+    if np.ndim(pred) == 0:  # pair score
+        return {"mae": abs(float(pred) - truth)}
     out = {
         "rho": spearman(pred, truth),
         "mae": float(np.mean(np.abs(pred - truth))),
@@ -217,121 +214,59 @@ def _vector_metrics(pred, truth, perf_row=None, top_k=5):
     return out
 
 
-def _lodo_fold(i, data, strategies, hyper):
-    x_train = data.x.drop_entity(i)
-    r_train = data.r.drop(dataset_index=i)
-    models = _train_fold_models(strategies, x_train, data.a, r_train, hyper)
-    truth = data.r.scores[i]
-    perf_row = data.performance.values[i]
-
-    fold = FoldResult(held_out=data.x.entity_ids[i], metrics={})
-    for s in strategies:
-        try:
-            if s is Strategy.DEFAULT:
-                pred = default_strategy(Task.WORKFLOW_PREFS, r_train)
-            elif s is Strategy.EUCLIDEAN:
-                x_std, rec = standardize(x_train)
-                q = rec.apply(data.x.features[i])
-                pred = euclidean_strategy(q, x_std.features, r_train,
-                                          hyper.n_neighbors, Task.WORKFLOW_PREFS)
-            else:
-                params = models[_MODEL_FOR_STRATEGY[s]]
-                q = params.transform_dataset(data.x.features[i])
-                if s in (Strategy.F1_KNN, Strategy.F4_KNN):
-                    train_std = params.transform_dataset(x_train.features)
-                    pred = knn_predict_workflow_prefs(q, train_std, r_train,
-                                                      params, hyper.n_neighbors,
-                                                      strategy=s)
-                else:  # direct bilinear scoring across all workflows
-                    a_std = params.transform_workflow(data.a.features)
-                    pred = predict_workflow_prefs_direct(q, a_std, params,
-                                                         strategy=s)
-            fold.metrics[s] = _vector_metrics(pred.values, truth, perf_row)
-            fold.predictions[s] = pred.values
-            fold.flags.extend(f"{s.value}:{flag}" for flag in pred.flags)
-        except Exception as exc:  # fold flagged, excluded from aggregates
-            fold.metrics[s] = {}
-            fold.failed[s] = str(exc)
-    return fold
-
-
-def _lowo_fold(j, data, strategies, hyper):
-    a_train = data.a.drop_entity(j)
-    r_train = data.r.drop(workflow_index=j)
-    models = _train_fold_models(strategies, data.x, a_train, r_train, hyper)
-    truth = data.r.scores[:, j]
-
-    fold = FoldResult(held_out=data.a.entity_ids[j], metrics={})
-    for s in strategies:
-        try:
-            if s is Strategy.DEFAULT:
-                # averaging the training workflows' dataset-preference
-                # vectors is constant under the full row-sum identity:
-                # every dataset's points over all m workflows sum to
-                # m(m-1)/2, so the average sits at (m-1)/2
-                m_full = data.r.n_workflows
-                pred = PreferencePrediction(
-                    task=Task.DATASET_PREFS,
-                    values=np.full(data.r.n_datasets, (m_full - 1) / 2.0),
-                    strategy=Strategy.DEFAULT)
-            elif s is Strategy.EUCLIDEAN:
-                a_std, rec = standardize(a_train)
-                q = rec.apply(data.a.features[j])
-                pred = euclidean_strategy(q, a_std.features, r_train,
-                                          hyper.n_neighbors, Task.DATASET_PREFS)
-            else:
-                params = models[_MODEL_FOR_STRATEGY[s]]
-                q = params.transform_workflow(data.a.features[j])
-                if s in (Strategy.F2_KNN, Strategy.F4_KNN):
-                    train_std = params.transform_workflow(a_train.features)
-                    pred = knn_predict_dataset_prefs(q, train_std, r_train,
-                                                     params, hyper.n_neighbors,
-                                                     strategy=s)
-                else:
-                    x_std = params.transform_dataset(data.x.features)
-                    pred = predict_dataset_prefs_direct(q, x_std, params,
-                                                        strategy=s)
-            fold.metrics[s] = _vector_metrics(pred.values, truth)
-            fold.predictions[s] = pred.values
-            fold.flags.extend(f"{s.value}:{flag}" for flag in pred.flags)
-        except Exception as exc:
-            fold.metrics[s] = {}
-            fold.failed[s] = str(exc)
-    return fold
-
-
-def _lodwo_fold(pair, data, strategies, hyper):
-    i, j = pair
-    x_train = data.x.drop_entity(i)
-    a_train = data.a.drop_entity(j)
+def _fold(held, data, strategies, hyper):
+    """One fold with dataset i and/or workflow j held out, held = (i, j)
+    with None for the axis kept whole. Every learning strategy is retrained
+    on the rest (standardization refit per fold)."""
+    i, j = held
+    x_train = data.x if i is None else data.x.drop_entity(i)
+    a_train = data.a if j is None else data.a.drop_entity(j)
     r_train = data.r.drop(dataset_index=i, workflow_index=j)
     models = _train_fold_models(strategies, x_train, a_train, r_train, hyper)
-    truth = float(data.r.scores[i, j])
+    x_new = None if i is None else data.x.features[i]
+    a_new = None if j is None else data.a.features[j]
+    perf_row = None
+    if j is None:
+        task, held_out, truth = (Task.WORKFLOW_PREFS, data.x.entity_ids[i],
+                                 data.r.scores[i])
+        perf_row = data.performance.values[i]
+    elif i is None:
+        task, held_out, truth = (Task.DATASET_PREFS, data.a.entity_ids[j],
+                                 data.r.scores[:, j])
+    else:
+        task, held_out, truth = (Task.PAIR_SCORE,
+                                 (data.x.entity_ids[i], data.a.entity_ids[j]),
+                                 float(data.r.scores[i, j]))
 
-    fold = FoldResult(held_out=(data.x.entity_ids[i], data.a.entity_ids[j]),
-                      metrics={})
+    fold = FoldResult(held_out=held_out, metrics={})
     for s in strategies:
         try:
-            if s is Strategy.DEFAULT:
-                value = float(r_train.scores.mean())
-            else:
-                params = models[_MODEL_FOR_STRATEGY[s]]
-                qx = params.transform_dataset(data.x.features[i])
-                qa = params.transform_workflow(data.a.features[j])
-                value = float((params.u.T @ qx) @ (params.v.T @ qa))
-            fold.metrics[s] = {"mae": abs(value - truth)}
-            fold.predictions[s] = value
-        except Exception as exc:
+            pred = predict(s, task, x_new, a_new, x_train, a_train, r_train,
+                           models.get(OBJECTIVES.get(s)), hyper.n_neighbors)
+            fold.metrics[s] = _metrics(pred.values, truth, perf_row)
+            fold.predictions[s] = pred.values
+            fold.flags.extend(f"{s.value}:{flag}" for flag in pred.flags)
+        except ValueError as exc:  # fold flagged, excluded from aggregates
             fold.metrics[s] = {}
             fold.failed[s] = str(exc)
     return fold
 
 
-def _run_folds(fold_fn, keys, jobs):
+def _run(protocol, data, strategies, hyper, jobs, held):
+    """Run one fold per held-out key, after dropping the strategies that
+    cannot serve the protocol's task (each with a notice)."""
+    task = _TASK[protocol]
+    notices = [f"strategy {s.value} is not applicable to {_TASK_NAME[task]}; excluded"
+               for s in strategies if task not in TASKS[s]]
+    strategies = [s for s in strategies if task in TASKS[s]]
+    run_fold = partial(_fold, data=data, strategies=strategies, hyper=hyper)
     if jobs <= 1:
-        return [fold_fn(k) for k in keys]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fold_fn, keys))  # ordered: deterministic aggregation
+        folds = [run_fold(key) for key in held]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            folds = list(pool.map(run_fold, held))  # ordered: deterministic aggregation
+    return EvaluationReport(protocol=protocol, strategies=strategies,
+                            folds=folds, notices=notices)
 
 
 def run_lodo(data: MetaMiningData, strategies, hyper: HyperParams,
@@ -340,11 +275,8 @@ def run_lodo(data: MetaMiningData, strategies, hyper: HyperParams,
     remaining datasets (standardization refit per fold)."""
     if data.x.n_entities < 3:
         raise ValueError("leave-one-dataset-out needs at least 3 datasets")
-    strategies = list(strategies)
-    folds = _run_folds(lambda i: _lodo_fold(i, data, strategies, hyper),
-                       range(data.x.n_entities), jobs)
-    return EvaluationReport(protocol=Protocol.LODO, strategies=strategies,
-                            folds=folds)
+    return _run(Protocol.LODO, data, strategies, hyper, jobs,
+                [(i, None) for i in range(data.x.n_entities)])
 
 
 def run_lowo(data: MetaMiningData, strategies, hyper: HyperParams,
@@ -353,12 +285,9 @@ def run_lowo(data: MetaMiningData, strategies, hyper: HyperParams,
     strategy's prediction is constant, so its rank correlation is NA."""
     if data.a.n_entities < 3:
         raise ValueError("leave-one-workflow-out needs at least 3 workflows")
-    strategies = list(strategies)
-    folds = _run_folds(lambda j: _lowo_fold(j, data, strategies, hyper),
-                       range(data.a.n_entities), jobs)
-    report = EvaluationReport(protocol=Protocol.LOWO, strategies=strategies,
-                              folds=folds)
-    if Strategy.DEFAULT in strategies:
+    report = _run(Protocol.LOWO, data, strategies, hyper, jobs,
+                  [(None, j) for j in range(data.a.n_entities)])
+    if Strategy.DEFAULT in report.strategies:
         report.notices.append(
             "default strategy yields a constant dataset-preference vector; rho is NA")
     return report
@@ -367,22 +296,9 @@ def run_lowo(data: MetaMiningData, strategies, hyper: HyperParams,
 def run_lodwo(data: MetaMiningData, strategies, hyper: HyperParams,
               jobs: int = 1) -> EvaluationReport:
     """Leave one dataset and one workflow out (pair-score task). Only
-    heterogeneous strategies and the default apply; the Euclidean baseline
-    is excluded with a notice."""
+    heterogeneous strategies and the default apply."""
     if data.x.n_entities < 3 or data.a.n_entities < 3:
         raise ValueError("leave-one-of-each-out needs at least 3 of each entity")
-    strategies = list(strategies)
-    notices = []
-    excluded = [s for s in strategies
-                if s not in (Strategy.DEFAULT, Strategy.F3_DIRECT, Strategy.F4_DIRECT)]
-    for s in excluded:
-        strategies.remove(s)
-        notices.append(f"strategy {s.value} is not applicable to pair scoring; excluded")
-    pairs = [(i, j) for i in range(data.x.n_entities)
-             for j in range(data.a.n_entities)]
-    folds = _run_folds(lambda p: _lodwo_fold(p, data, strategies, hyper),
-                       pairs, jobs)
-    report = EvaluationReport(protocol=Protocol.LODWO, strategies=strategies,
-                              folds=folds)
-    report.notices.extend(notices)
-    return report
+    return _run(Protocol.LODWO, data, strategies, hyper, jobs,
+                [(i, j) for i in range(data.x.n_entities)
+                 for j in range(data.a.n_entities)])

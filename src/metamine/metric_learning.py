@@ -168,22 +168,18 @@ def _svd_warm_start(obj: Objective, t: int):
         u[:, :k] = p[:, :k] * root
         v[:, :k] = qt[:k].T * root
         return u, v
+    # f1 / f2: the top eigenpairs of the dataset / workflow metric target
     if obj.kind is ObjectiveKind.F1:
-        w = x_pinv @ obj.s_x @ x_pinv.T        # d x d, symmetric
-        w = 0.5 * (w + w.T)
-        vals, vecs = np.linalg.eigh(w)
-        order = np.argsort(vals)[::-1]
-        k = min(t, d)
-        top = np.clip(vals[order[:k]], 0.0, None)
-        u[:, :k] = vecs[:, order[:k]] * np.sqrt(top)
-        return u, v
-    w = a_pinv @ obj.s_a @ a_pinv.T
+        pinv, target, out = x_pinv, obj.s_x, u
+    else:
+        pinv, target, out = a_pinv, obj.s_a, v
+    w = pinv @ target @ pinv.T                 # d x d or l x l, symmetric
     w = 0.5 * (w + w.T)
     vals, vecs = np.linalg.eigh(w)
     order = np.argsort(vals)[::-1]
-    k = min(t, l)
+    k = min(t, out.shape[0])
     top = np.clip(vals[order[:k]], 0.0, None)
-    v[:, :k] = vecs[:, order[:k]] * np.sqrt(top)
+    out[:, :k] = vecs[:, order[:k]] * np.sqrt(top)
     return u, v
 
 

@@ -1,19 +1,21 @@
 """Prediction strategies for the three tasks: learned-metric kNN, direct
 bilinear scoring, and the default / Euclidean baselines.
 
-All functions expect descriptor vectors already standardized with the
-model's stored records (ModelParams.transform_dataset / transform_workflow);
-they are pure and safe to call concurrently.
+`predict` serves one query with one strategy from raw descriptors; it is
+the one place that decides which predictor a (strategy, task) pair uses.
+The predictors below it expect descriptor vectors already standardized
+with the model's stored records (ModelParams.transform_dataset /
+transform_workflow). All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .data_model import ModelParams, PreferenceMatrix
+from .data_model import ModelParams, PreferenceMatrix, standardize
 from .preference import SimilarityAxis
 
 
@@ -33,12 +35,30 @@ class Strategy(str, Enum):
     F4_KNN = "f4_knn"
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    query_id: object
-    neighbor_ids: tuple
-    weights: np.ndarray   # sorted descending
-    n_requested: int
+_RANKING = frozenset({Task.WORKFLOW_PREFS, Task.DATASET_PREFS})
+
+# strategy -> the tasks it can serve. A kNN strategy needs a learned metric
+# on the query's side: f1 trains only U (datasets), f2 only V (workflows).
+TASKS = {
+    Strategy.DEFAULT: frozenset(Task),
+    Strategy.EUCLIDEAN: _RANKING,
+    Strategy.F1_KNN: frozenset({Task.WORKFLOW_PREFS}),
+    Strategy.F2_KNN: frozenset({Task.DATASET_PREFS}),
+    Strategy.F3_DIRECT: frozenset(Task),
+    Strategy.F4_DIRECT: frozenset(Task),
+    Strategy.F4_KNN: _RANKING,
+}
+
+# learning strategy -> objective of the model it predicts with
+OBJECTIVES = {
+    Strategy.F1_KNN: "f1",
+    Strategy.F2_KNN: "f2",
+    Strategy.F3_DIRECT: "f3",
+    Strategy.F4_DIRECT: "f4",
+    Strategy.F4_KNN: "f4",
+}
+
+_KNN = (Strategy.F1_KNN, Strategy.F2_KNN, Strategy.F4_KNN)
 
 
 @dataclass(frozen=True)
@@ -141,8 +161,7 @@ def predict_dataset_prefs_direct(a_new, x_all_std, params: ModelParams,
 
 def default_strategy(task: Task, r_train: PreferenceMatrix) -> PreferencePrediction:
     """Training-average prediction: column means (workflow prefs), row
-    means (dataset prefs; constant by the row-sum identity), or the grand
-    mean (pair score)."""
+    means (dataset prefs), or the grand mean (pair score)."""
     scores = r_train.scores
     if task is Task.WORKFLOW_PREFS:
         values = scores.mean(axis=0)
@@ -173,3 +192,52 @@ def euclidean_strategy(query, train_std, r: PreferenceMatrix, n: int,
         values=_weighted_rows(rows[picked], w),
         strategy=Strategy.EUCLIDEAN,
     )
+
+
+def predict(strategy: Strategy, task: Task, x_new, a_new, x, a,
+            r: PreferenceMatrix, params: ModelParams, n: int
+            ) -> PreferencePrediction:
+    """Serve one cold-start query with one strategy.
+
+    x_new / a_new are the raw descriptors of the new dataset / workflow
+    (None where the task needs none); x, a (DescriptorTables) and r are the
+    training entities and their preferences; params is the strategy's
+    trained model (None for the baselines); n is the neighbourhood size.
+    Raises ValueError for a task outside TASKS[strategy].
+    """
+    if task not in TASKS[strategy]:
+        raise ValueError(f"strategy {strategy.value} cannot serve {task.value}")
+    if strategy is Strategy.DEFAULT:
+        if task is Task.DATASET_PREFS:
+            # With m = r.n_workflows, every dataset's points over the m + 1
+            # workflows (the new one included) sum to (m+1)m/2, so each
+            # dataset averages m/2: a constant. The row means of r are
+            # (m(m+1)/2 - truth) / m when r is a fold that dropped the new
+            # workflow's column, so they would leak the held-out truth,
+            # ranked exactly backwards.
+            return PreferencePrediction(
+                task=task, values=np.full(r.n_datasets, r.n_workflows / 2.0),
+                strategy=strategy)
+        return default_strategy(task, r)
+    if strategy is Strategy.EUCLIDEAN:
+        table, query = (x, x_new) if task is Task.WORKFLOW_PREFS else (a, a_new)
+        train_std, record = standardize(table)
+        return euclidean_strategy(record.apply(query), train_std.features, r,
+                                  n, task)
+    qx = None if x_new is None else params.transform_dataset(x_new)
+    qa = None if a_new is None else params.transform_workflow(a_new)
+    if task is Task.PAIR_SCORE:
+        return PreferencePrediction(task=task,
+                                    values=np.asarray(predict_pair(qx, qa, params)),
+                                    strategy=strategy)
+    if strategy in _KNN and task is Task.WORKFLOW_PREFS:
+        return knn_predict_workflow_prefs(qx, params.transform_dataset(x.features),
+                                          r, params, n, strategy=strategy)
+    if strategy in _KNN:
+        return knn_predict_dataset_prefs(qa, params.transform_workflow(a.features),
+                                         r, params, n, strategy=strategy)
+    if task is Task.WORKFLOW_PREFS:
+        return predict_workflow_prefs_direct(
+            qx, params.transform_workflow(a.features), params, strategy=strategy)
+    return predict_dataset_prefs_direct(
+        qa, params.transform_dataset(x.features), params, strategy=strategy)

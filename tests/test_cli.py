@@ -164,6 +164,29 @@ class TestTrain:
         assert doc["hyper"]["mu1"] == 2.0       # flag beats config file
         assert doc["hyper"]["max_iters"] == 3   # config file beats default
 
+    @pytest.mark.parametrize("flag", [["--max-iters=5"], ["--max-it", "5"]])
+    def test_config_file_loses_to_any_flag_spelling(self, bundle, tmp_path, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_iters": 3}))
+        model = tmp_path / "model.json"
+        assert run(["--config", str(cfg), "train", "--bundle", str(bundle),
+                    "--objective", "f3", *flag, "--out", str(model)]) == 0
+        assert json.loads(model.read_text())["hyper"]["max_iters"] == 5
+
+    def test_preset_below_config_file_below_flags(self, bundle, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mu2": 2.0}))
+        model = tmp_path / "model.json"
+        assert run(["--config", str(cfg), "train", "--bundle", str(bundle),
+                    "--objective", "f4", "--preset", "paper-task1",
+                    "--mu1", "3", "--max-iters", "5", "--out", str(model)]) == 0
+        used = json.loads(model.read_text())["hyper"]
+        recorded = json.loads((tmp_path / "model.json.config.json").read_text())
+        for doc in (used, recorded):
+            assert doc["mu1"] == 3.0        # flag beats preset
+            assert doc["mu2"] == 2.0        # config file beats preset
+            assert doc["alpha"] == 1e-10    # preset beats default
+
     def test_missing_bundle_exits_one(self, tmp_path, capsys):
         code = run(["train", "--bundle", str(tmp_path / "nope"),
                     "--objective", "f3", "--out", str(tmp_path / "m.json")])
@@ -205,6 +228,18 @@ class TestEvaluate:
                     "--strategies", "def,bogus", "--out", str(tmp_path / "r")])
         assert code == 1
         assert "unknown strategy" in capsys.readouterr().err
+
+    def test_programming_error_in_strategy_exits_two(self, bundle, tmp_path,
+                                                     monkeypatch, capsys):
+        import metamine.recommend
+
+        def broken(*args, **kwargs):
+            raise KeyError("missing")
+        monkeypatch.setattr(metamine.recommend, "default_strategy", broken)
+        code = run(["evaluate", "--bundle", str(bundle), "--protocol", "lodo",
+                    "--strategies", "def", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "runtime failure" in capsys.readouterr().err
 
     def test_repeat_run_byte_identical_report(self, bundle, tmp_path):
         outs = [tmp_path / "r1", tmp_path / "r2"]
@@ -274,3 +309,43 @@ class TestPredict:
                     "--out", str(tmp_path / "p.csv")])
         assert code == 1
         assert "feature names" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, given, missing", [
+        ("workflow_prefs", [], "--x"),
+        ("dataset_prefs", [], "--a"),
+        ("pair_score", ["--x"], "--a"),
+    ])
+    def test_missing_query_table_exits_one(self, bundle, tmp_path, capsys,
+                                           task, given, missing):
+        model = self.train_model(bundle, tmp_path)
+        tables = {"--x": str(bundle / "X.csv"), "--a": str(bundle / "A.csv")}
+        code = run(["predict", "--model", str(model), "--bundle", str(bundle),
+                    "--task", task, *[v for f in given for v in (f, tables[f])],
+                    "--out", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert f"needs {missing}" in capsys.readouterr().err
+
+    def test_non_finite_query_exits_one(self, bundle, tmp_path, capsys):
+        model = self.train_model(bundle, tmp_path)
+        bad = tmp_path / "nan_queries.csv"
+        lines = (bundle / "X.csv").read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[1] = "nan"
+        bad.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:]) + "\n")
+        out = tmp_path / "p.csv"
+        code = run(["predict", "--model", str(model), "--bundle", str(bundle),
+                    "--task", "workflow_prefs", "--x", str(bad),
+                    "--out", str(out)])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("neighbors", ["-3", "0"])
+    def test_nonpositive_neighbors_exits_one(self, bundle, tmp_path, capsys,
+                                             neighbors):
+        model = self.train_model(bundle, tmp_path, objective="f1")
+        code = run(["predict", "--model", str(model), "--bundle", str(bundle),
+                    "--task", "workflow_prefs", "--x", str(bundle / "X.csv"),
+                    "--neighbors", neighbors, "--out", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert "--neighbors" in capsys.readouterr().err

@@ -191,6 +191,45 @@ class TestRunLodwo:
                 == pytest.approx(abs(expected - truth))
 
 
+class TestStrategyApplicability:
+    @pytest.mark.parametrize("runner, strategy, task", [
+        (run_lodo, Strategy.F2_KNN, "workflow ranking"),
+        (run_lowo, Strategy.F1_KNN, "dataset ranking"),
+        (run_lodwo, Strategy.F4_KNN, "pair scoring"),
+    ])
+    def test_inapplicable_strategy_excluded_with_notice(self, runner, strategy,
+                                                        task):
+        # f1 trains only U and f2 only V: neither can rank the other side
+        data = synth_data(seed=4, n=4, m=4)
+        report = runner(data, [Strategy.DEFAULT, strategy], FAST)
+        assert report.strategies == [Strategy.DEFAULT]
+        assert report.notices[0] == (f"strategy {strategy.value} is not "
+                                     f"applicable to {task}; excluded")
+        assert all(strategy not in f.metrics for f in report.folds)
+
+
+class TestFoldErrors:
+    def test_value_error_marks_strategy_failed(self, monkeypatch):
+        import metamine.recommend
+
+        def refuse(*args, **kwargs):
+            raise ValueError("empty training set")
+        monkeypatch.setattr(metamine.recommend, "default_strategy", refuse)
+        report = run_lodo(synth_data(seed=18), [Strategy.DEFAULT], FAST)
+        assert all(f.failed == {Strategy.DEFAULT: "empty training set"}
+                   for f in report.folds)
+        assert report.aggregate(Strategy.DEFAULT, "mae") is None
+
+    def test_programming_error_propagates(self, monkeypatch):
+        import metamine.recommend
+
+        def broken(*args, **kwargs):
+            raise KeyError("missing")
+        monkeypatch.setattr(metamine.recommend, "default_strategy", broken)
+        with pytest.raises(KeyError):
+            run_lodo(synth_data(seed=18), [Strategy.DEFAULT], FAST)
+
+
 class TestCompareStrategies:
     def make_report(self, a_vals, b_vals, metric="mae"):
         from metamine.evaluation import EvaluationReport, FoldResult

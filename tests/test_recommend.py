@@ -4,10 +4,12 @@ import pytest
 from metamine.data_model import (HyperParams, ModelParams, PreferenceMatrix,
                                  StandardizationRecord)
 from metamine.preference import SimilarityAxis, spearman
-from metamine.recommend import (Strategy, Task, default_strategy,
+from metamine.recommend import (TASKS, Strategy, Task, default_strategy,
                                 euclidean_strategy, knn_predict_dataset_prefs,
                                 knn_predict_workflow_prefs, learned_similarity,
-                                predict_pair)
+                                predict, predict_pair)
+
+from conftest import make_tables
 
 
 def identity_record(k):
@@ -227,3 +229,42 @@ class TestEuclideanStrategy:
         with pytest.raises(ValueError, match="heterogeneous"):
             euclidean_strategy(np.zeros(2), np.zeros((2, 2)), r, n=1,
                                task=Task.PAIR_SCORE)
+
+
+class TestPredict:
+    def problem(self, seed=12):
+        rng = np.random.default_rng(seed)
+        x, a, _ = make_tables(n=4, m=5, d=4, l=3, seed=seed)
+        params = make_params(rng.standard_normal((4, 2)),
+                             rng.standard_normal((3, 2)))
+        r = make_r(rng.random((4, 5)))
+        return rng, x, a, r, params
+
+    def test_tasks_outside_table_rejected(self):
+        rng, x, a, r, params = self.problem()
+        for strategy in Strategy:
+            for task in set(Task) - TASKS[strategy]:
+                with pytest.raises(ValueError, match="cannot serve"):
+                    predict(strategy, task, rng.standard_normal(4),
+                            rng.standard_normal(3), x, a, r, params, 2)
+
+    def test_knn_uses_the_query_side_metric(self):
+        rng, x, a, r, params = self.problem()
+        q = rng.standard_normal(3)
+        pred = predict(Strategy.F2_KNN, Task.DATASET_PREFS, None, q, x, a, r,
+                       params, 2)
+        expected = knn_predict_dataset_prefs(q, a.features, r, params, 2)
+        np.testing.assert_array_equal(pred.values, expected.values)
+        assert pred.strategy is Strategy.F2_KNN
+
+    def test_dataset_default_does_not_leak_held_out_column(self):
+        rng = np.random.default_rng(13)
+        m = 5
+        scores = np.array([rng.permutation(m).astype(float) for _ in range(6)])
+        r_fold = make_r(scores[:, 1:])  # workflow 0 held out
+        pred = predict(Strategy.DEFAULT, Task.DATASET_PREFS, None, np.zeros(3),
+                       None, None, r_fold, None, 2)
+        np.testing.assert_array_equal(pred.values, (m - 1) / 2)
+        # the fold's row means would rank the held-out column exactly backwards
+        assert spearman(r_fold.scores.mean(axis=1), scores[:, 0]) \
+            == pytest.approx(-1.0)
