@@ -15,19 +15,20 @@ import csv
 import json
 import sys
 from dataclasses import fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from . import io
-from .data_model import HyperParams, InitScheme, TableKind, validate_tables
+from .data_model import HyperParams, TableKind, validate_tables
 from .evaluation import (MetaMiningData, Protocol, run_lodo, run_lodwo,
                          run_lowo)
 from .metric_learning import ObjectiveKind, train
 from .preference import (build_preference_from_significance,
                          build_preference_matrix)
 from .recommend import OBJECTIVES, TASKS, Strategy, Task, predict
-from .synth import SynthConfig, SynthMode, generate
+from .synth import SynthConfig, generate
 
 # Hyperparameter presets mirroring the published experiment settings,
 # keyed by (preset name, objective). Shipped as named presets, not
@@ -46,10 +47,12 @@ PRESETS = {
                             "mu1": 10.0, "mu2": 0.0},
 }
 
-# HyperParams field -> the dest of its CLI flag and config key
+# HyperParams / SynthConfig field -> the dest of its CLI flag and config key
 _HYPER_FIELDS = {f.name: "neighbors" if f.name == "n_neighbors" else f.name
                  for f in fields(HyperParams)}
 HYPER_FLAGS = tuple(_HYPER_FIELDS.values())
+_SYNTH_FIELDS = {f.name: "instances" if f.name == "instances_per_dataset"
+                 else f.name for f in fields(SynthConfig)}
 
 _STRATEGY_ALIASES = {
     "def": Strategy.DEFAULT,
@@ -74,10 +77,13 @@ def _resolve_config(args, names):
     return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
-def _hyper_from(resolved):
-    values = {field: resolved[dest] for field, dest in _HYPER_FIELDS.items()}
-    values["init"] = InitScheme(values["init"])
-    return HyperParams(**values)
+def _from_flags(cls, dests, resolved):
+    """The dataclass cls built from the resolved values of its flags."""
+    values = {field: resolved[dest] for field, dest in dests.items()}
+    for field, default in vars(cls()).items():
+        if isinstance(default, Enum):
+            values[field] = type(default)(values[field])
+    return cls(**values)
 
 
 def _preset_values(preset, objective):
@@ -99,8 +105,15 @@ def _parse(parser, argv):
     config = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            config = {k: v for k, v in json.load(fh).items()
-                      if k in vars(args) and k not in ("func", "subcommand")}
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise CliError(f"{args.config}: config must be a JSON object",
+                           exit_code=1)
+        config.pop("subcommand", None)  # resolved-config files carry it
+        unknown = sorted(k for k in config if k not in vars(args) or k == "func")
+        if unknown:
+            raise CliError(f"{args.config}: unknown config keys for "
+                           f"{args.subcommand}: {unknown}", exit_code=1)
     preset = getattr(args, "preset", None) or config.get("preset")
     # evaluate looks its preset up under the combined objective
     objective = getattr(args, "objective", "f4")
@@ -136,15 +149,8 @@ def _load_bundle(bundle_dir) -> MetaMiningData:
 
 
 def cmd_synth(args):
-    resolved = _resolve_config(args, ("n", "m", "d", "l", "latent_t",
-                                      "noise_sigma", "seed", "mode",
-                                      "instances", "out"))
-    config = SynthConfig(n=resolved["n"], m=resolved["m"], d=resolved["d"],
-                         l=resolved["l"], latent_t=resolved["latent_t"],
-                         noise_sigma=resolved["noise_sigma"],
-                         seed=resolved["seed"],
-                         mode=SynthMode(resolved["mode"]),
-                         instances_per_dataset=resolved["instances"])
+    resolved = _resolve_config(args, (*_SYNTH_FIELDS.values(), "out"))
+    config = _from_flags(SynthConfig, _SYNTH_FIELDS, resolved)
     result = generate(config)
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -220,7 +226,7 @@ def cmd_train(args):
                                       *HYPER_FLAGS))
     data = _load_bundle(resolved["bundle"])
     kind = ObjectiveKind(resolved["objective"])
-    hyper = _hyper_from(resolved)
+    hyper = _from_flags(HyperParams, _HYPER_FIELDS, resolved)
     params, trace = train(kind, data.x, data.a, data.r, hyper)
     summary = {
         "iterations": trace.iterations,
@@ -247,7 +253,7 @@ def cmd_evaluate(args):
     except KeyError as exc:
         raise CliError(f"unknown strategy {exc.args[0]!r} "
                        f"(known: {sorted(_STRATEGY_ALIASES)})", exit_code=1)
-    hyper = _hyper_from(resolved)
+    hyper = _from_flags(HyperParams, _HYPER_FIELDS, resolved)
     runner = {Protocol.LODO: run_lodo, Protocol.LOWO: run_lowo,
               Protocol.LODWO: run_lodwo}[protocol]
     report = runner(data, strategies, hyper, jobs=resolved["jobs"])
@@ -337,18 +343,18 @@ def cmd_predict(args):
     return 0
 
 
-def _add_hyper_flags(p):
-    """One flag per HyperParams field, defaulting to the field's default."""
-    defaults = HyperParams().to_dict()
-    for field, dest in _HYPER_FIELDS.items():
-        default = defaults[field]
-        if field == "init":
-            spec = {"choices": [s.value for s in InitScheme]}
-        else:  # t, the one optional field, defaults to None
-            spec = {"type": int if default is None else type(default)}
-        p.add_argument(f"--{dest.replace('_', '-')}", dest=dest,
-                       default=default, **spec)
-    p.add_argument("--preset", default=None)
+def _add_field_flags(p, cls, dests):
+    """One flag per field of the dataclass cls, defaulting to the field's
+    default."""
+    for field, default in vars(cls()).items():
+        if isinstance(default, Enum):
+            spec = {"choices": [e.value for e in type(default)],
+                    "default": default.value}
+        else:  # HyperParams.t, the one optional field, defaults to None
+            spec = {"type": int if default is None else type(default),
+                    "default": default}
+        p.add_argument(f"--{dests[field].replace('_', '-')}",
+                       dest=dests[field], **spec)
 
 
 def build_parser():
@@ -362,15 +368,7 @@ def build_parser():
     parser.subcommands = sub.choices  # name -> subparser, for _parse
 
     p = sub.add_parser("synth", help="generate a synthetic problem")
-    p.add_argument("--n", type=int, default=30)
-    p.add_argument("--m", type=int, default=12)
-    p.add_argument("--d", type=int, default=10)
-    p.add_argument("--l", type=int, default=8)
-    p.add_argument("--latent-t", type=int, default=3, dest="latent_t")
-    p.add_argument("--noise-sigma", type=float, default=0.0, dest="noise_sigma")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=[m.value for m in SynthMode], default="exact")
-    p.add_argument("--instances", type=int, default=200)
+    _add_field_flags(p, SynthConfig, _SYNTH_FIELDS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -389,7 +387,8 @@ def build_parser():
     p = sub.add_parser("train", help="train an objective on a bundle")
     p.add_argument("--bundle", required=True)
     p.add_argument("--objective", choices=["f1", "f2", "f3", "f4"], required=True)
-    _add_hyper_flags(p)
+    _add_field_flags(p, HyperParams, _HYPER_FIELDS)
+    p.add_argument("--preset", default=None)
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=cmd_train)
 
@@ -398,7 +397,8 @@ def build_parser():
     p.add_argument("--protocol", choices=["lodo", "lowo", "lodwo"], required=True)
     p.add_argument("--strategies", default="def,ec,f4",
                    help="comma list from: " + ",".join(sorted(_STRATEGY_ALIASES)))
-    _add_hyper_flags(p)
+    _add_field_flags(p, HyperParams, _HYPER_FIELDS)
+    p.add_argument("--preset", default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--out", required=True, help="report directory")

@@ -64,9 +64,6 @@ class DescriptorTable:
     def n_features(self):
         return self.features.shape[1]
 
-    def row(self, entity_id) -> np.ndarray:
-        return self.features[self.entity_ids.index(entity_id)]
-
     def drop_entity(self, index: int) -> "DescriptorTable":
         keep = [i for i in range(self.n_entities) if i != index]
         return DescriptorTable(
@@ -121,7 +118,7 @@ class PreferenceMatrix:
     def n_workflows(self):
         return self.scores.shape[1]
 
-    def check_invariants(self, atol=0.0):
+    def check_invariants(self):
         """Raise ValueError on any violated preference-matrix invariant."""
         m = self.n_workflows
         expected = m * (m - 1) / 2.0

@@ -26,6 +26,7 @@ import numpy as np
 from .data_model import (DescriptorTable, HyperParams, ModelParams,
                          PerformanceMatrix, PreferenceMatrix,
                          StandardizationRecord, TableKind)
+from .metric_learning import ObjectiveKind
 from .preference import OutcomeCube, PairOutcome
 
 MODEL_FORMAT_VERSION = 1
@@ -156,8 +157,12 @@ def read_outcome_dir(directory) -> OutcomeCube:
             workflow_ids = cols
         elif cols != workflow_ids:
             raise IngestError(f"{path}: workflow columns differ from {files[0]}")
-        mat = [[_parse_float(tok, path, f"line {ln}") for tok in row]
-               for ln, row in enumerate(rows[1:], start=2)]
+        mat = []
+        for ln, row in enumerate(rows[1:], start=2):
+            if len(row) != len(cols):
+                raise IngestError(f"{path}: line {ln}: expected {len(cols)} "
+                                  f"fields, got {len(row)}")
+            mat.append([_parse_float(tok, path, f"line {ln}") for tok in row])
         dataset_ids.append(path.stem)
         matrices.append(np.array(mat))
     return OutcomeCube(dataset_ids=tuple(dataset_ids),
@@ -191,6 +196,9 @@ def read_significance_csv(path):
             outcome = PairOutcome(outcome)
         except ValueError:
             raise IngestError(f"{path}: line {ln}: unknown outcome {outcome!r}") from None
+        if wk == wl:
+            raise IngestError(f"{path}: line {ln}: workflow {wk!r} compared "
+                              "with itself")
         for wid in (wk, wl):
             if wid not in workflow_ids:
                 workflow_ids.append(wid)
@@ -262,14 +270,30 @@ def load_model(path) -> ModelParams:
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise IngestError(f"{path}: unsupported model format version {version!r}")
-    return ModelParams(
+    objective = doc["objective"]
+    if objective not in {kind.value for kind in ObjectiveKind}:
+        raise IngestError(f"{path}: unknown objective {objective!r} "
+                          "(known: f1, f2, f3, f4)")
+    params = ModelParams(
         u=np.array([[float(v) for v in row] for row in doc["u"]]),
         v=np.array([[float(v) for v in row] for row in doc["v"]]),
         t=int(doc["t"]),
         hyper=HyperParams.from_dict(doc["hyper"]),
         x_standardization=_record_from_dict(doc["x_standardization"]),
         a_standardization=_record_from_dict(doc["a_standardization"]),
-        objective=doc["objective"],
+        objective=objective,
         x_feature_names=doc.get("x_feature_names"),
         a_feature_names=doc.get("a_feature_names"),
     )
+    for name, side in (("u", "x"), ("v", "a")):
+        rows = getattr(params, name).shape[0]
+        record = getattr(params, f"{side}_standardization")
+        names = getattr(params, f"{side}_feature_names")
+        if record.mean.shape != (rows,) or record.scale.shape != (rows,):
+            raise IngestError(f"{path}: {name} has {rows} rows but "
+                              f"{side}_standardization has {record.mean.size} "
+                              f"means and {record.scale.size} scales")
+        if names is not None and len(names) != rows:
+            raise IngestError(f"{path}: {name} has {rows} rows but "
+                              f"{len(names)} {side}_feature_names")
+    return params

@@ -81,12 +81,8 @@ class TrainTrace:
 
 
 def _fit1(x, s_x, u):
+    # also the f2 term, called with (a, s_a, v)
     e = s_x - x @ u @ u.T @ x.T
-    return float(np.sum(e * e))
-
-
-def _fit2(a, s_a, v):
-    e = s_a - a @ v @ v.T @ a.T
     return float(np.sum(e * e))
 
 
@@ -105,25 +101,21 @@ def objective_value(obj: Objective, u: np.ndarray, v: np.ndarray,
     if k is ObjectiveKind.F1:
         return _fit1(obj.x, obj.s_x, u) + hyper.mu1 * _sq(u)
     if k is ObjectiveKind.F2:
-        return _fit2(obj.a, obj.s_a, v) + hyper.mu2 * _sq(v)
+        return _fit1(obj.a, obj.s_a, v) + hyper.mu2 * _sq(v)
     if k is ObjectiveKind.F3:
         return (_fit3(obj.x, obj.a, obj.r, u, v)
                 + hyper.mu1 * _sq(u) + hyper.mu2 * _sq(v))
     # f4: the three data-fit terms weighted, regularizers applied once
     return (hyper.alpha * _fit1(obj.x, obj.s_x, u)
-            + hyper.beta * _fit2(obj.a, obj.s_a, v)
+            + hyper.beta * _fit1(obj.a, obj.s_a, v)
             + hyper.gamma * _fit3(obj.x, obj.a, obj.r, u, v)
             + hyper.mu1 * _sq(u) + hyper.mu2 * _sq(v))
 
 
 def _grad_fit1(x, s_x, u):
+    # also the f2 gradient, called with (a, s_a, v)
     e = s_x - x @ u @ u.T @ x.T
     return -4.0 * x.T @ e @ x @ u
-
-
-def _grad_fit2(a, s_a, v):
-    e = s_a - a @ v @ v.T @ a.T
-    return -4.0 * a.T @ e @ a @ v
 
 
 def _grad_fit3(x, a, r, u, v):
@@ -140,14 +132,14 @@ def gradient(obj: Objective, u: np.ndarray, v: np.ndarray,
     if k is ObjectiveKind.F1:
         return _grad_fit1(obj.x, obj.s_x, u) + 2.0 * hyper.mu1 * u, np.zeros_like(v)
     if k is ObjectiveKind.F2:
-        return np.zeros_like(u), _grad_fit2(obj.a, obj.s_a, v) + 2.0 * hyper.mu2 * v
+        return np.zeros_like(u), _grad_fit1(obj.a, obj.s_a, v) + 2.0 * hyper.mu2 * v
     if k is ObjectiveKind.F3:
         gu, gv = _grad_fit3(obj.x, obj.a, obj.r, u, v)
         return gu + 2.0 * hyper.mu1 * u, gv + 2.0 * hyper.mu2 * v
     gu3, gv3 = _grad_fit3(obj.x, obj.a, obj.r, u, v)
     gu = (hyper.alpha * _grad_fit1(obj.x, obj.s_x, u)
           + hyper.gamma * gu3 + 2.0 * hyper.mu1 * u)
-    gv = (hyper.beta * _grad_fit2(obj.a, obj.s_a, v)
+    gv = (hyper.beta * _grad_fit1(obj.a, obj.s_a, v)
           + hyper.gamma * gv3 + 2.0 * hyper.mu2 * v)
     return gu, gv
 

@@ -72,47 +72,52 @@ class SimilarityTarget:
         object.__setattr__(self, "constant_entities", tuple(self.constant_entities))
 
 
+def points(wins) -> np.ndarray:
+    """Comparison points from win matrices, wins[k, l] true when workflow
+    k beats l: 1 per win plus 0.5 per pair that neither side wins, so a row
+    sums to m(m-1)/2. Takes one m x m matrix or an n x m x m stack."""
+    wins = np.asarray(wins, dtype=bool)
+    won = wins.sum(axis=-1)
+    lost = wins.sum(axis=-2)
+    return won + 0.5 * (wins.shape[-1] - 1 - won - lost)
+
+
+def mcnemar_wins(correctness, alpha_level=0.05, exact=False) -> np.ndarray:
+    """Win matrix of one dataset from paired McNemar comparisons.
+
+    correctness: (instances x m) 0/1 matrix. Workflow k beats l when the
+    continuity-corrected statistic (|b-c|-1)^2/(b+c) exceeds the
+    chi-square(1) critical value and b > c, where b counts the instances k
+    gets right and l wrong, c the reverse. With exact=True, pairs with
+    fewer than 25 discordant instances use an exact two-sided binomial
+    test instead. A pair with b+c = 0 never wins.
+    """
+    c = np.asarray(correctness, dtype=float)
+    b = c.T @ (1.0 - c)                  # b[k, l]: k right, l wrong
+    discordant = b + b.T
+    with np.errstate(divide="ignore"):
+        statistic = (np.abs(b - b.T) - 1.0) ** 2 / discordant
+    significant = statistic > stats.chi2.ppf(1.0 - alpha_level, 1)
+    if exact:
+        tail = stats.binom.cdf(np.minimum(b, b.T), discordant, 0.5)
+        significant = np.where(discordant < 25,
+                               np.minimum(1.0, 2.0 * tail) < alpha_level,
+                               significant)
+    return significant & (b > b.T)       # b > c also rules out b+c = 0
+
+
 def mcnemar_significant(correct_k, correct_l, alpha_level=0.05,
                         exact=False) -> PairOutcome:
-    """Paired significance comparison of two workflows' correctness vectors.
-
-    Uses the continuity-corrected chi-square statistic (|b-c|-1)^2/(b+c)
-    against the chi-square(1) critical value. With exact=True and fewer
-    than 25 discordant pairs, an exact two-sided binomial test is used
-    instead. b+c = 0 is always a tie.
-    """
+    """Paired significance comparison of two workflows' 0/1 correctness
+    vectors: the mcnemar_wins rule on the two columns."""
     k = np.asarray(correct_k, dtype=float)
     l = np.asarray(correct_l, dtype=float)
     if k.shape != l.shape:
         raise ValueError(f"length mismatch: {k.shape} vs {l.shape}")
-    b = int(np.sum((k == 1) & (l == 0)))  # k right, l wrong
-    c = int(np.sum((k == 0) & (l == 1)))  # k wrong, l right
-    if b + c == 0:
-        return PairOutcome.TIE
-    if exact and b + c < 25:
-        tail = stats.binom.cdf(min(b, c), b + c, 0.5)
-        significant = min(1.0, 2.0 * tail) < alpha_level
-    else:
-        statistic = (abs(b - c) - 1.0) ** 2 / (b + c)
-        significant = statistic > stats.chi2.ppf(1.0 - alpha_level, 1)
-    if not significant:
-        return PairOutcome.TIE
-    return PairOutcome.K_WINS if b > c else PairOutcome.L_WINS
-
-
-def _tally(m, outcome_of_pair):
-    scores = np.zeros(m)
-    for k in range(m):
-        for l in range(k + 1, m):
-            outcome = outcome_of_pair(k, l)
-            if outcome is PairOutcome.K_WINS:
-                scores[k] += 1.0
-            elif outcome is PairOutcome.L_WINS:
-                scores[l] += 1.0
-            else:
-                scores[k] += 0.5
-                scores[l] += 0.5
-    return scores
+    wins = mcnemar_wins(np.column_stack([k, l]), alpha_level, exact=exact)
+    if wins[0, 1]:
+        return PairOutcome.K_WINS
+    return PairOutcome.L_WINS if wins[1, 0] else PairOutcome.TIE
 
 
 def score_dataset(correctness, alpha_level=0.05, exact=False) -> np.ndarray:
@@ -123,11 +128,9 @@ def score_dataset(correctness, alpha_level=0.05, exact=False) -> np.ndarray:
     m(m-1)/2.
     """
     mat = np.asarray(correctness, dtype=float)
-    m = mat.shape[1]
-    if m < 2:
+    if mat.shape[1] < 2:
         raise ValueError("need at least two workflows to compare")
-    return _tally(m, lambda k, l: mcnemar_significant(
-        mat[:, k], mat[:, l], alpha_level, exact=exact))
+    return points(mcnemar_wins(mat, alpha_level, exact=exact))
 
 
 def score_from_outcomes(pair_outcomes) -> np.ndarray:
@@ -136,8 +139,12 @@ def score_from_outcomes(pair_outcomes) -> np.ndarray:
     pair_outcomes[k][l] (k < l) holds the PairOutcome of workflows k vs l;
     entries elsewhere are ignored.
     """
-    m = len(pair_outcomes)
-    return _tally(m, lambda k, l: pair_outcomes[k][l])
+    table = np.array(pair_outcomes, dtype=object)
+    upper = np.triu(np.ones(table.shape, dtype=bool), 1)
+
+    def holds(outcome):  # a bare str enum would be compared as its str()
+        return upper & (table == np.array(outcome, dtype=object))
+    return points(holds(PairOutcome.K_WINS) | holds(PairOutcome.L_WINS).T)
 
 
 def build_preference_matrix(cube: OutcomeCube, alpha_level=0.05,

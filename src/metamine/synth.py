@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .data_model import DescriptorTable, PerformanceMatrix, PreferenceMatrix, TableKind
-from .preference import OutcomeCube, build_preference_matrix
+from .preference import OutcomeCube, build_preference_matrix, points
 
 PERF_LOW = 0.5
 PERF_HIGH = 0.95
@@ -34,7 +34,6 @@ class SynthConfig:
     seed: int = 0
     mode: SynthMode = SynthMode.EXACT_BILINEAR
     instances_per_dataset: int = 200   # outcome-level mode only
-    mcnemar_alpha: float = 0.05
 
     def __post_init__(self):
         if min(self.n, self.m, self.d, self.l) < 3:
@@ -72,24 +71,13 @@ def _squash_rows(s):
 
 
 def _compare_preferences(perf, dataset_ids, workflow_ids):
-    """Deterministic pairwise comparison of performances: winner takes 1,
-    differences within TIE_EPS give 0.5 each."""
-    n, m = perf.shape
-    scores = np.zeros((n, m))
-    for i in range(n):
-        row = perf[i]
-        for k in range(m):
-            for l in range(k + 1, m):
-                diff = row[k] - row[l]
-                if abs(diff) <= TIE_EPS:
-                    scores[i, k] += 0.5
-                    scores[i, l] += 0.5
-                elif diff > 0:
-                    scores[i, k] += 1.0
-                else:
-                    scores[i, l] += 1.0
+    """Deterministic pairwise comparison of performances: workflow k beats
+    l when it performs better by more than TIE_EPS; closer pairs tie."""
+    # one dataset at a time: the whole n x m x m float difference would
+    # hold 8 n m^2 bytes where the boolean stack needs n m^2
+    wins = np.array([row[:, None] - row > TIE_EPS for row in perf])
     r = PreferenceMatrix(dataset_ids=dataset_ids, workflow_ids=workflow_ids,
-                         scores=scores)
+                         scores=points(wins))
     r.check_invariants()
     return r
 
@@ -133,7 +121,7 @@ def generate(config: SynthConfig) -> SynthResult:
             mats.append(correct)
         cube = OutcomeCube(dataset_ids=dataset_ids, workflow_ids=workflow_ids,
                            matrices=tuple(mats))
-        prefs = build_preference_matrix(cube, alpha_level=config.mcnemar_alpha)
+        prefs = build_preference_matrix(cube)
     else:
         prefs = _compare_preferences(perf_values, dataset_ids, workflow_ids)
 

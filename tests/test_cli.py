@@ -1,9 +1,11 @@
 import csv
 import json
+from dataclasses import asdict
 
 import pytest
 
-from metamine.cli import main
+from metamine.cli import build_parser, main
+from metamine.synth import SynthConfig
 
 
 def run(argv):
@@ -52,6 +54,13 @@ class TestSynth:
                         "--latent-t", "2", "--seed", "9", "--out", str(o)]) == 0
         for name in ("X.csv", "A.csv", "R.csv", "performance.csv"):
             assert (o1 / name).read_bytes() == (o2 / name).read_bytes()
+
+    def test_flag_defaults_come_from_synth_config(self, tmp_path):
+        args = build_parser().parse_args(["synth", "--out", str(tmp_path)])
+        expected = asdict(SynthConfig())
+        expected["instances"] = expected.pop("instances_per_dataset")
+        expected["mode"] = expected["mode"].value
+        assert {k: getattr(args, k) for k in expected} == expected
 
 
 class TestIngest:
@@ -118,6 +127,44 @@ class TestIngest:
                     "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["preference_source"] == "outcomes_dir"
+
+    def test_self_comparison_in_significance_exits_one(self, tmp_path, bundle,
+                                                       capsys):
+        wf = [line.split(",")[0]
+              for line in (bundle / "A.csv").read_text().splitlines()[1:]]
+        datasets = [line.split(",")[0]
+                    for line in (bundle / "X.csv").read_text().splitlines()[1:]]
+        lines = ["dataset_id,workflow_k,workflow_l,outcome"]
+        lines += [f"{ds},{wf[k]},{wf[l]},tie" for ds in datasets
+                  for k in range(len(wf)) for l in range(k + 1, len(wf))]
+        lines.append(f"{datasets[0]},{wf[0]},{wf[0]},k_wins")
+        sig = tmp_path / "sig.csv"
+        sig.write_text("\n".join(lines) + "\n")
+        code = run(["ingest", "--x", str(bundle / "X.csv"),
+                    "--a", str(bundle / "A.csv"),
+                    "--performance", str(bundle / "performance.csv"),
+                    "--significance", str(sig), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"line {len(lines)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_short_outcome_row_exits_one(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        assert run(["synth", "--n", "4", "--m", "4", "--d", "4", "--l", "3",
+                    "--latent-t", "2", "--mode", "outcome", "--instances", "30",
+                    "--seed", "5", "--out", str(raw)]) == 0
+        victim = sorted((raw / "outcomes").glob("*.csv"))[1]
+        lines = victim.read_text().splitlines()
+        lines[4] = lines[4].rsplit(",", 1)[0]
+        victim.write_text("\n".join(lines) + "\n")
+        code = run(["ingest", "--x", str(raw / "X.csv"),
+                    "--a", str(raw / "A.csv"),
+                    "--performance", str(raw / "performance.csv"),
+                    "--outcomes-dir", str(raw / "outcomes"),
+                    "--out", str(tmp_path / "bundle")])
+        assert code == 1
+        assert f"{victim.name}: line 5: expected 4 fields, got 3" \
+            in capsys.readouterr().err
 
 
 class TestTrain:
@@ -186,6 +233,28 @@ class TestTrain:
             assert doc["mu1"] == 3.0        # flag beats preset
             assert doc["mu2"] == 2.0        # config file beats preset
             assert doc["alpha"] == 1e-10    # preset beats default
+
+    def test_unknown_config_key_exits_one(self, bundle, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_iter": 3, "mu1": 1.0, "modes": "x"}))
+        model = tmp_path / "model.json"
+        code = run(["--config", str(cfg), "train", "--bundle", str(bundle),
+                    "--objective", "f3", "--out", str(model)])
+        assert code == 1
+        assert "unknown config keys for train: ['max_iter', 'modes']" \
+            in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_resolved_config_file_is_a_valid_config(self, bundle, tmp_path):
+        first = tmp_path / "m1.json"
+        assert run(["train", "--bundle", str(bundle), "--objective", "f3",
+                    "--max-iters", "4", "--out", str(first)]) == 0
+        cfg = tmp_path / "m1.json.config.json"
+        assert json.loads(cfg.read_text())["subcommand"] == "train"
+        second = tmp_path / "m2.json"
+        assert run(["--config", str(cfg), "train", "--bundle", str(bundle),
+                    "--objective", "f3", "--out", str(second)]) == 0
+        assert json.loads(second.read_text())["hyper"]["max_iters"] == 4
 
     def test_missing_bundle_exits_one(self, tmp_path, capsys):
         code = run(["train", "--bundle", str(tmp_path / "nope"),
@@ -349,3 +418,19 @@ class TestPredict:
                     "--neighbors", neighbors, "--out", str(tmp_path / "p.csv")])
         assert code == 1
         assert "--neighbors" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(objective="f5"), "unknown objective 'f5'"),
+        (lambda doc: doc["u"].pop(), "u has 3 rows but x_standardization"),
+    ])
+    def test_inconsistent_model_exits_one(self, bundle, tmp_path, capsys,
+                                          edit, message):
+        model = self.train_model(bundle, tmp_path)
+        doc = json.loads(model.read_text())
+        edit(doc)
+        model.write_text(json.dumps(doc))
+        code = run(["predict", "--model", str(model), "--bundle", str(bundle),
+                    "--task", "workflow_prefs", "--x", str(bundle / "X.csv"),
+                    "--out", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert message in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,11 @@ class TestOutcomeDir:
         with pytest.raises(IngestError, match="columns differ"):
             read_outcome_dir(tmp_path)
 
+    def test_short_row_rejected_with_file_and_line(self, tmp_path):
+        (tmp_path / "d0.csv").write_text("w0,w1,w2\n1,0,1\n1,0\n")
+        with pytest.raises(IngestError, match=r"d0\.csv: line 3: expected 3 fields, got 2"):
+            read_outcome_dir(tmp_path)
+
 
 class TestSignificanceCsv:
     def test_builds_valid_preference_matrix(self, tmp_path):
@@ -161,6 +168,14 @@ class TestSignificanceCsv:
         path.write_text("dataset_id,workflow_k,workflow_l,outcome\n"
                         "d0,w0,w1,tie\nd0,w1,w0,tie\n")
         with pytest.raises(IngestError, match="duplicate pair"):
+            read_significance_csv(path)
+
+    def test_self_comparison_rejected(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("dataset_id,workflow_k,workflow_l,outcome\n"
+                        "d0,w0,w1,tie\nd0,w0,w2,tie\nd0,w1,w2,tie\n"
+                        "d0,w0,w0,k_wins\n")
+        with pytest.raises(IngestError, match="line 5: workflow 'w0' compared with itself"):
             read_significance_csv(path)
 
     def test_missing_pair_rejected(self, tmp_path):
@@ -223,4 +238,23 @@ class TestModelPersistence:
                                        '"format_version": 99')
         path.write_text(doc)
         with pytest.raises(IngestError, match="format version"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(objective="f5"), "unknown objective 'f5'"),
+        (lambda doc: doc["u"].pop(), "u has 4 rows but x_standardization has 5 means"),
+        (lambda doc: doc["a_standardization"]["scale"].pop(),
+         "v has 4 rows but a_standardization has 4 means and 3 scales"),
+        (lambda doc: doc["x_feature_names"].pop(), "u has 5 rows but 4 x_feature_names"),
+        (lambda doc: doc["a_feature_names"].append("extra"),
+         "v has 4 rows but 5 a_feature_names"),
+    ])
+    def test_inconsistent_model_rejected(self, tmp_path, edit, message):
+        params, _ = self.make_model(seed=9)
+        path = tmp_path / "model.json"
+        save_model(path, params)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IngestError, match=message):
             load_model(path)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from metamine.preference import (OutcomeCube, PairOutcome, SimilarityAxis,
                                  build_preference_from_significance,
                                  build_preference_matrix, mcnemar_significant,
-                                 score_dataset, score_from_outcomes,
+                                 points, score_dataset, score_from_outcomes,
                                  similarity_target, spearman)
 
 
@@ -102,6 +103,87 @@ class TestScoreDataset:
         permuted = score_dataset(correct[:, perm])
         direct = score_dataset(correct)
         np.testing.assert_array_equal(permuted, direct[perm])
+
+
+def oracle_scores(correct, exact):
+    """McNemar at alpha = 0.05 one pair at a time, independent of the
+    program: continuity-corrected chi-square against the published
+    chi-square(1) critical value, or with exact=True and fewer than 25
+    discordant instances an exact binomial tail in rational arithmetic."""
+    m = correct.shape[1]
+    scores = [0.0] * m
+    for k, l in itertools.combinations(range(m), 2):
+        b = sum(1 for u, v in zip(correct[:, k], correct[:, l]) if u == 1 and v == 0)
+        c = sum(1 for u, v in zip(correct[:, k], correct[:, l]) if u == 0 and v == 1)
+        n = b + c
+        if n == 0:
+            significant = False
+        elif exact and n < 25:
+            tail = Fraction(sum(math.comb(n, i) for i in range(min(b, c) + 1)), 2 ** n)
+            significant = min(Fraction(1), 2 * tail) < Fraction(1, 20)
+        else:
+            significant = (abs(b - c) - 1) ** 2 / n > 3.841458820694124
+        if significant and b > c:
+            scores[k] += 1.0
+        elif significant and c > b:
+            scores[l] += 1.0
+        else:
+            scores[k] += 0.5
+            scores[l] += 0.5
+    return scores
+
+
+class TestMcnemarOracle:
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_score_dataset_matches_per_pair_formula(self, exact):
+        rng = np.random.default_rng(21)
+        for _ in range(150):
+            instances = int(rng.integers(1, 70))
+            m = int(rng.integers(2, 7))
+            correct = (rng.random((instances, m))
+                       < rng.uniform(0.05, 0.95, size=m)).astype(float)
+            if rng.random() < 0.3:          # an identical pair: b + c = 0
+                correct[:, -1] = correct[:, 0]
+            assert score_dataset(correct, exact=exact).tolist() \
+                == oracle_scores(correct, exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_every_discordant_count_up_to_40(self, exact):
+        # covers b = 4, c = 13, where the exact test and chi-square disagree
+        for b in range(41):
+            for c in range(41 - b):
+                k, l = vectors_with_discordants(b, c)
+                correct = np.column_stack([k, l]).astype(float)
+                assert score_dataset(correct, exact=exact).tolist() \
+                    == oracle_scores(correct, exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_pair_rule_matches_per_pair_formula(self, exact):
+        rng = np.random.default_rng(22)
+        for _ in range(150):
+            correct = (rng.random((int(rng.integers(1, 70)), 2))
+                       < rng.uniform(0.05, 0.95, size=2)).astype(float)
+            expected = {(1.0, 0.0): PairOutcome.K_WINS,
+                        (0.0, 1.0): PairOutcome.L_WINS,
+                        (0.5, 0.5): PairOutcome.TIE}[tuple(oracle_scores(correct, exact))]
+            assert mcnemar_significant(correct[:, 0], correct[:, 1],
+                                       exact=exact) is expected
+
+
+class TestPoints:
+    def test_wins_losses_and_neither(self):
+        # w0 beats w1 and w2; w1 and w2 tie; w3 beats w1
+        wins = np.zeros((4, 4), dtype=bool)
+        wins[0, 1] = wins[0, 2] = wins[3, 1] = True
+        np.testing.assert_array_equal(points(wins), [2.5, 0.5, 1.0, 2.0])
+
+    def test_stack_scores_each_matrix(self):
+        rng = np.random.default_rng(23)
+        sign = np.triu(rng.integers(-1, 2, size=(5, 4, 4)), 1)
+        stack = (sign - sign.transpose(0, 2, 1)) > 0   # k beats l, l beats k or tie
+        np.testing.assert_array_equal(points(stack),
+                                      np.vstack([points(w) for w in stack]))
+        assert np.all(points(stack).sum(axis=1) == 6)
 
 
 class TestBuildPreferenceMatrix:
