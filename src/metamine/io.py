@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -274,11 +275,23 @@ def load_model(path) -> ModelParams:
     if objective not in {kind.value for kind in ObjectiveKind}:
         raise IngestError(f"{path}: unknown objective {objective!r} "
                           "(known: f1, f2, f3, f4)")
+    for name in ("u", "v"):
+        rows = doc[name]
+        if not (isinstance(rows, list) and rows and all(
+                isinstance(row, list) and len(row) == len(rows[0]) for row in rows)):
+            raise IngestError(f"{path}: {name} is not a 2-d matrix "
+                              "(a non-empty list of equal-length rows)")
+    hyper = doc["hyper"]
+    if not isinstance(hyper, dict):
+        raise IngestError(f"{path}: hyper is not an object")
+    unknown = sorted(set(hyper) - {f.name for f in fields(HyperParams)})
+    if unknown:
+        raise IngestError(f"{path}: hyper has unknown keys {unknown}")
     params = ModelParams(
         u=np.array([[float(v) for v in row] for row in doc["u"]]),
         v=np.array([[float(v) for v in row] for row in doc["v"]]),
         t=int(doc["t"]),
-        hyper=HyperParams.from_dict(doc["hyper"]),
+        hyper=HyperParams.from_dict(hyper),
         x_standardization=_record_from_dict(doc["x_standardization"]),
         a_standardization=_record_from_dict(doc["a_standardization"]),
         objective=objective,

@@ -171,6 +171,20 @@ def build_preference_from_significance(dataset_ids, workflow_ids,
     return r
 
 
+def _rank_correlations(vectors):
+    """Spearman correlation of every pair of rows (one Gram product of the
+    centred average ranks) and the mask of constant rows, whose entries are
+    nan. Centred average ranks are multiples of 0.5, so the Gram entries and
+    squared norms are exact and each entry rounds as the per-pair formula
+    rx @ ry / sqrt((rx @ rx) * (ry @ ry)) does."""
+    ranks = stats.rankdata(vectors, method="average", axis=1)
+    ranks -= ranks.mean(axis=1, keepdims=True)
+    sq = (ranks ** 2).sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        corr = ranks @ ranks.T / np.sqrt(np.outer(sq, sq))
+    return corr, sq == 0.0
+
+
 def spearman(x, y):
     """Tie-aware Spearman correlation: Pearson over average ranks.
 
@@ -182,31 +196,17 @@ def spearman(x, y):
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size < 2:
         raise ValueError("need at least two observations")
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        return float("nan")
-    rx = stats.rankdata(x, method="average")
-    ry = stats.rankdata(y, method="average")
-    rx = rx - rx.mean()
-    ry = ry - ry.mean()
-    return float(rx @ ry / np.sqrt((rx @ rx) * (ry @ ry)))
+    corr, constant = _rank_correlations(np.vstack([x.ravel(), y.ravel()]))
+    return float("nan") if constant.any() else float(corr[0, 1])
 
 
 def similarity_target(r: PreferenceMatrix, axis: SimilarityAxis) -> SimilarityTarget:
     """Rank-correlation similarity matrix over R's rows (datasets) or
     columns (workflows)."""
-    if axis is SimilarityAxis.DATASETS:
-        vectors = r.scores
-    else:
-        vectors = r.scores.T
-    k = vectors.shape[0]
-    constant = [i for i in range(k) if np.all(vectors[i] == vectors[i][0])]
-    out = np.eye(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if i in constant or j in constant:
-                value = 0.0
-            else:
-                value = spearman(vectors[i], vectors[j])
-            out[i, j] = out[j, i] = value
-    return SimilarityTarget(matrix=out, axis=axis,
-                            constant_entities=tuple(constant))
+    by_rows = axis is SimilarityAxis.DATASETS
+    corr, constant = _rank_correlations(r.scores if by_rows else r.scores.T)
+    corr[constant, :] = 0.0
+    corr[:, constant] = 0.0
+    np.fill_diagonal(corr, 1.0)
+    return SimilarityTarget(matrix=corr, axis=axis,
+                            constant_entities=tuple(np.flatnonzero(constant).tolist()))

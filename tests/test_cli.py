@@ -422,6 +422,9 @@ class TestPredict:
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.update(objective="f5"), "unknown objective 'f5'"),
         (lambda doc: doc["u"].pop(), "u has 3 rows but x_standardization"),
+        (lambda doc: doc.update(u=[]), "u is not a 2-d matrix"),
+        (lambda doc: doc["hyper"].update(bogus=1),
+         "hyper has unknown keys ['bogus']"),
     ])
     def test_inconsistent_model_exits_one(self, bundle, tmp_path, capsys,
                                           edit, message):

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from metamine.data_model import TableKind
+from metamine.data_model import (DescriptorTable, PerformanceMatrix,
+                                 PreferenceMatrix, TableKind)
 from metamine.io import (IngestError, load_model, read_descriptor_csv,
                          read_outcome_dir, read_performance_csv,
                          read_preference_csv, read_significance_csv,
@@ -248,6 +251,12 @@ class TestModelPersistence:
         (lambda doc: doc["x_feature_names"].pop(), "u has 5 rows but 4 x_feature_names"),
         (lambda doc: doc["a_feature_names"].append("extra"),
          "v has 4 rows but 5 a_feature_names"),
+        (lambda doc: doc.update(u=[]), "u is not a 2-d matrix"),
+        (lambda doc: doc.update(v=[0.5, 1.5]), "v is not a 2-d matrix"),
+        (lambda doc: doc["v"][0].pop(), "v is not a 2-d matrix"),
+        (lambda doc: doc.update(hyper=[0.5]), "hyper is not an object"),
+        (lambda doc: doc["hyper"].update(bogus=1),
+         r"hyper has unknown keys \['bogus'\]"),
     ])
     def test_inconsistent_model_rejected(self, tmp_path, edit, message):
         params, _ = self.make_model(seed=9)
@@ -258,3 +267,58 @@ class TestModelPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(IngestError, match=message):
             load_model(path)
+
+
+# Any text a UTF-8 CSV can hold: no surrogates, no NUL.
+csv_text = st.text(st.characters(blacklist_categories=("Cs",),
+                                 blacklist_characters="\x00"), max_size=6)
+finite = st.floats(allow_nan=False, allow_infinity=False)  # subnormals, ±1e308
+
+
+@st.composite
+def tables(draw):
+    """Unique row and column ids, and a matrix of finite floats."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = draw(st.lists(csv_text, min_size=n, max_size=n, unique=True))
+    cols = draw(st.lists(csv_text, min_size=m, max_size=m, unique=True))
+    values = draw(st.lists(finite, min_size=n * m, max_size=n * m))
+    return tuple(rows), tuple(cols), np.array(values).reshape(n, m)
+
+
+class TestCsvRoundTripProperty:
+    """The writers use repr, so every table reads back bit for bit."""
+
+    hypothesis_settings = settings(
+        deadline=None, max_examples=100,
+        suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @hypothesis_settings
+    @given(tables())
+    def test_descriptor_table(self, tmp_path, table):
+        ids, features, values = table
+        path = tmp_path / "x.csv"
+        write_descriptor_csv(path, DescriptorTable(ids, values, features,
+                                                   TableKind.WORKFLOW))
+        back = read_descriptor_csv(path, TableKind.WORKFLOW)
+        assert (back.entity_ids, back.feature_names) == (ids, features)
+        assert back.features.tobytes() == values.tobytes()
+
+    @hypothesis_settings
+    @given(tables())
+    def test_performance_matrix(self, tmp_path, table):
+        datasets, workflows, values = table
+        path = tmp_path / "perf.csv"
+        write_performance_csv(path, PerformanceMatrix(datasets, workflows, values))
+        back = read_performance_csv(path)
+        assert (back.dataset_ids, back.workflow_ids) == (datasets, workflows)
+        assert back.values.tobytes() == values.tobytes()
+
+    @hypothesis_settings
+    @given(tables())
+    def test_preference_matrix(self, tmp_path, table):
+        datasets, workflows, scores = table
+        path = tmp_path / "R.csv"
+        write_preference_csv(path, PreferenceMatrix(datasets, workflows, scores))
+        back = read_preference_csv(path)
+        assert (back.dataset_ids, back.workflow_ids) == (datasets, workflows)
+        assert back.scores.tobytes() == scores.tobytes()

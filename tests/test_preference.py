@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metamine.data_model import PreferenceMatrix
 from metamine.preference import (OutcomeCube, PairOutcome, SimilarityAxis,
                                  build_preference_from_significance,
                                  build_preference_matrix, mcnemar_significant,
@@ -309,3 +312,64 @@ class TestSimilarityTarget:
         target = similarity_target(r, SimilarityAxis.DATASETS)
         assert target.constant_entities == (0,)
         assert target.matrix[0, 1] == 0.0 and target.matrix[0, 0] == 1.0
+
+
+def oracle_similarity(vectors):
+    """Per-pair pearson(average_ranks(.)): 0 for a pair with a constant
+    vector, 1 on the diagonal; also the indices of the constant vectors."""
+    constant = tuple(i for i, v in enumerate(vectors)
+                     if all(w == v[0] for w in v))
+    ranks = [average_ranks(v) for v in vectors]
+    out = np.eye(len(vectors))
+    for i, j in itertools.combinations(range(len(vectors)), 2):
+        if i not in constant and j not in constant:
+            out[i, j] = out[j, i] = pearson(ranks[i], ranks[j])
+    return out, constant
+
+
+@st.composite
+def tied_values(draw, m):
+    """Half-integer points, or finite floats (subnormal to huge) drawn from
+    a small pool, so that ties are common."""
+    if draw(st.booleans()):
+        return st.integers(0, 2 * (m - 1)).map(lambda v: v / 2.0)
+    pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=m))
+    return st.sampled_from(pool)
+
+
+@st.composite
+def score_matrices(draw):
+    n, m = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    values = draw(tied_values(m))
+    scores = np.array(draw(st.lists(values, min_size=n * m, max_size=n * m)),
+                      dtype=float).reshape(n, m)
+    fill = draw(values)  # one value keeps forced rows and columns constant
+    scores[sorted(draw(st.sets(st.integers(0, n - 1), max_size=n))), :] = fill
+    scores[:, sorted(draw(st.sets(st.integers(0, m - 1), max_size=m)))] = fill
+    return scores
+
+
+class TestRankCorrelationOracle:
+    @settings(deadline=None, max_examples=150)
+    @given(score_matrices())
+    def test_similarity_target_equals_per_pair_oracle(self, scores):
+        n, m = scores.shape
+        r = PreferenceMatrix(tuple(f"d{i}" for i in range(n)),
+                             tuple(f"w{j}" for j in range(m)), scores)
+        for axis, vectors in ((SimilarityAxis.DATASETS, scores),
+                              (SimilarityAxis.WORKFLOWS, scores.T)):
+            expected, constant = oracle_similarity(vectors.tolist())
+            target = similarity_target(r, axis)
+            assert np.array_equal(target.matrix, expected)
+            assert target.constant_entities == constant
+
+    @settings(deadline=None, max_examples=150)
+    @given(score_matrices())
+    def test_spearman_equals_per_pair_oracle(self, scores):
+        x, y = scores[0].tolist(), scores[1].tolist()
+        expected, constant = oracle_similarity([x, y])
+        if constant:
+            assert math.isnan(spearman(x, y))
+        else:
+            assert spearman(x, y) == expected[0, 1]
