@@ -95,6 +95,26 @@ def _preset_values(preset, objective):
     return {_HYPER_FIELDS[k]: v for k, v in PRESETS[preset, objective].items()}
 
 
+def _config_value(path, action, value):
+    """A config-file value passed through its flag's own type and choices,
+    as argparse passes the same value given on the command line. null is
+    kept only for flags that default to None."""
+    if value is None and action.default is None:
+        return None
+    expected = action.type or str
+    try:
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError
+        parsed = expected(str(value))
+    except ValueError:
+        raise CliError(f"{path}: config value {action.dest}={value!r} is not "
+                       f"a valid {expected.__name__}", exit_code=1) from None
+    if action.choices is not None and parsed not in action.choices:
+        raise CliError(f"{path}: config value {action.dest}={value!r} is not "
+                       f"one of {list(action.choices)}", exit_code=1)
+    return parsed
+
+
 def _parse(parser, argv):
     """Parse argv over layered defaults: built-in < preset < config file.
 
@@ -110,10 +130,14 @@ def _parse(parser, argv):
             raise CliError(f"{args.config}: config must be a JSON object",
                            exit_code=1)
         config.pop("subcommand", None)  # resolved-config files carry it
-        unknown = sorted(k for k in config if k not in vars(args) or k == "func")
+        actions = {a.dest: a for a in parser.subcommands[args.subcommand]._actions
+                   if a.dest != "help"}
+        unknown = sorted(k for k in config if k not in actions)
         if unknown:
             raise CliError(f"{args.config}: unknown config keys for "
                            f"{args.subcommand}: {unknown}", exit_code=1)
+        config = {k: _config_value(args.config, actions[k], v)
+                  for k, v in config.items()}
     preset = getattr(args, "preset", None) or config.get("preset")
     # evaluate looks its preset up under the combined objective
     objective = getattr(args, "objective", "f4")

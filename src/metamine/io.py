@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -86,28 +86,26 @@ def read_performance_csv(path) -> PerformanceMatrix:
     rows = _read_rows(path)
     if [h.strip() for h in rows[0][:3]] != ["dataset_id", "workflow_id", "performance"]:
         raise IngestError(f"{path}: header must be dataset_id,workflow_id,performance")
-    cells = {}
-    dataset_ids, workflow_ids = [], []
+    cells = {}          # dataset -> workflow -> value, both in first-seen order
+    workflows = {}      # the workflow ids in first-seen order
     for ln, row in enumerate(rows[1:], start=2):
         if len(row) != 3:
             raise IngestError(f"{path}: line {ln}: expected 3 fields")
         ds, wf, val = row
-        if ds not in cells:
-            cells[ds] = {}
-            dataset_ids.append(ds)
-        if wf not in workflow_ids:
-            workflow_ids.append(wf)
-        if wf in cells[ds]:
+        ds_cells = cells.setdefault(ds, {})
+        workflows.setdefault(wf)
+        if wf in ds_cells:
             raise IngestError(f"{path}: line {ln}: duplicate cell ({ds},{wf})")
-        cells[ds][wf] = _parse_float(val, path, f"line {ln}")
+        ds_cells[wf] = _parse_float(val, path, f"line {ln}")
+    dataset_ids, workflow_ids = tuple(cells), tuple(workflows)
     values = np.empty((len(dataset_ids), len(workflow_ids)))
     for i, ds in enumerate(dataset_ids):
         for j, wf in enumerate(workflow_ids):
             if wf not in cells[ds]:
                 raise IngestError(f"{path}: missing performance for ({ds},{wf})")
             values[i, j] = cells[ds][wf]
-    return PerformanceMatrix(dataset_ids=tuple(dataset_ids),
-                             workflow_ids=tuple(workflow_ids), values=values)
+    return PerformanceMatrix(dataset_ids=dataset_ids,
+                             workflow_ids=workflow_ids, values=values)
 
 
 def write_performance_csv(path, perf: PerformanceMatrix):
@@ -187,7 +185,8 @@ def read_significance_csv(path):
     rows = _read_rows(path)
     if [h.strip() for h in rows[0][:4]] != ["dataset_id", "workflow_k", "workflow_l", "outcome"]:
         raise IngestError(f"{path}: header must be dataset_id,workflow_k,workflow_l,outcome")
-    dataset_ids, workflow_ids = [], []
+    datasets = {}       # the dataset ids in first-seen order
+    index = {}          # workflow id -> column, in first-seen order
     records = []
     for ln, row in enumerate(rows[1:], start=2):
         if len(row) != 4:
@@ -201,13 +200,11 @@ def read_significance_csv(path):
             raise IngestError(f"{path}: line {ln}: workflow {wk!r} compared "
                               "with itself")
         for wid in (wk, wl):
-            if wid not in workflow_ids:
-                workflow_ids.append(wid)
-        if ds not in dataset_ids:
-            dataset_ids.append(ds)
+            index.setdefault(wid, len(index))
+        datasets.setdefault(ds)
         records.append((ds, wk, wl, outcome))
+    dataset_ids, workflow_ids = tuple(datasets), tuple(index)
     m = len(workflow_ids)
-    index = {wid: j for j, wid in enumerate(workflow_ids)}
     tables = {ds: [[PairOutcome.TIE] * m for _ in range(m)] for ds in dataset_ids}
     seen = set()
     for ds, wk, wl, outcome in records:
@@ -227,20 +224,13 @@ def read_significance_csv(path):
                 if (ds, k, l) not in seen:
                     raise IngestError(f"{path}: missing pair ({ds},"
                                       f"{workflow_ids[k]},{workflow_ids[l]})")
-    return tuple(dataset_ids), tuple(workflow_ids), [tables[ds] for ds in dataset_ids]
+    return dataset_ids, workflow_ids, [tables[ds] for ds in dataset_ids]
 
 
 def _record_to_dict(rec: StandardizationRecord):
     return {"mean": [_repr(v) for v in rec.mean],
             "scale": [_repr(v) for v in rec.scale],
             "constant_columns": list(rec.constant_columns)}
-
-
-def _record_from_dict(d):
-    return StandardizationRecord(
-        mean=np.array([float(v) for v in d["mean"]]),
-        scale=np.array([float(v) for v in d["scale"]]),
-        constant_columns=tuple(d["constant_columns"]))
 
 
 def save_model(path, params: ModelParams, trace_summary=None):
@@ -265,43 +255,138 @@ def save_model(path, params: ModelParams, trace_summary=None):
         fh.write("\n")
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(key, value):
+    """A finite float from a repr string (as save_model writes) or a JSON
+    number."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError
+        number = float(value)
+    except ValueError:
+        raise IngestError(f"{key} holds {value!r}, not a number") from None
+    if not np.isfinite(number):
+        raise IngestError(f"{key} holds a non-finite value {value!r}")
+    return number
+
+
+def _vector(key, value):
+    if not isinstance(value, list):
+        raise IngestError(f"{key} is not a list")
+    return np.array([_number(key, v) for v in value])
+
+
+def _matrix(key, rows):
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(row, list) and len(row) == len(rows[0]) for row in rows)):
+        raise IngestError(f"{key} is not a 2-d matrix "
+                          "(a non-empty list of equal-length rows)")
+    return np.array([[_number(key, v) for v in row] for row in rows])
+
+
+def _record(key, value):
+    if not isinstance(value, dict):
+        raise IngestError(f"{key} is not an object")
+    missing = sorted({"mean", "scale", "constant_columns"} - set(value))
+    if missing:
+        raise IngestError(f"{key} lacks {missing}")
+    mean = _vector(f"{key}.mean", value["mean"])
+    scale = _vector(f"{key}.scale", value["scale"])
+    if not (scale > 0).all():
+        raise IngestError(f"{key}.scale holds a value <= 0")
+    columns = value["constant_columns"]
+    if not (isinstance(columns, list) and all(
+            _is_int(c) and 0 <= c < mean.size for c in columns)):
+        raise IngestError(f"{key}.constant_columns is not a list of "
+                          "column indices")
+    return StandardizationRecord(mean=mean, scale=scale,
+                                 constant_columns=tuple(columns))
+
+
+def _hyper(key, value):
+    if not isinstance(value, dict):
+        raise IngestError(f"{key} is not an object")
+    defaults = vars(HyperParams())
+    unknown = sorted(set(value) - set(defaults))
+    if unknown:
+        raise IngestError(f"{key} has unknown keys {unknown}")
+    for name, given in value.items():
+        default = defaults[name]
+        if isinstance(default, Enum):
+            ok = given in {e.value for e in type(default)}
+        elif isinstance(default, float):
+            ok = _is_int(given) or (isinstance(given, float) and np.isfinite(given))
+        else:  # the int fields; t alone defaults to None
+            ok = _is_int(given) or (default is None and given is None)
+        if not ok:
+            raise IngestError(f"{key}.{name} holds {given!r}")
+    try:
+        return HyperParams.from_dict(value)
+    except ValueError as exc:
+        raise IngestError(f"{key}: {exc}") from None
+
+
+def _objective(key, value):
+    if value not in {kind.value for kind in ObjectiveKind}:
+        raise IngestError(f"unknown objective {value!r} (known: f1, f2, f3, f4)")
+    return value
+
+
+def _positive_int(key, value):
+    if not (_is_int(value) and value >= 1):
+        raise IngestError(f"{key} is not a positive integer: {value!r}")
+    return value
+
+
+def _names(key, value):
+    if value is None:
+        return None
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise IngestError(f"{key} is neither null nor a list of strings")
+    return tuple(value)
+
+
+# The model file: key -> (required, parse and check of its JSON value).
+# Every check raises IngestError; keys outside the schema are ignored.
+MODEL_SCHEMA = {
+    "objective": (True, _objective),
+    "t": (True, _positive_int),
+    "u": (True, _matrix),
+    "v": (True, _matrix),
+    "hyper": (True, _hyper),
+    "x_standardization": (True, _record),
+    "a_standardization": (True, _record),
+    "x_feature_names": (False, _names),
+    "a_feature_names": (False, _names),
+}
+
+
 def load_model(path) -> ModelParams:
+    """Read a model file, checking every field against MODEL_SCHEMA and
+    U/V against the standardization records and feature names."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise IngestError(f"{path}: a model file holds a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise IngestError(f"{path}: unsupported model format version {version!r}")
-    objective = doc["objective"]
-    if objective not in {kind.value for kind in ObjectiveKind}:
-        raise IngestError(f"{path}: unknown objective {objective!r} "
-                          "(known: f1, f2, f3, f4)")
-    for name in ("u", "v"):
-        rows = doc[name]
-        if not (isinstance(rows, list) and rows and all(
-                isinstance(row, list) and len(row) == len(rows[0]) for row in rows)):
-            raise IngestError(f"{path}: {name} is not a 2-d matrix "
-                              "(a non-empty list of equal-length rows)")
-    hyper = doc["hyper"]
-    if not isinstance(hyper, dict):
-        raise IngestError(f"{path}: hyper is not an object")
-    unknown = sorted(set(hyper) - {f.name for f in fields(HyperParams)})
-    if unknown:
-        raise IngestError(f"{path}: hyper has unknown keys {unknown}")
-    params = ModelParams(
-        u=np.array([[float(v) for v in row] for row in doc["u"]]),
-        v=np.array([[float(v) for v in row] for row in doc["v"]]),
-        t=int(doc["t"]),
-        hyper=HyperParams.from_dict(hyper),
-        x_standardization=_record_from_dict(doc["x_standardization"]),
-        a_standardization=_record_from_dict(doc["a_standardization"]),
-        objective=objective,
-        x_feature_names=doc.get("x_feature_names"),
-        a_feature_names=doc.get("a_feature_names"),
-    )
+    missing = sorted(k for k, (required, _) in MODEL_SCHEMA.items()
+                     if required and k not in doc)
+    if missing:
+        raise IngestError(f"{path}: model file lacks {missing}")
+    try:
+        values = {key: check(key, doc.get(key))
+                  for key, (_, check) in MODEL_SCHEMA.items()}
+    except IngestError as exc:
+        raise IngestError(f"{path}: {exc}") from None
     for name, side in (("u", "x"), ("v", "a")):
-        rows = getattr(params, name).shape[0]
-        record = getattr(params, f"{side}_standardization")
-        names = getattr(params, f"{side}_feature_names")
+        rows = values[name].shape[0]
+        record = values[f"{side}_standardization"]
+        names = values[f"{side}_feature_names"]
         if record.mean.shape != (rows,) or record.scale.shape != (rows,):
             raise IngestError(f"{path}: {name} has {rows} rows but "
                               f"{side}_standardization has {record.mean.size} "
@@ -309,4 +394,7 @@ def load_model(path) -> ModelParams:
         if names is not None and len(names) != rows:
             raise IngestError(f"{path}: {name} has {rows} rows but "
                               f"{len(names)} {side}_feature_names")
-    return params
+        if values[name].shape[1] != values["t"]:
+            raise IngestError(f"{path}: {name} has {values[name].shape[1]} "
+                              f"columns but t is {values['t']}")
+    return ModelParams(**values)

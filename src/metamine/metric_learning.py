@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -29,6 +30,7 @@ from .preference import SimilarityAxis, similarity_target
 ARMIJO_ACCEPT = 1e-4
 ARMIJO_SHRINK = 0.5
 MAX_BACKTRACKS = 60
+_TINY = np.finfo(float).tiny
 
 
 class ObjectiveKind(str, Enum):
@@ -67,6 +69,11 @@ class Objective:
             if getattr(self, name) is None:
                 raise ValueError(f"objective {self.kind.value} requires {name}")
 
+    @cached_property
+    def reduced(self) -> ReducedObjective:
+        """The QR-reduced form, computed on first use."""
+        return _reduce(self)
+
 
 @dataclass
 class TrainTrace:
@@ -80,68 +87,99 @@ class TrainTrace:
         return len(self.step_sizes)
 
 
-def _fit1(x, s_x, u):
-    # also the f2 term, called with (a, s_a, v)
-    e = s_x - x @ u @ u.T @ x.T
-    return float(np.sum(e * e))
-
-
-def _fit3(x, a, r, u, v):
-    e = r - x @ u @ v.T @ a.T
-    return float(np.sum(e * e))
-
-
 def _sq(m):
-    return float(np.sum(m * m))
+    # vdot skips the Python-level reduction wrapper of np.sum
+    return float(np.vdot(m, m))
+
+
+def _project(q_left, target, q_right):
+    """The small target Q_l' T Q_r and the squared norm of what the
+    projection drops, ||T - Q_l (Q_l' T Q_r) Q_r'||^2. The norm is taken
+    of the direct residual, not as ||T||^2 - ||Q_l' T Q_r||^2, so it stays
+    >= 0 and keeps its precision near 0. (None, 0.0) for no target."""
+    if target is None:
+        return None, 0.0
+    small = q_left.T @ target @ q_right
+    return small, _sq(target - q_left @ small @ q_right.T)
+
+
+@dataclass(frozen=True)
+class ReducedObjective:
+    """An Objective in the space of the thin QRs X = Q_x R_x, A = Q_a R_a.
+
+    Each fit term splits into a constant plus a small residual, e.g.
+    ||R - X U V' A'||^2 = c_r + ||Q_x' R Q_a - R_x U V' R_a'||^2, so one
+    evaluation costs O((d + l)^2 t) whatever n and m are. Targets the
+    objective kind lacks stay None."""
+
+    rx: np.ndarray                      # min(n, d) x d
+    ra: np.ndarray                      # min(m, l) x l
+    s_x: Optional[np.ndarray]           # Q_x' S_X Q_x
+    s_a: Optional[np.ndarray]           # Q_a' S_A Q_a
+    r: Optional[np.ndarray]             # Q_x' R Q_a
+    c_x: float                          # the constants dropped by each
+    c_a: float                          # projection, all >= 0
+    c_r: float
+
+
+def _reduce(obj: Objective) -> ReducedObjective:
+    # numpy's reduced QR gives Q n x min(n, d), also when n < d
+    qx, rx = np.linalg.qr(obj.x)
+    qa, ra = np.linalg.qr(obj.a)
+    s_x, c_x = _project(qx, obj.s_x, qx)
+    s_a, c_a = _project(qa, obj.s_a, qa)
+    r, c_r = _project(qx, obj.r, qa)
+    return ReducedObjective(rx=rx, ra=ra, s_x=s_x, s_a=s_a, r=r,
+                            c_x=c_x, c_a=c_a, c_r=c_r)
+
+
+def _residuals(red: ReducedObjective, u: np.ndarray, v: np.ndarray):
+    """P = R_x U, W = R_a V and the small residuals E1 = S~_X - P P',
+    E2 = S~_A - W W', E3 = R~ - P W' (None where the target is)."""
+    p = red.rx @ u
+    w = red.ra @ v
+    e1 = None if red.s_x is None else red.s_x - p @ p.T
+    e2 = None if red.s_a is None else red.s_a - w @ w.T
+    e3 = None if red.r is None else red.r - p @ w.T
+    return p, w, e1, e2, e3
 
 
 def objective_value(obj: Objective, u: np.ndarray, v: np.ndarray,
                     hyper: HyperParams) -> float:
+    red = obj.reduced
+    _, _, e1, e2, e3 = _residuals(red, u, v)
     k = obj.kind
     if k is ObjectiveKind.F1:
-        return _fit1(obj.x, obj.s_x, u) + hyper.mu1 * _sq(u)
+        return red.c_x + _sq(e1) + hyper.mu1 * _sq(u)
     if k is ObjectiveKind.F2:
-        return _fit1(obj.a, obj.s_a, v) + hyper.mu2 * _sq(v)
+        return red.c_a + _sq(e2) + hyper.mu2 * _sq(v)
     if k is ObjectiveKind.F3:
-        return (_fit3(obj.x, obj.a, obj.r, u, v)
-                + hyper.mu1 * _sq(u) + hyper.mu2 * _sq(v))
+        return red.c_r + _sq(e3) + hyper.mu1 * _sq(u) + hyper.mu2 * _sq(v)
     # f4: the three data-fit terms weighted, regularizers applied once
-    return (hyper.alpha * _fit1(obj.x, obj.s_x, u)
-            + hyper.beta * _fit1(obj.a, obj.s_a, v)
-            + hyper.gamma * _fit3(obj.x, obj.a, obj.r, u, v)
+    return (hyper.alpha * (red.c_x + _sq(e1))
+            + hyper.beta * (red.c_a + _sq(e2))
+            + hyper.gamma * (red.c_r + _sq(e3))
             + hyper.mu1 * _sq(u) + hyper.mu2 * _sq(v))
-
-
-def _grad_fit1(x, s_x, u):
-    # also the f2 gradient, called with (a, s_a, v)
-    e = s_x - x @ u @ u.T @ x.T
-    return -4.0 * x.T @ e @ x @ u
-
-
-def _grad_fit3(x, a, r, u, v):
-    e = r - x @ u @ v.T @ a.T
-    gu = -2.0 * x.T @ e @ a @ v
-    gv = -2.0 * a.T @ e.T @ x @ u
-    return gu, gv
 
 
 def gradient(obj: Objective, u: np.ndarray, v: np.ndarray,
              hyper: HyperParams):
-    """Analytic gradients (gU, gV) of objective_value."""
+    """Analytic gradients (gU, gV) of objective_value: the gradients in
+    P and W mapped back through R_x' and R_a'."""
+    red = obj.reduced
+    p, w, e1, e2, e3 = _residuals(red, u, v)
     k = obj.kind
     if k is ObjectiveKind.F1:
-        return _grad_fit1(obj.x, obj.s_x, u) + 2.0 * hyper.mu1 * u, np.zeros_like(v)
+        return red.rx.T @ (-4.0 * (e1 @ p)) + 2.0 * hyper.mu1 * u, np.zeros_like(v)
     if k is ObjectiveKind.F2:
-        return np.zeros_like(u), _grad_fit1(obj.a, obj.s_a, v) + 2.0 * hyper.mu2 * v
+        return np.zeros_like(u), red.ra.T @ (-4.0 * (e2 @ w)) + 2.0 * hyper.mu2 * v
     if k is ObjectiveKind.F3:
-        gu, gv = _grad_fit3(obj.x, obj.a, obj.r, u, v)
-        return gu + 2.0 * hyper.mu1 * u, gv + 2.0 * hyper.mu2 * v
-    gu3, gv3 = _grad_fit3(obj.x, obj.a, obj.r, u, v)
-    gu = (hyper.alpha * _grad_fit1(obj.x, obj.s_x, u)
-          + hyper.gamma * gu3 + 2.0 * hyper.mu1 * u)
-    gv = (hyper.beta * _grad_fit1(obj.a, obj.s_a, v)
-          + hyper.gamma * gv3 + 2.0 * hyper.mu2 * v)
-    return gu, gv
+        return (red.rx.T @ (-2.0 * (e3 @ w)) + 2.0 * hyper.mu1 * u,
+                red.ra.T @ (-2.0 * (e3.T @ p)) + 2.0 * hyper.mu2 * v)
+    gp = -4.0 * hyper.alpha * (e1 @ p) - 2.0 * hyper.gamma * (e3 @ w)
+    gw = -4.0 * hyper.beta * (e2 @ w) - 2.0 * hyper.gamma * (e3.T @ p)
+    return (red.rx.T @ gp + 2.0 * hyper.mu1 * u,
+            red.ra.T @ gw + 2.0 * hyper.mu2 * v)
 
 
 def _svd_warm_start(obj: Objective, t: int):
@@ -224,7 +262,7 @@ def minimize(obj: Objective, u0: np.ndarray, v0: np.ndarray,
         step = s
         steps.append(s)
         values.append(f_new)
-        decrease = (f - f_new) / max(abs(f), np.finfo(float).tiny)
+        decrease = (f - f_new) / max(abs(f), _TINY)
         f = f_new
         if decrease < hyper.rel_tol:
             reason = StopReason.REL_TOL

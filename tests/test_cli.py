@@ -256,6 +256,21 @@ class TestTrain:
                     "--objective", "f3", "--out", str(second)]) == 0
         assert json.loads(second.read_text())["hyper"]["max_iters"] == 4
 
+    @pytest.mark.parametrize("value, message", [
+        (5.5, "config value max_iters=5.5 is not a valid int"),
+        ("abc", "config value max_iters='abc' is not a valid int"),
+    ])
+    def test_mistyped_config_value_exits_one(self, bundle, tmp_path, capsys,
+                                             value, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_iters": value}))
+        model = tmp_path / "model.json"
+        code = run(["--config", str(cfg), "train", "--bundle", str(bundle),
+                    "--objective", "f3", "--out", str(model)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not model.exists()
+
     def test_missing_bundle_exits_one(self, tmp_path, capsys):
         code = run(["train", "--bundle", str(tmp_path / "nope"),
                     "--objective", "f3", "--out", str(tmp_path / "m.json")])
@@ -437,3 +452,27 @@ class TestPredict:
                     "--out", str(tmp_path / "p.csv")])
         assert code == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: {**doc, "u": [["nan", *doc["u"][0][1:]], *doc["u"][1:]]},
+         "u holds a non-finite value 'nan'"),
+        (lambda doc: {**doc, "x_standardization": {
+            **doc["x_standardization"], "scale": ["0.0"] * len(doc["u"])}},
+         "x_standardization.scale holds a value <= 0"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "x_standardization"},
+         "model file lacks ['x_standardization']"),
+        (lambda doc: {**doc, "x_feature_names": 3},
+         "x_feature_names is neither null nor a list of strings"),
+        (lambda doc: [doc], "a model file holds a JSON object"),
+    ])
+    def test_malformed_model_exits_one(self, bundle, tmp_path, capsys, edit,
+                                       message):
+        model = self.train_model(bundle, tmp_path, objective="f3")
+        model.write_text(json.dumps(edit(json.loads(model.read_text()))))
+        out = tmp_path / "p.csv"
+        code = run(["predict", "--model", str(model), "--bundle", str(bundle),
+                    "--task", "pair_score", "--x", str(bundle / "X.csv"),
+                    "--a", str(bundle / "A.csv"), "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -257,6 +257,17 @@ class TestModelPersistence:
         (lambda doc: doc.update(hyper=[0.5]), "hyper is not an object"),
         (lambda doc: doc["hyper"].update(bogus=1),
          r"hyper has unknown keys \['bogus'\]"),
+        (lambda doc: doc["hyper"].update(mu1="abc"), "hyper.mu1 holds 'abc'"),
+        (lambda doc: doc["x_standardization"].update(mean=["inf"] * 5),
+         "x_standardization.mean holds a non-finite value 'inf'"),
+        (lambda doc: doc["a_standardization"].update(scale=["-1.0"] * 4),
+         r"a_standardization.scale holds a value <= 0"),
+        (lambda doc: doc["a_standardization"].update(constant_columns=[9]),
+         "a_standardization.constant_columns is not a list of column indices"),
+        (lambda doc: doc.update(a_feature_names=[1, 2, 3, 4]),
+         "a_feature_names is neither null nor a list of strings"),
+        (lambda doc: doc.update(t=0), "t is not a positive integer: 0"),
+        (lambda doc: doc.update(t=3), "u has 2 columns but t is 3"),
     ])
     def test_inconsistent_model_rejected(self, tmp_path, edit, message):
         params, _ = self.make_model(seed=9)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metamine.data_model import HyperParams, InitScheme, PreferenceMatrix
 from metamine.metric_learning import (Objective, ObjectiveKind, StopReason,
@@ -232,3 +234,92 @@ class TestF4SpecialCases:
         u4, _, _ = minimize(obj4, u0, v0.copy(), h4)
         u1, _, _ = minimize(obj1, u0, v0.copy(), h1)
         np.testing.assert_allclose(u4, u1, atol=1e-10)
+
+
+def unreduced(kind, obj, u, v, hyper):
+    """Objective value and gradient straight from the definitions, with
+    every residual taken in the full n x n, m x m and n x m spaces."""
+    x, a = obj.x, obj.a
+    weights = {ObjectiveKind.F1: (1.0, 0.0, 0.0, hyper.mu1, 0.0),
+               ObjectiveKind.F2: (0.0, 1.0, 0.0, 0.0, hyper.mu2),
+               ObjectiveKind.F3: (0.0, 0.0, 1.0, hyper.mu1, hyper.mu2),
+               ObjectiveKind.F4: (hyper.alpha, hyper.beta, hyper.gamma,
+                                  hyper.mu1, hyper.mu2)}[kind]
+    wx, wa, wr, mu1, mu2 = weights
+    value = mu1 * np.sum(u * u) + mu2 * np.sum(v * v)
+    gu, gv = 2 * mu1 * u, 2 * mu2 * v
+    if wx:
+        e = obj.s_x - x @ u @ u.T @ x.T
+        value += wx * np.sum(e * e)
+        gu = gu - 4 * wx * x.T @ e @ x @ u
+    if wa:
+        e = obj.s_a - a @ v @ v.T @ a.T
+        value += wa * np.sum(e * e)
+        gv = gv - 4 * wa * a.T @ e @ a @ v
+    if wr:
+        e = obj.r - x @ u @ v.T @ a.T
+        value += wr * np.sum(e * e)
+        gu = gu - 2 * wr * x.T @ e @ a @ v
+        gv = gv - 2 * wr * a.T @ e.T @ x @ u
+    return value, gu, gv
+
+
+weight = st.one_of(st.just(0.0), st.floats(1e-3, 3.0))
+
+
+@st.composite
+def problems(draw):
+    """Random shapes, n < d and m < l included, plus hyperparameters."""
+    n, m = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    d, l = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    t = draw(st.integers(1, 4))
+    hyper = HyperParams(mu1=draw(weight), mu2=draw(weight), alpha=draw(weight),
+                        beta=draw(weight), gamma=draw(weight))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x, a = rng.standard_normal((n, d)), rng.standard_normal((m, l))
+    u, v = rng.standard_normal((d, t)), rng.standard_normal((l, t))
+    return rng, x, a, u, v, hyper
+
+
+def symmetric(rng, k):
+    s = rng.standard_normal((k, k))
+    return 0.5 * (s + s.T)
+
+
+class TestReducedObjectiveOracle:
+    """objective_value and gradient work in the space of the thin QRs of X
+    and A; they must agree with the unreduced definitions."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(problems())
+    def test_value_and_gradient_match_unreduced_oracle(self, problem):
+        rng, x, a, u, v, hyper = problem
+        s_x, s_a = symmetric(rng, len(x)), symmetric(rng, len(a))
+        r = rng.standard_normal((len(x), len(a)))
+        for kind in ObjectiveKind:
+            obj = Objective(kind=kind, x=x, a=a, s_x=s_x, s_a=s_a, r=r)
+            value, gu, gv = unreduced(kind, obj, u, v, hyper)
+            assert objective_value(obj, u, v, hyper) == pytest.approx(
+                value, rel=1e-10)
+            got_u, got_v = gradient(obj, u, v, hyper)
+            scale = max(np.abs(gu).max(), np.abs(gv).max())
+            np.testing.assert_allclose(got_u, gu, rtol=1e-10, atol=1e-10 * scale)
+            np.testing.assert_allclose(got_v, gv, rtol=1e-10, atol=1e-10 * scale)
+
+    @settings(deadline=None, max_examples=150)
+    @given(problems(), st.booleans())
+    def test_constants_nonnegative_and_zero_in_span(self, problem, in_span):
+        rng, x, a, _, _, _ = problem
+        if in_span:   # every target of the form X B X', A D A', X C A'
+            s_x = x @ symmetric(rng, x.shape[1]) @ x.T
+            s_a = a @ symmetric(rng, a.shape[1]) @ a.T
+            r = x @ rng.standard_normal((x.shape[1], a.shape[1])) @ a.T
+        else:
+            s_x, s_a = symmetric(rng, len(x)), symmetric(rng, len(a))
+            r = rng.standard_normal((len(x), len(a)))
+        red = Objective(kind=ObjectiveKind.F4, x=x, a=a, s_x=s_x, s_a=s_a,
+                        r=r).reduced
+        for c, target in ((red.c_x, s_x), (red.c_a, s_a), (red.c_r, r)):
+            assert c >= 0.0
+            if in_span:
+                assert c <= 1e-12 * np.sum(target * target)
