@@ -3,12 +3,12 @@ matrices from paired experiment outcomes, four bilinear metric objectives,
 cold-start predictors, and leave-one-out evaluation."""
 
 from .data_model import (DescriptorTable, HyperParams, InitScheme,
-                         ModelParams, PerformanceMatrix, PreferenceMatrix,
-                         StandardizationRecord, TableKind, numeric_rank,
-                         standardize, validate_tables)
-from .evaluation import (EvaluationReport, MetaMiningData, Protocol,
-                         binomial_sign_test, compare_strategies, run_lodo,
-                         run_lodwo, run_lowo, top_k_performance)
+                         MetaMiningData, ModelParams, PerformanceMatrix,
+                         PreferenceMatrix, StandardizationRecord, TableKind,
+                         numeric_rank, standardize, validate_tables)
+from .evaluation import (EvaluationReport, Protocol, binomial_sign_test,
+                         compare_strategies, run_lodo, run_lodwo, run_lowo,
+                         top_k_performance)
 from .metric_learning import (Objective, ObjectiveKind, StopReason,
                               TrainTrace, gradient, objective_value, train)
 from .preference import (OutcomeCube, PairOutcome, SimilarityAxis,

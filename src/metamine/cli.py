@@ -21,9 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .data_model import HyperParams, TableKind, validate_tables
-from .evaluation import (MetaMiningData, Protocol, run_lodo, run_lodwo,
-                         run_lowo)
+from .data_model import HyperParams, MetaMiningData, TableKind
+from .evaluation import Protocol, run_lodo, run_lodwo, run_lowo
 from .metric_learning import ObjectiveKind, train
 from .preference import (build_preference_from_significance,
                          build_preference_matrix)
@@ -50,7 +49,6 @@ PRESETS = {
 # HyperParams / SynthConfig field -> the dest of its CLI flag and config key
 _HYPER_FIELDS = {f.name: "neighbors" if f.name == "n_neighbors" else f.name
                  for f in fields(HyperParams)}
-HYPER_FLAGS = tuple(_HYPER_FIELDS.values())
 _SYNTH_FIELDS = {f.name: "instances" if f.name == "instances_per_dataset"
                  else f.name for f in fields(SynthConfig)}
 
@@ -69,12 +67,6 @@ class CliError(Exception):
     def __init__(self, message, exit_code=2):
         super().__init__(message)
         self.exit_code = exit_code
-
-
-def _resolve_config(args, names):
-    """The parsed values of the given names; _parse has already layered
-    the preset and the config file beneath the flags."""
-    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def _from_flags(cls, dests, resolved):
@@ -120,8 +112,12 @@ def _parse(parser, argv):
 
     Preset and config values become defaults of the chosen subcommand's
     parser and argv is parsed again, so every flag on the command line wins,
-    however it is spelled (--max-iters=5, --max-it 5)."""
+    however it is spelled (--max-iters=5, --max-it 5). Returns the
+    subcommand's function and its resolved values, one per flag of the
+    subcommand."""
     args = parser.parse_args(argv)
+    subparser = parser.subcommands[args.subcommand]
+    actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
     config = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -130,8 +126,6 @@ def _parse(parser, argv):
             raise CliError(f"{args.config}: config must be a JSON object",
                            exit_code=1)
         config.pop("subcommand", None)  # resolved-config files carry it
-        actions = {a.dest: a for a in parser.subcommands[args.subcommand]._actions
-                   if a.dest != "help"}
         unknown = sorted(k for k in config if k not in actions)
         if unknown:
             raise CliError(f"{args.config}: unknown config keys for "
@@ -143,45 +137,27 @@ def _parse(parser, argv):
     objective = getattr(args, "objective", "f4")
     layered = {**(_preset_values(preset, objective) if preset else {}),
                **config}
-    if not layered:
-        return args
-    parser.subcommands[args.subcommand].set_defaults(**layered)
-    return parser.parse_args(argv)
+    if layered:
+        subparser.set_defaults(**layered)
+        args = parser.parse_args(argv)
+    return args.func, {dest: getattr(args, dest) for dest in actions}
 
 
 def _write_resolved_config(out_path, subcommand, resolved):
-    doc = {"subcommand": subcommand, **{k: (v.value if hasattr(v, "value") else v)
-                                        for k, v in resolved.items()}}
     path = Path(out_path)
-    target = path / "resolved_config.json" if path.is_dir() \
-        else path.with_suffix(path.suffix + ".config.json")
-    with open(target, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    io.write_json(path / "resolved_config.json" if path.is_dir()
+                  else path.with_suffix(path.suffix + ".config.json"),
+                  {"subcommand": subcommand,
+                   **{k: getattr(v, "value", v) for k, v in resolved.items()}})
 
 
-def _load_bundle(bundle_dir) -> MetaMiningData:
-    bundle = Path(bundle_dir)
-    manifest = bundle / "manifest.json"
-    if not manifest.exists():
-        raise CliError(f"{bundle}: not a bundle (missing manifest.json)", exit_code=1)
-    x = io.read_descriptor_csv(bundle / "X.csv", TableKind.DATASET)
-    a = io.read_descriptor_csv(bundle / "A.csv", TableKind.WORKFLOW)
-    perf = io.read_performance_csv(bundle / "performance.csv")
-    r = io.read_preference_csv(bundle / "R.csv")
-    return MetaMiningData(x=x, a=a, r=r, performance=perf)
-
-
-def cmd_synth(args):
-    resolved = _resolve_config(args, (*_SYNTH_FIELDS.values(), "out"))
+def cmd_synth(resolved):
     config = _from_flags(SynthConfig, _SYNTH_FIELDS, resolved)
     result = generate(config)
     out = Path(resolved["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    io.write_descriptor_csv(out / "X.csv", result.x)
-    io.write_descriptor_csv(out / "A.csv", result.a)
-    io.write_performance_csv(out / "performance.csv", result.performance)
-    io.write_preference_csv(out / "R.csv", result.preferences)
+    io.write_bundle(out, MetaMiningData(x=result.x, a=result.a,
+                                        r=result.preferences,
+                                        performance=result.performance))
     if result.cube is not None:
         io.write_outcome_dir(out / "outcomes", result.cube)
     _write_resolved_config(out, "synth", resolved)
@@ -189,66 +165,33 @@ def cmd_synth(args):
     return 0
 
 
-def cmd_ingest(args):
-    resolved = _resolve_config(args, ("x", "a", "performance", "preferences",
-                                      "outcomes_dir", "significance", "out"))
-    x = io.read_descriptor_csv(resolved["x"], TableKind.DATASET)
-    a = io.read_descriptor_csv(resolved["a"], TableKind.WORKFLOW)
-    perf = io.read_performance_csv(resolved["performance"])
-    report = validate_tables(x, a, perf)
-    if not report.passed:
-        print(report, file=sys.stderr)
-        raise CliError("validation failed", exit_code=1)
-
+def cmd_ingest(resolved):
     sources = [s for s in ("preferences", "outcomes_dir", "significance")
-               if resolved.get(s)]
+               if resolved[s]]
     if len(sources) != 1:
         raise CliError("exactly one of --preferences, --outcomes-dir, "
                        "--significance is required", exit_code=1)
-    if resolved.get("preferences"):
+    x = io.read_descriptor_csv(resolved["x"], TableKind.DATASET)
+    a = io.read_descriptor_csv(resolved["a"], TableKind.WORKFLOW)
+    perf = io.read_performance_csv(resolved["performance"])
+    if resolved["preferences"]:
         r = io.read_preference_csv(resolved["preferences"])
-    elif resolved.get("outcomes_dir"):
-        cube = io.read_outcome_dir(resolved["outcomes_dir"])
-        r = build_preference_matrix(cube)
+    elif resolved["outcomes_dir"]:
+        r = build_preference_matrix(io.read_outcome_dir(resolved["outcomes_dir"]))
     else:
         ds_ids, wf_ids, tables = io.read_significance_csv(resolved["significance"])
         r = build_preference_from_significance(ds_ids, wf_ids, tables)
-    try:
-        r.check_invariants()
-    except ValueError as exc:
-        print(f"R: {exc}", file=sys.stderr)
-        raise CliError("preference-matrix validation failed", exit_code=1)
-    if tuple(r.dataset_ids) != tuple(x.entity_ids) \
-            or tuple(r.workflow_ids) != tuple(a.entity_ids):
-        orphans = sorted((set(r.dataset_ids) ^ set(x.entity_ids))
-                         | (set(r.workflow_ids) ^ set(a.entity_ids)))
-        raise CliError(f"preference ids do not match descriptor ids: {orphans}",
-                       exit_code=1)
-
+    data = io.check_bundle(MetaMiningData(x=x, a=a, r=r, performance=perf),
+                           "ingest")
     out = Path(resolved["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    io.write_descriptor_csv(out / "X.csv", x)
-    io.write_descriptor_csv(out / "A.csv", a)
-    io.write_performance_csv(out / "performance.csv", perf)
-    io.write_preference_csv(out / "R.csv", r)
-    manifest = {
-        "n_datasets": x.n_entities, "n_workflows": a.n_entities,
-        "d": x.n_features, "l": a.n_features,
-        "validated": True,
-        "preference_source": sources[0],
-    }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    io.write_bundle(out, data, preference_source=sources[0])
     _write_resolved_config(out, "ingest", resolved)
     print(f"bundle written to {out}")
     return 0
 
 
-def cmd_train(args):
-    resolved = _resolve_config(args, ("bundle", "objective", "preset", "out",
-                                      *HYPER_FLAGS))
-    data = _load_bundle(resolved["bundle"])
+def cmd_train(resolved):
+    data = io.read_bundle(resolved["bundle"])
     kind = ObjectiveKind(resolved["objective"])
     hyper = _from_flags(HyperParams, _HYPER_FIELDS, resolved)
     params, trace = train(kind, data.x, data.a, data.r, hyper)
@@ -265,11 +208,8 @@ def cmd_train(args):
     return 0
 
 
-def cmd_evaluate(args):
-    resolved = _resolve_config(args, ("bundle", "protocol", "strategies",
-                                      "preset", "jobs", "format", "out",
-                                      *HYPER_FLAGS))
-    data = _load_bundle(resolved["bundle"])
+def cmd_evaluate(resolved):
+    data = io.read_bundle(resolved["bundle"])
     protocol = Protocol(resolved["protocol"])
     try:
         strategies = [_STRATEGY_ALIASES[s.strip()]
@@ -283,14 +223,12 @@ def cmd_evaluate(args):
     report = runner(data, strategies, hyper, jobs=resolved["jobs"])
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    io.write_json(out / "report.json", report.to_dict())
     table = report.render_table()
     with open(out / "report.txt", "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
     _write_resolved_config(out, "evaluate", resolved)
-    if resolved.get("format") == "table":
+    if resolved["format"] == "table":
         print(table)
     else:
         print(f"report written to {out}")
@@ -299,16 +237,13 @@ def cmd_evaluate(args):
     return 2 if all_failed else 0
 
 
-def cmd_predict(args):
-    resolved = _resolve_config(args, ("model", "bundle", "task", "x", "a",
-                                      "neighbors", "out"))
+def cmd_predict(resolved):
     params = io.load_model(resolved["model"])
     task = Task(resolved["task"])
     # the model's own strategy, the first in OBJECTIVES with its objective:
     # kNN for f1/f2, direct scoring for f3/f4
-    strategy = next((s for s, o in OBJECTIVES.items() if o == params.objective),
-                    None)
-    if strategy is None or task not in TASKS[strategy]:
+    strategy = next(s for s, o in OBJECTIVES.items() if o == params.objective)
+    if task not in TASKS[strategy]:
         raise CliError({
             Task.WORKFLOW_PREFS: "model cannot rank workflows for a dataset",
             Task.DATASET_PREFS: "model cannot rank datasets for a workflow",
@@ -319,7 +254,7 @@ def cmd_predict(args):
         n = params.hyper.n_neighbors
     elif n < 1:
         raise CliError(f"--neighbors must be positive, got {n}", exit_code=1)
-    data = _load_bundle(resolved["bundle"])
+    data = io.read_bundle(resolved["bundle"])
 
     def queries(flag, kind, expected):
         if not resolved[flag]:
@@ -443,8 +378,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     try:
-        args = _parse(parser, argv)
-        return args.func(args)
+        func, resolved = _parse(parser, argv)
+        return func(resolved)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -1,6 +1,6 @@
 """Core numeric containers: descriptor tables, performance and preference
-matrices, learned-model parameters, and the shared numeric utilities
-(validation, column standardization, numeric rank)."""
+matrices, the bundle of all three, learned-model parameters, and the shared
+numeric utilities (validation, column standardization, numeric rank)."""
 
 from __future__ import annotations
 
@@ -118,21 +118,28 @@ class PreferenceMatrix:
     def n_workflows(self):
         return self.scores.shape[1]
 
-    def check_invariants(self):
-        """Raise ValueError on any violated preference-matrix invariant."""
+    def invariant_violations(self):
+        """(coordinate, reason) of every violated preference-matrix
+        invariant: the row sums, then the [0, m-1] range and the half-point
+        grid of the finite entries."""
         m = self.n_workflows
         expected = m * (m - 1) / 2.0
         sums = self.scores.sum(axis=1)
-        if not np.all(sums == expected):
-            bad = int(np.argmax(sums != expected))
-            raise ValueError(
-                f"row {bad} sums to {sums[bad]}, expected {expected}"
-            )
-        if np.any(self.scores < 0) or np.any(self.scores > m - 1):
-            raise ValueError("preference score outside [0, m-1]")
+        found = [(f"row {i}", f"sums to {sums[i]}, expected {expected}")
+                 for i in np.flatnonzero(sums != expected)]
         doubled = 2.0 * self.scores
-        if not np.all(doubled == np.round(doubled)):
-            raise ValueError("preference score not a multiple of 0.5")
+        for reason, bad in (
+                (f"outside [0, {m - 1}]", (self.scores < 0) | (self.scores > m - 1)),
+                ("not a multiple of 0.5", doubled != np.round(doubled))):
+            found += [(f"({i},{j})", f"preference score {self.scores[i, j]} {reason}")
+                      for i, j in np.argwhere(np.isfinite(self.scores) & bad)]
+        return found
+
+    def check_invariants(self):
+        """Raise ValueError on the first violated invariant."""
+        found = self.invariant_violations()
+        if found:
+            raise ValueError("{}: {}".format(*found[0]))
 
     def drop(self, dataset_index=None, workflow_index=None) -> "PreferenceMatrix":
         """Submatrix with one row and/or one column removed. The result is a
@@ -144,6 +151,17 @@ class PreferenceMatrix:
             workflow_ids=tuple(self.workflow_ids[j] for j in cols),
             scores=self.scores[np.ix_(rows, cols)],
         )
+
+
+@dataclass(frozen=True)
+class MetaMiningData:
+    """One bundle: the descriptor tables X and A, the preference matrix R
+    and the performance matrix P."""
+
+    x: DescriptorTable
+    a: DescriptorTable
+    r: PreferenceMatrix
+    performance: PerformanceMatrix
 
 
 @dataclass(frozen=True)
@@ -188,14 +206,16 @@ class HyperParams:
 
     def __post_init__(self):
         for name in ("mu1", "mu2", "alpha", "beta", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < np.inf:  # nan fails too
+                raise ValueError(f"{name} must be finite and nonnegative")
         if self.n_neighbors < 1:
             raise ValueError("n_neighbors must be positive")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if not 0 < self.rel_tol < np.inf:
+            raise ValueError("rel_tol must be finite and positive")
+        if self.t is not None and self.t < 1:
+            raise ValueError("t must be positive")
 
     def to_dict(self):
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -283,18 +303,27 @@ def _check_ids(report, where, ids):
 
 
 def _check_finite(report, where, values):
-    bad = np.argwhere(~np.isfinite(values))
-    for i, j in bad:
-        report.add(where, f"({i},{j})", f"non-finite value {values[i, j]!r}")
+    for i, j in np.argwhere(~np.isfinite(values)):
+        report.add(where, f"({i},{j})", f"non-finite value {float(values[i, j])!r}")
+
+
+def _check_same_ids(report, where, axis, ids, table, expected):
+    if tuple(ids) != tuple(expected):
+        mismatch = sorted(set(ids) ^ set(expected))
+        report.add(where, f"{axis}_ids", f"{axis} ids do not match {table} "
+                                         f"entity ids (mismatch: {mismatch})")
 
 
 def validate_tables(x: DescriptorTable, a: DescriptorTable,
-                    p: PerformanceMatrix) -> ValidationReport:
-    """Cross-check the descriptor tables and the performance matrix.
+                    p: PerformanceMatrix,
+                    r: Optional[PreferenceMatrix] = None) -> ValidationReport:
+    """Cross-check the descriptor tables, the performance matrix and, when
+    given, the preference matrix: the one rule for a valid bundle.
 
     Collects every violation (never aborts): duplicate ids, non-finite
-    values, out-of-range performances, and id mismatches between the
-    descriptor tables and the performance matrix.
+    values, out-of-range performances, R's invariants (row sums, range,
+    half-point grid), and id mismatches between the descriptor tables and
+    the P and R matrices.
     """
     report = ValidationReport()
     _check_ids(report, "X", x.entity_ids)
@@ -303,19 +332,17 @@ def validate_tables(x: DescriptorTable, a: DescriptorTable,
     _check_finite(report, "A", a.features)
     _check_finite(report, "P", p.values)
 
-    finite = np.isfinite(p.values)
-    out = np.argwhere(finite & ((p.values < 0) | (p.values > 1)))
-    for i, j in out:
+    for i, j in np.argwhere(np.isfinite(p.values) & ((p.values < 0) | (p.values > 1))):
         report.add("P", f"({i},{j})", f"performance {p.values[i, j]} out of [0,1]")
 
-    if tuple(p.dataset_ids) != tuple(x.entity_ids):
-        missing = set(p.dataset_ids) ^ set(x.entity_ids)
-        report.add("P", "dataset_ids",
-                   f"dataset ids do not match X entity ids (mismatch: {sorted(missing)})")
-    if tuple(p.workflow_ids) != tuple(a.entity_ids):
-        missing = set(p.workflow_ids) ^ set(a.entity_ids)
-        report.add("P", "workflow_ids",
-                   f"workflow ids do not match A entity ids (mismatch: {sorted(missing)})")
+    _check_same_ids(report, "P", "dataset", p.dataset_ids, "X", x.entity_ids)
+    _check_same_ids(report, "P", "workflow", p.workflow_ids, "A", a.entity_ids)
+    if r is not None:
+        _check_finite(report, "R", r.scores)
+        for coordinate, reason in r.invariant_violations():
+            report.add("R", coordinate, reason)
+        _check_same_ids(report, "R", "dataset", r.dataset_ids, "X", x.entity_ids)
+        _check_same_ids(report, "R", "workflow", r.workflow_ids, "A", a.entity_ids)
     return report
 
 

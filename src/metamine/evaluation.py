@@ -12,8 +12,7 @@ from functools import partial
 import numpy as np
 from scipy import stats
 
-from .data_model import (DescriptorTable, HyperParams, PerformanceMatrix,
-                         PreferenceMatrix)
+from .data_model import HyperParams, MetaMiningData
 from .metric_learning import ObjectiveKind, train
 from .preference import spearman
 from .recommend import OBJECTIVES, TASKS, Strategy, Task, predict
@@ -25,14 +24,6 @@ class Protocol(str, Enum):
     LODO = "lodo"     # leave one dataset out: workflow preferences
     LOWO = "lowo"     # leave one workflow out: dataset preferences
     LODWO = "lodwo"   # leave one of each out: pair scores
-
-
-@dataclass(frozen=True)
-class MetaMiningData:
-    x: DescriptorTable
-    a: DescriptorTable
-    r: PreferenceMatrix
-    performance: PerformanceMatrix
 
 
 @dataclass
@@ -259,8 +250,10 @@ def _run(protocol, data, strategies, hyper, jobs, held):
     notices = [f"strategy {s.value} is not applicable to {_TASK_NAME[task]}; excluded"
                for s in strategies if task not in TASKS[s]]
     strategies = [s for s in strategies if task in TASKS[s]]
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
     run_fold = partial(_fold, data=data, strategies=strategies, hyper=hyper)
-    if jobs <= 1:
+    if jobs == 1:
         folds = [run_fold(key) for key in held]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

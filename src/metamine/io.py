@@ -13,6 +13,11 @@ File formats:
                       with outcome in {k_wins, l_wins, tie}
   model             - versioned JSON container; floats are serialized via
                       repr so a round-trip reproduces predictions exactly
+  bundle            - directory of X.csv and A.csv (descriptor tables),
+                      performance.csv, R.csv (preference matrix) and
+                      manifest.json; ingest writes the manifest once the
+                      tables pass validate_tables, and read_bundle checks
+                      them again on every read
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import (DescriptorTable, HyperParams, ModelParams,
-                         PerformanceMatrix, PreferenceMatrix,
-                         StandardizationRecord, TableKind)
+from .data_model import (DescriptorTable, HyperParams, MetaMiningData,
+                         ModelParams, PerformanceMatrix, PreferenceMatrix,
+                         StandardizationRecord, TableKind, validate_tables)
 from .metric_learning import ObjectiveKind
 from .preference import OutcomeCube, PairOutcome
 
@@ -57,29 +62,39 @@ def _parse_float(token, path, where):
         raise IngestError(f"{path}: {where}: not a number: {token!r}") from None
 
 
-def read_descriptor_csv(path, kind: TableKind) -> DescriptorTable:
+def _read_wide(path, no_columns):
+    """A wide CSV, an id column then named numeric columns: (column names,
+    row ids, values). no_columns is the error for a header without them."""
     rows = _read_rows(path)
     header = rows[0]
     if len(header) < 2:
-        raise IngestError(f"{path}: header must name an id column and at least one feature")
-    feature_names = tuple(header[1:])
-    ids = []
-    data = []
+        raise IngestError(f"{path}: {no_columns}")
+    ids, data = [], []
     for ln, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise IngestError(f"{path}: line {ln}: expected {len(header)} fields, got {len(row)}")
         ids.append(row[0])
         data.append([_parse_float(tok, path, f"line {ln}") for tok in row[1:]])
-    return DescriptorTable(entity_ids=tuple(ids), features=np.array(data),
+    return tuple(header[1:]), tuple(ids), np.array(data)
+
+
+def _write_wide(path, id_header, columns, ids, values):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow([id_header, *columns])
+        for eid, row in zip(ids, values):
+            w.writerow([eid, *(_repr(v) for v in row)])
+
+
+def read_descriptor_csv(path, kind: TableKind) -> DescriptorTable:
+    feature_names, ids, features = _read_wide(
+        path, "header must name an id column and at least one feature")
+    return DescriptorTable(entity_ids=ids, features=features,
                            feature_names=feature_names, kind=kind)
 
 
 def write_descriptor_csv(path, table: DescriptorTable):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", *table.feature_names])
-        for eid, row in zip(table.entity_ids, table.features):
-            w.writerow([eid, *(_repr(v) for v in row)])
+    _write_wide(path, "id", table.feature_names, table.entity_ids, table.features)
 
 
 def read_performance_csv(path) -> PerformanceMatrix:
@@ -118,26 +133,13 @@ def write_performance_csv(path, perf: PerformanceMatrix):
 
 
 def read_preference_csv(path) -> PreferenceMatrix:
-    rows = _read_rows(path)
-    workflow_ids = tuple(rows[0][1:])
-    if not workflow_ids:
-        raise IngestError(f"{path}: header must name workflow columns")
-    ids, data = [], []
-    for ln, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise IngestError(f"{path}: line {ln}: expected {len(rows[0])} fields")
-        ids.append(row[0])
-        data.append([_parse_float(tok, path, f"line {ln}") for tok in row[1:]])
-    return PreferenceMatrix(dataset_ids=tuple(ids), workflow_ids=workflow_ids,
-                            scores=np.array(data))
+    workflow_ids, ids, scores = _read_wide(path, "header must name workflow columns")
+    return PreferenceMatrix(dataset_ids=ids, workflow_ids=workflow_ids,
+                            scores=scores)
 
 
 def write_preference_csv(path, r: PreferenceMatrix):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dataset_id", *r.workflow_ids])
-        for eid, row in zip(r.dataset_ids, r.scores):
-            w.writerow([eid, *(_repr(v) for v in row)])
+    _write_wide(path, "dataset_id", r.workflow_ids, r.dataset_ids, r.scores)
 
 
 def read_outcome_dir(directory) -> OutcomeCube:
@@ -227,6 +229,51 @@ def read_significance_csv(path):
     return dataset_ids, workflow_ids, [tables[ds] for ds in dataset_ids]
 
 
+def check_bundle(data: MetaMiningData, where) -> MetaMiningData:
+    """data itself if its tables pass validate_tables; otherwise an
+    IngestError that names every issue."""
+    report = validate_tables(data.x, data.a, data.performance, data.r)
+    if not report.passed:
+        raise IngestError(f"{where}: tables fail validation:\n{report}")
+    return data
+
+
+def read_bundle(directory) -> MetaMiningData:
+    """Read a bundle and check its tables, as ingest checked them."""
+    directory = Path(directory)
+    if not (directory / "manifest.json").exists():
+        raise IngestError(f"{directory}: not a bundle (missing manifest.json)")
+    return check_bundle(MetaMiningData(
+        x=read_descriptor_csv(directory / "X.csv", TableKind.DATASET),
+        a=read_descriptor_csv(directory / "A.csv", TableKind.WORKFLOW),
+        performance=read_performance_csv(directory / "performance.csv"),
+        r=read_preference_csv(directory / "R.csv")), directory)
+
+
+def write_bundle(directory, data: MetaMiningData, preference_source=None):
+    """Write the four tables of a bundle. Given the source of R (ingest,
+    after check_bundle), the manifest that makes the directory a bundle
+    follows; without one (synth) the directory holds the tables only."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    write_descriptor_csv(directory / "X.csv", data.x)
+    write_descriptor_csv(directory / "A.csv", data.a)
+    write_performance_csv(directory / "performance.csv", data.performance)
+    write_preference_csv(directory / "R.csv", data.r)
+    if preference_source is not None:
+        write_json(directory / "manifest.json", {
+            "n_datasets": data.x.n_entities, "n_workflows": data.a.n_entities,
+            "d": data.x.n_features, "l": data.a.n_features,
+            "validated": True, "preference_source": preference_source})
+
+
+def write_json(path, doc):
+    """Deterministic JSON: sorted keys, one-space indent, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
 def _record_to_dict(rec: StandardizationRecord):
     return {"mean": [_repr(v) for v in rec.mean],
             "scale": [_repr(v) for v in rec.scale],
@@ -235,7 +282,7 @@ def _record_to_dict(rec: StandardizationRecord):
 
 def save_model(path, params: ModelParams, trace_summary=None):
     """Write the model as deterministic JSON (repr-exact floats)."""
-    doc = {
+    write_json(path, {
         "format_version": MODEL_FORMAT_VERSION,
         "objective": params.objective,
         "t": params.t,
@@ -249,10 +296,7 @@ def save_model(path, params: ModelParams, trace_summary=None):
         "a_feature_names": (None if params.a_feature_names is None
                             else list(params.a_feature_names)),
         "trace_summary": trace_summary,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    })
 
 
 def _is_int(value):
@@ -316,7 +360,7 @@ def _hyper(key, value):
     for name, given in value.items():
         default = defaults[name]
         if isinstance(default, Enum):
-            ok = given in {e.value for e in type(default)}
+            ok = isinstance(given, str) and given in {e.value for e in type(default)}
         elif isinstance(default, float):
             ok = _is_int(given) or (isinstance(given, float) and np.isfinite(given))
         else:  # the int fields; t alone defaults to None
@@ -330,7 +374,8 @@ def _hyper(key, value):
 
 
 def _objective(key, value):
-    if value not in {kind.value for kind in ObjectiveKind}:
+    if not (isinstance(value, str)
+            and value in {kind.value for kind in ObjectiveKind}):
         raise IngestError(f"unknown objective {value!r} (known: f1, f2, f3, f4)")
     return value
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from dataclasses import asdict
 
 import pytest
@@ -271,11 +272,101 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not model.exists()
 
+    def test_zero_t_exits_one(self, bundle, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        code = run(["train", "--bundle", str(bundle), "--objective", "f3",
+                    "--t", "0", "--out", str(model)])
+        assert code == 1
+        assert "t must be positive" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("key", ["mu1", "rel_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_config_weight_exits_one(self, bundle, tmp_path, capsys,
+                                                key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        model = tmp_path / "model.json"
+        code = run(["--config", str(cfg), "train", "--bundle", str(bundle),
+                    "--objective", "f3", "--max-iters", "5", "--out", str(model)])
+        assert code == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_missing_bundle_exits_one(self, tmp_path, capsys):
         code = run(["train", "--bundle", str(tmp_path / "nope"),
                     "--objective", "f3", "--out", str(tmp_path / "m.json")])
         assert code == 1
         assert "manifest" in capsys.readouterr().err
+
+
+class TestBundleValidation:
+    """Every read of a bundle checks its tables by the rule ingest uses."""
+
+    # case -> (table, row, column, new cell, what stderr must say)
+    CASES = {
+        "R holds 1e9": ("R.csv", 1, 1, "1e9", "outside [0, 4]"),
+        "R id renamed": ("R.csv", 1, 0, "stranger", "do not match"),
+        "X holds nan": ("X.csv", 1, 1, "nan", "non-finite"),
+    }
+
+    @staticmethod
+    def edited(bundle, tmp_path, table, row, column, cell):
+        """A copy of the bundle with one cell of one table replaced."""
+        copy = tmp_path / "edited"
+        shutil.copytree(bundle, copy)
+        with open(copy / table, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[row][column] = cell
+        with open(copy / table, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        return copy
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_edited_bundle_exits_one(self, bundle, tmp_path, capsys, case,
+                                     command):
+        table, row, column, cell, message = self.CASES[case]
+        model = tmp_path / "model.json"
+        assert run(["train", "--bundle", str(bundle), "--objective", "f3",
+                    "--max-iters", "5", "--out", str(model)]) == 0
+        edited = str(self.edited(bundle, tmp_path, table, row, column, cell))
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--bundle", edited, "--objective", "f3",
+                      "--max-iters", "5", "--out", str(out)],
+            "evaluate": ["evaluate", "--bundle", edited, "--protocol", "lodo",
+                         "--strategies", "def,f3", "--max-iters", "5",
+                         "--out", str(out)],
+            "predict": ["predict", "--model", str(model), "--bundle", edited,
+                        "--task", "pair_score", "--x", str(bundle / "X.csv"),
+                        "--a", str(bundle / "A.csv"), "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "tables fail validation" in err and message in err
+        assert "SVD did not converge" not in err
+        assert not out.exists()
+
+    def test_ingest_and_train_name_the_same_issues(self, bundle, tmp_path,
+                                                   capsys):
+        edited = self.edited(bundle, tmp_path, "X.csv", 1, 1, "nan")
+        ingest = ["ingest", "--x", str(edited / "X.csv"),
+                  "--a", str(edited / "A.csv"),
+                  "--performance", str(edited / "performance.csv"),
+                  "--preferences", str(edited / "R.csv"),
+                  "--out", str(tmp_path / "again")]
+        train = ["train", "--bundle", str(edited), "--objective", "f3",
+                 "--out", str(tmp_path / "model.json")]
+        issues = []
+        for argv in (ingest, train):
+            capsys.readouterr()
+            assert run(argv) == 1
+            issues.append(capsys.readouterr().err.partition(
+                "tables fail validation:\n")[2])
+        assert issues[0] == issues[1] == "X[(0,0)]: non-finite value nan\n"
+        assert not (tmp_path / "again").exists()
 
 
 class TestEvaluate:
@@ -324,6 +415,21 @@ class TestEvaluate:
                     "--strategies", "def", "--out", str(tmp_path / "r")])
         assert code == 2
         assert "runtime failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_exits_one(self, bundle, tmp_path, capsys,
+                                        monkeypatch, jobs):
+        import metamine.evaluation
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was made")
+        monkeypatch.setattr(metamine.evaluation, "ThreadPoolExecutor", no_pool)
+        out = tmp_path / "r"
+        code = run(["evaluate", "--bundle", str(bundle), "--protocol", "lodo",
+                    "--strategies", "def", "--jobs", jobs, "--out", str(out)])
+        assert code == 1
+        assert f"jobs must be positive, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeat_run_byte_identical_report(self, bundle, tmp_path):
         outs = [tmp_path / "r1", tmp_path / "r2"]
@@ -467,6 +573,25 @@ class TestPredict:
     ])
     def test_malformed_model_exits_one(self, bundle, tmp_path, capsys, edit,
                                        message):
+        model = self.train_model(bundle, tmp_path, objective="f3")
+        model.write_text(json.dumps(edit(json.loads(model.read_text()))))
+        out = tmp_path / "p.csv"
+        code = run(["predict", "--model", str(model), "--bundle", str(bundle),
+                    "--task", "pair_score", "--x", str(bundle / "X.csv"),
+                    "--a", str(bundle / "A.csv"), "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: {**doc, "objective": []}, "unknown objective []"),
+        (lambda doc: {**doc, "hyper": {**doc["hyper"], "init": {}}},
+         "hyper.init holds {}"),
+        (lambda doc: {**doc, "hyper": {**doc["hyper"], "t": 0}},
+         "t must be positive"),
+    ])
+    def test_unhashable_or_zero_model_field_exits_one(self, bundle, tmp_path,
+                                                      capsys, edit, message):
         model = self.train_model(bundle, tmp_path, objective="f3")
         model.write_text(json.dumps(edit(json.loads(model.read_text()))))
         out = tmp_path / "p.csv"

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from metamine.data_model import (DescriptorTable, PerformanceMatrix,
-                                 PreferenceMatrix, TableKind, numeric_rank,
-                                 standardize, validate_tables)
+from metamine.data_model import (DescriptorTable, HyperParams,
+                                 PerformanceMatrix, PreferenceMatrix,
+                                 TableKind, numeric_rank, standardize,
+                                 validate_tables)
 
 from conftest import make_tables
 
@@ -54,6 +55,67 @@ class TestValidateTables:
         bad = PerformanceMatrix(p.dataset_ids, p.workflow_ids, values)
         report = validate_tables(x, a, bad)
         assert len(report.issues) == 2
+
+
+def _preferences(x, a, scores):
+    return PreferenceMatrix(x.entity_ids, a.entity_ids, scores)
+
+
+class TestValidateTablesWithPreferences:
+    """R is checked by the same rule as X, A and P: its invariants, its
+    finiteness and its ids against X's and A's."""
+
+    valid = [[3.0, 1.5, 1.0, 0.5], [0.0, 1.0, 2.0, 3.0], [1.5, 1.5, 1.5, 1.5]]
+
+    def test_valid_preferences_pass(self, small_tables):
+        x, a, p = small_tables
+        assert validate_tables(x, a, p, _preferences(x, a, self.valid)).passed
+
+    def test_each_invariant_is_an_issue(self, small_tables):
+        x, a, p = small_tables
+        scores = np.array(self.valid)
+        scores[0, 0] = 1e9      # row 0 sum and range
+        scores[1, 0] = 0.25     # row 1 sum and half-point grid
+        scores[2, 3] = np.nan   # row 2 sum and non-finite
+        issues = [str(i) for i in validate_tables(
+            x, a, p, _preferences(x, a, scores)).issues]
+        assert issues == [
+            "R[(2,3)]: non-finite value nan",
+            "R[row 0]: sums to 1000000003.0, expected 6.0",
+            "R[row 1]: sums to 6.25, expected 6.0",
+            "R[row 2]: sums to nan, expected 6.0",
+            "R[(0,0)]: preference score 1000000000.0 outside [0, 3]",
+            "R[(1,0)]: preference score 0.25 not a multiple of 0.5",
+        ]
+
+    def test_renamed_id_does_not_match(self, small_tables):
+        x, a, p = small_tables
+        r = PreferenceMatrix(("stranger", *x.entity_ids[1:]), a.entity_ids,
+                             self.valid)
+        issues = validate_tables(x, a, p, r).issues
+        assert [(i.where, i.coordinate) for i in issues] == [("R", "dataset_ids")]
+        assert "do not match" in issues[0].reason
+        assert "'stranger'" in issues[0].reason
+
+    def test_check_invariants_raises_the_first_issue(self):
+        r = PreferenceMatrix(("d0",), ("w0", "w1", "w2"), [[0.0, 1.0, 2.0]])
+        assert r.invariant_violations() == []
+        r = PreferenceMatrix(("d0",), ("w0", "w1", "w2"), [[-1.0, 2.0, 2.0]])
+        with pytest.raises(ValueError, match=r"outside \[0, 2\]"):
+            r.check_invariants()
+
+
+class TestHyperParamsChecks:
+    @pytest.mark.parametrize("t", [0, -2])
+    def test_t_below_one_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be positive"):
+            HyperParams(t=t)
+
+    @pytest.mark.parametrize("field", ["mu1", "alpha", "rel_tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            HyperParams(**{field: value})
 
 
 class TestStandardize:

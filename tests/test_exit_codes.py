@@ -1,0 +1,172 @@
+"""The exit-code contract under malformed input, as a property: a model
+file, a bundle table or a --config file with one field broken makes
+`main()` exit 0 or 1 (a validation error), never 2 (a runtime failure), and
+a run that exits 0 writes no NaN."""
+
+import csv
+import json
+import math
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
+
+from metamine.cli import main
+
+# One field's mutation: dropped, a wrong type, nan/inf (as a JSON number
+# and as the repr string a model file holds), zero, an empty list.
+DROP = "<drop>"
+JSON_VALUES = (DROP, "abc", {}, float("nan"), "nan", float("inf"), "-inf",
+               0, [])
+CSV_TOKENS = ("abc", "nan", "inf", "-inf", "0", "")
+TABLES = ("X.csv", "A.csv", "performance.csv", "R.csv")
+# (model objective, a task it serves)
+SERVED = (("f1", "workflow_prefs"), ("f2", "dataset_prefs"),
+          ("f3", "pair_score"), ("f3", "workflow_prefs"),
+          ("f4", "dataset_prefs"), ("f4", "pair_score"))
+
+
+def run(argv):
+    return main([str(a) for a in argv])
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """A bundle, a model per objective and a train config file, all valid."""
+    root = tmp_path_factory.mktemp("valid")
+    assert run(["synth", "--n", "6", "--m", "5", "--d", "4", "--l", "3",
+                "--latent-t", "2", "--seed", "3", "--out", root / "raw"]) == 0
+    raw = root / "raw"
+    assert run(["ingest", "--x", raw / "X.csv", "--a", raw / "A.csv",
+                "--performance", raw / "performance.csv",
+                "--preferences", raw / "R.csv", "--out", root / "bundle"]) == 0
+    for objective in ("f1", "f2", "f3", "f4"):
+        assert run(["train", "--bundle", root / "bundle", "--objective",
+                    objective, "--max-iters", "5", "--t", "2",
+                    "--out", root / f"{objective}.json"]) == 0
+    return root
+
+
+def _paths(doc, prefix=()):
+    """The path of every key and list element of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _mutated(doc, path, value):
+    note(f"{'.'.join(map(str, path))} -> {value!r}")
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value == DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _nan_in_json(value, key=None):
+    """Whether a JSON value holds a NaN, as a number or as a repr string;
+    feature names are names, whatever they spell."""
+    if isinstance(value, dict):
+        return any(_nan_in_json(v, k) for k, v in value.items())
+    if isinstance(value, list):
+        return (not str(key).endswith("_feature_names")
+                and any(_nan_in_json(v, key) for v in value))
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            return False
+    return isinstance(value, float) and math.isnan(value)
+
+
+def _writes_nan(out):
+    for path in (p for p in Path(out).rglob("*") if p.is_file()):
+        if path.suffix == ".json":
+            if _nan_in_json(json.loads(path.read_text())):
+                return True
+        elif path.suffix == ".csv":
+            with open(path, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            if any(math.isnan(float(row["score"])) for row in rows):
+                return True
+    return False
+
+
+@st.composite
+def model_case(draw, valid, work):
+    objective, task = draw(st.sampled_from(SERVED))
+    doc = json.loads((valid / f"{objective}.json").read_text())
+    path = draw(st.sampled_from(sorted(_paths(doc), key=str)))
+    model = work / "model.json"
+    model.write_text(json.dumps(_mutated(doc, path,
+                                         draw(st.sampled_from(JSON_VALUES)))))
+    return ["predict", "--model", model, "--bundle", valid / "bundle",
+            "--task", task, "--x", valid / "raw" / "X.csv",
+            "--a", valid / "raw" / "A.csv", "--out", work / "out" / "p.csv"]
+
+
+@st.composite
+def bundle_case(draw, valid, work):
+    bundle = work / "bundle"
+    shutil.copytree(valid / "bundle", bundle)
+    table = bundle / draw(st.sampled_from(TABLES))
+    with open(table, newline="") as fh:
+        rows = list(csv.reader(fh))
+    i = draw(st.integers(0, len(rows) - 1))
+    edit = draw(st.sampled_from(("drop row", "empty row", "cell")))
+    if edit == "drop row":
+        del rows[i]
+    elif edit == "empty row":
+        rows[i] = []
+    else:
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        rows[i][j] = draw(st.sampled_from(CSV_TOKENS))
+        edit = f"cell ({i},{j}) -> {rows[i][j]!r}"
+    note(f"{table.name}: {edit}")
+    with open(table, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    out = work / "out"
+    return draw(st.sampled_from((
+        ["train", "--bundle", bundle, "--objective", "f3", "--max-iters", "5",
+         "--out", out / "m.json"],
+        ["evaluate", "--bundle", bundle, "--protocol", "lodo",
+         "--strategies", "def,ec,f3", "--max-iters", "5", "--out", out],
+        ["predict", "--model", valid / "f3.json", "--bundle", bundle,
+         "--task", "pair_score", "--x", valid / "raw" / "X.csv",
+         "--a", valid / "raw" / "A.csv", "--out", out / "p.csv"],
+    )))
+
+
+@st.composite
+def config_case(draw, valid, work):
+    doc = json.loads((valid / "f3.json.config.json").read_text())
+    key = draw(st.sampled_from(sorted(doc)))
+    config = work / "config.json"
+    config.write_text(json.dumps(_mutated(doc, (key,),
+                                          draw(st.sampled_from(JSON_VALUES)))))
+    return ["--config", config, "train", "--bundle", valid / "bundle",
+            "--objective", "f3", "--out", work / "out" / "m.json"]
+
+
+@settings(deadline=None, max_examples=500)
+@given(data=st.data())
+def test_one_broken_field_exits_zero_or_one(valid, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "out").mkdir()
+        case = data.draw(st.sampled_from((model_case, bundle_case,
+                                          config_case)))
+        argv = data.draw(case(valid, work))
+        code = run(argv)
+        assert code in (0, 1)
+        if code == 0:
+            assert not _writes_nan(work / "out")
