@@ -259,14 +259,7 @@ def cmd_predict(resolved):
     def queries(flag, kind, expected):
         if not resolved[flag]:
             raise CliError(f"task {task.value} needs --{flag}", exit_code=1)
-        table = io.read_descriptor_csv(resolved[flag], kind)
-        if expected is not None and tuple(table.feature_names) != tuple(expected):
-            raise CliError(f"{kind.value} feature names do not match the model",
-                           exit_code=1)
-        if not np.isfinite(table.features).all():
-            raise CliError(f"{resolved[flag]}: non-finite {kind.value} "
-                           "descriptor values", exit_code=1)
-        return table
+        return io.read_queries(resolved[flag], kind, expected)
 
     qx = qa = None
     if task is not Task.DATASET_PREFS:
@@ -274,23 +267,25 @@ def cmd_predict(resolved):
     if task is not Task.WORKFLOW_PREFS:
         qa = queries("a", TableKind.WORKFLOW, params.a_feature_names)
 
-    def serve(x_new, a_new):
-        return predict(strategy, task, x_new, a_new, data.x, data.a, data.r,
-                       params, n)
-
+    # One predict call per query entity scores it against its targets: a
+    # query workflow against the training datasets, a query dataset against
+    # the training workflows or, for pair scores, the query-workflow table.
+    q, targets = (qa, data.x) if qx is None else (qx, data.a if qa is None else qa)
     rows = []
-    if task is Task.PAIR_SCORE:
-        for xid, xf in zip(qx.entity_ids, qx.features):
-            for aid, af in zip(qa.entity_ids, qa.features):
-                score = float(serve(xf, af).values)
-                rows.append([xid, aid, repr(score), strategy.value, ""])
-    else:
-        q, targets = (qx, data.a.entity_ids) if qa is None else (qa, data.x.entity_ids)
-        for qid, feats in zip(q.entity_ids, q.features):
-            pred = serve(feats, None) if qa is None else serve(None, feats)
-            for tid, score in zip(targets, pred.values):
-                rows.append([qid, tid, repr(float(score)), pred.strategy.value,
-                             ";".join(pred.flags)])
+    for qid, feats in zip(q.entity_ids, q.features):
+        x_new, a_new = ((None, feats) if qx is None else
+                        (feats, None if qa is None else qa.features))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            pred = predict(strategy, task, x_new, a_new, data.x, data.a,
+                           data.r, params, n)
+        bad = np.flatnonzero(~np.isfinite(pred.values))
+        if bad.size:
+            raise CliError(f"non-finite score of query {qid!r} for "
+                           f"{targets.entity_ids[bad[0]]!r}: a query "
+                           "descriptor is too large for the model", exit_code=1)
+        rows += ([qid, tid, repr(float(score)), pred.strategy.value,
+                  ";".join(pred.flags)]
+                 for tid, score in zip(targets.entity_ids, pred.values))
 
     out = Path(resolved["out"])
     with open(out, "w", newline="", encoding="utf-8") as fh:

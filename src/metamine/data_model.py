@@ -314,6 +314,20 @@ def _check_same_ids(report, where, axis, ids, table, expected):
                                          f"entity ids (mismatch: {mismatch})")
 
 
+def _check_standardizes(report, where, table):
+    """Each all-finite column whose standardization record (the mean and
+    scale a model stores) is not finite: a value near 1e154 or beyond
+    overflows the column's variance."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, record = standardize(table)
+    ok = np.isfinite(record.mean) & np.isfinite(record.scale)
+    largest = np.abs(table.features).max(axis=0, initial=0.0)
+    for j in np.flatnonzero(~ok & np.isfinite(table.features).all(axis=0)):
+        report.add(where, f"column {table.feature_names[j]!r}",
+                   f"does not standardize to finite values "
+                   f"(largest magnitude {float(largest[j])!r})")
+
+
 def validate_tables(x: DescriptorTable, a: DescriptorTable,
                     p: PerformanceMatrix,
                     r: Optional[PreferenceMatrix] = None) -> ValidationReport:
@@ -321,15 +335,18 @@ def validate_tables(x: DescriptorTable, a: DescriptorTable,
     given, the preference matrix: the one rule for a valid bundle.
 
     Collects every violation (never aborts): duplicate ids, non-finite
-    values, out-of-range performances, R's invariants (row sums, range,
-    half-point grid), and id mismatches between the descriptor tables and
-    the P and R matrices.
+    values, descriptor columns that do not standardize to finite values,
+    out-of-range performances, R's invariants (row sums, range, half-point
+    grid), and id mismatches between the descriptor tables and the P and R
+    matrices.
     """
     report = ValidationReport()
     _check_ids(report, "X", x.entity_ids)
     _check_ids(report, "A", a.entity_ids)
     _check_finite(report, "X", x.features)
     _check_finite(report, "A", a.features)
+    _check_standardizes(report, "X", x)
+    _check_standardizes(report, "A", a)
     _check_finite(report, "P", p.values)
 
     for i, j in np.argwhere(np.isfinite(p.values) & ((p.values < 0) | (p.values > 1))):
@@ -343,6 +360,19 @@ def validate_tables(x: DescriptorTable, a: DescriptorTable,
             report.add("R", coordinate, reason)
         _check_same_ids(report, "R", "dataset", r.dataset_ids, "X", x.entity_ids)
         _check_same_ids(report, "R", "workflow", r.workflow_ids, "A", a.entity_ids)
+    return report
+
+
+def validate_queries(table: DescriptorTable,
+                     feature_names) -> ValidationReport:
+    """Check a table of query entities by the bundle's rules for ids and
+    values, and its feature names against a model's (None skips them)."""
+    where = "X" if table.kind is TableKind.DATASET else "A"
+    report = ValidationReport()
+    if feature_names is not None and table.feature_names != tuple(feature_names):
+        report.add(where, "feature_names", "feature names do not match the model")
+    _check_ids(report, where, table.entity_ids)
+    _check_finite(report, where, table.features)
     return report
 
 

@@ -31,7 +31,8 @@ import numpy as np
 
 from .data_model import (DescriptorTable, HyperParams, MetaMiningData,
                          ModelParams, PerformanceMatrix, PreferenceMatrix,
-                         StandardizationRecord, TableKind, validate_tables)
+                         StandardizationRecord, TableKind, validate_queries,
+                         validate_tables)
 from .metric_learning import ObjectiveKind
 from .preference import OutcomeCube, PairOutcome
 
@@ -69,6 +70,8 @@ def _read_wide(path, no_columns):
     header = rows[0]
     if len(header) < 2:
         raise IngestError(f"{path}: {no_columns}")
+    if len(rows) < 2:
+        raise IngestError(f"{path}: no data rows under the header")
     ids, data = [], []
     for ln, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
@@ -91,6 +94,16 @@ def read_descriptor_csv(path, kind: TableKind) -> DescriptorTable:
         path, "header must name an id column and at least one feature")
     return DescriptorTable(entity_ids=ids, features=features,
                            feature_names=feature_names, kind=kind)
+
+
+def read_queries(path, kind: TableKind, feature_names) -> DescriptorTable:
+    """Read a table of query entities and check it by validate_queries:
+    the bundle's rules for ids and values, and a model's feature names."""
+    table = read_descriptor_csv(path, kind)
+    report = validate_queries(table, feature_names)
+    if not report.passed:
+        raise IngestError(f"{path}: query table fails validation:\n{report}")
+    return table
 
 
 def write_descriptor_csv(path, table: DescriptorTable):

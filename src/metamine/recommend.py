@@ -64,7 +64,7 @@ _KNN = (Strategy.F1_KNN, Strategy.F2_KNN, Strategy.F4_KNN)
 @dataclass(frozen=True)
 class PreferencePrediction:
     task: Task
-    values: np.ndarray    # length m / n vector, or 0-d scalar for pairs
+    values: np.ndarray    # length m / n vector, or pair scores (0-d for one)
     strategy: Strategy
     flags: tuple = ()     # e.g. "nonpositive_similarity_fallback"
 
@@ -134,11 +134,14 @@ def knn_predict_dataset_prefs(a_new, train_a_std, r: PreferenceMatrix,
                                            Task.DATASET_PREFS, strategy)
 
 
-def predict_pair(x_new, a_new, params: ModelParams) -> float:
-    """Direct heterogeneous score x' U V' a."""
+def predict_pair(x_new, a_new, params: ModelParams):
+    """Direct heterogeneous score x' U V' a of one dataset against one
+    workflow (0-d) or a table of them, one per row. Each score equals the
+    per-pair (u'x) @ (v'a) to the last bit, which one matrix product of the
+    projections does not on OpenBLAS."""
     x = np.asarray(x_new, dtype=float)
     a = np.asarray(a_new, dtype=float)
-    return float((params.u.T @ x) @ (params.v.T @ a))
+    return np.vecdot(np.matvec(params.u.T, x), np.matvec(params.v.T, a))
 
 
 def predict_workflow_prefs_direct(x_new, a_all_std, params: ModelParams,
@@ -200,7 +203,8 @@ def predict(strategy: Strategy, task: Task, x_new, a_new, x, a,
     """Serve one cold-start query with one strategy.
 
     x_new / a_new are the raw descriptors of the new dataset / workflow
-    (None where the task needs none); x, a (DescriptorTables) and r are the
+    (None where the task needs none; a_new of a pair score may be a table
+    of workflows, one per row); x, a (DescriptorTables) and r are the
     training entities and their preferences; params is the strategy's
     trained model (None for the baselines); n is the neighbourhood size.
     Raises ValueError for a task outside TASKS[strategy].
@@ -227,8 +231,7 @@ def predict(strategy: Strategy, task: Task, x_new, a_new, x, a,
     qx = None if x_new is None else params.transform_dataset(x_new)
     qa = None if a_new is None else params.transform_workflow(a_new)
     if task is Task.PAIR_SCORE:
-        return PreferencePrediction(task=task,
-                                    values=np.asarray(predict_pair(qx, qa, params)),
+        return PreferencePrediction(task=task, values=predict_pair(qx, qa, params),
                                     strategy=strategy)
     if strategy in _KNN and task is Task.WORKFLOW_PREFS:
         return knn_predict_workflow_prefs(qx, params.transform_dataset(x.features),

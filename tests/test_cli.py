@@ -6,6 +6,8 @@ from dataclasses import asdict
 import pytest
 
 from metamine.cli import build_parser, main
+from metamine.data_model import TableKind
+from metamine.io import load_model, read_descriptor_csv
 from metamine.synth import SynthConfig
 
 
@@ -600,4 +602,142 @@ class TestPredict:
                     "--a", str(bundle / "A.csv"), "--out", str(out)])
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pair_scores_equal_the_per_pair_formula(self, tmp_path):
+        # every score of a t = 30 model is the per-pair x'U V'a to the last
+        # bit, as the per-pair serving loop wrote it
+        raw, bundle = tmp_path / "raw", tmp_path / "bundle"
+        model, out = tmp_path / "f3.json", tmp_path / "pairs.csv"
+        assert run(["synth", "--n", "12", "--m", "9", "--d", "34", "--l", "31",
+                    "--latent-t", "3", "--seed", "5", "--out", str(raw)]) == 0
+        assert _ingest(raw, bundle) == 0
+        assert run(["train", "--bundle", str(bundle), "--objective", "f3",
+                    "--t", "30", "--max-iters", "10", "--out", str(model)]) == 0
+        assert run(["predict", "--model", str(model), "--bundle", str(bundle),
+                    "--task", "pair_score", "--x", str(raw / "X.csv"),
+                    "--a", str(raw / "A.csv"), "--out", str(out)]) == 0
+        params = load_model(model)
+        assert params.t == 30
+        x = read_descriptor_csv(raw / "X.csv", TableKind.DATASET)
+        a = read_descriptor_csv(raw / "A.csv", TableKind.WORKFLOW)
+        expected = []
+        for xid, xf in zip(x.entity_ids, x.features):
+            for aid, af in zip(a.entity_ids, a.features):
+                xs = params.transform_dataset(xf)
+                as_ = params.transform_workflow(af)
+                score = float((params.u.T @ xs) @ (params.v.T @ as_))
+                expected.append([xid, aid, repr(score), "f3_direct", ""])
+        with open(out, newline="") as fh:
+            assert list(csv.reader(fh))[1:] == expected
+
+    @pytest.mark.parametrize("task, flag", [("workflow_prefs", "--x"),
+                                            ("dataset_prefs", "--a"),
+                                            ("pair_score", "--a")])
+    def test_duplicate_query_id_exits_one(self, bundle, tmp_path, capsys,
+                                          task, flag):
+        model = self.train_model(bundle, tmp_path)
+        table = "X.csv" if flag == "--x" else "A.csv"
+        lines = (bundle / table).read_text().splitlines()
+        queries = tmp_path / "queries.csv"
+        queries.write_text("\n".join(lines + [lines[1]]) + "\n")
+        given = {"--x": str(bundle / "X.csv"), "--a": str(bundle / "A.csv"),
+                 flag: str(queries)}
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        assert run(["predict", "--model", str(model), "--bundle", str(bundle),
+                    "--task", task, "--x", given["--x"], "--a", given["--a"],
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(queries) in err
+        assert f"duplicate id {lines[1].split(',')[0]!r}" in err
+        assert not out.exists()
+
+    def test_header_only_query_names_the_file(self, bundle, tmp_path, capsys):
+        model = self.train_model(bundle, tmp_path)
+        queries = tmp_path / "header_only.csv"
+        queries.write_text((bundle / "X.csv").read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        assert run(["predict", "--model", str(model), "--bundle", str(bundle),
+                    "--task", "workflow_prefs", "--x", str(queries),
+                    "--out", str(tmp_path / "p.csv")]) == 1
+        assert f"{queries}: no data rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task", ["workflow_prefs", "pair_score"])
+    def test_overflowing_query_exits_one(self, bundle, tmp_path, capsys, task):
+        model = self.train_model(bundle, tmp_path)
+        queries = tmp_path / "huge.csv"
+        header, first, second = (bundle / "X.csv").read_text().splitlines()[:3]
+        # every descriptor of the second query near the largest float
+        huge = [second.split(",")[0]] + ["1.7e308"] * header.count(",")
+        queries.write_text(f"{header}\n{first}\n{','.join(huge)}\n")
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        assert run(["predict", "--model", str(model), "--bundle", str(bundle),
+                    "--task", task, "--x", str(queries),
+                    "--a", str(bundle / "A.csv"), "--out", str(out)]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _edit_cell(path, row, column, cell):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[row][column] = cell
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _ingest(raw, out):
+    return run(["ingest", "--x", str(raw / "X.csv"), "--a", str(raw / "A.csv"),
+                "--performance", str(raw / "performance.csv"),
+                "--preferences", str(raw / "R.csv"), "--out", str(out)])
+
+
+class TestHugeDescriptorValue:
+    """A descriptor column that does not standardize to finite values (one
+    cell of 1e308 overflows its variance) fails the bundle rule, so no
+    command trains on it or writes a non-finite value from it."""
+
+    @pytest.fixture
+    def raw(self, tmp_path):
+        raw = tmp_path / "raw"
+        assert run(["synth", "--n", "8", "--m", "5", "--seed", "4",
+                    "--out", str(raw)]) == 0
+        return raw
+
+    def test_ingest_exits_one_naming_the_column(self, raw, tmp_path, capsys):
+        _edit_cell(raw / "X.csv", 3, 2, "1e308")
+        feature = (raw / "X.csv").read_text().splitlines()[0].split(",")[2]
+        capsys.readouterr()
+        assert _ingest(raw, tmp_path / "bundle") == 1
+        err = capsys.readouterr().err
+        assert f"X[column {feature!r}]: does not standardize to finite " \
+               "values (largest magnitude 1e+308)" in err
+        assert not (tmp_path / "bundle").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+    def test_bundle_edited_after_ingest_exits_one(self, raw, tmp_path, capsys,
+                                                  command):
+        bundle, model = tmp_path / "bundle", tmp_path / "model.json"
+        assert _ingest(raw, bundle) == 0
+        assert run(["train", "--bundle", str(bundle), "--objective", "f3",
+                    "--max-iters", "5", "--out", str(model)]) == 0
+        _edit_cell(bundle / "X.csv", 3, 2, "1e308")
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--bundle", str(bundle), "--objective", "f3",
+                      "--out", str(out)],
+            "evaluate": ["evaluate", "--bundle", str(bundle), "--protocol",
+                         "lodo", "--strategies", "def,ec,f3", "--max-iters",
+                         "5", "--out", str(out)],
+            "predict": ["predict", "--model", str(model), "--bundle",
+                        str(bundle), "--task", "pair_score",
+                        "--x", str(raw / "X.csv"), "--a", str(raw / "A.csv"),
+                        "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "tables fail validation" in err and "1e+308" in err
         assert not out.exists()

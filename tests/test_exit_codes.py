@@ -170,3 +170,65 @@ def test_one_broken_field_exits_zero_or_one(valid, data):
         assert code in (0, 1)
         if code == 0:
             assert not _writes_nan(work / "out")
+
+
+# every (model objective, task) pair `predict` serves, and the query CSVs
+# each task reads
+ALL_SERVED = (("f1", "workflow_prefs"), ("f2", "dataset_prefs"),
+              ("f3", "workflow_prefs"), ("f3", "dataset_prefs"),
+              ("f3", "pair_score"), ("f4", "workflow_prefs"),
+              ("f4", "dataset_prefs"), ("f4", "pair_score"))
+QUERY_FLAGS = {"workflow_prefs": ("--x",), "dataset_prefs": ("--a",),
+               "pair_score": ("--x", "--a")}
+QUERY_TOKENS = ("nan", "inf", "-inf", "1e308", "-1e308", "abc", "")
+
+
+def _writes_non_finite_score(out):
+    for path in Path(out).rglob("*.csv"):
+        with open(path, newline="") as fh:
+            if not all(math.isfinite(float(row["score"]))
+                       for row in csv.DictReader(fh)):
+                return True
+    return False
+
+
+@st.composite
+def query_case(draw, valid, work):
+    objective, task = draw(st.sampled_from(ALL_SERVED))
+    flag = draw(st.sampled_from(QUERY_FLAGS[task]))
+    tables = {"--x": valid / "raw" / "X.csv", "--a": valid / "raw" / "A.csv"}
+    with open(tables[flag], newline="") as fh:
+        rows = list(csv.reader(fh))
+    i = draw(st.integers(1, len(rows) - 1))
+    edit = draw(st.sampled_from(("cell", "short row", "duplicated row",
+                                 "renamed header")))
+    if edit == "cell":
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        rows[i][j] = draw(st.sampled_from(QUERY_TOKENS))
+        edit = f"cell ({i},{j}) -> {rows[i][j]!r}"
+    elif edit == "short row":
+        del rows[i][-1]
+    elif edit == "duplicated row":
+        rows.insert(i, list(rows[i]))
+    else:
+        rows[0][draw(st.integers(0, len(rows[0]) - 1))] = "renamed"
+    note(f"{objective} {task}, {flag} {tables[flag].name}: {edit} (row {i})")
+    tables[flag] = work / f"query_{tables[flag].name}"
+    with open(tables[flag], "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return ["predict", "--model", valid / f"{objective}.json",
+            "--bundle", valid / "bundle", "--task", task,
+            "--x", tables["--x"], "--a", tables["--a"],
+            "--out", work / "out" / "p.csv"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_one_broken_query_cell_or_row_exits_zero_or_one(valid, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "out").mkdir()
+        code = run(data.draw(query_case(valid, work)))
+        assert code in (0, 1)
+        if code == 0:
+            assert not _writes_non_finite_score(work / "out")

@@ -173,6 +173,21 @@ class TestPredictPair:
         a = np.array([2.0, 1.0, 3.0, 99.0])  # 4th coordinate projected away
         assert predict_pair(x, a, params) == pytest.approx(x @ a[:3])
 
+    @pytest.mark.parametrize("t", range(1, 41))
+    def test_table_equals_per_pair_formula_bit_for_bit(self, t):
+        # A pair-score query scores one dataset against a whole table of
+        # workflows; every score must be the per-pair value to the last bit
+        # (one matrix product of the projections is not, on OpenBLAS).
+        rng = np.random.default_rng(100 + t)
+        u, v = rng.standard_normal((37, t)), rng.standard_normal((33, t))
+        params = make_params(u, v)
+        x, table = rng.standard_normal(37), rng.standard_normal((50, 33))
+        expected = [float((u.T @ x) @ (v.T @ a)) for a in table]
+        scores = predict_pair(x, table, params)
+        assert scores.shape == (50,)
+        assert [float(s) for s in scores] == expected
+        assert [predict_pair(x, a, params) for a in table] == expected
+
 
 class TestDefaultStrategy:
     def test_workflow_prefs_column_mean(self):
