@@ -63,6 +63,34 @@ def _parse_float(token, path, where):
         raise IngestError(f"{path}: {where}: not a number: {token!r}") from None
 
 
+def _floats(path, rows):
+    """The numeric tokens of rows[i] (one token, or a list of them), line
+    i + 2 of path, as one float array. numpy converts a str as float()
+    does; only when it fails are the tokens parsed again one by one, in
+    line order, to name the first bad one."""
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:
+        for (i, *_), token in np.ndenumerate(np.array(rows, dtype=object)):
+            _parse_float(token, path, f"line {i + 2}")
+        raise
+
+
+def _numeric_body(path, rows, skip):
+    """The lines under the header, all as wide as it, as one float array
+    of their columns from skip on. A file with several faults reports the
+    first in line order."""
+    width, body = len(rows[0]), rows[1:]
+    if not body:
+        raise IngestError(f"{path}: no data rows under the header")
+    good = next((i for i, row in enumerate(body) if len(row) != width), len(body))
+    values = _floats(path, [row[skip:] for row in body[:good]])
+    if good < len(body):
+        raise IngestError(f"{path}: line {good + 2}: expected {width} "
+                          f"fields, got {len(body[good])}")
+    return values
+
+
 def _read_wide(path, no_columns):
     """A wide CSV, an id column then named numeric columns: (column names,
     row ids, values). no_columns is the error for a header without them."""
@@ -70,15 +98,8 @@ def _read_wide(path, no_columns):
     header = rows[0]
     if len(header) < 2:
         raise IngestError(f"{path}: {no_columns}")
-    if len(rows) < 2:
-        raise IngestError(f"{path}: no data rows under the header")
-    ids, data = [], []
-    for ln, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise IngestError(f"{path}: line {ln}: expected {len(header)} fields, got {len(row)}")
-        ids.append(row[0])
-        data.append([_parse_float(tok, path, f"line {ln}") for tok in row[1:]])
-    return tuple(header[1:]), tuple(ids), np.array(data)
+    values = _numeric_body(path, rows, 1)
+    return tuple(header[1:]), tuple(row[0] for row in rows[1:]), values
 
 
 def _write_wide(path, id_header, columns, ids, values):
@@ -114,24 +135,34 @@ def read_performance_csv(path) -> PerformanceMatrix:
     rows = _read_rows(path)
     if [h.strip() for h in rows[0][:3]] != ["dataset_id", "workflow_id", "performance"]:
         raise IngestError(f"{path}: header must be dataset_id,workflow_id,performance")
-    cells = {}          # dataset -> workflow -> value, both in first-seen order
-    workflows = {}      # the workflow ids in first-seen order
-    for ln, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise IngestError(f"{path}: line {ln}: expected 3 fields")
-        ds, wf, val = row
-        ds_cells = cells.setdefault(ds, {})
-        workflows.setdefault(wf)
-        if wf in ds_cells:
-            raise IngestError(f"{path}: line {ln}: duplicate cell ({ds},{wf})")
-        ds_cells[wf] = _parse_float(val, path, f"line {ln}")
-    dataset_ids, workflow_ids = tuple(cells), tuple(workflows)
-    values = np.empty((len(dataset_ids), len(workflow_ids)))
-    for i, ds in enumerate(dataset_ids):
-        for j, wf in enumerate(workflow_ids):
-            if wf not in cells[ds]:
-                raise IngestError(f"{path}: missing performance for ({ds},{wf})")
-            values[i, j] = cells[ds][wf]
+    body = rows[1:]
+    good = next((i for i, row in enumerate(body) if len(row) != 3), len(body))
+    datasets, workflows = {}, {}    # id -> index, both in first-seen order
+    ds = [datasets.setdefault(row[0], len(datasets)) for row in body[:good]]
+    wf = [workflows.setdefault(row[1], len(workflows)) for row in body[:good]]
+    # the flat index of each line's (dataset, workflow) cell; a repeat is
+    # a line whose cell an earlier line holds
+    cells = np.array(ds, dtype=np.intp) * len(workflows) + np.array(wf, dtype=np.intp)
+    _, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
+    repeats = np.flatnonzero(first[inverse] != np.arange(good))
+    stop = int(repeats[0]) if repeats.size else good
+    values = _floats(path, [row[2] for row in body[:stop]])
+    if stop < good:
+        raise IngestError(f"{path}: line {stop + 2}: duplicate cell "
+                          f"({body[stop][0]},{body[stop][1]})")
+    if good < len(body):
+        raise IngestError(f"{path}: line {good + 2}: expected 3 fields")
+    dataset_ids, workflow_ids = tuple(datasets), tuple(workflows)
+    table = np.empty(len(dataset_ids) * len(workflow_ids))
+    table[cells] = values
+    present = np.zeros(table.size, dtype=bool)
+    present[cells] = True
+    missing = np.flatnonzero(~present)
+    if missing.size:
+        i, j = divmod(int(missing[0]), len(workflow_ids))
+        raise IngestError(f"{path}: missing performance for "
+                          f"({dataset_ids[i]},{workflow_ids[j]})")
+    values = table.reshape(len(dataset_ids), len(workflow_ids))
     return PerformanceMatrix(dataset_ids=dataset_ids,
                              workflow_ids=workflow_ids, values=values)
 
@@ -171,14 +202,8 @@ def read_outcome_dir(directory) -> OutcomeCube:
             workflow_ids = cols
         elif cols != workflow_ids:
             raise IngestError(f"{path}: workflow columns differ from {files[0]}")
-        mat = []
-        for ln, row in enumerate(rows[1:], start=2):
-            if len(row) != len(cols):
-                raise IngestError(f"{path}: line {ln}: expected {len(cols)} "
-                                  f"fields, got {len(row)}")
-            mat.append([_parse_float(tok, path, f"line {ln}") for tok in row])
         dataset_ids.append(path.stem)
-        matrices.append(np.array(mat))
+        matrices.append(_numeric_body(path, rows, 0))
     return OutcomeCube(dataset_ids=tuple(dataset_ids),
                        workflow_ids=workflow_ids, matrices=tuple(matrices))
 
@@ -200,6 +225,8 @@ def read_significance_csv(path):
     rows = _read_rows(path)
     if [h.strip() for h in rows[0][:4]] != ["dataset_id", "workflow_k", "workflow_l", "outcome"]:
         raise IngestError(f"{path}: header must be dataset_id,workflow_k,workflow_l,outcome")
+    if len(rows) < 2:
+        raise IngestError(f"{path}: no data rows under the header")
     datasets = {}       # the dataset ids in first-seen order
     index = {}          # workflow id -> column, in first-seen order
     records = []

@@ -169,6 +169,39 @@ class TestIngest:
         assert f"{victim.name}: line 5: expected 4 fields, got 3" \
             in capsys.readouterr().err
 
+    def test_header_only_outcome_csv_names_the_file(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        assert run(["synth", "--n", "6", "--m", "5", "--mode", "outcome",
+                    "--instances", "30", "--seed", "2", "--out", str(raw)]) == 0
+        for path in (raw / "outcomes").glob("*.csv"):
+            path.unlink()
+        victim = raw / "outcomes" / "ds000.csv"
+        victim.write_text("wf000,wf001,wf002,wf003,wf004\n")
+        capsys.readouterr()
+        code = run(["ingest", "--x", str(raw / "X.csv"),
+                    "--a", str(raw / "A.csv"),
+                    "--performance", str(raw / "performance.csv"),
+                    "--outcomes-dir", str(raw / "outcomes"),
+                    "--out", str(tmp_path / "bundle")])
+        assert code == 1
+        assert f"{victim}: no data rows under the header" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "bundle").exists()
+
+    def test_header_only_significance_csv_names_the_file(self, tmp_path,
+                                                         bundle, capsys):
+        sig = tmp_path / "sig.csv"
+        sig.write_text("dataset_id,workflow_k,workflow_l,outcome\n")
+        capsys.readouterr()
+        code = run(["ingest", "--x", str(bundle / "X.csv"),
+                    "--a", str(bundle / "A.csv"),
+                    "--performance", str(bundle / "performance.csv"),
+                    "--significance", str(sig), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"{sig}: no data rows under the header" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrain:
     def test_writes_model_and_config(self, bundle, tmp_path):

@@ -232,3 +232,90 @@ def test_one_broken_query_cell_or_row_exits_zero_or_one(valid, data):
         assert code in (0, 1)
         if code == 0:
             assert not _writes_non_finite_score(work / "out")
+
+
+# ingest's outcome and significance CSVs: one cell or row broken
+INGEST_TOKENS = ("nan", "inf", "-inf", "1e308", "abc", "")
+OUTCOMES = ("k_wins", "l_wins", "tie")
+
+
+@pytest.fixture(scope="module")
+def raw_outcomes(tmp_path_factory):
+    """An outcome-mode synth problem and a significance CSV over its ids."""
+    raw = tmp_path_factory.mktemp("outcomes")
+    assert run(["synth", "--n", "6", "--m", "5", "--mode", "outcome",
+                "--instances", "20", "--seed", "2", "--out", raw]) == 0
+    datasets = [p.stem for p in sorted((raw / "outcomes").glob("*.csv"))]
+    with open(raw / "A.csv", newline="") as fh:
+        workflows = [row[0] for row in list(csv.reader(fh))[1:]]
+    with open(raw / "significance.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["dataset_id", "workflow_k", "workflow_l", "outcome"])
+        for i, ds in enumerate(datasets):
+            for k in range(len(workflows)):
+                for l in range(k + 1, len(workflows)):
+                    w.writerow([ds, workflows[k], workflows[l],
+                                OUTCOMES[(i + k + l) % 3]])
+    return raw
+
+
+def _bundle_holds_nan(out):
+    """Whether a written bundle holds a NaN in a data row of a table or in
+    its manifest."""
+    for path in Path(out).rglob("*.csv"):
+        with open(path, newline="") as fh:
+            for row in list(csv.reader(fh))[1:]:
+                for token in row:
+                    try:
+                        if math.isnan(float(token)):
+                            return True
+                    except ValueError:
+                        pass
+    manifest = Path(out) / "manifest.json"
+    return manifest.exists() and _nan_in_json(json.loads(manifest.read_text()))
+
+
+@st.composite
+def ingest_case(draw, raw, work):
+    source = draw(st.sampled_from(("--outcomes-dir", "--significance")))
+    shutil.copytree(raw / "outcomes", work / "outcomes")
+    shutil.copy(raw / "significance.csv", work / "significance.csv")
+    given = {"--outcomes-dir": work / "outcomes",
+             "--significance": work / "significance.csv"}[source]
+    table = (given if source == "--significance" else
+             draw(st.sampled_from(sorted(given.glob("*.csv")))))
+    with open(table, newline="") as fh:
+        rows = list(csv.reader(fh))
+    i = draw(st.integers(0, len(rows) - 1))
+    edit = draw(st.sampled_from(("cell", "short row", "duplicated row",
+                                 "header only")))
+    if edit == "cell":
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        rows[i][j] = draw(st.sampled_from(INGEST_TOKENS))
+        edit = f"cell ({i},{j}) -> {rows[i][j]!r}"
+    elif edit == "short row":
+        del rows[i][-1]
+    elif edit == "duplicated row":
+        rows.insert(i, list(rows[i]))
+    else:
+        del rows[1:]
+    note(f"{table.name}: {edit} (row {i})")
+    with open(table, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return ["ingest", "--x", raw / "X.csv", "--a", raw / "A.csv",
+            "--performance", raw / "performance.csv",
+            source, given,
+            "--out", work / "out" / "bundle"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_one_broken_outcome_or_significance_row_exits_zero_or_one(
+        raw_outcomes, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "out").mkdir()
+        code = run(data.draw(ingest_case(raw_outcomes, work)))
+        assert code in (0, 1)
+        if code == 0:
+            assert not _bundle_holds_nan(work / "out")

@@ -1,8 +1,11 @@
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
 from metamine.data_model import (DescriptorTable, PerformanceMatrix,
@@ -333,3 +336,204 @@ class TestCsvRoundTripProperty:
         back = read_preference_csv(path)
         assert (back.dataset_ids, back.workflow_ids) == (datasets, workflows)
         assert back.scores.tobytes() == scores.tobytes()
+
+
+# The per-token readers the bulk parse replaced, kept as the reference:
+# every token through float(), every check in line order.
+def _reference_float(token, path, ln):
+    try:
+        return float(token)
+    except ValueError:
+        raise IngestError(f"{path}: line {ln}: not a number: {token!r}") from None
+
+
+def _reference_rows(path, rows, skip):
+    data = []
+    for ln, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise IngestError(f"{path}: line {ln}: expected {len(rows[0])} "
+                              f"fields, got {len(row)}")
+        data.append([_reference_float(tok, path, ln) for tok in row[skip:]])
+    return np.array(data)
+
+
+def reference_wide(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    values = _reference_rows(path, rows, 1)
+    return tuple(row[0] for row in rows[1:]), values
+
+
+def reference_performance(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    cells, workflows = {}, {}
+    for ln, row in enumerate(rows[1:], start=2):
+        if len(row) != 3:
+            raise IngestError(f"{path}: line {ln}: expected 3 fields")
+        ds, wf, val = row
+        ds_cells = cells.setdefault(ds, {})
+        workflows.setdefault(wf)
+        if wf in ds_cells:
+            raise IngestError(f"{path}: line {ln}: duplicate cell ({ds},{wf})")
+        ds_cells[wf] = _reference_float(val, path, ln)
+    values = np.empty((len(cells), len(workflows)))
+    for i, ds in enumerate(cells):
+        for j, wf in enumerate(workflows):
+            if wf not in cells[ds]:
+                raise IngestError(f"{path}: missing performance for ({ds},{wf})")
+            values[i, j] = cells[ds][wf]
+    return (tuple(cells), tuple(workflows)), values
+
+
+def reference_outcomes(directory):
+    ids, matrices = [], []
+    for path in sorted(Path(directory).glob("*.csv")):
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        ids.append(path.stem)
+        matrices.append(_reference_rows(path, rows, 0))
+    return tuple(ids), np.stack(matrices)
+
+
+SPELLINGS = ("nan", "-nan", "NaN", "inf", "-inf", "inF", "+Infinity")
+BAD_TOKENS = ("", "abc", "0x10", "1__0", "_1", "1_", "1,5", "--1", "1e", "nan1")
+
+
+@st.composite
+def number_token(draw, values=st.floats(), spellings=SPELLINGS):
+    """A token float() accepts: repr, %.17g or %e of a float, maybe with an
+    underscore between two digits, or a nan/inf spelling; maybe padded."""
+    form = draw(st.sampled_from(("repr", "%.17g", "%e", "spelling")))
+    if form == "spelling" and spellings:
+        token = draw(st.sampled_from(spellings))
+    else:
+        value = draw(values)
+        token = repr(value) if form in ("repr", "spelling") else form % value
+        spots = [i for i in range(1, len(token))
+                 if token[i - 1].isdigit() and token[i].isdigit()]
+        if spots and draw(st.booleans()):
+            i = draw(st.sampled_from(spots))
+            token = f"{token[:i]}_{token[i:]}"
+    return (draw(st.sampled_from(("", " ", "\t")))
+            + token + draw(st.sampled_from(("", " ", "\t", "\n"))))
+
+
+@st.composite
+def faults(draw, rows, value_columns, kinds=("bad token", "short row",
+                                               "long row")):
+    """rows (a header, then at least one data row) with zero, one or two
+    faults; value_columns are the columns that hold numbers."""
+    rows = [list(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(kinds))
+        i = draw(st.integers(1, len(rows) - 1))
+        if kind == "bad token":
+            columns = [c for c in value_columns if c < len(rows[i])]
+            if columns:
+                rows[i][draw(st.sampled_from(columns))] = draw(
+                    st.sampled_from(BAD_TOKENS))
+        elif kind == "short row":
+            del rows[i][-1:]
+        elif kind == "long row":
+            rows[i].append("0")
+        elif kind == "duplicate cell":
+            j = draw(st.integers(i + 1, len(rows)))
+            rows.insert(j, rows[i][:2] + [draw(st.one_of(
+                number_token(), st.sampled_from(BAD_TOKENS)))])
+        elif len(rows) > 2:  # a dropped cell
+            del rows[i]
+        note(f"{kind} at line {i + 1}")
+    return rows
+
+
+def _write_rows(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _result(call):
+    try:
+        return call(), None
+    except IngestError as exc:
+        return None, str(exc)
+
+
+def _assert_same_reading(read, reference):
+    """Both raise the same IngestError text, or both give the same ids and
+    the same array bit for bit."""
+    (got, got_error), (want, want_error) = _result(read), _result(reference)
+    assert got_error == want_error
+    if want_error is None:
+        got_ids, got_values = got
+        want_ids, want_values = want
+        assert got_ids == want_ids
+        assert got_values.shape == want_values.shape
+        assert (got_values.view(np.int64) == want_values.view(np.int64)).all()
+
+
+class TestBulkParseOracle:
+    """The readers convert a table's tokens in one numpy call; the per-token
+    loops they replaced are the oracle, for values and for error texts."""
+
+    hypothesis_settings = settings(
+        deadline=None, max_examples=300,
+        suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @hypothesis_settings
+    @given(data=st.data())
+    def test_wide_tables(self, tmp_path, data):
+        n, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+        rows = [["id", *(f"f{j}" for j in range(k))]]
+        rows += [[f"e{i}", *data.draw(st.lists(number_token(), min_size=k,
+                                               max_size=k))] for i in range(n)]
+        rows = data.draw(faults(rows, range(1, k + 1)))
+        path = tmp_path / "wide.csv"
+        _write_rows(path, rows)
+        if data.draw(st.booleans()):
+            def read():
+                table = read_descriptor_csv(path, TableKind.DATASET)
+                return table.entity_ids, table.features
+        else:
+            def read():
+                r = read_preference_csv(path)
+                return r.dataset_ids, r.scores
+        _assert_same_reading(read, lambda: reference_wide(path))
+
+    @hypothesis_settings
+    @given(data=st.data())
+    def test_performance_tables(self, tmp_path, data):
+        n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        cells = data.draw(st.permutations([(i, j) for i in range(n)
+                                           for j in range(m)]))
+        rows = [["dataset_id", "workflow_id", "performance"]]
+        rows += [[f"d{i}", f"w{j}", data.draw(number_token())]
+                 for i, j in cells]
+        rows = data.draw(faults(rows, [2], ("bad token", "short row",
+                                            "long row", "duplicate cell",
+                                            "dropped cell")))
+        path = tmp_path / "performance.csv"
+        _write_rows(path, rows)
+
+        def read():
+            p = read_performance_csv(path)
+            return (p.dataset_ids, p.workflow_ids), p.values
+        _assert_same_reading(read, lambda: reference_performance(path))
+
+    @hypothesis_settings
+    @given(data=st.data())
+    def test_outcome_tables(self, data):
+        m, instances = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+        bits = number_token(st.sampled_from((0.0, 1.0, -0.0)), spellings=())
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in ("d0", "d1"):
+                rows = [[f"w{j}" for j in range(m)]]
+                rows += [data.draw(st.lists(bits, min_size=m, max_size=m))
+                         for _ in range(instances)]
+                _write_rows(Path(tmp) / f"{name}.csv",
+                            data.draw(faults(rows, range(m))))
+
+            def read():
+                cube = read_outcome_dir(tmp)
+                return cube.dataset_ids, np.stack(cube.matrices)
+            _assert_same_reading(read, lambda: reference_outcomes(tmp))
