@@ -209,7 +209,7 @@ def cmd_train(resolved):
 
 
 def cmd_evaluate(resolved):
-    data = io.read_bundle(resolved["bundle"])
+    data = io.read_bundle(resolved["bundle"], performance=True)  # for t5p
     protocol = Protocol(resolved["protocol"])
     try:
         strategies = [_STRATEGY_ALIASES[s.strip()]
@@ -283,9 +283,9 @@ def cmd_predict(resolved):
             raise CliError(f"non-finite score of query {qid!r} for "
                            f"{targets.entity_ids[bad[0]]!r}: a query "
                            "descriptor is too large for the model", exit_code=1)
-        rows += ([qid, tid, repr(float(score)), pred.strategy.value,
-                  ";".join(pred.flags)]
-                 for tid, score in zip(targets.entity_ids, pred.values))
+        strategy_name, flags = pred.strategy.value, ";".join(pred.flags)
+        rows += ([qid, tid, repr(score), strategy_name, flags]
+                 for tid, score in zip(targets.entity_ids, pred.values.tolist()))
 
     out = Path(resolved["out"])
     with open(out, "w", newline="", encoding="utf-8") as fh:

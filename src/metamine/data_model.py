@@ -156,12 +156,12 @@ class PreferenceMatrix:
 @dataclass(frozen=True)
 class MetaMiningData:
     """One bundle: the descriptor tables X and A, the preference matrix R
-    and the performance matrix P."""
+    and the performance matrix P (None where it was not read)."""
 
     x: DescriptorTable
     a: DescriptorTable
     r: PreferenceMatrix
-    performance: PerformanceMatrix
+    performance: Optional[PerformanceMatrix] = None
 
 
 @dataclass(frozen=True)
@@ -329,10 +329,10 @@ def _check_standardizes(report, where, table):
 
 
 def validate_tables(x: DescriptorTable, a: DescriptorTable,
-                    p: PerformanceMatrix,
+                    p: Optional[PerformanceMatrix],
                     r: Optional[PreferenceMatrix] = None) -> ValidationReport:
-    """Cross-check the descriptor tables, the performance matrix and, when
-    given, the preference matrix: the one rule for a valid bundle.
+    """Cross-check the descriptor tables and, when given, the performance
+    and preference matrices: the one rule for a valid bundle.
 
     Collects every violation (never aborts): duplicate ids, non-finite
     values, descriptor columns that do not standardize to finite values,
@@ -347,13 +347,13 @@ def validate_tables(x: DescriptorTable, a: DescriptorTable,
     _check_finite(report, "A", a.features)
     _check_standardizes(report, "X", x)
     _check_standardizes(report, "A", a)
-    _check_finite(report, "P", p.values)
-
-    for i, j in np.argwhere(np.isfinite(p.values) & ((p.values < 0) | (p.values > 1))):
-        report.add("P", f"({i},{j})", f"performance {p.values[i, j]} out of [0,1]")
-
-    _check_same_ids(report, "P", "dataset", p.dataset_ids, "X", x.entity_ids)
-    _check_same_ids(report, "P", "workflow", p.workflow_ids, "A", a.entity_ids)
+    if p is not None:
+        _check_finite(report, "P", p.values)
+        for i, j in np.argwhere(np.isfinite(p.values)
+                                & ((p.values < 0) | (p.values > 1))):
+            report.add("P", f"({i},{j})", f"performance {p.values[i, j]} out of [0,1]")
+        _check_same_ids(report, "P", "dataset", p.dataset_ids, "X", x.entity_ids)
+        _check_same_ids(report, "P", "workflow", p.workflow_ids, "A", a.entity_ids)
     if r is not None:
         _check_finite(report, "R", r.scores)
         for coordinate, reason in r.invariant_violations():

@@ -268,6 +268,9 @@ def run_lodo(data: MetaMiningData, strategies, hyper: HyperParams,
     remaining datasets (standardization refit per fold)."""
     if data.x.n_entities < 3:
         raise ValueError("leave-one-dataset-out needs at least 3 datasets")
+    if data.performance is None:
+        raise ValueError("leave-one-dataset-out scores the top-5 performance "
+                         "and needs the performance matrix P")
     return _run(Protocol.LODO, data, strategies, hyper, jobs,
                 [(i, None) for i in range(data.x.n_entities)])
 

@@ -17,7 +17,11 @@ File formats:
                       performance.csv, R.csv (preference matrix) and
                       manifest.json; ingest writes the manifest once the
                       tables pass validate_tables, and read_bundle checks
-                      them again on every read
+                      the tables it reads again: X, A and R on every read,
+                      performance.csv only where the caller asks for P
+
+Every writer formats a float as repr does: the shortest decimal string
+that parses back to the same float.
 """
 
 from __future__ import annotations
@@ -43,9 +47,9 @@ class IngestError(ValueError):
     """Raised on malformed input files (missing headers, bad values)."""
 
 
-def _repr(value):
-    """Shortest decimal string that parses back to the same float."""
-    return repr(float(value))
+def _reprs(values):
+    """Each row of a float array as the repr strings of its values."""
+    return [list(map(repr, row)) for row in values.tolist()]
 
 
 def _read_rows(path):
@@ -63,28 +67,40 @@ def _parse_float(token, path, where):
         raise IngestError(f"{path}: {where}: not a number: {token!r}") from None
 
 
-def _floats(path, rows):
+def _first_bad_token(path, rows, binary):
+    """Parse the tokens of rows one by one, in line order, and raise on
+    the first that is not a number (or, with binary, not 0 or 1)."""
+    for (i, *_), token in np.ndenumerate(np.array(rows, dtype=object)):
+        value = _parse_float(token, path, f"line {i + 2}")
+        if binary and value not in (0.0, 1.0):
+            raise IngestError(f"{path}: line {i + 2}: not 0 or 1: {token!r}")
+
+
+def _floats(path, rows, binary=False):
     """The numeric tokens of rows[i] (one token, or a list of them), line
-    i + 2 of path, as one float array. numpy converts a str as float()
-    does; only when it fails are the tokens parsed again one by one, in
-    line order, to name the first bad one."""
+    i + 2 of path, as one float array; with binary, every value must be 0
+    or 1. numpy converts a str as float() does; only when it fails, or a
+    value is not 0 or 1, are the tokens parsed again one by one to name
+    the first bad one."""
     try:
-        return np.array(rows, dtype=float)
+        values = np.array(rows, dtype=float)
     except ValueError:
-        for (i, *_), token in np.ndenumerate(np.array(rows, dtype=object)):
-            _parse_float(token, path, f"line {i + 2}")
+        _first_bad_token(path, rows, binary)
         raise
+    if binary and not np.isin(values, (0.0, 1.0)).all():
+        _first_bad_token(path, rows, binary)
+    return values
 
 
-def _numeric_body(path, rows, skip):
+def _numeric_body(path, rows, skip, binary=False):
     """The lines under the header, all as wide as it, as one float array
-    of their columns from skip on. A file with several faults reports the
-    first in line order."""
+    of their columns from skip on (values 0 or 1 with binary). A file with
+    several faults reports the first in line order."""
     width, body = len(rows[0]), rows[1:]
     if not body:
         raise IngestError(f"{path}: no data rows under the header")
     good = next((i for i, row in enumerate(body) if len(row) != width), len(body))
-    values = _floats(path, [row[skip:] for row in body[:good]])
+    values = _floats(path, [row[skip:] for row in body[:good]], binary)
     if good < len(body):
         raise IngestError(f"{path}: line {good + 2}: expected {width} "
                           f"fields, got {len(body[good])}")
@@ -106,8 +122,7 @@ def _write_wide(path, id_header, columns, ids, values):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow([id_header, *columns])
-        for eid, row in zip(ids, values):
-            w.writerow([eid, *(_repr(v) for v in row)])
+        w.writerows([eid, *row] for eid, row in zip(ids, _reprs(values)))
 
 
 def read_descriptor_csv(path, kind: TableKind) -> DescriptorTable:
@@ -171,9 +186,9 @@ def write_performance_csv(path, perf: PerformanceMatrix):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["dataset_id", "workflow_id", "performance"])
-        for i, ds in enumerate(perf.dataset_ids):
-            for j, wf in enumerate(perf.workflow_ids):
-                w.writerow([ds, wf, _repr(perf.values[i, j])])
+        w.writerows([ds, wf, value]
+                    for ds, row in zip(perf.dataset_ids, _reprs(perf.values))
+                    for wf, value in zip(perf.workflow_ids, row))
 
 
 def read_preference_csv(path) -> PreferenceMatrix:
@@ -188,7 +203,7 @@ def write_preference_csv(path, r: PreferenceMatrix):
 
 def read_outcome_dir(directory) -> OutcomeCube:
     """One CSV per dataset, named <dataset_id>.csv; all files must share
-    the same workflow columns."""
+    the same workflow columns, and every cell is 0 or 1."""
     directory = Path(directory)
     files = sorted(directory.glob("*.csv"))
     if not files:
@@ -203,7 +218,7 @@ def read_outcome_dir(directory) -> OutcomeCube:
         elif cols != workflow_ids:
             raise IngestError(f"{path}: workflow columns differ from {files[0]}")
         dataset_ids.append(path.stem)
-        matrices.append(_numeric_body(path, rows, 0))
+        matrices.append(_numeric_body(path, rows, 0, binary=True))
     return OutcomeCube(dataset_ids=tuple(dataset_ids),
                        workflow_ids=workflow_ids, matrices=tuple(matrices))
 
@@ -215,8 +230,7 @@ def write_outcome_dir(directory, cube: OutcomeCube):
         with open(directory / f"{eid}.csv", "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(cube.workflow_ids)
-            for row in mat:
-                w.writerow([int(v) for v in row])
+            w.writerows(mat.astype(int).tolist())
 
 
 def read_significance_csv(path):
@@ -278,15 +292,18 @@ def check_bundle(data: MetaMiningData, where) -> MetaMiningData:
     return data
 
 
-def read_bundle(directory) -> MetaMiningData:
-    """Read a bundle and check its tables, as ingest checked them."""
+def read_bundle(directory, performance=False) -> MetaMiningData:
+    """Read a bundle and check its tables, as ingest checked them. The
+    performance matrix P is read only when asked for; without it, the
+    bundle's P is None and performance.csv is not opened."""
     directory = Path(directory)
     if not (directory / "manifest.json").exists():
         raise IngestError(f"{directory}: not a bundle (missing manifest.json)")
     return check_bundle(MetaMiningData(
         x=read_descriptor_csv(directory / "X.csv", TableKind.DATASET),
         a=read_descriptor_csv(directory / "A.csv", TableKind.WORKFLOW),
-        performance=read_performance_csv(directory / "performance.csv"),
+        performance=(read_performance_csv(directory / "performance.csv")
+                     if performance else None),
         r=read_preference_csv(directory / "R.csv")), directory)
 
 
@@ -315,8 +332,8 @@ def write_json(path, doc):
 
 
 def _record_to_dict(rec: StandardizationRecord):
-    return {"mean": [_repr(v) for v in rec.mean],
-            "scale": [_repr(v) for v in rec.scale],
+    return {"mean": list(map(repr, rec.mean.tolist())),
+            "scale": list(map(repr, rec.scale.tolist())),
             "constant_columns": list(rec.constant_columns)}
 
 
@@ -326,8 +343,8 @@ def save_model(path, params: ModelParams, trace_summary=None):
         "format_version": MODEL_FORMAT_VERSION,
         "objective": params.objective,
         "t": params.t,
-        "u": [[_repr(v) for v in row] for row in params.u],
-        "v": [[_repr(v) for v in row] for row in params.v],
+        "u": _reprs(params.u),
+        "v": _reprs(params.v),
         "hyper": params.hyper.to_dict(),
         "x_standardization": _record_to_dict(params.x_standardization),
         "a_standardization": _record_to_dict(params.a_standardization),

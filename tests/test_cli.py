@@ -774,3 +774,88 @@ class TestHugeDescriptorValue:
         err = capsys.readouterr().err
         assert "tables fail validation" in err and "1e+308" in err
         assert not out.exists()
+
+
+class TestOutcomeCellNotZeroOrOne:
+    """ingest names the file, line and token of an outcome cell that is not
+    0 or 1, as it names a token that is not a number."""
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e308", "2"])
+    def test_exits_one_naming_file_line_and_token(self, tmp_path, capsys,
+                                                  token):
+        raw = tmp_path / "raw"
+        assert run(["synth", "--n", "6", "--m", "5", "--mode", "outcome",
+                    "--instances", "20", "--seed", "2", "--out", str(raw)]) == 0
+        victim = sorted((raw / "outcomes").glob("*.csv"))[3]
+        _edit_cell(victim, 4, 2, token)
+        capsys.readouterr()
+        code = run(["ingest", "--x", str(raw / "X.csv"),
+                    "--a", str(raw / "A.csv"),
+                    "--performance", str(raw / "performance.csv"),
+                    "--outcomes-dir", str(raw / "outcomes"),
+                    "--out", str(tmp_path / "bundle")])
+        assert code == 1
+        assert f"error: {victim}: line 5: not 0 or 1: {token!r}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "bundle").exists()
+
+
+class TestPerformanceReadWhereUsed:
+    """train and predict never open performance.csv: a bundle whose P is
+    gone or out of range trains and serves as the intact bundle does,
+    while evaluate (which scores t5p from P) and ingest still reject it."""
+
+    EDITS = ("deleted", "holds 2.0")
+
+    @staticmethod
+    def outputs(bundle, out, queries):
+        """Train f3 on bundle and serve both of its tasks; the bytes of
+        the model and of each prediction CSV."""
+        out.mkdir()
+        model = out / "model.json"
+        assert run(["train", "--bundle", str(bundle), "--objective", "f3",
+                    "--max-iters", "20", "--out", str(model)]) == 0
+        for task in ("workflow_prefs", "pair_score"):
+            assert run(["predict", "--model", str(model), "--bundle",
+                        str(bundle), "--task", task,
+                        "--x", str(queries / "X.csv"),
+                        "--a", str(queries / "A.csv"),
+                        "--out", str(out / f"{task}.csv")]) == 0
+        return {p.name: p.read_bytes() for p in (
+            model, out / "workflow_prefs.csv", out / "pair_score.csv")}
+
+    @staticmethod
+    def edited(bundle, tmp_path, edit):
+        copy = tmp_path / "edited"
+        shutil.copytree(bundle, copy)
+        if edit == "deleted":
+            (copy / "performance.csv").unlink()
+        else:
+            _edit_cell(copy / "performance.csv", 1, 2, "2.0")
+        return copy
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_train_and_predict_ignore_p(self, bundle, tmp_path, edit):
+        intact = self.outputs(bundle, tmp_path / "intact", bundle)
+        edited = self.edited(bundle, tmp_path, edit)
+        assert self.outputs(edited, tmp_path / "out", bundle) == intact
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_evaluate_and_ingest_still_check_p(self, bundle, tmp_path, capsys,
+                                               edit):
+        edited = self.edited(bundle, tmp_path, edit)
+        message = ("performance.csv" if edit == "deleted" else
+                   "P[(0,0)]: performance 2.0 out of [0,1]")
+        out = tmp_path / "out"
+        for argv in (["evaluate", "--bundle", str(edited), "--protocol", "lodo",
+                      "--strategies", "def,f3", "--max-iters", "5",
+                      "--out", str(out)],
+                     ["ingest", "--x", str(edited / "X.csv"),
+                      "--a", str(edited / "A.csv"),
+                      "--performance", str(edited / "performance.csv"),
+                      "--preferences", str(edited / "R.csv"),
+                      "--out", str(out)]):
+            capsys.readouterr()
+            assert run(argv) == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()

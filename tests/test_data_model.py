@@ -97,6 +97,24 @@ class TestValidateTablesWithPreferences:
         assert "do not match" in issues[0].reason
         assert "'stranger'" in issues[0].reason
 
+    def test_without_performance_the_p_checks_are_skipped(self, small_tables):
+        # a command that reads no P (train, predict) checks X, A and R alone;
+        # the same P is still an issue wherever it is given
+        x, a, p = small_tables
+        values = p.values.copy()
+        values[0, 1] = 2.0
+        bad = PerformanceMatrix(("stranger", *p.dataset_ids[1:]),
+                                p.workflow_ids, values)
+        r = _preferences(x, a, self.valid)
+        assert validate_tables(x, a, None, r).passed
+        issues = validate_tables(x, a, bad, r).issues
+        assert [(i.where, i.coordinate) for i in issues] == [
+            ("P", "(0,1)"), ("P", "dataset_ids")]
+        scores = np.array(self.valid)
+        scores[0, 0] = 1e9
+        issues = validate_tables(x, a, None, _preferences(x, a, scores)).issues
+        assert {i.where for i in issues} == {"R"}
+
     def test_check_invariants_raises_the_first_issue(self):
         r = PreferenceMatrix(("d0",), ("w0", "w1", "w2"), [[0.0, 1.0, 2.0]])
         assert r.invariant_violations() == []

@@ -117,6 +117,15 @@ class TestRunLodo:
         with pytest.raises(ValueError, match="at least 3"):
             run_lodo(shrunk, [Strategy.DEFAULT], FAST)
 
+    def test_without_performance_rejected(self):
+        # t5p needs P; a bundle read without it is a ValueError before any
+        # fold, while LOWO, which scores no t5p, runs without P
+        data = synth_data(seed=6)
+        bare = MetaMiningData(x=data.x, a=data.a, r=data.r)
+        with pytest.raises(ValueError, match="performance matrix P"):
+            run_lodo(bare, [Strategy.DEFAULT], FAST)
+        assert len(run_lowo(bare, [Strategy.DEFAULT], FAST).folds) == 5
+
     def test_no_leakage_from_held_out_row(self):
         """Perturbing the held-out row of R never changes training-fold
         models: predictions for that fold are bitwise identical."""

@@ -8,15 +8,19 @@ import pytest
 from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
-from metamine.data_model import (DescriptorTable, PerformanceMatrix,
-                                 PreferenceMatrix, TableKind)
-from metamine.io import (IngestError, load_model, read_descriptor_csv,
-                         read_outcome_dir, read_performance_csv,
-                         read_preference_csv, read_significance_csv,
-                         save_model, write_descriptor_csv, write_outcome_dir,
+from metamine.cli import main
+from metamine.data_model import (DescriptorTable, HyperParams, MetaMiningData,
+                                 ModelParams, PerformanceMatrix,
+                                 PreferenceMatrix, StandardizationRecord,
+                                 TableKind)
+from metamine.io import (IngestError, load_model, read_bundle,
+                         read_descriptor_csv, read_outcome_dir,
+                         read_performance_csv, read_preference_csv,
+                         read_significance_csv, save_model, write_bundle,
+                         write_descriptor_csv, write_outcome_dir,
                          write_performance_csv, write_preference_csv)
 from metamine.metric_learning import ObjectiveKind, train
-from metamine.preference import build_preference_from_significance
+from metamine.preference import OutcomeCube, build_preference_from_significance
 from metamine.recommend import predict_pair
 from metamine.synth import SynthConfig, SynthMode, generate
 
@@ -537,3 +541,228 @@ class TestBulkParseOracle:
                 cube = read_outcome_dir(tmp)
                 return cube.dataset_ids, np.stack(cube.matrices)
             _assert_same_reading(read, lambda: reference_outcomes(tmp))
+
+
+class TestOutcomeCells:
+    """Every cell of an outcome CSV is 0 or 1; a file with several faults
+    reports the first in line order, whatever its kind."""
+
+    @staticmethod
+    def read(tmp_path, lines):
+        path = tmp_path / "d0.csv"
+        path.write_text("w0,w1\n" + "".join(f"{line}\n" for line in lines))
+        with pytest.raises(IngestError) as raised:
+            read_outcome_dir(tmp_path)
+        return str(raised.value), path
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e308", "2",
+                                       "-1", "0.5"])
+    def test_cell_that_is_not_0_or_1_is_named(self, tmp_path, token):
+        message, path = self.read(tmp_path, ["0,1", "1,1", f"1,{token}"])
+        assert message == f"{path}: line 4: not 0 or 1: {token!r}"
+
+    @pytest.mark.parametrize("lines, fault", [
+        (["0,2", "abc,1"], "line 2: not 0 or 1: '2'"),
+        (["abc,1", "0,2"], "line 2: not a number: 'abc'"),
+        (["2,abc", "0,1"], "line 2: not 0 or 1: '2'"),
+        (["0,1", "0,2", "1"], "line 3: not 0 or 1: '2'"),
+        (["0,1", "1", "0,2"], "line 3: expected 2 fields, got 1"),
+    ])
+    def test_first_fault_in_line_order(self, tmp_path, lines, fault):
+        message, path = self.read(tmp_path, lines)
+        assert message == f"{path}: {fault}"
+
+    def test_spellings_of_0_and_1_are_read(self, tmp_path):
+        (tmp_path / "d0.csv").write_text("w0,w1\n0.0,1e0\n-0,1.000\n")
+        cube = read_outcome_dir(tmp_path)
+        assert cube.matrices[0].tolist() == [[0.0, 1.0], [0.0, 1.0]]
+
+
+class TestReadBundlePerformance:
+    """read_bundle opens performance.csv only when the caller asks for P,
+    and then checks it by the bundle rule."""
+
+    @pytest.fixture
+    def bundle(self, tmp_path):
+        res = generate(SynthConfig(n=6, m=5, d=4, l=3, latent_t=2, seed=3))
+        data = MetaMiningData(x=res.x, a=res.a, r=res.preferences,
+                              performance=res.performance)
+        write_bundle(tmp_path / "bundle", data, preference_source="preferences")
+        return tmp_path / "bundle", data
+
+    def test_p_read_only_when_asked(self, bundle):
+        path, data = bundle
+        assert read_bundle(path).performance is None
+        p = read_bundle(path, performance=True).performance
+        assert p.values.tobytes() == data.performance.values.tobytes()
+        (path / "performance.csv").unlink()
+        assert read_bundle(path).r.scores.tobytes() == data.r.scores.tobytes()
+        with pytest.raises(FileNotFoundError, match="performance.csv"):
+            read_bundle(path, performance=True)
+
+    def test_p_checked_when_read(self, bundle):
+        path, _ = bundle
+        text = (path / "performance.csv").read_text().splitlines()
+        ds, wf, _ = text[1].split(",")
+        text[1] = f"{ds},{wf},2.0"
+        (path / "performance.csv").write_text("\n".join(text) + "\n")
+        assert read_bundle(path).performance is None
+        with pytest.raises(IngestError,
+                           match=r"P\[\(0,0\)\]: performance 2.0 out of"):
+            read_bundle(path, performance=True)
+
+
+# Floats whose text tells repr apart from other formats: signed zeros, the
+# smallest subnormal, the extremes, integral floats and values that need
+# all 17 significant digits.
+special = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
+                           1.7976931348623157e308, 2.0, -3.0, 1e16, 1e22,
+                           0.1, 1 / 3, 0.1 + 0.2, 2.675))
+seventeen_digits = st.builds(lambda mantissa, exponent: float(f"{mantissa}e{exponent}"),
+                             st.integers(10**16, 10**17 - 1), st.integers(-40, 40))
+integral = st.integers(-2**60, 2**60).map(float)
+formattable = st.one_of(special, seventeen_digits, integral, finite)
+
+
+def matrices(rows=st.integers(1, 4), columns=st.integers(1, 4),
+             values=formattable):
+    return st.tuples(rows, columns).flatmap(
+        lambda shape: st.lists(values, min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]).map(
+            lambda v: np.array(v).reshape(shape)))
+
+
+def _reference_csv(path, rows):
+    """rows written value by value: every float as repr(float(v))."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        for row in rows:
+            w.writerow(row)
+
+
+def _text(value):
+    return repr(float(value))
+
+
+class TestWritersFormatLikeRepr:
+    """Every writer gives the bytes of a writer that formats each value by
+    itself as repr(float(v)): the shortest text that reads back exactly."""
+
+    hypothesis_settings = settings(
+        deadline=None, max_examples=100,
+        suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @hypothesis_settings
+    @given(values=matrices(), wide=st.sampled_from(("X", "R")))
+    def test_wide_tables(self, tmp_path, values, wide):
+        n, k = values.shape
+        ids, columns = [f"e{i}" for i in range(n)], [f"c{j}" for j in range(k)]
+        path, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        if wide == "X":
+            write_descriptor_csv(path, DescriptorTable(ids, values, columns,
+                                                       TableKind.DATASET))
+            header = "id"
+        else:
+            write_preference_csv(path, PreferenceMatrix(ids, columns, values))
+            header = "dataset_id"
+        _reference_csv(want, [[header, *columns]] + [
+            [eid, *(_text(v) for v in row)] for eid, row in zip(ids, values)])
+        assert path.read_bytes() == want.read_bytes()
+
+    @hypothesis_settings
+    @given(values=matrices())
+    def test_performance(self, tmp_path, values):
+        n, m = values.shape
+        datasets, workflows = [f"d{i}" for i in range(n)], [f"w{j}" for j in range(m)]
+        path, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_performance_csv(path, PerformanceMatrix(datasets, workflows, values))
+        _reference_csv(want, [["dataset_id", "workflow_id", "performance"]] + [
+            [ds, wf, _text(values[i, j])] for i, ds in enumerate(datasets)
+            for j, wf in enumerate(workflows)])
+        assert path.read_bytes() == want.read_bytes()
+
+    @hypothesis_settings
+    @given(bits=st.lists(matrices(st.integers(1, 5), st.just(3),
+                                  st.sampled_from((0.0, 1.0, -0.0))),
+                         min_size=1, max_size=3))
+    def test_outcome_dir(self, tmp_path, bits):
+        ids = [f"d{i}" for i in range(len(bits))]
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got", Path(tmp) / "want"
+            write_outcome_dir(got, OutcomeCube(ids, ("w0", "w1", "w2"), bits))
+            want.mkdir()
+            for eid, mat in zip(ids, bits):
+                _reference_csv(want / f"{eid}.csv", [["w0", "w1", "w2"]] + [
+                    [int(v) for v in row] for row in mat])
+                assert (got / f"{eid}.csv").read_bytes() == \
+                    (want / f"{eid}.csv").read_bytes()
+
+    @hypothesis_settings
+    @given(data=st.data())
+    def test_model(self, tmp_path, data):
+        d, l, t = (data.draw(st.integers(1, 4)) for _ in range(3))
+        u = data.draw(matrices(st.just(d), st.just(t)))
+        v = data.draw(matrices(st.just(l), st.just(t)))
+        x_record, a_record = (StandardizationRecord(
+            mean=data.draw(matrices(st.just(1), st.just(k)))[0],
+            scale=data.draw(matrices(st.just(1), st.just(k)))[0],
+            constant_columns=()) for k in (d, l))
+        params = ModelParams(u=u, v=v, t=t, hyper=HyperParams(t=t),
+                             x_standardization=x_record,
+                             a_standardization=a_record, objective="f3")
+        path = tmp_path / "model.json"
+        save_model(path, params)
+        doc = json.loads(path.read_text())
+        doc["u"] = [[_text(value) for value in row] for row in u]
+        doc["v"] = [[_text(value) for value in row] for row in v]
+        for side, record in (("x", x_record), ("a", a_record)):
+            doc[f"{side}_standardization"].update(
+                mean=[_text(value) for value in record.mean],
+                scale=[_text(value) for value in record.scale])
+        want = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        assert path.read_text() == want
+
+
+@pytest.fixture(scope="module")
+def served_bundle(tmp_path_factory):
+    root = tmp_path_factory.mktemp("served")
+    res = generate(SynthConfig(n=6, m=5, d=4, l=3, latent_t=2, seed=3))
+    write_bundle(root, MetaMiningData(x=res.x, a=res.a, r=res.preferences,
+                                      performance=res.performance),
+                 preference_source="preferences")
+    return root
+
+
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scores=st.lists(formattable, min_size=1, max_size=6))
+def test_predict_csv_formats_like_repr(tmp_path, served_bundle, scores):
+    """predict's CSV holds the bytes of a per-value repr(float(v)) writer.
+    One feature on each side, U = V = [[1]] and the one query workflow at
+    1.0, so the pair scores are the drawn query descriptors (the kernel's
+    sums turn -0.0 into 0.0)."""
+    one = StandardizationRecord(mean=[0.0], scale=[1.0], constant_columns=())
+    params = ModelParams(u=[[1.0]], v=[[1.0]], t=1, hyper=HyperParams(t=1),
+                         x_standardization=one, a_standardization=one,
+                         objective="f3")
+    model, queries, workflow = (tmp_path / "m.json", tmp_path / "qx.csv",
+                                tmp_path / "qa.csv")
+    save_model(model, params)
+    ids = [f"q{i}" for i in range(len(scores))]
+    write_descriptor_csv(queries, DescriptorTable(
+        ids, np.array(scores)[:, None], ("f",), TableKind.DATASET))
+    write_descriptor_csv(workflow, DescriptorTable(
+        ("w0",), [[1.0]], ("g",), TableKind.WORKFLOW))
+    out, want = tmp_path / "p.csv", tmp_path / "want.csv"
+    assert main([str(a) for a in (
+        "predict", "--model", model, "--bundle", served_bundle,
+        "--task", "pair_score", "--x", queries, "--a", workflow,
+        "--out", out)]) == 0
+    table = read_descriptor_csv(queries, TableKind.DATASET)
+    _reference_csv(want, [["query_id", "target_id", "score", "strategy",
+                           "flags"]] + [
+        [qid, "w0", _text(score), "f3_direct", ""]
+        for qid, feats in zip(table.entity_ids, table.features)
+        for score in predict_pair(params.transform_dataset(feats),
+                                  np.array([[1.0]]), params)])
+    assert out.read_bytes() == want.read_bytes()
