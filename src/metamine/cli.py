@@ -209,8 +209,10 @@ def cmd_train(resolved):
 
 
 def cmd_evaluate(resolved):
-    data = io.read_bundle(resolved["bundle"], performance=True)  # for t5p
     protocol = Protocol(resolved["protocol"])
+    # only LODO scores t5p, the one use of P
+    data = io.read_bundle(resolved["bundle"],
+                          performance=protocol is Protocol.LODO)
     try:
         strategies = [_STRATEGY_ALIASES[s.strip()]
                       for s in resolved["strategies"].split(",") if s.strip()]

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import stats
 
 from .data_model import HyperParams, MetaMiningData
-from .metric_learning import ObjectiveKind, train
+from .metric_learning import ObjectiveKind, train_many
 from .preference import spearman
 from .recommend import OBJECTIVES, TASKS, Strategy, Task, predict
 
@@ -187,12 +187,6 @@ _TASK_NAME = {Task.WORKFLOW_PREFS: "workflow ranking",
               Task.PAIR_SCORE: "pair scoring"}
 
 
-def _train_fold_models(strategies, x_train, a_train, r_train, hyper):
-    kinds = {ObjectiveKind(OBJECTIVES[s]) for s in strategies if s in OBJECTIVES}
-    return {kind.value: train(kind, x_train, a_train, r_train, hyper)[0]
-            for kind in sorted(kinds, key=lambda k: k.value)}
-
-
 def _metrics(pred, truth, perf_row=None, top_k=5):
     if np.ndim(pred) == 0:  # pair score
         return {"mae": abs(float(pred) - truth)}
@@ -205,15 +199,32 @@ def _metrics(pred, truth, perf_row=None, top_k=5):
     return out
 
 
-def _fold(held, data, strategies, hyper):
-    """One fold with dataset i and/or workflow j held out, held = (i, j)
-    with None for the axis kept whole. Every learning strategy is retrained
-    on the rest (standardization refit per fold)."""
+def _training_set(held, data):
+    """The fold's (X, A, R) with dataset i and/or workflow j held out,
+    held = (i, j) with None for the axis kept whole."""
     i, j = held
-    x_train = data.x if i is None else data.x.drop_entity(i)
-    a_train = data.a if j is None else data.a.drop_entity(j)
-    r_train = data.r.drop(dataset_index=i, workflow_index=j)
-    models = _train_fold_models(strategies, x_train, a_train, r_train, hyper)
+    return (data.x if i is None else data.x.drop_entity(i),
+            data.a if j is None else data.a.drop_entity(j),
+            data.r.drop(dataset_index=i, workflow_index=j))
+
+
+def _train_fold_models(strategies, training_sets, hyper):
+    """Per fold, the model of each objective the learning strategies use,
+    retrained on the fold's training set (standardization refit per
+    fold). Every fold's descents run in one train_many."""
+    kinds = sorted({ObjectiveKind(OBJECTIVES[s]) for s in strategies
+                    if s in OBJECTIVES}, key=lambda k: k.value)
+    trained = iter(train_many([(kind, *training) for training in training_sets
+                               for kind in kinds], hyper))
+    return [{kind.value: next(trained)[0] for kind in kinds}
+            for _ in training_sets]
+
+
+def _fold(held, training, models, data, strategies, hyper):
+    """Score every strategy on one fold, held = (i, j) as in
+    _training_set, with the fold's training set and trained models."""
+    i, j = held
+    x_train, a_train, r_train = training
     x_new = None if i is None else data.x.features[i]
     a_new = None if j is None else data.a.features[j]
     perf_row = None
@@ -244,20 +255,24 @@ def _fold(held, data, strategies, hyper):
 
 
 def _run(protocol, data, strategies, hyper, jobs, held):
-    """Run one fold per held-out key, after dropping the strategies that
-    cannot serve the protocol's task (each with a notice)."""
+    """Train every fold's models, then score one fold per held-out key,
+    after dropping the strategies that cannot serve the protocol's task
+    (each with a notice). jobs > 1 spreads the scoring over threads."""
     task = _TASK[protocol]
     notices = [f"strategy {s.value} is not applicable to {_TASK_NAME[task]}; excluded"
                for s in strategies if task not in TASKS[s]]
     strategies = [s for s in strategies if task in TASKS[s]]
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
-    run_fold = partial(_fold, data=data, strategies=strategies, hyper=hyper)
+    training_sets = [_training_set(key, data) for key in held]
+    models = _train_fold_models(strategies, training_sets, hyper)
+    score = partial(_fold, data=data, strategies=strategies, hyper=hyper)
     if jobs == 1:
-        folds = [run_fold(key) for key in held]
+        folds = list(map(score, held, training_sets, models))
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            folds = list(pool.map(run_fold, held))  # ordered: deterministic aggregation
+            # ordered: deterministic aggregation
+            folds = list(pool.map(score, held, training_sets, models))
     return EvaluationReport(protocol=protocol, strategies=strategies,
                             folds=folds, notices=notices)
 

@@ -15,9 +15,9 @@ descriptor tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -88,8 +88,11 @@ class TrainTrace:
 
 
 def _sq(m):
-    # vdot skips the Python-level reduction wrapper of np.sum
-    return float(np.vdot(m, m))
+    """The squared Frobenius norm of m (r x c), or of each matrix in a
+    stack of them (k x r x c): one vecdot per flattened matrix, the dot
+    that np.vdot takes."""
+    flat = m.reshape(len(m), -1) if m.ndim == 3 else m.reshape(-1)
+    return np.vecdot(flat, flat)
 
 
 def _project(q_left, target, q_right):
@@ -100,7 +103,7 @@ def _project(q_left, target, q_right):
     if target is None:
         return None, 0.0
     small = q_left.T @ target @ q_right
-    return small, _sq(target - q_left @ small @ q_right.T)
+    return small, float(_sq(target - q_left @ small @ q_right.T))
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,9 @@ class ReducedObjective:
     Each fit term splits into a constant plus a small residual, e.g.
     ||R - X U V' A'||^2 = c_r + ||Q_x' R Q_a - R_x U V' R_a'||^2, so one
     evaluation costs O((d + l)^2 t) whatever n and m are. Targets the
-    objective kind lacks stay None."""
+    objective kind lacks stay None. A stack of k problems of the same
+    shapes holds each field with a leading axis of length k (the
+    constants as k-vectors); the same products then evaluate all k."""
 
     rx: np.ndarray                      # min(n, d) x d
     ra: np.ndarray                      # min(m, l) x l
@@ -120,6 +125,23 @@ class ReducedObjective:
     c_x: float                          # the constants dropped by each
     c_a: float                          # projection, all >= 0
     c_r: float
+
+    @staticmethod
+    def stack(reduced) -> ReducedObjective:
+        """The problems of `reduced` stacked on a leading axis; a target
+        some problem lacks is left out."""
+        columns = {f.name: [getattr(red, f.name) for red in reduced]
+                   for f in fields(ReducedObjective)}
+        return ReducedObjective(**{
+            name: None if any(c is None for c in column) else np.stack(column)
+            for name, column in columns.items()})
+
+    def take(self, keep) -> ReducedObjective:
+        """The problems of a stack where the mask `keep` is true."""
+        return ReducedObjective(**{
+            f.name: None if getattr(self, f.name) is None
+            else getattr(self, f.name)[keep]
+            for f in fields(ReducedObjective)})
 
 
 def _reduce(obj: Objective) -> ReducedObjective:
@@ -133,27 +155,35 @@ def _reduce(obj: Objective) -> ReducedObjective:
                             c_x=c_x, c_a=c_a, c_r=c_r)
 
 
-def _residuals(red: ReducedObjective, u: np.ndarray, v: np.ndarray):
+# the fit terms each kind weighs: S_X's, S_A's and R's
+_TERMS = {ObjectiveKind.F1: (True, False, False),
+          ObjectiveKind.F2: (False, True, False),
+          ObjectiveKind.F3: (False, False, True),
+          ObjectiveKind.F4: (True, True, True)}
+
+
+def _residuals(kind, red: ReducedObjective, u: np.ndarray, v: np.ndarray):
     """P = R_x U, W = R_a V and the small residuals E1 = S~_X - P P',
-    E2 = S~_A - W W', E3 = R~ - P W' (None where the target is)."""
-    p = red.rx @ u
-    w = red.ra @ v
-    e1 = None if red.s_x is None else red.s_x - p @ p.T
-    e2 = None if red.s_a is None else red.s_a - w @ w.T
-    e3 = None if red.r is None else red.r - p @ w.T
+    E2 = S~_A - W W', E3 = R~ - P W' (None where the kind does not use
+    them). Works alike on one problem and on a stack."""
+    fx, fa, fr = _TERMS[kind]
+    p = red.rx @ u if fx or fr else None
+    w = red.ra @ v if fa or fr else None
+    e1 = red.s_x - p @ p.mT if fx else None
+    e2 = red.s_a - w @ w.mT if fa else None
+    e3 = red.r - p @ w.mT if fr else None
     return p, w, e1, e2, e3
 
 
-def objective_value(obj: Objective, u: np.ndarray, v: np.ndarray,
-                    hyper: HyperParams) -> float:
-    red = obj.reduced
-    _, _, e1, e2, e3 = _residuals(red, u, v)
-    k = obj.kind
-    if k is ObjectiveKind.F1:
+def _value(kind, red, u, v, res, hyper):
+    """The objective at (u, v), whose residuals are res: a 0-d value for
+    one problem, a k-vector for a stack."""
+    _, _, e1, e2, e3 = res
+    if kind is ObjectiveKind.F1:
         return red.c_x + _sq(e1) + hyper.mu1 * _sq(u)
-    if k is ObjectiveKind.F2:
+    if kind is ObjectiveKind.F2:
         return red.c_a + _sq(e2) + hyper.mu2 * _sq(v)
-    if k is ObjectiveKind.F3:
+    if kind is ObjectiveKind.F3:
         return red.c_r + _sq(e3) + hyper.mu1 * _sq(u) + hyper.mu2 * _sq(v)
     # f4: the three data-fit terms weighted, regularizers applied once
     return (hyper.alpha * (red.c_x + _sq(e1))
@@ -162,24 +192,36 @@ def objective_value(obj: Objective, u: np.ndarray, v: np.ndarray,
             + hyper.mu1 * _sq(u) + hyper.mu2 * _sq(v))
 
 
+def _gradient(kind, red, u, v, res, hyper):
+    """(gU, gV) of _value at (u, v), whose residuals are res: the
+    gradients in P and W mapped back through R_x' and R_a'."""
+    p, w, e1, e2, e3 = res
+    if kind is ObjectiveKind.F1:
+        return red.rx.mT @ (-4.0 * (e1 @ p)) + 2.0 * hyper.mu1 * u, np.zeros_like(v)
+    if kind is ObjectiveKind.F2:
+        return np.zeros_like(u), red.ra.mT @ (-4.0 * (e2 @ w)) + 2.0 * hyper.mu2 * v
+    if kind is ObjectiveKind.F3:
+        return (red.rx.mT @ (-2.0 * (e3 @ w)) + 2.0 * hyper.mu1 * u,
+                red.ra.mT @ (-2.0 * (e3.mT @ p)) + 2.0 * hyper.mu2 * v)
+    gp = -4.0 * hyper.alpha * (e1 @ p) - 2.0 * hyper.gamma * (e3 @ w)
+    gw = -4.0 * hyper.beta * (e2 @ w) - 2.0 * hyper.gamma * (e3.mT @ p)
+    return (red.rx.mT @ gp + 2.0 * hyper.mu1 * u,
+            red.ra.mT @ gw + 2.0 * hyper.mu2 * v)
+
+
+def objective_value(obj: Objective, u: np.ndarray, v: np.ndarray,
+                    hyper: HyperParams) -> float:
+    red = obj.reduced
+    return float(_value(obj.kind, red, u, v,
+                        _residuals(obj.kind, red, u, v), hyper))
+
+
 def gradient(obj: Objective, u: np.ndarray, v: np.ndarray,
              hyper: HyperParams):
-    """Analytic gradients (gU, gV) of objective_value: the gradients in
-    P and W mapped back through R_x' and R_a'."""
+    """Analytic gradients (gU, gV) of objective_value."""
     red = obj.reduced
-    p, w, e1, e2, e3 = _residuals(red, u, v)
-    k = obj.kind
-    if k is ObjectiveKind.F1:
-        return red.rx.T @ (-4.0 * (e1 @ p)) + 2.0 * hyper.mu1 * u, np.zeros_like(v)
-    if k is ObjectiveKind.F2:
-        return np.zeros_like(u), red.ra.T @ (-4.0 * (e2 @ w)) + 2.0 * hyper.mu2 * v
-    if k is ObjectiveKind.F3:
-        return (red.rx.T @ (-2.0 * (e3 @ w)) + 2.0 * hyper.mu1 * u,
-                red.ra.T @ (-2.0 * (e3.T @ p)) + 2.0 * hyper.mu2 * v)
-    gp = -4.0 * hyper.alpha * (e1 @ p) - 2.0 * hyper.gamma * (e3 @ w)
-    gw = -4.0 * hyper.beta * (e2 @ w) - 2.0 * hyper.gamma * (e3.T @ p)
-    return (red.rx.T @ gp + 2.0 * hyper.mu1 * u,
-            red.ra.T @ gw + 2.0 * hyper.mu2 * v)
+    return _gradient(obj.kind, red, u, v, _residuals(obj.kind, red, u, v),
+                     hyper)
 
 
 def _svd_warm_start(obj: Objective, t: int):
@@ -223,53 +265,130 @@ def initialize(obj: Objective, t: int, hyper: HyperParams):
     return u, v
 
 
-def minimize(obj: Objective, u0: np.ndarray, v0: np.ndarray,
-             hyper: HyperParams):
-    """Gradient descent with Armijo backtracking on the stacked (U, V).
+def _descend(kind, red: ReducedObjective, u, v, hyper):
+    """Gradient descent with Armijo backtracking on the stacked (U, V) of
+    each problem of a stack (red, u and v carry a leading problem axis),
+    all problems in lock-step: one loop, each product taken once for the
+    whole stack.
 
-    The accepted objective sequence is non-increasing by construction.
-    Returns (u, v, TrainTrace).
-    """
-    u, v = u0.copy(), v0.copy()
-    f = objective_value(obj, u, v, hyper)
-    values = [f]
-    steps = []
-    grad_norms = []
-    step = 1.0
-    reason = StopReason.MAX_ITERS
+    Every problem keeps its own step size, backtracking and stop reason,
+    and takes exactly the steps it would take alone. A problem leaves the
+    stack when it stops; until then the loop does no per-problem work.
+    Each gradient reuses the residuals of the accepted trial. Returns the
+    per-problem lists of U, V and TrainTrace, in stack order."""
+    k = len(u)
+    res = _residuals(kind, red, u, v)
+    f = _value(kind, red, u, v, res, hyper)
+    step = np.ones(k)
+    live = np.arange(k)                 # stack position -> problem
+    us, vs = [None] * k, [None] * k
+    traces = [TrainTrace([], [], [], StopReason.MAX_ITERS) for _ in range(k)]
+    # one entry per iteration, holding a value per live problem; moved
+    # into the traces whenever the stack shrinks
+    history = {"objective_values": [f], "step_sizes": [], "gradient_norms": []}
+
+    def retire(done, reason, *arrays):
+        """Take the problems at the stack positions `done` (a mask) out
+        of the stack with `reason`; returns `arrays` without their rows."""
+        nonlocal red, u, v, res, f, step, live
+        for name, entries in history.items():
+            if entries:
+                table = np.concatenate(entries).reshape(len(entries), -1)
+                for j, column in zip(live.tolist(), table.T.tolist()):
+                    getattr(traces[j], name).extend(column)
+                entries.clear()
+        for pos in np.flatnonzero(done).tolist():
+            j = live[pos]
+            traces[j].reason = reason
+            us[j], vs[j] = u[pos], v[pos]
+        keep = ~done
+        red, u, v, f, step, live = (red.take(keep), u[keep], v[keep], f[keep],
+                                    step[keep], live[keep])
+        res = tuple(None if e is None else e[keep] for e in res)
+        return tuple(None if a is None else a[keep] for a in arrays)
+
     for _ in range(hyper.max_iters):
-        gu, gv = gradient(obj, u, v, hyper)
-        g_sq = _sq(gu) + _sq(gv)
-        grad_norms.append(float(np.sqrt(g_sq)))
-        if g_sq == 0.0:
-            reason = StopReason.REL_TOL
+        if not live.size:
             break
+        gu, gv = _gradient(kind, red, u, v, res, hyper)
+        g_sq = _sq(gu) + _sq(gv)
+        g_norm = np.sqrt(g_sq)
+        if np.count_nonzero(g_sq) < live.size:      # a stationary point
+            zero = g_sq == 0.0
+            stopped = live[zero].tolist()
+            gu, gv, g_sq, g_norm = retire(zero, StopReason.REL_TOL,
+                                          gu, gv, g_sq, g_norm)
+            for j in stopped:
+                traces[j].gradient_norms.append(0.0)
+            if not live.size:
+                break
         # try growing the last accepted step before backtracking
         s = step * 2.0
-        accepted = False
         for _bt in range(MAX_BACKTRACKS):
-            f_new = objective_value(obj, u - s * gu, v - s * gv, hyper)
-            if f_new <= f - ARMIJO_ACCEPT * s * g_sq:
-                accepted = True
+            s_col = s[:, None, None]
+            u_new = u - s_col * gu
+            v_new = v - s_col * gv
+            res_new = _residuals(kind, red, u_new, v_new)
+            f_new = _value(kind, red, u_new, v_new, res_new, hyper)
+            accepted = f_new <= f - ARMIJO_ACCEPT * s * g_sq
+            if np.count_nonzero(accepted) == live.size:
                 break
-            s *= ARMIJO_SHRINK
-        if not accepted:
-            reason = StopReason.LINE_SEARCH_FAILURE
-            grad_norms.pop()
-            break
-        u -= s * gu
-        v -= s * gv
+            # shrink only the steps not accepted: an accepted problem
+            # repeats its trial and gets the same value back
+            s = np.where(accepted, s, s * ARMIJO_SHRINK)
+        else:
+            g_norm, s, u_new, v_new, f_new, *res_new = retire(
+                ~accepted, StopReason.LINE_SEARCH_FAILURE,
+                g_norm, s, u_new, v_new, f_new, *res_new)
+            if not live.size:
+                break
+        u, v, res = u_new, v_new, tuple(res_new)
         step = s
-        steps.append(s)
-        values.append(f_new)
-        decrease = (f - f_new) / max(abs(f), _TINY)
+        for entries, value in zip(history.values(), (f_new, s, g_norm)):
+            entries.append(value)
+        decrease = (f - f_new) / np.maximum(np.abs(f), _TINY)
         f = f_new
-        if decrease < hyper.rel_tol:
-            reason = StopReason.REL_TOL
-            break
-    trace = TrainTrace(objective_values=values, step_sizes=steps,
-                       gradient_norms=grad_norms, reason=reason)
-    return u, v, trace
+        converged = decrease < hyper.rel_tol
+        if np.count_nonzero(converged):
+            retire(converged, StopReason.REL_TOL)
+    retire(np.ones(live.size, dtype=bool), StopReason.MAX_ITERS)
+    return us, vs, traces
+
+
+def _descend_all(problems, hyper: HyperParams):
+    """The descents of (kind, ReducedObjective, u0, v0) problems, those of
+    the same kind and shapes as one stack. Returns the (u, v, TrainTrace)
+    of each problem, in order."""
+    groups = {}
+    for index, (kind, red, u0, v0) in enumerate(problems):
+        key = (kind, red.rx.shape, red.ra.shape, u0.shape, v0.shape)
+        groups.setdefault(key, []).append(index)
+    out = [None] * len(problems)
+    for (kind, *_), members in groups.items():
+        us, vs, traces = _descend(
+            kind, ReducedObjective.stack([problems[i][1] for i in members]),
+            np.stack([problems[i][2] for i in members]),
+            np.stack([problems[i][3] for i in members]), hyper)
+        for i, u, v, trace in zip(members, us, vs, traces):
+            out[i] = (u, v, trace)
+    return out
+
+
+def minimize_many(problems, hyper: HyperParams):
+    """minimize for each (Objective, u0, v0) of `problems`, with the
+    problems of the same kind and shapes descending as one stack. Returns
+    the (u, v, TrainTrace) of each problem, in order; each equals what
+    minimize gives for that problem alone."""
+    return _descend_all([(obj.kind, obj.reduced, u0, v0)
+                         for obj, u0, v0 in problems], hyper)
+
+
+def minimize(obj: Objective, u0: np.ndarray, v0: np.ndarray,
+             hyper: HyperParams):
+    """Gradient descent with Armijo backtracking on the stacked (U, V): a
+    stack of one problem. The accepted objective sequence is
+    non-increasing by construction. Returns (u, v, TrainTrace)."""
+    return minimize_many([(obj, u0, v0)], hyper)[0]
 
 
 def build_objective(kind: ObjectiveKind, x_std: np.ndarray, a_std: np.ndarray,
@@ -290,13 +409,10 @@ def build_objective(kind: ObjectiveKind, x_std: np.ndarray, a_std: np.ndarray,
     return Objective(kind=kind, x=x_std, a=a_std, s_x=s_x, s_a=s_a, r=r_mat)
 
 
-def train(kind: ObjectiveKind, x: DescriptorTable, a: DescriptorTable,
-          r: PreferenceMatrix, hyper: HyperParams, fit_matrix=None):
-    """Full training pipeline: standardize, pick t, initialize, descend.
-
-    Returns (ModelParams, TrainTrace). Deterministic for a fixed hyper
-    (including seed). max_iters=0 returns the initialization unchanged.
-    """
+def _setup(kind, x, a, r, hyper, fit_matrix=None):
+    """One training problem: standardize, pick t, build the objective and
+    initialize. Returns the descent's (Objective, u0, v0) and a partial
+    ModelParams that takes the descent's u and v."""
     x_std_table, x_record = standardize(x)
     a_std_table, a_record = standardize(a)
     x_std = x_std_table.features
@@ -306,11 +422,35 @@ def train(kind: ObjectiveKind, x: DescriptorTable, a: DescriptorTable,
         t = max(1, min(numeric_rank(x_std), numeric_rank(a_std)))
     obj = build_objective(kind, x_std, a_std, r, fit_matrix=fit_matrix)
     u0, v0 = initialize(obj, t, hyper)
-    u, v, trace = minimize(obj, u0, v0, hyper)
-    params = ModelParams(u=u, v=v, t=t, hyper=hyper,
-                         x_standardization=x_record,
-                         a_standardization=a_record,
-                         objective=kind.value,
-                         x_feature_names=x.feature_names,
-                         a_feature_names=a.feature_names)
-    return params, trace
+    model = partial(ModelParams, t=t, hyper=hyper,
+                    x_standardization=x_record, a_standardization=a_record,
+                    objective=kind.value, x_feature_names=x.feature_names,
+                    a_feature_names=a.feature_names)
+    return (obj, u0, v0), model
+
+
+def train(kind: ObjectiveKind, x: DescriptorTable, a: DescriptorTable,
+          r: PreferenceMatrix, hyper: HyperParams, fit_matrix=None):
+    """Full training pipeline: standardize, pick t, initialize, descend.
+
+    Returns (ModelParams, TrainTrace). Deterministic for a fixed hyper
+    (including seed). max_iters=0 returns the initialization unchanged.
+    """
+    problem, model = _setup(kind, x, a, r, hyper, fit_matrix)
+    u, v, trace = minimize(*problem, hyper)
+    return model(u=u, v=v), trace
+
+
+def train_many(problems, hyper: HyperParams):
+    """train for each (kind, x, a, r) of `problems`, the descents of the
+    same kind and shapes as one stack. Returns the (ModelParams,
+    TrainTrace) of each, in order, each equal to what train gives for it
+    alone."""
+    reduced, models = [], []
+    for kind, x, a, r in problems:
+        # keep only the QR-reduced problem, not the n x m targets
+        (obj, u0, v0), model = _setup(kind, x, a, r, hyper)
+        reduced.append((kind, obj.reduced, u0, v0))
+        models.append(model)
+    return [(model(u=u, v=v), trace) for model, (u, v, trace)
+            in zip(models, _descend_all(reduced, hyper))]

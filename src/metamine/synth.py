@@ -40,8 +40,8 @@ class SynthConfig:
             raise ValueError("all sizes must be at least 3")
         if not 1 <= self.latent_t <= min(self.d, self.l):
             raise ValueError("latent_t must be in [1, min(d, l)]")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not 0 <= self.noise_sigma < np.inf:  # nan fails too
+            raise ValueError("noise_sigma must be finite and nonnegative")
         if self.mode is SynthMode.OUTCOME_LEVEL and self.instances_per_dataset < 1:
             raise ValueError("outcome-level mode needs at least one instance per dataset")
 

@@ -859,3 +859,52 @@ class TestPerformanceReadWhereUsed:
             assert run(argv) == 1
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+
+class TestPerformanceReadOnlyForLodo:
+    """Only LODO scores t5p from P: evaluate under lowo and lodwo runs on
+    a bundle without performance.csv, lodo still names the file."""
+
+    def test_lowo_and_lodwo_run_without_p(self, bundle, tmp_path, capsys):
+        edited = tmp_path / "no_p"
+        shutil.copytree(bundle, edited)
+        (edited / "performance.csv").unlink()
+        for protocol in ("lowo", "lodwo"):
+            out = tmp_path / protocol
+            assert run(["evaluate", "--bundle", str(edited), "--protocol",
+                        protocol, "--strategies", "def,f3", "--max-iters", "5",
+                        "--out", str(out)]) == 0
+            assert (out / "report.json").exists()
+        capsys.readouterr()
+        out = tmp_path / "lodo"
+        assert run(["evaluate", "--bundle", str(edited), "--protocol", "lodo",
+                    "--strategies", "def,f3", "--max-iters", "5",
+                    "--out", str(out)]) == 1
+        assert "performance.csv" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestJobsOnlySpreadScoring:
+    @pytest.mark.parametrize("protocol", ["lodo", "lowo", "lodwo"])
+    def test_report_bytes_equal_for_one_and_two_jobs(self, bundle, tmp_path,
+                                                     protocol):
+        reports = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert run(["evaluate", "--bundle", str(bundle), "--protocol",
+                        protocol, "--strategies", "def,ec,f1,f2,f3,f4,f4-knn",
+                        "--max-iters", "30", "--jobs", jobs,
+                        "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+
+class TestNonFiniteNoiseSigma:
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_synth_exits_one(self, tmp_path, capsys, sigma):
+        out = tmp_path / "raw"
+        assert run(["synth", "--mode", "noisy", "--noise-sigma", sigma,
+                    "--out", str(out)]) == 1
+        assert "noise_sigma must be finite and nonnegative" \
+            in capsys.readouterr().err
+        assert not out.exists()

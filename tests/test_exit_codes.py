@@ -319,3 +319,61 @@ def test_one_broken_outcome_or_significance_row_exits_zero_or_one(
         assert code in (0, 1)
         if code == 0:
             assert not _bundle_holds_nan(work / "out")
+
+
+@pytest.fixture(scope="module")
+def resolved_configs(valid):
+    """The resolved-config file of a valid run of synth, ingest, evaluate
+    and predict, each with the command line (the flags argparse requires)
+    it is given to."""
+    raw, bundle = valid / "raw", valid / "bundle"
+    assert run(["evaluate", "--bundle", bundle, "--protocol", "lodo",
+                "--strategies", "def,ec,f3", "--max-iters", "5",
+                "--out", valid / "report"]) == 0
+    assert run(["predict", "--model", valid / "f3.json", "--bundle", bundle,
+                "--task", "pair_score", "--x", raw / "X.csv",
+                "--a", raw / "A.csv", "--out", valid / "p.csv"]) == 0
+    return {
+        "synth": (raw / "resolved_config.json",
+                  lambda out: ["synth", "--out", out / "raw"]),
+        "ingest": (bundle / "resolved_config.json",
+                   lambda out: ["ingest", "--x", raw / "X.csv",
+                                "--a", raw / "A.csv",
+                                "--performance", raw / "performance.csv",
+                                "--out", out / "bundle"]),
+        "evaluate": (valid / "report" / "resolved_config.json",
+                     lambda out: ["evaluate", "--bundle", bundle,
+                                  "--protocol", "lodo", "--out", out / "report"]),
+        "predict": (valid / "p.csv.config.json",
+                    lambda out: ["predict", "--model", valid / "f3.json",
+                                 "--bundle", bundle, "--task", "pair_score",
+                                 "--out", out / "p.csv"]),
+    }
+
+
+def _output_holds_nan(out):
+    """Whether any JSON file or any CSV data-row token under out is NaN."""
+    for path in Path(out).rglob("*.json"):
+        if _nan_in_json(json.loads(path.read_text())):
+            return True
+    return _bundle_holds_nan(out)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_one_broken_config_field_of_any_subcommand_exits_zero_or_one(
+        resolved_configs, data):
+    subcommand = data.draw(st.sampled_from(sorted(resolved_configs)))
+    path, command = resolved_configs[subcommand]
+    doc = json.loads(path.read_text())
+    key = data.draw(st.sampled_from(sorted(doc)))
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "out").mkdir()
+        config = work / "config.json"
+        config.write_text(json.dumps(_mutated(
+            doc, (key,), data.draw(st.sampled_from(JSON_VALUES)))))
+        code = run(["--config", config, *command(work / "out")])
+        assert code in (0, 1)
+        if code == 0:
+            assert not _output_holds_nan(work / "out")

@@ -1,12 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metamine import metric_learning as ml
 from metamine.data_model import HyperParams, InitScheme, PreferenceMatrix
+from metamine.io import save_model
 from metamine.metric_learning import (Objective, ObjectiveKind, StopReason,
                                       build_objective, gradient, initialize,
                                       minimize, objective_value, train)
+from metamine.metric_learning import TrainTrace, minimize_many, train_many
 from metamine.synth import SynthConfig, centered_scores, generate
 
 from conftest import make_tables
@@ -323,3 +328,176 @@ class TestReducedObjectiveOracle:
             assert c >= 0.0
             if in_span:
                 assert c <= 1e-12 * np.sum(target * target)
+
+
+def descend_alone(obj, u0, v0, hyper):
+    """The Armijo descent of minimize written out for one problem, on
+    Python floats: the trajectory that every problem of a stack must
+    reproduce bit for bit."""
+    u, v = u0.copy(), v0.copy()
+    f = objective_value(obj, u, v, hyper)
+    values, steps, norms = [f], [], []
+    step, reason = 1.0, StopReason.MAX_ITERS
+    for _ in range(hyper.max_iters):
+        gu, gv = gradient(obj, u, v, hyper)
+        g_sq = float(np.vdot(gu, gu)) + float(np.vdot(gv, gv))
+        norms.append(float(np.sqrt(g_sq)))
+        if g_sq == 0.0:
+            reason = StopReason.REL_TOL
+            break
+        s = step * 2.0
+        for _ in range(ml.MAX_BACKTRACKS):
+            f_new = objective_value(obj, u - s * gu, v - s * gv, hyper)
+            if f_new <= f - ml.ARMIJO_ACCEPT * s * g_sq:
+                break
+            s *= ml.ARMIJO_SHRINK
+        else:
+            norms.pop()
+            reason = StopReason.LINE_SEARCH_FAILURE
+            break
+        u, v, step = u - s * gu, v - s * gv, s
+        steps.append(s)
+        values.append(f_new)
+        decrease = (f - f_new) / max(abs(f), np.finfo(float).tiny)
+        f = f_new
+        if decrease < hyper.rel_tol:
+            reason = StopReason.REL_TOL
+            break
+    return u, v, TrainTrace(values, steps, norms, reason)
+
+
+def assert_same_descent(got, expected):
+    (u, v, trace), (u_ref, v_ref, ref) = got, expected
+    np.testing.assert_array_equal(u, u_ref, strict=True)
+    np.testing.assert_array_equal(v, v_ref, strict=True)
+    assert trace.objective_values == ref.objective_values
+    assert trace.step_sizes == ref.step_sizes
+    assert trace.gradient_norms == ref.gradient_norms
+    assert trace.reason is ref.reason
+    assert all(type(x) is float for x in (trace.objective_values
+                                          + trace.step_sizes
+                                          + trace.gradient_norms))
+
+
+@st.composite
+def stacks(draw):
+    """Problems of shared shapes (n <= d and t = 1 included), with kinds
+    and targets drawn per problem, some starting from U = V = 0, where every
+    gradient is exactly zero; plus hyperparameters under which problems
+    stop on rel_tol, on line_search_failure or at max_iters."""
+    n, m = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    d, l, t = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    hyper = HyperParams(mu1=draw(weight), mu2=draw(weight), alpha=draw(weight),
+                        beta=draw(weight), gamma=draw(weight),
+                        max_iters=draw(st.integers(0, 40)),
+                        rel_tol=draw(st.sampled_from((1e-12, 1e-5, 1e-3, 3e-2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    problems = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(ObjectiveKind))
+        targets = {"s_x": symmetric(rng, n), "s_a": symmetric(rng, m),
+                   "r": rng.standard_normal((n, m))}
+        if draw(st.booleans()):      # only the targets the kind needs
+            needs = {ObjectiveKind.F1: ("s_x",), ObjectiveKind.F2: ("s_a",),
+                     ObjectiveKind.F3: ("r",)}.get(kind, tuple(targets))
+            targets = {name: targets[name] for name in needs}
+        obj = Objective(kind=kind, x=rng.standard_normal((n, d)),
+                        a=rng.standard_normal((m, l)), **targets)
+        scale = draw(st.sampled_from((0.0, 0.3, 1.0, 5.0)))
+        problems.append((obj, scale * rng.standard_normal((d, t)),
+                         scale * rng.standard_normal((l, t))))
+    return problems, hyper, draw(st.sampled_from((ml.MAX_BACKTRACKS, 1, 2)))
+
+
+class TestStackedDescentOracle:
+    """minimize_many descends every problem of a stack in one loop; each
+    problem must follow, bit for bit, the descent it takes alone."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(stacks())
+    def test_stack_equals_one_at_a_time(self, case):
+        problems, hyper, backtracks = case
+        with mock.patch.object(ml, "MAX_BACKTRACKS", backtracks):
+            stacked = minimize_many(problems, hyper)
+            for problem, got in zip(problems, stacked):
+                expected = descend_alone(*problem, hyper)
+                assert_same_descent(got, expected)
+                assert_same_descent(minimize(*problem, hyper), expected)
+
+    @staticmethod
+    def stack_of_four(kind, seed):
+        rng = np.random.default_rng(seed)
+        problems = []
+        for _ in range(4):
+            obj = Objective(kind=kind, x=rng.standard_normal((6, 7)),
+                            a=rng.standard_normal((5, 3)),
+                            s_x=symmetric(rng, 6), s_a=symmetric(rng, 5),
+                            r=rng.standard_normal((6, 5)))
+            problems.append((obj, rng.standard_normal((7, 2)),
+                             rng.standard_normal((3, 2))))
+        return problems
+
+    @pytest.mark.parametrize("kind", list(ObjectiveKind))
+    @pytest.mark.parametrize("stop", ["rel_tol", "zero_gradient",
+                                      "line_search_failure"])
+    def test_one_problem_stops_while_the_others_go_on(self, kind, stop):
+        problems = self.stack_of_four(kind, 17)
+        hyper = HyperParams(mu1=0.2, mu2=0.3, max_iters=30, rel_tol=1e-6)
+        obj, u0, v0 = problems[1]
+        if stop == "rel_tol":              # a start near a stationary point
+            u0, v0, _ = minimize(obj, u0, v0, HyperParams(
+                mu1=0.2, mu2=0.3, max_iters=3000, rel_tol=1e-15))
+        elif stop == "zero_gradient":      # every gradient is 0 at U = V = 0
+            u0, v0 = np.zeros_like(u0), np.zeros_like(v0)
+        else:                              # so far out that no step is short enough
+            u0, v0 = 1e10 * u0, 1e10 * v0
+        problems[1] = (obj, u0, v0)
+        stacked = minimize_many(problems, hyper)
+        for problem, got in zip(problems, stacked):
+            assert_same_descent(got, descend_alone(*problem, hyper))
+        traces = [trace for _, _, trace in stacked]
+        assert traces[1].reason.value == stop.replace("zero_gradient", "rel_tol")
+        assert traces[1].iterations < min(traces[i].iterations for i in (0, 2, 3))
+
+    def test_zero_gradient_reached_after_a_step(self):
+        # f3 on R = 0 from V = 0: gU = 2 mu1 U and gV = 0, so with
+        # mu1 = 0.25 the first trial step, 2, lands exactly on U = 0,
+        # where every gradient is 0
+        problems = self.stack_of_four(ObjectiveKind.F3, 5)
+        obj, u0, v0 = problems[2]
+        problems[2] = (Objective(kind=ObjectiveKind.F3, x=obj.x, a=obj.a,
+                                 r=np.zeros_like(obj.r)), u0, np.zeros_like(v0))
+        hyper = HyperParams(mu1=0.25, mu2=0.3, max_iters=30, rel_tol=1e-12)
+        stacked = minimize_many(problems, hyper)
+        for problem, got in zip(problems, stacked):
+            assert_same_descent(got, descend_alone(*problem, hyper))
+        trace = stacked[2][2]
+        assert trace.reason is StopReason.REL_TOL and trace.iterations == 1
+        assert trace.gradient_norms[0] > 0.0 and trace.gradient_norms[1] == 0.0
+        assert all(t.iterations > 1 for i, (_, _, t) in enumerate(stacked) if i != 2)
+
+    def test_max_iters_zero_returns_each_start(self):
+        problems = self.stack_of_four(ObjectiveKind.F4, 3)
+        for (_, u0, v0), (u, v, trace) in zip(
+                problems, minimize_many(problems, HyperParams(max_iters=0))):
+            np.testing.assert_array_equal(u, u0)
+            np.testing.assert_array_equal(v, v0)
+            assert trace.iterations == 0 and trace.reason is StopReason.MAX_ITERS
+            assert len(trace.objective_values) == 1
+
+    def test_train_many_equals_train(self, small_tables, tmp_path):
+        x, a, _ = small_tables
+        r = PreferenceMatrix(x.entity_ids, a.entity_ids,
+                             [[3, 2, 1, 0], [0, 1, 2, 3], [2, 0.5, 0.5, 3]])
+        hyper = HyperParams(max_iters=40, seed=4)
+        problems = [(kind, x, a, r) for kind in ObjectiveKind]
+        problems += [(ObjectiveKind.F4, x.drop_entity(i), a,
+                      r.drop(dataset_index=i)) for i in range(3)]
+        for k, (problem, (params, trace)) in enumerate(
+                zip(problems, train_many(problems, hyper))):
+            alone, alone_trace = train(*problem, hyper)
+            save_model(tmp_path / f"many{k}.json", params)
+            save_model(tmp_path / f"alone{k}.json", alone)
+            assert (tmp_path / f"many{k}.json").read_bytes() \
+                == (tmp_path / f"alone{k}.json").read_bytes()
+            assert trace == alone_trace
