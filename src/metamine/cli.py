@@ -11,7 +11,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import fields
@@ -63,10 +62,8 @@ _STRATEGY_ALIASES = {
 }
 
 
-class CliError(Exception):
-    def __init__(self, message, exit_code=2):
-        super().__init__(message)
-        self.exit_code = exit_code
+class CliError(ValueError):
+    """A command line or config file the command cannot use (exit 1)."""
 
 
 def _from_flags(cls, dests, resolved):
@@ -83,7 +80,7 @@ def _preset_values(preset, objective):
     if (preset, objective) not in PRESETS:
         known = sorted({p for p, _ in PRESETS})
         raise CliError(f"no preset {preset!r} for objective {objective!r} "
-                       f"(known presets: {known})", exit_code=1)
+                       f"(known presets: {known})")
     return {_HYPER_FIELDS[k]: v for k, v in PRESETS[preset, objective].items()}
 
 
@@ -100,10 +97,10 @@ def _config_value(path, action, value):
         parsed = expected(str(value))
     except ValueError:
         raise CliError(f"{path}: config value {action.dest}={value!r} is not "
-                       f"a valid {expected.__name__}", exit_code=1) from None
+                       f"a valid {expected.__name__}") from None
     if action.choices is not None and parsed not in action.choices:
         raise CliError(f"{path}: config value {action.dest}={value!r} is not "
-                       f"one of {list(action.choices)}", exit_code=1)
+                       f"one of {list(action.choices)}")
     return parsed
 
 
@@ -123,13 +120,12 @@ def _parse(parser, argv):
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
-            raise CliError(f"{args.config}: config must be a JSON object",
-                           exit_code=1)
+            raise CliError(f"{args.config}: config must be a JSON object")
         config.pop("subcommand", None)  # resolved-config files carry it
         unknown = sorted(k for k in config if k not in actions)
         if unknown:
             raise CliError(f"{args.config}: unknown config keys for "
-                           f"{args.subcommand}: {unknown}", exit_code=1)
+                           f"{args.subcommand}: {unknown}")
         config = {k: _config_value(args.config, actions[k], v)
                   for k, v in config.items()}
     preset = getattr(args, "preset", None) or config.get("preset")
@@ -170,7 +166,7 @@ def cmd_ingest(resolved):
                if resolved[s]]
     if len(sources) != 1:
         raise CliError("exactly one of --preferences, --outcomes-dir, "
-                       "--significance is required", exit_code=1)
+                       "--significance is required")
     x = io.read_descriptor_csv(resolved["x"], TableKind.DATASET)
     a = io.read_descriptor_csv(resolved["a"], TableKind.WORKFLOW)
     perf = io.read_performance_csv(resolved["performance"])
@@ -218,7 +214,7 @@ def cmd_evaluate(resolved):
                       for s in resolved["strategies"].split(",") if s.strip()]
     except KeyError as exc:
         raise CliError(f"unknown strategy {exc.args[0]!r} "
-                       f"(known: {sorted(_STRATEGY_ALIASES)})", exit_code=1)
+                       f"(known: {sorted(_STRATEGY_ALIASES)})")
     hyper = _from_flags(HyperParams, _HYPER_FIELDS, resolved)
     runner = {Protocol.LODO: run_lodo, Protocol.LOWO: run_lowo,
               Protocol.LODWO: run_lodwo}[protocol]
@@ -250,17 +246,17 @@ def cmd_predict(resolved):
             Task.WORKFLOW_PREFS: "model cannot rank workflows for a dataset",
             Task.DATASET_PREFS: "model cannot rank datasets for a workflow",
             Task.PAIR_SCORE: "homogeneous model cannot score dataset-workflow pairs",
-        }[task], exit_code=1)
+        }[task])
     n = resolved["neighbors"]
     if n is None:
         n = params.hyper.n_neighbors
     elif n < 1:
-        raise CliError(f"--neighbors must be positive, got {n}", exit_code=1)
+        raise CliError(f"--neighbors must be positive, got {n}")
     data = io.read_bundle(resolved["bundle"])
 
     def queries(flag, kind, expected):
         if not resolved[flag]:
-            raise CliError(f"task {task.value} needs --{flag}", exit_code=1)
+            raise CliError(f"task {task.value} needs --{flag}")
         return io.read_queries(resolved[flag], kind, expected)
 
     qx = qa = None
@@ -273,7 +269,7 @@ def cmd_predict(resolved):
     # query workflow against the training datasets, a query dataset against
     # the training workflows or, for pair scores, the query-workflow table.
     q, targets = (qa, data.x) if qx is None else (qx, data.a if qa is None else qa)
-    rows = []
+    scored = []
     for qid, feats in zip(q.entity_ids, q.features):
         x_new, a_new = ((None, feats) if qx is None else
                         (feats, None if qa is None else qa.features))
@@ -284,16 +280,11 @@ def cmd_predict(resolved):
         if bad.size:
             raise CliError(f"non-finite score of query {qid!r} for "
                            f"{targets.entity_ids[bad[0]]!r}: a query "
-                           "descriptor is too large for the model", exit_code=1)
-        strategy_name, flags = pred.strategy.value, ";".join(pred.flags)
-        rows += ([qid, tid, repr(score), strategy_name, flags]
-                 for tid, score in zip(targets.entity_ids, pred.values.tolist()))
+                           "descriptor is too large for the model")
+        scored.append((qid, pred))
 
     out = Path(resolved["out"])
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["query_id", "target_id", "score", "strategy", "flags"])
-        w.writerows(rows)
+    io.write_predictions_csv(out, targets.entity_ids, scored)
     _write_resolved_config(out, "predict", resolved)
     print(f"predictions written to {out}")
     return 0
@@ -377,9 +368,6 @@ def main(argv=None):
     try:
         func, resolved = _parse(parser, argv)
         return func(resolved)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
     except (io.IngestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

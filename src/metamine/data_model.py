@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -389,14 +389,14 @@ def standardize(table: DescriptorTable):
     return replace(table, features=record.apply(f)), record
 
 
-def numeric_rank(matrix: np.ndarray, tol_factor: float = 1.0) -> int:
-    """Count of singular values above
-    tol_factor * s_max * max(rows, cols) * machine_eps."""
+def numeric_rank(matrix: np.ndarray) -> int:
+    """Count of singular values above s_max * max(rows, cols) *
+    machine_eps."""
     m = np.asarray(matrix, dtype=float)
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    tol = tol_factor * s[0] * max(m.shape) * np.finfo(float).eps
+    tol = s[0] * max(m.shape) * np.finfo(float).eps
     return int(np.sum(s > tol))

@@ -35,6 +35,10 @@ class FoldResult:
     failed: dict = field(default_factory=dict)  # strategy -> error message
 
 
+# baseline -> the tag of its comparison rows in render_table
+_BASELINES = {Strategy.DEFAULT: "delta", Strategy.EUCLIDEAN: "delta_EC"}
+
+
 @dataclass
 class EvaluationReport:
     protocol: Protocol
@@ -64,7 +68,7 @@ class EvaluationReport:
         metrics = self.metric_names()
         comparisons = {}
         for s in self.strategies:
-            for baseline in (Strategy.DEFAULT, Strategy.EUCLIDEAN):
+            for baseline in _BASELINES:
                 if baseline not in self.strategies or s == baseline:
                     continue
                 for metric in metrics:
@@ -118,11 +122,10 @@ class EvaluationReport:
                 v = agg[m]
                 cells.append(f"{'NA':>12}" if v is None else f"{v:>12.4f}")
             lines.append("  ".join(cells))
-            for baseline in ("def", "ec"):
-                comp = d["comparisons"].get(s.value, {}).get(baseline)
+            for baseline, tag in _BASELINES.items():
+                comp = d["comparisons"].get(s.value, {}).get(baseline.value)
                 if not comp:
                     continue
-                tag = "delta" if baseline == "def" else "delta_EC"
                 cells = [f"{tag:>12}"]
                 for m in metrics:
                     c = comp.get(m)
@@ -187,7 +190,7 @@ _TASK_NAME = {Task.WORKFLOW_PREFS: "workflow ranking",
               Task.PAIR_SCORE: "pair scoring"}
 
 
-def _metrics(pred, truth, perf_row=None, top_k=5):
+def _metrics(pred, truth, perf_row=None):
     if np.ndim(pred) == 0:  # pair score
         return {"mae": abs(float(pred) - truth)}
     out = {
@@ -195,7 +198,7 @@ def _metrics(pred, truth, perf_row=None, top_k=5):
         "mae": float(np.mean(np.abs(pred - truth))),
     }
     if perf_row is not None:
-        out["t5p"] = top_k_performance(pred, perf_row, min(top_k, len(perf_row)))
+        out["t5p"] = top_k_performance(pred, perf_row, min(5, len(perf_row)))
     return out
 
 
@@ -255,15 +258,17 @@ def _fold(held, training, models, data, strategies, hyper):
 
 
 def _run(protocol, data, strategies, hyper, jobs, held):
-    """Train every fold's models, then score one fold per held-out key,
-    after dropping the strategies that cannot serve the protocol's task
-    (each with a notice). jobs > 1 spreads the scoring over threads."""
+    """Drop the strategies that cannot serve the protocol's task (each
+    with a notice; a ValueError if none is left), train every fold's
+    models, then score one fold per held-out key (over jobs threads)."""
     task = _TASK[protocol]
     notices = [f"strategy {s.value} is not applicable to {_TASK_NAME[task]}; excluded"
                for s in strategies if task not in TASKS[s]]
     strategies = [s for s in strategies if task in TASKS[s]]
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
+    if not strategies:
+        raise ValueError(f"no strategy left to run for {_TASK_NAME[task]}")
     training_sets = [_training_set(key, data) for key in held]
     models = _train_fold_models(strategies, training_sets, hyper)
     score = partial(_fold, data=data, strategies=strategies, hyper=hyper)

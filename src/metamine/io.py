@@ -11,6 +11,8 @@ File formats:
                       workflow ids, values 0/1)
   significance      - long CSV: dataset_id, workflow_k, workflow_l, outcome
                       with outcome in {k_wins, l_wins, tie}
+  predictions       - long CSV: query_id, target_id, score, strategy,
+                      flags (';'-joined); one row per target of each query
   model             - versioned JSON container; floats are serialized via
                       repr so a round-trip reproduces predictions exactly
   bundle            - directory of X.csv and A.csv (descriptor tables),
@@ -118,11 +120,16 @@ def _read_wide(path, no_columns):
     return tuple(header[1:]), tuple(row[0] for row in rows[1:]), values
 
 
-def _write_wide(path, id_header, columns, ids, values):
+def _write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow([id_header, *columns])
-        w.writerows([eid, *row] for eid, row in zip(ids, _reprs(values)))
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_wide(path, id_header, columns, ids, values):
+    _write_csv(path, [id_header, *columns],
+               ([eid, *row] for eid, row in zip(ids, _reprs(values))))
 
 
 def read_descriptor_csv(path, kind: TableKind) -> DescriptorTable:
@@ -183,12 +190,10 @@ def read_performance_csv(path) -> PerformanceMatrix:
 
 
 def write_performance_csv(path, perf: PerformanceMatrix):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dataset_id", "workflow_id", "performance"])
-        w.writerows([ds, wf, value]
-                    for ds, row in zip(perf.dataset_ids, _reprs(perf.values))
-                    for wf, value in zip(perf.workflow_ids, row))
+    _write_csv(path, ["dataset_id", "workflow_id", "performance"],
+               ([ds, wf, value]
+                for ds, row in zip(perf.dataset_ids, _reprs(perf.values))
+                for wf, value in zip(perf.workflow_ids, row)))
 
 
 def read_preference_csv(path) -> PreferenceMatrix:
@@ -227,10 +232,19 @@ def write_outcome_dir(directory, cube: OutcomeCube):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for eid, mat in zip(cube.dataset_ids, cube.matrices):
-        with open(directory / f"{eid}.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(cube.workflow_ids)
-            w.writerows(mat.astype(int).tolist())
+        _write_csv(directory / f"{eid}.csv", cube.workflow_ids,
+                   mat.astype(int).tolist())
+
+
+def write_predictions_csv(path, target_ids, predictions):
+    """predictions: (query id, PreferencePrediction) pairs over target_ids."""
+    rows = []
+    for qid, pred in predictions:
+        strategy, flags = pred.strategy.value, ";".join(pred.flags)
+        rows += ([qid, tid, score, strategy, flags] for tid, score
+                 in zip(target_ids, map(repr, pred.values.tolist())))
+    _write_csv(path, ["query_id", "target_id", "score", "strategy", "flags"],
+               rows)
 
 
 def read_significance_csv(path):

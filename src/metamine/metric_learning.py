@@ -46,6 +46,14 @@ class StopReason(str, Enum):
     LINE_SEARCH_FAILURE = "line_search_failure"
 
 
+# the fit terms each kind weighs, S_X's, S_A's and R's: also the targets
+# (s_x, s_a, r) an Objective of the kind requires and build_objective sets
+_TERMS = {ObjectiveKind.F1: (True, False, False),
+          ObjectiveKind.F2: (False, True, False),
+          ObjectiveKind.F3: (False, False, True),
+          ObjectiveKind.F4: (True, True, True)}
+
+
 @dataclass(frozen=True)
 class Objective:
     """Precomputed inputs of one training problem: standardized feature
@@ -59,14 +67,8 @@ class Objective:
     r: Optional[np.ndarray] = None      # n x m preference / score target
 
     def __post_init__(self):
-        need = {
-            ObjectiveKind.F1: ("s_x",),
-            ObjectiveKind.F2: ("s_a",),
-            ObjectiveKind.F3: ("r",),
-            ObjectiveKind.F4: ("s_x", "s_a", "r"),
-        }[self.kind]
-        for name in need:
-            if getattr(self, name) is None:
+        for name, fits in zip(("s_x", "s_a", "r"), _TERMS[self.kind]):
+            if fits and getattr(self, name) is None:
                 raise ValueError(f"objective {self.kind.value} requires {name}")
 
     @cached_property
@@ -155,13 +157,6 @@ def _reduce(obj: Objective) -> ReducedObjective:
                             c_x=c_x, c_a=c_a, c_r=c_r)
 
 
-# the fit terms each kind weighs: S_X's, S_A's and R's
-_TERMS = {ObjectiveKind.F1: (True, False, False),
-          ObjectiveKind.F2: (False, True, False),
-          ObjectiveKind.F3: (False, False, True),
-          ObjectiveKind.F4: (True, True, True)}
-
-
 def _residuals(kind, red: ReducedObjective, u: np.ndarray, v: np.ndarray):
     """P = R_x U, W = R_a V and the small residuals E1 = S~_X - P P',
     E2 = S~_A - W W', E3 = R~ - P W' (None where the kind does not use
@@ -232,7 +227,7 @@ def _svd_warm_start(obj: Objective, t: int):
     d, l = obj.x.shape[1], obj.a.shape[1]
     u = np.zeros((d, t))
     v = np.zeros((l, t))
-    if obj.kind in (ObjectiveKind.F3, ObjectiveKind.F4):
+    if _TERMS[obj.kind][2]:                    # f3 / f4: the fit of R
         m = x_pinv @ obj.r @ a_pinv.T          # d x l
         p, s, qt = np.linalg.svd(m, full_matrices=False)
         k = min(t, s.size)
@@ -399,12 +394,11 @@ def build_objective(kind: ObjectiveKind, x_std: np.ndarray, a_std: np.ndarray,
     fit_matrix optionally replaces R's scores as the heterogeneous target
     (e.g. a latent score matrix from the synthetic generator).
     """
-    s_x = s_a = r_mat = None
-    if kind in (ObjectiveKind.F1, ObjectiveKind.F4):
-        s_x = similarity_target(r, SimilarityAxis.DATASETS).matrix
-    if kind in (ObjectiveKind.F2, ObjectiveKind.F4):
-        s_a = similarity_target(r, SimilarityAxis.WORKFLOWS).matrix
-    if kind in (ObjectiveKind.F3, ObjectiveKind.F4):
+    fx, fa, fr = _TERMS[kind]
+    s_x = similarity_target(r, SimilarityAxis.DATASETS).matrix if fx else None
+    s_a = similarity_target(r, SimilarityAxis.WORKFLOWS).matrix if fa else None
+    r_mat = None
+    if fr:
         r_mat = r.scores if fit_matrix is None else np.asarray(fit_matrix, dtype=float)
     return Objective(kind=kind, x=x_std, a=a_std, s_x=s_x, s_a=s_a, r=r_mat)
 

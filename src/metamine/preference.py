@@ -11,6 +11,10 @@ from scipy import stats
 
 from .data_model import PreferenceMatrix
 
+# the level of every McNemar comparison, and its chi-square(1) critical value
+ALPHA = 0.05
+_CHI2_CRITICAL = stats.chi2.ppf(1.0 - ALPHA, 1)
+
 
 class PairOutcome(str, Enum):
     K_WINS = "k_wins"
@@ -82,13 +86,13 @@ def points(wins) -> np.ndarray:
     return won + 0.5 * (wins.shape[-1] - 1 - won - lost)
 
 
-def mcnemar_wins(correctness, alpha_level=0.05, exact=False) -> np.ndarray:
+def mcnemar_wins(correctness, exact=False) -> np.ndarray:
     """Win matrix of one dataset from paired McNemar comparisons.
 
     correctness: (instances x m) 0/1 matrix. Workflow k beats l when the
     continuity-corrected statistic (|b-c|-1)^2/(b+c) exceeds the
-    chi-square(1) critical value and b > c, where b counts the instances k
-    gets right and l wrong, c the reverse. With exact=True, pairs with
+    chi-square(1) critical value at level ALPHA and b > c, where b counts
+    the instances k gets right and l wrong, c the reverse. With exact=True, pairs with
     fewer than 25 discordant instances use an exact two-sided binomial
     test instead. A pair with b+c = 0 never wins.
     """
@@ -97,30 +101,29 @@ def mcnemar_wins(correctness, alpha_level=0.05, exact=False) -> np.ndarray:
     discordant = b + b.T
     with np.errstate(divide="ignore"):
         statistic = (np.abs(b - b.T) - 1.0) ** 2 / discordant
-    significant = statistic > stats.chi2.ppf(1.0 - alpha_level, 1)
+    significant = statistic > _CHI2_CRITICAL
     if exact:
         tail = stats.binom.cdf(np.minimum(b, b.T), discordant, 0.5)
         significant = np.where(discordant < 25,
-                               np.minimum(1.0, 2.0 * tail) < alpha_level,
+                               np.minimum(1.0, 2.0 * tail) < ALPHA,
                                significant)
     return significant & (b > b.T)       # b > c also rules out b+c = 0
 
 
-def mcnemar_significant(correct_k, correct_l, alpha_level=0.05,
-                        exact=False) -> PairOutcome:
+def mcnemar_significant(correct_k, correct_l, exact=False) -> PairOutcome:
     """Paired significance comparison of two workflows' 0/1 correctness
     vectors: the mcnemar_wins rule on the two columns."""
     k = np.asarray(correct_k, dtype=float)
     l = np.asarray(correct_l, dtype=float)
     if k.shape != l.shape:
         raise ValueError(f"length mismatch: {k.shape} vs {l.shape}")
-    wins = mcnemar_wins(np.column_stack([k, l]), alpha_level, exact=exact)
+    wins = mcnemar_wins(np.column_stack([k, l]), exact=exact)
     if wins[0, 1]:
         return PairOutcome.K_WINS
     return PairOutcome.L_WINS if wins[1, 0] else PairOutcome.TIE
 
 
-def score_dataset(correctness, alpha_level=0.05, exact=False) -> np.ndarray:
+def score_dataset(correctness, exact=False) -> np.ndarray:
     """Comparison points of every workflow on one dataset.
 
     correctness: (instances x m) 0/1 matrix. Each unordered workflow pair is
@@ -130,7 +133,7 @@ def score_dataset(correctness, alpha_level=0.05, exact=False) -> np.ndarray:
     mat = np.asarray(correctness, dtype=float)
     if mat.shape[1] < 2:
         raise ValueError("need at least two workflows to compare")
-    return points(mcnemar_wins(mat, alpha_level, exact=exact))
+    return points(mcnemar_wins(mat, exact=exact))
 
 
 def score_from_outcomes(pair_outcomes) -> np.ndarray:
@@ -147,28 +150,26 @@ def score_from_outcomes(pair_outcomes) -> np.ndarray:
     return points(holds(PairOutcome.K_WINS) | holds(PairOutcome.L_WINS).T)
 
 
-def build_preference_matrix(cube: OutcomeCube, alpha_level=0.05,
-                            exact=False) -> PreferenceMatrix:
-    """Populate R: row i holds the comparison points of all workflows on
-    dataset i."""
-    rows = [score_dataset(mat, alpha_level, exact=exact) for mat in cube.matrices]
-    r = PreferenceMatrix(dataset_ids=cube.dataset_ids,
-                         workflow_ids=cube.workflow_ids,
-                         scores=np.vstack(rows))
+def _preference_matrix(dataset_ids, workflow_ids, rows) -> PreferenceMatrix:
+    """R from its rows of comparison points, one per dataset."""
+    r = PreferenceMatrix(dataset_ids, workflow_ids, np.vstack(rows))
     r.check_invariants()
     return r
+
+
+def build_preference_matrix(cube: OutcomeCube) -> PreferenceMatrix:
+    """Populate R: row i holds the comparison points of all workflows on
+    dataset i."""
+    return _preference_matrix(cube.dataset_ids, cube.workflow_ids,
+                              [score_dataset(mat) for mat in cube.matrices])
 
 
 def build_preference_from_significance(dataset_ids, workflow_ids,
                                        outcomes) -> PreferenceMatrix:
     """Alternate ingestion path: outcomes[i] is an m x m table of
     PairOutcome for dataset i (upper triangle used)."""
-    rows = [score_from_outcomes(tab) for tab in outcomes]
-    r = PreferenceMatrix(dataset_ids=tuple(dataset_ids),
-                         workflow_ids=tuple(workflow_ids),
-                         scores=np.vstack(rows))
-    r.check_invariants()
-    return r
+    return _preference_matrix(dataset_ids, workflow_ids,
+                              [score_from_outcomes(tab) for tab in outcomes])
 
 
 def _rank_correlations(vectors):

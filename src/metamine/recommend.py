@@ -93,21 +93,19 @@ def _knn_by_similarity(sims, n):
     return order[: int(n)]
 
 
-def _similarity_weighted_prediction(sims, pref_rows, n, task, strategy):
+def _knn_predict(query, train_std, p, pref_rows, n, task, strategy):
+    """kNN over the similarity through p p', p = U (datasets) or V."""
+    sims = (train_std @ p) @ (p.T @ np.asarray(query, dtype=float))
     if pref_rows.shape[0] == 0:
         raise ValueError("empty training set")
     picked = _knn_by_similarity(sims, min(n, len(sims)))
-    w = np.maximum(np.asarray(sims)[picked], 0.0)
+    w = np.maximum(sims[picked], 0.0)
     flags = ()
     if w.sum() <= 0.0:
         w = np.ones(len(picked))
         flags = ("nonpositive_similarity_fallback",)
-    return PreferencePrediction(
-        task=task,
-        values=_weighted_rows(pref_rows[picked], w),
-        strategy=strategy,
-        flags=flags,
-    )
+    return PreferencePrediction(task=task, strategy=strategy, flags=flags,
+                                values=_weighted_rows(pref_rows[picked], w))
 
 
 def knn_predict_workflow_prefs(x_new, train_x_std, r: PreferenceMatrix,
@@ -116,22 +114,16 @@ def knn_predict_workflow_prefs(x_new, train_x_std, r: PreferenceMatrix,
     """Similarity-weighted average of the n most similar training datasets'
     preference rows. Nonpositive similarity sums fall back to uniform
     weights over the selected neighbors (flagged)."""
-    proj = train_x_std @ params.u          # n_train x t
-    q = params.u.T @ np.asarray(x_new, dtype=float)
-    sims = proj @ q
-    return _similarity_weighted_prediction(sims, r.scores, n,
-                                           Task.WORKFLOW_PREFS, strategy)
+    return _knn_predict(x_new, train_x_std, params.u, r.scores, n,
+                        Task.WORKFLOW_PREFS, strategy)
 
 
 def knn_predict_dataset_prefs(a_new, train_a_std, r: PreferenceMatrix,
                               params: ModelParams, n: int,
                               strategy: Strategy = Strategy.F2_KNN):
     """Mirror of the workflow-preference predictor over columns of R."""
-    proj = train_a_std @ params.v
-    q = params.v.T @ np.asarray(a_new, dtype=float)
-    sims = proj @ q
-    return _similarity_weighted_prediction(sims, r.scores.T, n,
-                                           Task.DATASET_PREFS, strategy)
+    return _knn_predict(a_new, train_a_std, params.v, r.scores.T, n,
+                        Task.DATASET_PREFS, strategy)
 
 
 def predict_pair(x_new, a_new, params: ModelParams):
@@ -144,22 +136,25 @@ def predict_pair(x_new, a_new, params: ModelParams):
     return np.vecdot(np.matvec(params.u.T, x), np.matvec(params.v.T, a))
 
 
+def _direct_predict(query, targets_std, p_query, p_target, task, strategy):
+    """Scores targets_std p_target p_query' query, p = U or V."""
+    q = np.asarray(query, dtype=float)
+    return PreferencePrediction(task=task, strategy=strategy,
+                                values=targets_std @ (p_target @ (p_query.T @ q)))
+
+
 def predict_workflow_prefs_direct(x_new, a_all_std, params: ModelParams,
                                   strategy: Strategy = Strategy.F3_DIRECT):
     """Direct bilinear scores of one dataset against every workflow."""
-    x = np.asarray(x_new, dtype=float)
-    values = a_all_std @ (params.v @ (params.u.T @ x))
-    return PreferencePrediction(task=Task.WORKFLOW_PREFS, values=values,
-                                strategy=strategy)
+    return _direct_predict(x_new, a_all_std, params.u, params.v,
+                           Task.WORKFLOW_PREFS, strategy)
 
 
 def predict_dataset_prefs_direct(a_new, x_all_std, params: ModelParams,
                                  strategy: Strategy = Strategy.F3_DIRECT):
     """Direct bilinear scores of one workflow against every dataset."""
-    a = np.asarray(a_new, dtype=float)
-    values = x_all_std @ (params.u @ (params.v.T @ a))
-    return PreferencePrediction(task=Task.DATASET_PREFS, values=values,
-                                strategy=strategy)
+    return _direct_predict(a_new, x_all_std, params.v, params.u,
+                           Task.DATASET_PREFS, strategy)
 
 
 def default_strategy(task: Task, r_train: PreferenceMatrix) -> PreferencePrediction:

@@ -908,3 +908,18 @@ class TestNonFiniteNoiseSigma:
         assert "noise_sigma must be finite and nonnegative" \
             in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestNoStrategyLeft:
+    @pytest.mark.parametrize("protocol, strategies, task", [
+        ("lodo", "", "workflow ranking"),
+        ("lodwo", "ec", "pair scoring"),   # ec cannot score pairs
+    ])
+    def test_exits_one_without_a_report(self, bundle, tmp_path, capsys,
+                                        protocol, strategies, task):
+        out = tmp_path / "r"
+        assert run(["evaluate", "--bundle", str(bundle), "--protocol",
+                    protocol, "--strategies", strategies,
+                    "--out", str(out)]) == 1
+        assert f"no strategy left to run for {task}" in capsys.readouterr().err
+        assert not out.exists()

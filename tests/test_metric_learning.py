@@ -109,6 +109,37 @@ class TestObjectiveValue:
             Objective(kind=ObjectiveKind.F1, x=x, a=a)
 
 
+# the targets each objective fits, as the paper defines f1-f4
+FITTED = {ObjectiveKind.F1: {"s_x"}, ObjectiveKind.F2: {"s_a"},
+          ObjectiveKind.F3: {"r"}, ObjectiveKind.F4: {"s_x", "s_a", "r"}}
+
+
+class TestTargetsOfEachKind:
+    @pytest.mark.parametrize("name", ["s_x", "s_a", "r"])
+    @pytest.mark.parametrize("kind", list(ObjectiveKind))
+    def test_objective_requires_exactly_the_fitted_targets(self, kind, name):
+        x, a, s_x, s_a, r, u, v = random_instance(3)
+        targets = {"s_x": s_x, "s_a": s_a, "r": r, name: None}
+        if name in FITTED[kind]:
+            with pytest.raises(ValueError, match=f"objective {kind.value} "
+                                                 f"requires {name}$"):
+                Objective(kind=kind, x=x, a=a, **targets)
+        else:
+            obj = Objective(kind=kind, x=x, a=a, **targets)
+            assert getattr(obj, name) is None
+
+    @pytest.mark.parametrize("kind", list(ObjectiveKind))
+    def test_build_objective_sets_exactly_the_fitted_targets(self, kind):
+        res = generate(SynthConfig(n=6, m=5, d=4, l=3, latent_t=2, seed=4))
+        obj = build_objective(kind, res.x.features, res.a.features,
+                              res.preferences)
+        built = {name for name in ("s_x", "s_a", "r")
+                 if getattr(obj, name) is not None}
+        assert built == FITTED[kind]
+        if "r" in built:
+            np.testing.assert_array_equal(obj.r, res.preferences.scores)
+
+
 class TestGradient:
     def test_zero_at_exact_fit_without_regularization(self):
         rng = np.random.default_rng(3)
