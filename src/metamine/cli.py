@@ -215,10 +215,12 @@ def cmd_evaluate(resolved):
     except KeyError as exc:
         raise CliError(f"unknown strategy {exc.args[0]!r} "
                        f"(known: {sorted(_STRATEGY_ALIASES)})")
+    if resolved["jobs"] < 1:
+        raise CliError(f"jobs must be positive, got {resolved['jobs']}")
     hyper = _from_flags(HyperParams, _HYPER_FIELDS, resolved)
     runner = {Protocol.LODO: run_lodo, Protocol.LOWO: run_lowo,
               Protocol.LODWO: run_lodwo}[protocol]
-    report = runner(data, strategies, hyper, jobs=resolved["jobs"])
+    report = runner(data, strategies, hyper)
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
     io.write_json(out / "report.json", report.to_dict())
@@ -346,7 +348,8 @@ def build_parser():
                    help="comma list from: " + ",".join(sorted(_STRATEGY_ALIASES)))
     _add_field_flags(p, HyperParams, _HYPER_FIELDS)
     p.add_argument("--preset", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for older scripts and configs; no effect")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--out", required=True, help="report directory")
     p.set_defaults(func=cmd_evaluate)

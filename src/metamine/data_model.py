@@ -21,8 +21,8 @@ class InitScheme(str, Enum):
     SVD_WARM_START = "svd_warm_start"
 
 
-def _as_readonly(a, dtype=float):
-    out = np.array(a, dtype=dtype, copy=True)
+def _as_readonly(a):
+    out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
     return out
 

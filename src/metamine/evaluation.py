@@ -4,10 +4,8 @@ the exact binomial sign test used to compare strategies."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 
 import numpy as np
 from scipy import stats
@@ -190,7 +188,7 @@ _TASK_NAME = {Task.WORKFLOW_PREFS: "workflow ranking",
               Task.PAIR_SCORE: "pair scoring"}
 
 
-def _metrics(pred, truth, perf_row=None):
+def _metrics(pred, truth, perf_row):
     if np.ndim(pred) == 0:  # pair score
         return {"mae": abs(float(pred) - truth)}
     out = {
@@ -257,33 +255,29 @@ def _fold(held, training, models, data, strategies, hyper):
     return fold
 
 
-def _run(protocol, data, strategies, hyper, jobs, held):
+def _run(protocol, data, strategies, hyper, held):
     """Drop the strategies that cannot serve the protocol's task (each
-    with a notice; a ValueError if none is left), train every fold's
-    models, then score one fold per held-out key (over jobs threads)."""
+    with a notice; a ValueError if none is left, or if one is listed
+    twice), train every fold's models, then score one fold per held-out
+    key."""
+    repeated = [s.value for k, s in enumerate(strategies) if s in strategies[:k]]
+    if repeated:
+        raise ValueError(f"strategy {repeated[0]} is listed more than once")
     task = _TASK[protocol]
     notices = [f"strategy {s.value} is not applicable to {_TASK_NAME[task]}; excluded"
                for s in strategies if task not in TASKS[s]]
     strategies = [s for s in strategies if task in TASKS[s]]
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
     if not strategies:
         raise ValueError(f"no strategy left to run for {_TASK_NAME[task]}")
     training_sets = [_training_set(key, data) for key in held]
     models = _train_fold_models(strategies, training_sets, hyper)
-    score = partial(_fold, data=data, strategies=strategies, hyper=hyper)
-    if jobs == 1:
-        folds = list(map(score, held, training_sets, models))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            # ordered: deterministic aggregation
-            folds = list(pool.map(score, held, training_sets, models))
+    folds = [_fold(key, training, fold_models, data, strategies, hyper)
+             for key, training, fold_models in zip(held, training_sets, models)]
     return EvaluationReport(protocol=protocol, strategies=strategies,
                             folds=folds, notices=notices)
 
 
-def run_lodo(data: MetaMiningData, strategies, hyper: HyperParams,
-             jobs: int = 1) -> EvaluationReport:
+def run_lodo(data: MetaMiningData, strategies, hyper: HyperParams) -> EvaluationReport:
     """Leave one dataset out; every learning strategy is retrained on the
     remaining datasets (standardization refit per fold)."""
     if data.x.n_entities < 3:
@@ -291,17 +285,16 @@ def run_lodo(data: MetaMiningData, strategies, hyper: HyperParams,
     if data.performance is None:
         raise ValueError("leave-one-dataset-out scores the top-5 performance "
                          "and needs the performance matrix P")
-    return _run(Protocol.LODO, data, strategies, hyper, jobs,
+    return _run(Protocol.LODO, data, strategies, hyper,
                 [(i, None) for i in range(data.x.n_entities)])
 
 
-def run_lowo(data: MetaMiningData, strategies, hyper: HyperParams,
-             jobs: int = 1) -> EvaluationReport:
+def run_lowo(data: MetaMiningData, strategies, hyper: HyperParams) -> EvaluationReport:
     """Leave one workflow out (dataset-preference task). The default
     strategy's prediction is constant, so its rank correlation is NA."""
     if data.a.n_entities < 3:
         raise ValueError("leave-one-workflow-out needs at least 3 workflows")
-    report = _run(Protocol.LOWO, data, strategies, hyper, jobs,
+    report = _run(Protocol.LOWO, data, strategies, hyper,
                   [(None, j) for j in range(data.a.n_entities)])
     if Strategy.DEFAULT in report.strategies:
         report.notices.append(
@@ -309,12 +302,11 @@ def run_lowo(data: MetaMiningData, strategies, hyper: HyperParams,
     return report
 
 
-def run_lodwo(data: MetaMiningData, strategies, hyper: HyperParams,
-              jobs: int = 1) -> EvaluationReport:
+def run_lodwo(data: MetaMiningData, strategies, hyper: HyperParams) -> EvaluationReport:
     """Leave one dataset and one workflow out (pair-score task). Only
     heterogeneous strategies and the default apply."""
     if data.x.n_entities < 3 or data.a.n_entities < 3:
         raise ValueError("leave-one-of-each-out needs at least 3 of each entity")
-    return _run(Protocol.LODWO, data, strategies, hyper, jobs,
+    return _run(Protocol.LODWO, data, strategies, hyper,
                 [(i, j) for i in range(data.x.n_entities)
                  for j in range(data.a.n_entities)])

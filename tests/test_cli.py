@@ -452,13 +452,7 @@ class TestEvaluate:
         assert "runtime failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_nonpositive_jobs_exits_one(self, bundle, tmp_path, capsys,
-                                        monkeypatch, jobs):
-        import metamine.evaluation
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was made")
-        monkeypatch.setattr(metamine.evaluation, "ThreadPoolExecutor", no_pool)
+    def test_nonpositive_jobs_exits_one(self, bundle, tmp_path, capsys, jobs):
         out = tmp_path / "r"
         code = run(["evaluate", "--bundle", str(bundle), "--protocol", "lodo",
                     "--strategies", "def", "--jobs", jobs, "--out", str(out)])
@@ -923,3 +917,28 @@ class TestNoStrategyLeft:
                     "--out", str(out)]) == 1
         assert f"no strategy left to run for {task}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRepeatedStrategy:
+    def test_exits_one_naming_it_without_a_report(self, bundle, tmp_path,
+                                                  capsys):
+        out = tmp_path / "r"
+        assert run(["evaluate", "--bundle", str(bundle), "--protocol", "lodo",
+                    "--strategies", "def,def,f4", "--out", str(out)]) == 1
+        assert "strategy def is listed more than once" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNoThreadStarted:
+    @pytest.mark.parametrize("protocol", ["lodo", "lowo", "lodwo"])
+    def test_evaluate_with_two_jobs(self, bundle, tmp_path, monkeypatch,
+                                    protocol):
+        import threading
+
+        def no_thread(self):
+            raise RuntimeError("a thread was started")
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert run(["evaluate", "--bundle", str(bundle), "--protocol",
+                    protocol, "--strategies", "def,f3", "--max-iters", "5",
+                    "--jobs", "2", "--out", str(tmp_path / "r")]) == 0

@@ -142,14 +142,6 @@ class TestRunLodo:
         np.testing.assert_array_equal(m1.u, m2.u)
         np.testing.assert_array_equal(m1.v, m2.v)
 
-    def test_parallel_folds_identical(self):
-        data = synth_data(seed=8)
-        strategies = [Strategy.DEFAULT, Strategy.F3_DIRECT]
-        serial = run_lodo(data, strategies, FAST, jobs=1)
-        parallel = run_lodo(data, strategies, FAST, jobs=4)
-        for f1, f2 in zip(serial.folds, parallel.folds):
-            assert f1.metrics == f2.metrics
-
 
 class TestRunLowo:
     def test_fold_count_equals_m(self):

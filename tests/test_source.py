@@ -1,5 +1,6 @@
-"""A source check that needs no linter: every module of the package uses
-each name it imports."""
+"""Source checks that need no linter: every module of the package uses
+each name it imports, and every private module-level name is used
+somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -8,8 +9,9 @@ import pytest
 
 import metamine
 
-MODULES = sorted(p for p in Path(metamine.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")   # its imports are re-exports
+PACKAGE = sorted(Path(metamine.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE
+           if p.name != "__init__.py"]   # its imports are re-exports
 
 
 def unused_imports(source):
@@ -37,3 +39,41 @@ def test_check_sees_an_unused_import():
     assert unused_imports("import csv\nfrom typing import Optional, "
                           "Sequence\nx: Optional[int] = None\n") \
         == ["csv", "Sequence"]
+
+
+def dead_private_names(sources):
+    """The private (`_name`) functions, classes and assignments at module
+    level in any of the sources that none of them references."""
+    defined, used = [], set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                defined += [n.id for n in ast.walk(node)
+                            if isinstance(n, ast.Name)
+                            and isinstance(n.ctx, ast.Store)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):    # io._write_csv
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):   # from .io import _x
+                used.update(alias.name for alias in node.names)
+    return [name for name in defined
+            if name.startswith("_") and not name.startswith("__")
+            and name not in used]
+
+
+def test_every_private_name_is_used():
+    assert dead_private_names(p.read_text(encoding="utf-8")
+                              for p in PACKAGE) == []
+
+
+def test_check_sees_a_dead_helper():
+    assert dead_private_names([
+        "def _used():\n    pass\n\ndef _dead():\n    _LIMIT = 1\n\n"
+        "_LIMIT = 3\n_SHARED = 4\nclass _Old:\n    pass\nx = _used()\n",
+        "from .a import _SHARED\n",
+    ]) == ["_dead", "_LIMIT", "_Old"]
