@@ -21,7 +21,8 @@ import numpy as np
 
 from . import io
 from .data_model import HyperParams, MetaMiningData, TableKind
-from .evaluation import Protocol, run_lodo, run_lodwo, run_lowo
+from .evaluation import (Protocol, report_table, run_lodo, run_lodwo,
+                         run_lowo)
 from .metric_learning import ObjectiveKind, train
 from .preference import (build_preference_from_significance,
                          build_preference_matrix)
@@ -223,8 +224,9 @@ def cmd_evaluate(resolved):
     report = runner(data, strategies, hyper)
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
-    io.write_json(out / "report.json", report.to_dict())
-    table = report.render_table()
+    doc = report.to_dict()
+    io.write_json(out / "report.json", doc)
+    table = report_table(doc)
     with open(out / "report.txt", "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
     _write_resolved_config(out, "evaluate", resolved)

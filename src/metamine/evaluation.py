@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import stats
 
 from .data_model import HyperParams, MetaMiningData
 from .metric_learning import ObjectiveKind, train_many
@@ -33,7 +32,7 @@ class FoldResult:
     failed: dict = field(default_factory=dict)  # strategy -> error message
 
 
-# baseline -> the tag of its comparison rows in render_table
+# baseline -> the tag of its comparison rows in report_table
 _BASELINES = {Strategy.DEFAULT: "delta", Strategy.EUCLIDEAN: "delta_EC"}
 
 
@@ -104,35 +103,44 @@ class EvaluationReport:
         }
 
     def render_table(self):
-        """Plain-text table: one row block per strategy with the metric
-        aggregates and the win counts / p-values against the baselines."""
-        metrics = self.metric_names()
-        lines = [f"protocol: {self.protocol.value}"]
-        for notice in self.notices:
-            lines.append(f"note: {notice}")
-        header = ["strategy"] + metrics
-        lines.append("  ".join(f"{h:>12}" for h in header))
-        d = self.to_dict()
-        for s in self.strategies:
-            agg = d["aggregates"][s.value]
-            cells = [f"{s.value:>12}"]
+        """The plain-text table of this report (see report_table)."""
+        return report_table(self.to_dict())
+
+
+def report_table(doc):
+    """Plain-text table of a report's to_dict(): one row block per strategy
+    with the metric aggregates and the win counts / p-values against the
+    baselines. The metric columns are the folds' metric names in
+    first-seen order, as metric_names gives them."""
+    metrics = []
+    for fold in doc["folds"]:
+        for names in fold["metrics"].values():
+            metrics += [m for m in names if m not in metrics]
+    lines = [f"protocol: {doc['protocol']}"]
+    for notice in doc["notices"]:
+        lines.append(f"note: {notice}")
+    header = ["strategy"] + metrics
+    lines.append("  ".join(f"{h:>12}" for h in header))
+    for s in doc["strategies"]:
+        agg = doc["aggregates"][s]
+        cells = [f"{s:>12}"]
+        for m in metrics:
+            v = agg[m]
+            cells.append(f"{'NA':>12}" if v is None else f"{v:>12.4f}")
+        lines.append("  ".join(cells))
+        for baseline, tag in _BASELINES.items():
+            comp = doc["comparisons"].get(s, {}).get(baseline.value)
+            if not comp:
+                continue
+            cells = [f"{tag:>12}"]
             for m in metrics:
-                v = agg[m]
-                cells.append(f"{'NA':>12}" if v is None else f"{v:>12.4f}")
+                c = comp.get(m)
+                if c is None or c["p"] is None:
+                    cells.append(f"{'NA':>12}")
+                else:
+                    cells.append(f"{c['wins']}/{c['total']} p={c['p']:.3f}".rjust(12))
             lines.append("  ".join(cells))
-            for baseline, tag in _BASELINES.items():
-                comp = d["comparisons"].get(s.value, {}).get(baseline.value)
-                if not comp:
-                    continue
-                cells = [f"{tag:>12}"]
-                for m in metrics:
-                    c = comp.get(m)
-                    if c is None or c["p"] is None:
-                        cells.append(f"{'NA':>12}")
-                    else:
-                        cells.append(f"{c['wins']}/{c['total']} p={c['p']:.3f}".rjust(12))
-                lines.append("  ".join(cells))
-        return "\n".join(lines)
+    return "\n".join(lines)
 
 
 def binomial_sign_test(wins: int, total: int) -> float:
@@ -142,6 +150,7 @@ def binomial_sign_test(wins: int, total: int) -> float:
         raise ValueError("total must be positive")
     if not 0 <= wins <= total:
         raise ValueError("wins must lie in [0, total]")
+    from scipy import stats     # not at module level: see preference.py
     lower = stats.binom.cdf(wins, total, 0.5)
     upper = stats.binom.sf(wins - 1, total, 0.5)
     return float(min(1.0, 2.0 * min(lower, upper)))

@@ -8,7 +8,12 @@ File formats:
   preference matrix - wide CSV: first column dataset_id, one column per
                       workflow id
   outcome cube      - one CSV per dataset (rows = instances, columns =
-                      workflow ids, values 0/1)
+                      workflow ids, values 0/1); a file whose every data
+                      row is c,c,...,c and the header's line ending
+                      (CR LF or LF), each c the single byte 0 or 1, is
+                      read in one byte-level pass; every other file goes
+                      through csv as before, with the same values and
+                      the same errors
   significance      - long CSV: dataset_id, workflow_k, workflow_l, outcome
                       with outcome in {k_wins, l_wins, tie}
   predictions       - long CSV: query_id, target_id, score, strategy,
@@ -28,6 +33,7 @@ that parses back to the same float.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 from enum import Enum
@@ -206,9 +212,41 @@ def write_preference_csv(path, r: PreferenceMatrix):
     _write_wide(path, "dataset_id", r.workflow_ids, r.dataset_ids, r.scores)
 
 
+def _binary_cells(path):
+    """(workflow ids, values) of an outcome CSV in the form write_outcome_dir
+    writes: a header line with no quote, no stray CR and no BOM, then at
+    least one row of c,c,...,c and the header's line ending, each c the
+    byte 0 or 1. None for any other file. The header goes through csv, so
+    the ids are those _read_rows gives; the values are those, and of the
+    dtype and shape, that _numeric_body gives."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head, newline, body = data.partition(b"\n")
+    eol = b"\r\n" if head.endswith(b"\r") else b"\n"
+    head = head.removesuffix(b"\r")
+    if (not (head and newline and body) or b'"' in head or b"\r" in head
+            or head.startswith(codecs.BOM_UTF8)):
+        return None
+    try:
+        workflow_ids = tuple(next(csv.reader([head.decode("utf-8")])))
+    except (UnicodeDecodeError, csv.Error):
+        return None
+    cells = 2 * len(workflow_ids) - 1       # the bytes of a row before eol
+    if len(body) % (cells + len(eol)):
+        return None
+    rows = np.frombuffer(body, dtype=np.uint8).reshape(-1, cells + len(eol))
+    values = rows[:, 0:cells:2] - ord("0")
+    if not ((values <= 1).all() and (rows[:, 1:cells:2] == ord(",")).all()
+            and (rows[:, cells:] == np.frombuffer(eol, dtype=np.uint8)).all()):
+        return None
+    return workflow_ids, values.astype(float)
+
+
 def read_outcome_dir(directory) -> OutcomeCube:
     """One CSV per dataset, named <dataset_id>.csv; all files must share
-    the same workflow columns, and every cell is 0 or 1."""
+    the same workflow columns, and every cell is 0 or 1. A file in the
+    form write_outcome_dir writes is read by _binary_cells; any other
+    through _read_rows, for the same values and the same errors."""
     directory = Path(directory)
     files = sorted(directory.glob("*.csv"))
     if not files:
@@ -216,14 +254,19 @@ def read_outcome_dir(directory) -> OutcomeCube:
     dataset_ids, matrices = [], []
     workflow_ids = None
     for path in files:
-        rows = _read_rows(path)
-        cols = tuple(rows[0])
+        fast = _binary_cells(path)
+        if fast is None:
+            rows = _read_rows(path)
+            cols, values = tuple(rows[0]), None
+        else:
+            cols, values = fast
         if workflow_ids is None:
             workflow_ids = cols
         elif cols != workflow_ids:
             raise IngestError(f"{path}: workflow columns differ from {files[0]}")
         dataset_ids.append(path.stem)
-        matrices.append(_numeric_body(path, rows, 0, binary=True))
+        matrices.append(_numeric_body(path, rows, 0, binary=True)
+                        if values is None else values)
     return OutcomeCube(dataset_ids=tuple(dataset_ids),
                        workflow_ids=workflow_ids, matrices=tuple(matrices))
 

@@ -7,13 +7,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import stats
 
 from .data_model import PreferenceMatrix
 
-# the level of every McNemar comparison, and its chi-square(1) critical value
+# scipy.stats is imported where it is used: it is most of the package's
+# import time, and synth, ingest and predict never need it
+
+# the level of every McNemar comparison, and its chi-square(1) critical
+# value, stats.chi2.ppf(1 - ALPHA, 1) (tests/test_preference.py checks it)
 ALPHA = 0.05
-_CHI2_CRITICAL = stats.chi2.ppf(1.0 - ALPHA, 1)
+_CHI2_CRITICAL = 3.841458820694124
 
 
 class PairOutcome(str, Enum):
@@ -103,6 +106,7 @@ def mcnemar_wins(correctness, exact=False) -> np.ndarray:
         statistic = (np.abs(b - b.T) - 1.0) ** 2 / discordant
     significant = statistic > _CHI2_CRITICAL
     if exact:
+        from scipy import stats
         tail = stats.binom.cdf(np.minimum(b, b.T), discordant, 0.5)
         significant = np.where(discordant < 25,
                                np.minimum(1.0, 2.0 * tail) < ALPHA,
@@ -178,6 +182,7 @@ def _rank_correlations(vectors):
     nan. Centred average ranks are multiples of 0.5, so the Gram entries and
     squared norms are exact and each entry rounds as the per-pair formula
     rx @ ry / sqrt((rx @ rx) * (ry @ ry)) does."""
+    from scipy import stats
     ranks = stats.rankdata(vectors, method="average", axis=1)
     ranks -= ranks.mean(axis=1, keepdims=True)
     sq = (ranks ** 2).sum(axis=1)

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict
 
 import pytest
 
+import metamine
 from metamine.cli import build_parser, main
 from metamine.data_model import TableKind
 from metamine.io import load_model, read_descriptor_csv
@@ -942,3 +946,71 @@ class TestNoThreadStarted:
         assert run(["evaluate", "--bundle", str(bundle), "--protocol",
                     protocol, "--strategies", "def,f3", "--max-iters", "5",
                     "--jobs", "2", "--out", str(tmp_path / "r")]) == 0
+
+
+# Runs each argv of the JSON list in sys.argv[1] through main in one fresh
+# process, and asserts that scipy.stats is not imported until the last.
+_STATS_LOADED_BY = """
+import json, sys
+from metamine.cli import main
+*serving, last = json.loads(sys.argv[1])
+assert "scipy.stats" not in sys.modules, "import metamine.cli"
+for argv in serving:
+    assert main(argv) == 0, argv
+    assert "scipy.stats" not in sys.modules, argv[0]
+assert main(last) == 0, last
+assert "scipy.stats" in sys.modules, last[0]
+"""
+
+
+class TestNoScipyStatsAtStartUp:
+    """Importing scipy.stats is most of a fresh process's start-up, and
+    synth, ingest and predict never use it: the package imports it only in
+    the functions that do (the similarity targets of f1, f2 and f4, and
+    the sign test)."""
+
+    def test_fresh_process(self, tmp_path):
+        raw, bundle = tmp_path / "raw", tmp_path / "bundle"
+
+        def train(objective):
+            return ["train", "--bundle", str(bundle), "--objective", objective,
+                    "--max-iters", "5", "--out", str(tmp_path / f"{objective}.json")]
+        synth = ["synth", "--n", "6", "--m", "5", "--mode", "outcome",
+                 "--instances", "20", "--seed", "2", "--out", str(raw)]
+        ingest = ["ingest", "--x", str(raw / "X.csv"), "--a", str(raw / "A.csv"),
+                  "--performance", str(raw / "performance.csv"),
+                  "--outcomes-dir", str(raw / "outcomes"), "--out", str(bundle)]
+        predict = ["predict", "--model", str(tmp_path / "f3.json"),
+                   "--bundle", str(bundle), "--task", "pair_score",
+                   "--x", str(raw / "X.csv"), "--a", str(raw / "A.csv"),
+                   "--out", str(tmp_path / "p.csv")]
+        for argv in (synth, ingest, train("f3")):     # predict's model
+            assert run(argv) == 0
+        src = os.path.dirname(os.path.dirname(metamine.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-c", _STATS_LOADED_BY,
+             json.dumps([synth, ingest, predict, train("f4")])],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+
+
+class TestReportBuiltOnce:
+    def test_evaluate_builds_the_report_dict_once(self, bundle, tmp_path,
+                                                 monkeypatch):
+        """report.json and report.txt come from one to_dict: its sign
+        tests run once per evaluate."""
+        from metamine.evaluation import EvaluationReport
+        calls, to_dict = [], EvaluationReport.to_dict
+
+        def counted(self):
+            calls.append(self)
+            return to_dict(self)
+        monkeypatch.setattr(EvaluationReport, "to_dict", counted)
+        out = tmp_path / "r"
+        assert run(["evaluate", "--bundle", str(bundle), "--protocol", "lodo",
+                    "--strategies", "def,ec,f3", "--max-iters", "5",
+                    "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert (out / "report.txt").read_text() == calls[0].render_table() + "\n"

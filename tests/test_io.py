@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 import tempfile
@@ -24,6 +25,7 @@ from metamine.preference import OutcomeCube, build_preference_from_significance
 from metamine.recommend import predict_pair
 from metamine.synth import SynthConfig, SynthMode, generate
 
+import metamine.io
 from conftest import make_tables
 
 
@@ -576,6 +578,173 @@ class TestOutcomeCells:
         (tmp_path / "d0.csv").write_text("w0,w1\n0.0,1e0\n-0,1.000\n")
         cube = read_outcome_dir(tmp_path)
         assert cube.matrices[0].tolist() == [[0.0, 1.0], [0.0, 1.0]]
+
+
+# Ways an outcome CSV can leave the form write_outcome_dir writes (a
+# header, then rows of 0/1 bytes joined by commas, every line ending as
+# the header's does); each sends the file from the byte-level path to csv.
+REFUSALS = ("token", "short row", "long row", "blank line", "trailing comma",
+            "no final newline", "cr only", "mixed endings", "stray cr",
+            "quoted header", "bom", "header only", "empty", "invalid utf-8")
+REFUSED_TOKENS = ("2", "9", "a", "-", " ", "", "1.0", "0.0", " 1", "1 ", "-0",
+                  "+1", "1e0", "00", "nan", "abc")
+
+
+@st.composite
+def outcome_csv(draw, m, instances, eol, fault, header):
+    """The bytes of an outcome CSV: the header's m ids, then instances rows
+    of 0/1 cells, every line ending in eol; with a fault from REFUSALS,
+    left out of that form in that way."""
+    lines = [list(header)] + [
+        draw(st.lists(st.sampled_from("01"), min_size=m, max_size=m))
+        for _ in range(instances)]
+    ends = [eol] * len(lines)
+    i = draw(st.integers(1, instances))     # the data line a fault goes to
+    if fault == "token":
+        lines[i][draw(st.integers(0, m - 1))] = draw(
+            st.sampled_from(REFUSED_TOKENS))
+    elif fault == "short row":
+        del lines[i][-1]
+    elif fault in ("long row", "trailing comma"):
+        lines[i].append(draw(st.sampled_from("01")) if fault == "long row"
+                        else "")
+    elif fault == "blank line":
+        lines.insert(i, [])
+        ends.append(eol)
+    elif fault == "cr only":
+        ends = ["\r"] * len(lines)
+    elif fault == "mixed endings":    # "\n\n" is an ending and a blank line
+        ends[i] = draw(st.sampled_from(
+            [end for end in ("\n", "\r\n", "\r", "\n\n") if end != eol]))
+    elif fault == "stray cr":          # before eol: one more line to csv
+        ends[draw(st.sampled_from((0, i)))] = "\r" + eol
+    elif fault == "quoted header":
+        j = draw(st.integers(0, m - 1))
+        lines[0][j] = f'"{lines[0][j]}"'
+    if fault == "header only":
+        lines, ends = lines[:1], ends[:1]
+    text = "".join(",".join(line) + end for line, end in zip(lines, ends))
+    data = text.removesuffix(eol if fault == "no final newline" else "").encode()
+    if fault == "bom":
+        data = codecs.BOM_UTF8 + data
+    elif fault == "empty":
+        data = b""
+    elif fault == "invalid utf-8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def reference_outcome_dir(directory):
+    """read_outcome_dir by its rules alone: every file through csv, then
+    each check in line order and token by token; the values are those of
+    reference_outcomes."""
+    files = sorted(Path(directory).glob("*.csv"))
+    header = None
+    for path in files:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        if not rows:
+            raise IngestError(f"{path}: empty file (header row required)")
+        if header is None:
+            header = rows[0]
+        elif rows[0] != header:
+            raise IngestError(f"{path}: workflow columns differ from {files[0]}")
+        if len(rows) < 2:
+            raise IngestError(f"{path}: no data rows under the header")
+        for ln, row in enumerate(rows[1:], start=2):
+            if len(row) != len(header):
+                raise IngestError(f"{path}: line {ln}: expected {len(header)} "
+                                  f"fields, got {len(row)}")
+            for token in row:
+                if _reference_float(token, path, ln) not in (0.0, 1.0):
+                    raise IngestError(f"{path}: line {ln}: not 0 or 1: "
+                                      f"{token!r}")
+    return reference_outcomes(directory)
+
+
+def _outcome(call):
+    """call's result, or the type and text of what it raised."""
+    try:
+        return call(), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestOutcomeBytePath:
+    """read_outcome_dir reads a file in the form write_outcome_dir writes
+    (CR LF line endings, or LF) in one byte-level pass, and every other file
+    through csv; either way it reads what the per-token reference reads,
+    bit for bit, or raises what it raises."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_read_equals_reference(self, data):
+        m, instances = data.draw(st.integers(1, 5)), data.draw(
+            st.sampled_from((1, 2, 3, 7, 40)))
+        eol = data.draw(st.sampled_from(("\n", "\r\n")))
+        header = [f"w{j}" for j in range(m)]
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in ("d0", "d1"):
+                fault = data.draw(st.one_of(st.none(), st.sampled_from(REFUSALS)))
+                if name == "d1" and data.draw(st.booleans()):
+                    header[-1] = "v"      # the columns differ from d0's
+                path = Path(tmp) / f"{name}.csv"
+                path.write_bytes(data.draw(outcome_csv(m, instances, eol,
+                                                       fault, header)))
+                note(f"{name}: {fault}: {path.read_bytes()!r}")
+                assert (metamine.io._binary_cells(path) is None) == (
+                    fault is not None)
+
+            def read():
+                cube = read_outcome_dir(tmp)
+                return cube.dataset_ids, np.stack(cube.matrices)
+            (got, got_error), (want, want_error) = (
+                _outcome(read), _outcome(lambda: reference_outcome_dir(tmp)))
+            assert got_error == want_error
+            if want_error is None:
+                assert got[0] == want[0]
+                assert got[1].dtype == want[1].dtype
+                assert got[1].shape == want[1].shape
+                assert (got[1].view(np.int64) == want[1].view(np.int64)).all()
+
+    def test_written_files_never_reach_csv(self, tmp_path, monkeypatch):
+        """A directory written by write_outcome_dir (CR LF), and a copy of it
+        with LF line endings, are read without _read_rows."""
+        res = generate(SynthConfig(n=4, m=6, d=4, l=3, latent_t=2, seed=8,
+                                   mode=SynthMode.OUTCOME_LEVEL,
+                                   instances_per_dataset=40))
+        crlf, lf = tmp_path / "crlf", tmp_path / "lf"
+        write_outcome_dir(crlf, res.cube)
+        lf.mkdir()
+        for path in crlf.glob("*.csv"):
+            assert path.read_bytes().count(b"\r\n") == 41
+            (lf / path.name).write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+
+        def no_csv(path):
+            raise AssertionError(f"{path} was read through csv")
+        monkeypatch.setattr(metamine.io, "_read_rows", no_csv)
+        for directory in (crlf, lf):
+            cube = read_outcome_dir(directory)
+            assert cube.workflow_ids == res.cube.workflow_ids
+            got = dict(zip(cube.dataset_ids, cube.matrices))
+            for ds, want in zip(res.cube.dataset_ids, res.cube.matrices):
+                assert got[ds].dtype == want.dtype and got[ds].shape == want.shape
+                assert got[ds].tobytes() == want.tobytes()
+
+    def test_refused_file_reaches_csv(self, tmp_path, monkeypatch):
+        (tmp_path / "d0.csv").write_bytes(b"w0,w1\r\n0,1\r\n")
+        (tmp_path / "d1.csv").write_bytes(b"w0,w1\r\n1.0,0\r\n")
+        read, read_rows = [], metamine.io._read_rows
+
+        def spy(path):
+            read.append(path.name)
+            return read_rows(path)
+        monkeypatch.setattr(metamine.io, "_read_rows", spy)
+        cube = read_outcome_dir(tmp_path)
+        assert read == ["d1.csv"]
+        assert [mat.tolist() for mat in cube.matrices] == [[[0.0, 1.0]],
+                                                           [[1.0, 0.0]]]
 
 
 class TestReadBundlePerformance:

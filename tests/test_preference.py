@@ -67,6 +67,15 @@ class TestMcnemar:
         k, l = vectors_with_discordants(5, 0)
         assert mcnemar_significant(k, l, exact=True) is PairOutcome.TIE
 
+    def test_critical_value_is_the_chi2_quantile(self):
+        # a literal, so that importing the package does not import
+        # scipy.stats; it must be the quantile exactly
+        from scipy import stats
+
+        from metamine import preference
+        assert preference._CHI2_CRITICAL == stats.chi2.ppf(
+            1 - preference.ALPHA, 1)
+
 
 class TestScoreDataset:
     def test_all_ties_symmetric(self):
