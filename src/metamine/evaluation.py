@@ -11,7 +11,7 @@ import numpy as np
 
 from .data_model import HyperParams, MetaMiningData
 from .metric_learning import ObjectiveKind, train_many
-from .preference import spearman
+from .preference import spearman_many, spearman_rows
 from .recommend import OBJECTIVES, TASKS, Strategy, Task, predict
 
 HIGHER_IS_BETTER = {"rho": True, "t5p": True, "mae": False}
@@ -63,19 +63,23 @@ class EvaluationReport:
 
     def to_dict(self):
         metrics = self.metric_names()
-        comparisons = {}
+        tallies = []    # (strategy, baseline, metric, wins, total)
         for s in self.strategies:
             for baseline in _BASELINES:
                 if baseline not in self.strategies or s == baseline:
                     continue
                 for metric in metrics:
                     try:
-                        wins, total, p = compare_strategies(self, s, baseline, metric)
+                        wins, total = _tally(self, s, baseline, metric)
                     except ValueError:
                         continue
-                    comparisons.setdefault(s.value, {}).setdefault(
-                        baseline.value, {})[metric] = {
-                            "wins": wins, "total": total, "p": p}
+                    tallies.append((s, baseline, metric, wins, total))
+        comparisons = {}
+        for (s, baseline, metric, wins, total), p in zip(
+                tallies, _sign_tests([t[3:] for t in tallies])):
+            comparisons.setdefault(s.value, {}).setdefault(
+                baseline.value, {})[metric] = {
+                    "wins": wins, "total": total, "p": p}
         return {
             "protocol": self.protocol.value,
             "strategies": [s.value for s in self.strategies],
@@ -143,6 +147,22 @@ def report_table(doc):
     return "\n".join(lines)
 
 
+def _sign_tests(tallies):
+    """binomial_sign_test of each checked (wins, total) of tallies, None
+    where total is 0: the tails of all of them in one call each."""
+    tested = [k for k, (_, total) in enumerate(tallies) if total]
+    out = [None] * len(tallies)
+    if tested:
+        from scipy import stats     # not at module level: see preference.py
+        wins, total = np.array([tallies[k] for k in tested]).T
+        lower = stats.binom.cdf(wins, total, 0.5)
+        upper = stats.binom.sf(wins - 1, total, 0.5)
+        for k, p in zip(tested, np.minimum(1.0, 2.0 * np.minimum(lower, upper))
+                        .tolist()):
+            out[k] = p
+    return out
+
+
 def binomial_sign_test(wins: int, total: int) -> float:
     """Exact two-sided binomial p under p=0.5: twice the smaller tail,
     clamped to 1."""
@@ -150,10 +170,7 @@ def binomial_sign_test(wins: int, total: int) -> float:
         raise ValueError("total must be positive")
     if not 0 <= wins <= total:
         raise ValueError("wins must lie in [0, total]")
-    from scipy import stats     # not at module level: see preference.py
-    lower = stats.binom.cdf(wins, total, 0.5)
-    upper = stats.binom.sf(wins - 1, total, 0.5)
-    return float(min(1.0, 2.0 * min(lower, upper)))
+    return _sign_tests([(wins, total)])[0]
 
 
 def top_k_performance(predicted, perf_row, k: int) -> float:
@@ -167,11 +184,8 @@ def top_k_performance(predicted, perf_row, k: int) -> float:
     return float(perf_row[order[:k]].mean())
 
 
-def compare_strategies(report: EvaluationReport, strategy, baseline, metric):
-    """Per-fold strict-win count of strategy over baseline on one metric,
-    with the exact binomial p. Folds where either value is undefined are
-    skipped. Returns (wins, total, p); p is None when no fold is
-    comparable."""
+def _tally(report: EvaluationReport, strategy, baseline, metric):
+    """compare_strategies' (wins, total)."""
     wins = 0
     total = 0
     for f in report.folds:
@@ -184,9 +198,16 @@ def compare_strategies(report: EvaluationReport, strategy, baseline, metric):
         total += 1
         if (a > b) if HIGHER_IS_BETTER.get(metric, True) else (a < b):
             wins += 1
-    if total == 0:
-        return 0, 0, None
-    return wins, total, binomial_sign_test(wins, total)
+    return wins, total
+
+
+def compare_strategies(report: EvaluationReport, strategy, baseline, metric):
+    """Per-fold strict-win count of strategy over baseline on one metric,
+    with the exact binomial p. Folds where either value is undefined are
+    skipped. Returns (wins, total, p); p is None when no fold is
+    comparable."""
+    wins, total = _tally(report, strategy, baseline, metric)
+    return wins, total, _sign_tests([(wins, total)])[0]
 
 
 # task each protocol serves, and how its exclusion notices name it
@@ -198,15 +219,16 @@ _TASK_NAME = {Task.WORKFLOW_PREFS: "workflow ranking",
 
 
 def _metrics(pred, truth, perf_row):
+    """The metrics of one prediction but rho, and the rows its rho ranks
+    (None for a pair score, which has no rho). Raises the ValueError
+    spearman would."""
     if np.ndim(pred) == 0:  # pair score
-        return {"mae": abs(float(pred) - truth)}
-    out = {
-        "rho": spearman(pred, truth),
-        "mae": float(np.mean(np.abs(pred - truth))),
-    }
+        return {"mae": abs(float(pred) - truth)}, None
+    rows = spearman_rows(pred, truth)
+    out = {"mae": float(np.mean(np.abs(pred - truth)))}
     if perf_row is not None:
         out["t5p"] = top_k_performance(pred, perf_row, min(5, len(perf_row)))
-    return out
+    return out, rows
 
 
 def _training_set(held, data):
@@ -232,7 +254,9 @@ def _train_fold_models(strategies, training_sets, hyper):
 
 def _fold(held, training, models, data, strategies, hyper):
     """Score every strategy on one fold, held = (i, j) as in
-    _training_set, with the fold's training set and trained models."""
+    _training_set, with the fold's training set and trained models, all
+    but rho. Returns the FoldResult and the (strategy, rows) of each
+    strategy whose rho is still to be computed."""
     i, j = held
     x_train, a_train, r_train = training
     x_new = None if i is None else data.x.features[i]
@@ -251,24 +275,29 @@ def _fold(held, training, models, data, strategies, hyper):
                                  float(data.r.scores[i, j]))
 
     fold = FoldResult(held_out=held_out, metrics={})
+    ranked = []
     for s in strategies:
         try:
             pred = predict(s, task, x_new, a_new, x_train, a_train, r_train,
                            models.get(OBJECTIVES.get(s)), hyper.n_neighbors)
-            fold.metrics[s] = _metrics(pred.values, truth, perf_row)
+            metrics, rows = _metrics(pred.values, truth, perf_row)
+            fold.metrics[s] = metrics
             fold.predictions[s] = pred.values
             fold.flags.extend(f"{s.value}:{flag}" for flag in pred.flags)
+            if rows is not None:
+                ranked.append((s, rows))
         except ValueError as exc:  # fold flagged, excluded from aggregates
             fold.metrics[s] = {}
             fold.failed[s] = str(exc)
-    return fold
+    return fold, ranked
 
 
 def _run(protocol, data, strategies, hyper, held):
     """Drop the strategies that cannot serve the protocol's task (each
     with a notice; a ValueError if none is left, or if one is listed
     twice), train every fold's models, then score one fold per held-out
-    key."""
+    key. The rho of every fold and strategy is computed last, in one
+    spearman_many."""
     repeated = [s.value for k, s in enumerate(strategies) if s in strategies[:k]]
     if repeated:
         raise ValueError(f"strategy {repeated[0]} is listed more than once")
@@ -280,8 +309,13 @@ def _run(protocol, data, strategies, hyper, held):
         raise ValueError(f"no strategy left to run for {_TASK_NAME[task]}")
     training_sets = [_training_set(key, data) for key in held]
     models = _train_fold_models(strategies, training_sets, hyper)
-    folds = [_fold(key, training, fold_models, data, strategies, hyper)
-             for key, training, fold_models in zip(held, training_sets, models)]
+    scored = [_fold(key, training, fold_models, data, strategies, hyper)
+              for key, training, fold_models in zip(held, training_sets, models)]
+    ranked = [(fold, s, rows) for fold, pending in scored for s, rows in pending]
+    for (fold, s, _), rho in zip(ranked, spearman_many(
+            [rows for _, _, rows in ranked])):
+        fold.metrics[s] = {"rho": rho, **fold.metrics[s]}
+    folds = [fold for fold, _ in scored]
     return EvaluationReport(protocol=protocol, strategies=strategies,
                             folds=folds, notices=notices)
 

@@ -28,7 +28,9 @@ File formats:
                       performance.csv only where the caller asks for P
 
 Every writer formats a float as repr does: the shortest decimal string
-that parses back to the same float.
+that parses back to the same float. Every reader takes UTF-8 and drops a
+leading byte-order mark; a CSV that is not UTF-8 is an IngestError that
+names the file.
 """
 
 from __future__ import annotations
@@ -61,8 +63,13 @@ def _reprs(values):
 
 
 def _read_rows(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    """The rows of a UTF-8 CSV file, a leading byte-order mark dropped."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text (byte "
+                          f"0x{exc.object[exc.start]:02x}: {exc.reason})") from None
     if not rows:
         raise IngestError(f"{path}: empty file (header row required)")
     return rows

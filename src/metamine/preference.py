@@ -177,18 +177,47 @@ def build_preference_from_significance(dataset_ids, workflow_ids,
 
 
 def _rank_correlations(vectors):
-    """Spearman correlation of every pair of rows (one Gram product of the
-    centred average ranks) and the mask of constant rows, whose entries are
-    nan. Centred average ranks are multiples of 0.5, so the Gram entries and
-    squared norms are exact and each entry rounds as the per-pair formula
-    rx @ ry / sqrt((rx @ rx) * (ry @ ry)) does."""
+    """Spearman correlation of every pair of rows of each matrix of a stack
+    (..., k, m), one Gram product of the centred average ranks per
+    matrix, and the mask of constant rows, whose entries are nan. Centred
+    average ranks are multiples of 0.5, so the Gram entries and squared
+    norms are exact and each entry rounds as the per-pair formula
+    rx @ ry / sqrt((rx @ rx) * (ry @ ry)) does, whatever the stack."""
     from scipy import stats
-    ranks = stats.rankdata(vectors, method="average", axis=1)
-    ranks -= ranks.mean(axis=1, keepdims=True)
-    sq = (ranks ** 2).sum(axis=1)
+    ranks = stats.rankdata(vectors, method="average", axis=-1)
+    ranks -= ranks.mean(axis=-1, keepdims=True)
+    sq = (ranks ** 2).sum(axis=-1)
     with np.errstate(invalid="ignore"):
-        corr = ranks @ ranks.T / np.sqrt(np.outer(sq, sq))
+        corr = ranks @ ranks.mT / np.sqrt(sq[..., :, None] * sq[..., None, :])
     return corr, sq == 0.0
+
+
+def spearman_rows(x, y):
+    """x and y as the two rows of the array spearman ranks, checked as
+    spearman checks them (a ValueError on a length mismatch or fewer
+    than two values)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
+    if x.size < 2:
+        raise ValueError("need at least two observations")
+    return np.vstack([x.ravel(), y.ravel()])
+
+
+def spearman_many(rows):
+    """spearman of each pair of rows that spearman_rows gives, in order:
+    the pairs of one length are ranked as one stack, in one call."""
+    by_length = {}
+    for index, pair in enumerate(rows):
+        by_length.setdefault(pair.shape, []).append(index)
+    out = [None] * len(rows)
+    for members in by_length.values():
+        corr, constant = _rank_correlations(np.stack([rows[i] for i in members]))
+        rhos = np.where(constant.any(axis=-1), np.nan, corr[:, 0, 1])
+        for i, rho in zip(members, rhos.tolist()):
+            out[i] = rho
+    return out
 
 
 def spearman(x, y):
@@ -196,14 +225,7 @@ def spearman(x, y):
 
     Returns nan when either vector is constant (correlation undefined).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    if x.size < 2:
-        raise ValueError("need at least two observations")
-    corr, constant = _rank_correlations(np.vstack([x.ravel(), y.ravel()]))
-    return float("nan") if constant.any() else float(corr[0, 1])
+    return spearman_many([spearman_rows(x, y)])[0]
 
 
 def similarity_target(r: PreferenceMatrix, axis: SimilarityAxis) -> SimilarityTarget:

@@ -231,6 +231,83 @@ class TestFoldErrors:
             run_lodo(synth_data(seed=18), [Strategy.DEFAULT], FAST)
 
 
+class TestBatchedRho:
+    """Every rho of a protocol run comes from one stacked call, and equals
+    what spearman gives for that fold and strategy alone."""
+
+    def test_rho_equals_per_pair_spearman(self, monkeypatch):
+        import dataclasses
+        import metamine.evaluation
+        from metamine.preference import spearman
+        served = metamine.evaluation.predict
+        altered = {}    # fold index -> what the default strategy predicts
+
+        def predict(strategy, task, *args):
+            pred = served(strategy, task, *args)
+            if strategy is Strategy.DEFAULT:
+                values = pred.values.copy()
+                change = len(altered) % 4
+                if change == 1:
+                    values[0] = math.nan           # rho is nan
+                elif change == 2:
+                    values = values[:-1]           # spearman refuses it
+                elif change == 3:
+                    values[:] = 1.0                # constant: rho is nan
+                altered[len(altered)] = values
+                pred = dataclasses.replace(pred, values=values)
+            return pred
+        monkeypatch.setattr(metamine.evaluation, "predict", predict)
+        data = synth_data(seed=6, n=9, m=6)
+        strategies = [Strategy.DEFAULT, Strategy.EUCLIDEAN, Strategy.F4_DIRECT]
+        for runner, truths in ((run_lodo, data.r.scores),
+                               (run_lowo, data.r.scores.T)):
+            altered.clear()
+            report = runner(data, strategies, FAST)
+            for k, (fold, truth) in enumerate(zip(report.folds, truths)):
+                for s in strategies:
+                    pred = (altered[k] if s is Strategy.DEFAULT
+                            else fold.predictions[s])
+                    try:
+                        want = spearman(pred, truth)
+                    except ValueError as exc:
+                        assert fold.failed == {s: str(exc)}
+                        assert fold.metrics[s] == {}
+                        continue
+                    got = fold.metrics[s]["rho"]
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                    assert list(fold.metrics[s])[:2] == ["rho", "mae"]
+            assert sum(len(f.failed) for f in report.folds) == len(truths) // 4
+
+    def test_rank_calls_independent_of_fold_count(self, monkeypatch):
+        import metamine.preference
+        ranked = metamine.preference._rank_correlations
+        calls = []
+
+        def counted(vectors):
+            calls.append(vectors.shape)
+            return ranked(vectors)
+        monkeypatch.setattr(metamine.preference, "_rank_correlations", counted)
+        hyper = HyperParams(max_iters=3, seed=0, t=2)
+        counts = {}
+        for n in (6, 20):
+            data = synth_data(seed=7, n=n, m=6)
+            for runner in (run_lodo, run_lowo, run_lodwo):
+                for strategies in ([Strategy.DEFAULT, Strategy.EUCLIDEAN,
+                                    Strategy.F3_DIRECT],
+                                   [Strategy.DEFAULT, Strategy.F4_DIRECT]):
+                    calls.clear()
+                    report = runner(data, strategies, hyper)
+                    counts.setdefault((runner.__name__, len(strategies)),
+                                      []).append(len(calls) - 2 * (
+                                          len(report.folds) if Strategy.F4_DIRECT
+                                          in strategies else 0))
+        # every rho in one call (LODWO scores pairs: no rho), beside one
+        # similarity_target call per fold and axis of the f4 models
+        assert counts == {("run_lodo", 3): [1, 1], ("run_lodo", 2): [1, 1],
+                          ("run_lowo", 3): [1, 1], ("run_lowo", 2): [1, 1],
+                          ("run_lodwo", 3): [0, 0], ("run_lodwo", 2): [0, 0]}
+
+
 class TestCompareStrategies:
     def make_report(self, a_vals, b_vals, metric="mae"):
         from metamine.evaluation import EvaluationReport, FoldResult

@@ -141,6 +141,61 @@ class TestOutcomeDir:
             read_outcome_dir(tmp_path)
 
 
+class TestTextDecoding:
+    """Every CSV reader drops a leading UTF-8 byte-order mark, and a file
+    that is not UTF-8 is exit 1 with its name."""
+
+    @pytest.fixture
+    def raw(self, tmp_path):
+        raw = tmp_path / "raw"
+        assert main(["synth", "--n", "5", "--m", "4", "--d", "3", "--l", "3",
+                     "--latent-t", "3", "--seed", "3", "--mode", "outcome",
+                     "--instances", "20", "--out", str(raw)]) == 0
+        return raw
+
+    def ingest(self, raw, out, **sources):
+        argv = ["ingest", "--x", str(raw / "X.csv"), "--a", str(raw / "A.csv"),
+                "--performance", str(raw / "performance.csv"), "--out", str(out)]
+        for flag, path in sources.items():
+            argv += [f"--{flag.replace('_', '-')}", str(path)]
+        return main(argv)
+
+    def test_bom_performance_csv_ingests(self, raw, tmp_path):
+        path = raw / "performance.csv"
+        plain = read_performance_csv(path)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        back = read_performance_csv(path)
+        assert (back.dataset_ids, back.workflow_ids) == (plain.dataset_ids,
+                                                         plain.workflow_ids)
+        np.testing.assert_array_equal(back.values, plain.values)
+        assert self.ingest(raw, tmp_path / "bundle",
+                           preferences=raw / "R.csv") == 0
+
+    def test_bom_outcome_csv_keeps_its_workflow_ids(self, raw, tmp_path):
+        outcomes = raw / "outcomes"
+        plain = read_outcome_dir(outcomes)
+        first = sorted(outcomes.glob("*.csv"))[0]
+        first.write_bytes(codecs.BOM_UTF8 + first.read_bytes())
+        assert metamine.io._binary_cells(first) is None    # read through csv
+        back = read_outcome_dir(outcomes)
+        assert back.workflow_ids == plain.workflow_ids
+        for got, want in zip(back.matrices, plain.matrices):
+            np.testing.assert_array_equal(got, want)
+        assert self.ingest(raw, tmp_path / "bundle", outcomes_dir=outcomes) == 0
+
+    def test_invalid_utf8_names_the_file(self, raw, tmp_path, capsys):
+        outcomes = raw / "outcomes"
+        bad = sorted(outcomes.glob("*.csv"))[2]
+        data = bad.read_bytes()
+        bad.write_bytes(data[:40] + b"\xff" + data[41:])
+        message = f"{bad}: not UTF-8 text (byte 0xff: invalid start byte)"
+        with pytest.raises(IngestError) as caught:
+            read_outcome_dir(outcomes)
+        assert str(caught.value) == message
+        assert self.ingest(raw, tmp_path / "bundle", outcomes_dir=outcomes) == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
 class TestSignificanceCsv:
     def test_builds_valid_preference_matrix(self, tmp_path):
         path = tmp_path / "sig.csv"
@@ -642,8 +697,12 @@ def reference_outcome_dir(directory):
     files = sorted(Path(directory).glob("*.csv"))
     header = None
     for path in files:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        try:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{path}: not UTF-8 text (byte 0x"
+                              f"{exc.object[exc.start]:02x}: {exc.reason})") from None
         if not rows:
             raise IngestError(f"{path}: empty file (header row required)")
         if header is None:

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from metamine.data_model import PreferenceMatrix
 from metamine.preference import (OutcomeCube, PairOutcome, SimilarityAxis,
+                                 _rank_correlations,
                                  build_preference_from_significance,
                                  build_preference_matrix, mcnemar_significant,
                                  points, score_dataset, score_from_outcomes,
-                                 similarity_target, spearman)
+                                 similarity_target, spearman, spearman_many,
+                                 spearman_rows)
 
 
 def pearson(x, y):
@@ -382,3 +384,61 @@ class TestRankCorrelationOracle:
             assert math.isnan(spearman(x, y))
         else:
             assert spearman(x, y) == expected[0, 1]
+
+
+def matrix_rank_correlations(vectors):
+    """The rank correlations of the rows of one matrix (k x m) as the
+    2-d kernel computed them before it took stacks."""
+    from scipy import stats
+    ranks = stats.rankdata(vectors, method="average", axis=1)
+    ranks -= ranks.mean(axis=1, keepdims=True)
+    sq = (ranks ** 2).sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        corr = ranks @ ranks.T / np.sqrt(np.outer(sq, sq))
+    return corr, sq == 0.0
+
+
+@st.composite
+def rank_stacks(draw):
+    """A stack (s, k, m) of vectors, k >= 1 and m >= 2, with common ties;
+    some rows constant, some holding nan, +inf or -inf."""
+    s, k, m = (draw(st.integers(1, 4)), draw(st.integers(1, 5)),
+               draw(st.integers(2, 7)))
+    values = draw(tied_values(m))
+    stack = np.array(draw(st.lists(values, min_size=s * k * m,
+                                   max_size=s * k * m)),
+                     dtype=float).reshape(s, k, m)
+    rows = st.tuples(st.integers(0, s - 1), st.integers(0, k - 1))
+    for i, j in draw(st.lists(rows, max_size=3)):
+        stack[i, j] = draw(values)
+    for special in (np.nan, np.inf, -np.inf):
+        for i, j in draw(st.lists(rows, max_size=2)):
+            stack[i, j, draw(st.integers(0, m - 1))] = special
+    return stack
+
+
+class TestStackedRanks:
+    """A stack is ranked in one call, and each of its matrices comes out
+    as the 2-d kernel gives it alone, bit for bit."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(rank_stacks())
+    def test_stack_equals_per_matrix_calls(self, stack):
+        corr, constant = _rank_correlations(stack)
+        assert corr.shape == stack.shape[:2] + stack.shape[1:2]
+        for got, mask, matrix in zip(corr, constant, stack):
+            for want, want_mask in (_rank_correlations(matrix),
+                                    matrix_rank_correlations(matrix)):
+                assert got.tobytes() == want.tobytes()
+                assert np.array_equal(mask, want_mask)
+
+    @settings(deadline=None, max_examples=100)
+    @given(rank_stacks())
+    def test_spearman_many_equals_one_at_a_time(self, stack):
+        pairs = [spearman_rows(x, y) for matrix in stack
+                 for x, y in zip(matrix, matrix[::-1])]
+        pairs += [spearman_rows(x[1:], y[1:]) for x, y in pairs  # 2 lengths
+                  if x.size > 2]
+        for got, (x, y) in zip(spearman_many(pairs), pairs):
+            want = spearman(x, y)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()

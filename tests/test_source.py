@@ -1,6 +1,6 @@
 """Source checks that need no linter: every module of the package uses
-each name it imports, and every private module-level name is used
-somewhere in the package."""
+each name it imports, every private module-level name is used somewhere
+in the package, and no module imports scipy when it is imported."""
 
 import ast
 from pathlib import Path
@@ -77,3 +77,41 @@ def test_check_sees_a_dead_helper():
         "_LIMIT = 3\n_SHARED = 4\nclass _Old:\n    pass\nx = _used()\n",
         "from .a import _SHARED\n",
     ]) == ["_dead", "_LIMIT", "_Old"]
+
+
+def module_level_scipy_imports(source):
+    """The scipy modules a module imports when it is itself imported: every
+    scipy import outside a function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend(alias.name for alias in child.names
+                             if alias.name.split(".")[0] == "scipy")
+            elif (isinstance(child, ast.ImportFrom) and not child.level
+                  and child.module.split(".")[0] == "scipy"):
+                found.append(child.module)
+            visit(child)
+    visit(ast.parse(source))
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    """synth, ingest and predict never import scipy.stats (README), so no
+    module of the package imports scipy at import time."""
+    assert module_level_scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_sees_a_module_level_scipy_import():
+    assert module_level_scipy_imports(
+        "import numpy as np\nimport scipy.stats\n"
+        "try:\n    from scipy import linalg\nexcept ImportError:\n    pass\n"
+        "class C:\n    from scipy.special import expit\n"
+        "def f():\n    from scipy import stats\n    import scipy\n"
+        "g = lambda: __import__('scipy')\nfrom . import scipy_like\n") \
+        == ["scipy.stats", "scipy", "scipy.special"]
