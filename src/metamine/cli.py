@@ -11,7 +11,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 from enum import Enum
@@ -118,8 +117,7 @@ def _parse(parser, argv):
     actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
     config = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
+        config = io.read_json(args.config)
         if not isinstance(config, dict):
             raise CliError(f"{args.config}: config must be a JSON object")
         config.pop("subcommand", None)  # resolved-config files carry it

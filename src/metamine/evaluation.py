@@ -36,6 +36,14 @@ class FoldResult:
 _BASELINES = {Strategy.DEFAULT: "delta", Strategy.EUCLIDEAN: "delta_EC"}
 
 
+def _metric_names(fold_metrics):
+    """The metric names of strategy -> metric -> value dicts, one per
+    fold, in first-seen order."""
+    return list(dict.fromkeys(name for by_strategy in fold_metrics
+                              for metrics in by_strategy.values()
+                              for name in metrics))
+
+
 @dataclass
 class EvaluationReport:
     protocol: Protocol
@@ -52,17 +60,8 @@ class EvaluationReport:
             return None
         return float(np.mean(vals))
 
-    def metric_names(self):
-        names = []
-        for f in self.folds:
-            for s in f.metrics.values():
-                for name in s:
-                    if name not in names:
-                        names.append(name)
-        return names
-
     def to_dict(self):
-        metrics = self.metric_names()
+        metrics = _metric_names(f.metrics for f in self.folds)
         tallies = []    # (strategy, baseline, metric, wins, total)
         for s in self.strategies:
             for baseline in _BASELINES:
@@ -115,11 +114,8 @@ def report_table(doc):
     """Plain-text table of a report's to_dict(): one row block per strategy
     with the metric aggregates and the win counts / p-values against the
     baselines. The metric columns are the folds' metric names in
-    first-seen order, as metric_names gives them."""
-    metrics = []
-    for fold in doc["folds"]:
-        for names in fold["metrics"].values():
-            metrics += [m for m in names if m not in metrics]
+    first-seen order."""
+    metrics = _metric_names(fold["metrics"] for fold in doc["folds"])
     lines = [f"protocol: {doc['protocol']}"]
     for notice in doc["notices"]:
         lines.append(f"note: {notice}")

@@ -29,8 +29,8 @@ File formats:
 
 Every writer formats a float as repr does: the shortest decimal string
 that parses back to the same float. Every reader takes UTF-8 and drops a
-leading byte-order mark; a CSV that is not UTF-8 is an IngestError that
-names the file.
+leading byte-order mark; a CSV or JSON file that is not UTF-8, or a JSON
+file that does not parse, is an IngestError that names the file.
 """
 
 from __future__ import annotations
@@ -62,14 +62,19 @@ def _reprs(values):
     return [list(map(repr, row)) for row in values.tolist()]
 
 
+def _not_utf8(path, exc):
+    """The IngestError for a UnicodeDecodeError reading path."""
+    return IngestError(f"{path}: not UTF-8 text (byte "
+                       f"0x{exc.object[exc.start]:02x}: {exc.reason})")
+
+
 def _read_rows(path):
     """The rows of a UTF-8 CSV file, a leading byte-order mark dropped."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
-        raise IngestError(f"{path}: not UTF-8 text (byte "
-                          f"0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+        raise _not_utf8(path, exc) from None
     if not rows:
         raise IngestError(f"{path}: empty file (header row required)")
     return rows
@@ -388,6 +393,17 @@ def write_bundle(directory, data: MetaMiningData, preference_source=None):
             "validated": True, "preference_source": preference_source})
 
 
+def read_json(path):
+    """A UTF-8 JSON file's document, a leading byte-order mark dropped."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    except json.JSONDecodeError as exc:
+        raise IngestError(f"{path}: not JSON ({exc})") from None
+
+
 def write_json(path, doc):
     """Deterministic JSON: sorted keys, one-space indent, final newline."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -533,8 +549,7 @@ MODEL_SCHEMA = {
 def load_model(path) -> ModelParams:
     """Read a model file, checking every field against MODEL_SCHEMA and
     U/V against the standardization records and feature names."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise IngestError(f"{path}: a model file holds a JSON object")
     version = doc.get("format_version")

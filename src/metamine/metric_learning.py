@@ -138,13 +138,6 @@ class ReducedObjective:
             name: None if any(c is None for c in column) else np.stack(column)
             for name, column in columns.items()})
 
-    def take(self, keep) -> ReducedObjective:
-        """The problems of a stack where the mask `keep` is true."""
-        return ReducedObjective(**{
-            f.name: None if getattr(self, f.name) is None
-            else getattr(self, f.name)[keep]
-            for f in fields(ReducedObjective)})
-
 
 def _reduce(obj: Objective) -> ReducedObjective:
     # numpy's reduced QR gives Q n x min(n, d), also when n < d
@@ -263,91 +256,76 @@ def initialize(obj: Objective, t: int, hyper: HyperParams):
 def _descend(kind, red: ReducedObjective, u, v, hyper):
     """Gradient descent with Armijo backtracking on the stacked (U, V) of
     each problem of a stack (red, u and v carry a leading problem axis),
-    all problems in lock-step: one loop, each product taken once for the
-    whole stack.
+    all in lock-step: one loop, each product taken once for the stack.
 
     Every problem keeps its own step size, backtracking and stop reason,
-    and takes exactly the steps it would take alone. A problem leaves the
-    stack when it stops; until then the loop does no per-problem work.
-    Each gradient reuses the residuals of the accepted trial. Returns the
-    per-problem lists of U, V and TrainTrace, in stack order."""
+    and takes exactly the steps it would take alone. A problem that stops
+    stays in the stack with step 0, its trials accepted, so the loop does
+    no per-problem work until a problem stops. Each gradient reuses the
+    residuals of the accepted trial. Returns the (U, V, TrainTrace) of
+    each problem, in stack order."""
     k = len(u)
     res = _residuals(kind, red, u, v)
     f = _value(kind, red, u, v, res, hyper)
     step = np.ones(k)
-    live = np.arange(k)                 # stack position -> problem
-    us, vs = [None] * k, [None] * k
-    traces = [TrainTrace([], [], [], StopReason.MAX_ITERS) for _ in range(k)]
-    # one entry per iteration, holding a value per live problem; moved
-    # into the traces whenever the stack shrinks
-    history = {"objective_values": [f], "step_sizes": [], "gradient_norms": []}
+    live = np.ones(k, dtype=bool)
+    stops = [None] * k                      # what stop records, per problem
+    values, steps, norms = [f], [], []      # per iteration, all problems
 
-    def retire(done, reason, *arrays):
-        """Take the problems at the stack positions `done` (a mask) out
-        of the stack with `reason`; returns `arrays` without their rows."""
-        nonlocal red, u, v, res, f, step, live
-        for name, entries in history.items():
-            if entries:
-                table = np.concatenate(entries).reshape(len(entries), -1)
-                for j, column in zip(live.tolist(), table.T.tolist()):
-                    getattr(traces[j], name).extend(column)
-                entries.clear()
-        for pos in np.flatnonzero(done).tolist():
-            j = live[pos]
-            traces[j].reason = reason
-            us[j], vs[j] = u[pos], v[pos]
-        keep = ~done
-        red, u, v, f, step, live = (red.take(keep), u[keep], v[keep], f[keep],
-                                    step[keep], live[keep])
-        res = tuple(None if e is None else e[keep] for e in res)
-        return tuple(None if a is None else a[keep] for a in arrays)
+    def trial(s):
+        """(u, v) - s (gU, gV), each problem moved by its own step, with
+        its residuals and objective value."""
+        s_col = s[:, None, None]
+        u_new, v_new = u - s_col * gu, v - s_col * gv
+        res_new = _residuals(kind, red, u_new, v_new)
+        return u_new, v_new, res_new, _value(kind, red, u_new, v_new,
+                                             res_new, hyper)
 
-    for _ in range(hyper.max_iters):
-        if not live.size:
-            break
+    def stop(mask, reason, n, flat=False):
+        """Stop the problems of `mask` after n accepted steps, flat if at a
+        zero gradient, keeping their current U and V (a later step-0 trial
+        may turn a -0.0 of them into 0.0); returns how many are still live."""
+        for j in np.flatnonzero(mask).tolist():
+            stops[j] = (u[j], v[j], reason, n, flat)
+        live[mask] = False
+        return np.count_nonzero(live)
+
+    for it in range(hyper.max_iters):
         gu, gv = _gradient(kind, red, u, v, res, hyper)
         g_sq = _sq(gu) + _sq(gv)
-        g_norm = np.sqrt(g_sq)
-        if np.count_nonzero(g_sq) < live.size:      # a stationary point
-            zero = g_sq == 0.0
-            stopped = live[zero].tolist()
-            gu, gv, g_sq, g_norm = retire(zero, StopReason.REL_TOL,
-                                          gu, gv, g_sq, g_norm)
-            for j in stopped:
-                traces[j].gradient_norms.append(0.0)
-            if not live.size:
+        norms.append(np.sqrt(g_sq))
+        if np.count_nonzero(g_sq) < k:          # a stationary point
+            if not stop((g_sq == 0.0) & live, StopReason.REL_TOL, it, flat=True):
                 break
-        # try growing the last accepted step before backtracking
-        s = step * 2.0
+        s = 2.0 * step * live       # try growing the last accepted step
+        stopped = ~live
         for _bt in range(MAX_BACKTRACKS):
-            s_col = s[:, None, None]
-            u_new = u - s_col * gu
-            v_new = v - s_col * gv
-            res_new = _residuals(kind, red, u_new, v_new)
-            f_new = _value(kind, red, u_new, v_new, res_new, hyper)
-            accepted = f_new <= f - ARMIJO_ACCEPT * s * g_sq
-            if np.count_nonzero(accepted) == live.size:
+            u_new, v_new, res_new, f_new = trial(s)
+            accepted = (f_new <= f - ARMIJO_ACCEPT * s * g_sq) | stopped
+            if np.count_nonzero(accepted) == k:
                 break
             # shrink only the steps not accepted: an accepted problem
             # repeats its trial and gets the same value back
             s = np.where(accepted, s, s * ARMIJO_SHRINK)
         else:
-            g_norm, s, u_new, v_new, f_new, *res_new = retire(
-                ~accepted, StopReason.LINE_SEARCH_FAILURE,
-                g_norm, s, u_new, v_new, f_new, *res_new)
-            if not live.size:
+            if not stop(~accepted, StopReason.LINE_SEARCH_FAILURE, it):
                 break
-        u, v, res = u_new, v_new, tuple(res_new)
-        step = s
-        for entries, value in zip(history.values(), (f_new, s, g_norm)):
-            entries.append(value)
+            s = s * live                # the failed problems stay put
+            u_new, v_new, res_new, f_new = trial(s)
+        u, v, res, step = u_new, v_new, res_new, s
+        values.append(f_new)
+        steps.append(s)
         decrease = (f - f_new) / np.maximum(np.abs(f), _TINY)
         f = f_new
-        converged = decrease < hyper.rel_tol
-        if np.count_nonzero(converged):
-            retire(converged, StopReason.REL_TOL)
-    retire(np.ones(live.size, dtype=bool), StopReason.MAX_ITERS)
-    return us, vs, traces
+        converged = (decrease < hyper.rel_tol) & live
+        if (np.count_nonzero(converged)
+                and not stop(converged, StopReason.REL_TOL, it + 1)):
+            break
+    stop(live.copy(), StopReason.MAX_ITERS, len(steps))
+    columns = [np.reshape(table, (len(table), k)).T.tolist()
+               for table in (values, steps, norms)]
+    return [(uj, vj, TrainTrace(vals[:n + 1], sts[:n], nrm[:n + flat], reason))
+            for (uj, vj, reason, n, flat), vals, sts, nrm in zip(stops, *columns)]
 
 
 def _descend_all(problems, hyper: HyperParams):
@@ -360,12 +338,12 @@ def _descend_all(problems, hyper: HyperParams):
         groups.setdefault(key, []).append(index)
     out = [None] * len(problems)
     for (kind, *_), members in groups.items():
-        us, vs, traces = _descend(
+        stacked = _descend(
             kind, ReducedObjective.stack([problems[i][1] for i in members]),
             np.stack([problems[i][2] for i in members]),
             np.stack([problems[i][3] for i in members]), hyper)
-        for i, u, v, trace in zip(members, us, vs, traces):
-            out[i] = (u, v, trace)
+        for i, result in zip(members, stacked):
+            out[i] = result
     return out
 
 

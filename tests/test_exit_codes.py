@@ -1,9 +1,14 @@
 """The exit-code contract under malformed input, as a property: a model
 file, a bundle table or a --config file with one field broken makes
 `main()` exit 0 or 1 (a validation error), never 2 (a runtime failure), and
-a run that exits 0 writes no NaN."""
+a run that exits 0 writes no NaN. A model or --config file that starts
+with a byte-order mark still reads; one that is not UTF-8 exits 1 with an
+error naming it."""
 
+import codecs
+import contextlib
 import csv
+import io
 import json
 import math
 import shutil
@@ -21,6 +26,9 @@ from metamine.cli import main
 DROP = "<drop>"
 JSON_VALUES = (DROP, "abc", {}, float("nan"), "nan", float("inf"), "-inf",
                0, [])
+# Whole-file edits of a valid JSON input: a leading byte-order mark (the
+# run succeeds) and a byte that is not UTF-8 (exit 1, naming the file).
+BOM, BAD_BYTE = "<bom>", "<0xff>"
 CSV_TOKENS = ("abc", "nan", "inf", "-inf", "0", "")
 TABLES = ("X.csv", "A.csv", "performance.csv", "R.csv")
 # (model objective, a task it serves)
@@ -101,17 +109,36 @@ def _writes_nan(out):
     return False
 
 
+def _write_edited(draw, target, doc, paths):
+    """Write doc to target with the field at one of paths mutated, or
+    whole with a BOM or a bad byte. Returns the exit codes the run may
+    give and the text its error message must hold."""
+    edit = draw(st.sampled_from((None, BOM, BAD_BYTE)))
+    if edit is None:
+        path = draw(st.sampled_from(paths))
+        target.write_text(json.dumps(_mutated(
+            doc, path, draw(st.sampled_from(JSON_VALUES)))))
+        return (0, 1), ""
+    note(edit)
+    text = json.dumps(doc).encode()
+    if edit == BOM:
+        target.write_bytes(codecs.BOM_UTF8 + text)
+        return (0,), ""
+    at = draw(st.integers(0, len(text)))
+    target.write_bytes(text[:at] + b"\xff" + text[at:])
+    return (1,), f"{target}: not UTF-8"
+
+
 @st.composite
 def model_case(draw, valid, work):
     objective, task = draw(st.sampled_from(SERVED))
     doc = json.loads((valid / f"{objective}.json").read_text())
-    path = draw(st.sampled_from(sorted(_paths(doc), key=str)))
     model = work / "model.json"
-    model.write_text(json.dumps(_mutated(doc, path,
-                                         draw(st.sampled_from(JSON_VALUES)))))
+    expected = _write_edited(draw, model, doc, sorted(_paths(doc), key=str))
     return ["predict", "--model", model, "--bundle", valid / "bundle",
             "--task", task, "--x", valid / "raw" / "X.csv",
-            "--a", valid / "raw" / "A.csv", "--out", work / "out" / "p.csv"]
+            "--a", valid / "raw" / "A.csv",
+            "--out", work / "out" / "p.csv"], expected
 
 
 @st.composite
@@ -143,18 +170,17 @@ def bundle_case(draw, valid, work):
         ["predict", "--model", valid / "f3.json", "--bundle", bundle,
          "--task", "pair_score", "--x", valid / "raw" / "X.csv",
          "--a", valid / "raw" / "A.csv", "--out", out / "p.csv"],
-    )))
+    ))), ((0, 1), "")
 
 
 @st.composite
 def config_case(draw, valid, work):
     doc = json.loads((valid / "f3.json.config.json").read_text())
-    key = draw(st.sampled_from(sorted(doc)))
     config = work / "config.json"
-    config.write_text(json.dumps(_mutated(doc, (key,),
-                                          draw(st.sampled_from(JSON_VALUES)))))
+    expected = _write_edited(draw, config, doc,
+                             [(key,) for key in sorted(doc)])
     return ["--config", config, "train", "--bundle", valid / "bundle",
-            "--objective", "f3", "--out", work / "out" / "m.json"]
+            "--objective", "f3", "--out", work / "out" / "m.json"], expected
 
 
 @settings(deadline=None, max_examples=500)
@@ -165,9 +191,10 @@ def test_one_broken_field_exits_zero_or_one(valid, data):
         (work / "out").mkdir()
         case = data.draw(st.sampled_from((model_case, bundle_case,
                                           config_case)))
-        argv = data.draw(case(valid, work))
-        code = run(argv)
-        assert code in (0, 1)
+        argv, (codes, message) = data.draw(case(valid, work))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run(argv)
+        assert code in codes and message in err.getvalue()
         if code == 0:
             assert not _writes_nan(work / "out")
 

@@ -507,6 +507,21 @@ class TestStackedDescentOracle:
         assert trace.gradient_norms[0] > 0.0 and trace.gradient_norms[1] == 0.0
         assert all(t.iterations > 1 for i, (_, _, t) in enumerate(stacked) if i != 2)
 
+    def test_long_run_after_a_stop(self):
+        # a problem stopped at a zero gradient in iteration 0 keeps step 0
+        # while the others run past iteration 1,024, where a step doubled
+        # once per iteration from 1 overflows
+        problems = self.stack_of_four(ObjectiveKind.F4, 11)
+        obj, u0, v0 = problems[0]
+        problems[0] = (obj, np.zeros_like(u0), np.zeros_like(v0))
+        hyper = HyperParams(mu1=0.01, mu2=0.01, max_iters=1500, rel_tol=1e-300)
+        stacked = minimize_many(problems, hyper)
+        for problem, got in zip(problems, stacked):
+            assert_same_descent(got, descend_alone(*problem, hyper))
+        first, *others = [trace for _, _, trace in stacked]
+        assert first.reason is StopReason.REL_TOL and first.iterations == 0
+        assert min(t.iterations for t in others) >= 1100
+
     def test_max_iters_zero_returns_each_start(self):
         problems = self.stack_of_four(ObjectiveKind.F4, 3)
         for (_, u0, v0), (u, v, trace) in zip(
