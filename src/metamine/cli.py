@@ -68,11 +68,7 @@ class CliError(ValueError):
 
 def _from_flags(cls, dests, resolved):
     """The dataclass cls built from the resolved values of its flags."""
-    values = {field: resolved[dest] for field, dest in dests.items()}
-    for field, default in vars(cls()).items():
-        if isinstance(default, Enum):
-            values[field] = type(default)(values[field])
-    return cls(**values)
+    return cls(**{field: resolved[dest] for field, dest in dests.items()})
 
 
 def _preset_values(preset, objective):
@@ -142,8 +138,7 @@ def _write_resolved_config(out_path, subcommand, resolved):
     path = Path(out_path)
     io.write_json(path / "resolved_config.json" if path.is_dir()
                   else path.with_suffix(path.suffix + ".config.json"),
-                  {"subcommand": subcommand,
-                   **{k: getattr(v, "value", v) for k, v in resolved.items()}})
+                  {"subcommand": subcommand, **resolved})
 
 
 def cmd_synth(resolved):

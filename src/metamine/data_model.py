@@ -205,6 +205,7 @@ class HyperParams:
     t: Optional[int] = None  # None -> min(numeric_rank(X), numeric_rank(A))
 
     def __post_init__(self):
+        object.__setattr__(self, "init", InitScheme(self.init))
         for name in ("mu1", "mu2", "alpha", "beta", "gamma"):
             if not 0 <= getattr(self, name) < np.inf:  # nan fails too
                 raise ValueError(f"{name} must be finite and nonnegative")
@@ -221,12 +222,6 @@ class HyperParams:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["init"] = self.init.value
         return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["init"] = InitScheme(d.get("init", InitScheme.SEEDED_GAUSSIAN))
-        return cls(**d)
 
 
 @dataclass(frozen=True)

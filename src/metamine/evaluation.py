@@ -68,11 +68,8 @@ class EvaluationReport:
                 if baseline not in self.strategies or s == baseline:
                     continue
                 for metric in metrics:
-                    try:
-                        wins, total = _tally(self, s, baseline, metric)
-                    except ValueError:
-                        continue
-                    tallies.append((s, baseline, metric, wins, total))
+                    tallies.append((s, baseline, metric,
+                                    *_tally(self, s, baseline, metric)))
         comparisons = {}
         for (s, baseline, metric, wins, total), p in zip(
                 tallies, _sign_tests([t[3:] for t in tallies])):

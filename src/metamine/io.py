@@ -80,18 +80,22 @@ def _read_rows(path):
     return rows
 
 
-def _parse_float(token, path, where):
-    try:
-        return float(token)
-    except ValueError:
-        raise IngestError(f"{path}: {where}: not a number: {token!r}") from None
+def _body(path, rows):
+    """The rows under the header; an IngestError if there are none."""
+    if len(rows) < 2:
+        raise IngestError(f"{path}: no data rows under the header")
+    return rows[1:]
 
 
 def _first_bad_token(path, rows, binary):
     """Parse the tokens of rows one by one, in line order, and raise on
     the first that is not a number (or, with binary, not 0 or 1)."""
     for (i, *_), token in np.ndenumerate(np.array(rows, dtype=object)):
-        value = _parse_float(token, path, f"line {i + 2}")
+        try:
+            value = float(token)
+        except ValueError:
+            raise IngestError(f"{path}: line {i + 2}: not a number: "
+                              f"{token!r}") from None
         if binary and value not in (0.0, 1.0):
             raise IngestError(f"{path}: line {i + 2}: not 0 or 1: {token!r}")
 
@@ -116,9 +120,7 @@ def _numeric_body(path, rows, skip, binary=False):
     """The lines under the header, all as wide as it, as one float array
     of their columns from skip on (values 0 or 1 with binary). A file with
     several faults reports the first in line order."""
-    width, body = len(rows[0]), rows[1:]
-    if not body:
-        raise IngestError(f"{path}: no data rows under the header")
+    width, body = len(rows[0]), _body(path, rows)
     good = next((i for i, row in enumerate(body) if len(row) != width), len(body))
     values = _floats(path, [row[skip:] for row in body[:good]], binary)
     if good < len(body):
@@ -175,7 +177,7 @@ def read_performance_csv(path) -> PerformanceMatrix:
     rows = _read_rows(path)
     if [h.strip() for h in rows[0][:3]] != ["dataset_id", "workflow_id", "performance"]:
         raise IngestError(f"{path}: header must be dataset_id,workflow_id,performance")
-    body = rows[1:]
+    body = _body(path, rows)
     good = next((i for i, row in enumerate(body) if len(row) != 3), len(body))
     datasets, workflows = {}, {}    # id -> index, both in first-seen order
     ds = [datasets.setdefault(row[0], len(datasets)) for row in body[:good]]
@@ -308,12 +310,10 @@ def read_significance_csv(path):
     rows = _read_rows(path)
     if [h.strip() for h in rows[0][:4]] != ["dataset_id", "workflow_k", "workflow_l", "outcome"]:
         raise IngestError(f"{path}: header must be dataset_id,workflow_k,workflow_l,outcome")
-    if len(rows) < 2:
-        raise IngestError(f"{path}: no data rows under the header")
     datasets = {}       # the dataset ids in first-seen order
     index = {}          # workflow id -> column, in first-seen order
     records = []
-    for ln, row in enumerate(rows[1:], start=2):
+    for ln, row in enumerate(_body(path, rows), start=2):
         if len(row) != 4:
             raise IngestError(f"{path}: line {ln}: expected 4 fields")
         ds, wk, wl, outcome = row
@@ -505,7 +505,7 @@ def _hyper(key, value):
         if not ok:
             raise IngestError(f"{key}.{name} holds {given!r}")
     try:
-        return HyperParams.from_dict(value)
+        return HyperParams(**value)
     except ValueError as exc:
         raise IngestError(f"{key}: {exc}") from None
 

@@ -10,7 +10,8 @@ from typing import Optional
 import numpy as np
 
 from .data_model import DescriptorTable, PerformanceMatrix, PreferenceMatrix, TableKind
-from .preference import OutcomeCube, build_preference_matrix, points
+from .preference import (OutcomeCube, _preference_matrix,
+                         build_preference_matrix, points)
 
 PERF_LOW = 0.5
 PERF_HIGH = 0.95
@@ -36,6 +37,7 @@ class SynthConfig:
     instances_per_dataset: int = 200   # outcome-level mode only
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", SynthMode(self.mode))
         if min(self.n, self.m, self.d, self.l) < 3:
             raise ValueError("all sizes must be at least 3")
         if not 1 <= self.latent_t <= min(self.d, self.l):
@@ -76,10 +78,7 @@ def _compare_preferences(perf, dataset_ids, workflow_ids):
     # one dataset at a time: the whole n x m x m float difference would
     # hold 8 n m^2 bytes where the boolean stack needs n m^2
     wins = np.array([row[:, None] - row > TIE_EPS for row in perf])
-    r = PreferenceMatrix(dataset_ids=dataset_ids, workflow_ids=workflow_ids,
-                         scores=points(wins))
-    r.check_invariants()
-    return r
+    return _preference_matrix(dataset_ids, workflow_ids, points(wins))
 
 
 def generate(config: SynthConfig) -> SynthResult:

@@ -11,7 +11,8 @@ import pytest
 import metamine
 from metamine.cli import build_parser, main
 from metamine.data_model import TableKind
-from metamine.io import load_model, read_descriptor_csv
+from metamine.io import load_model, read_descriptor_csv, read_outcome_dir
+from metamine.preference import PairOutcome, mcnemar_wins
 from metamine.synth import SynthConfig
 
 
@@ -206,6 +207,53 @@ class TestIngest:
             in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_header_only_performance_csv_names_the_file(self, tmp_path,
+                                                        bundle, capsys):
+        perf = tmp_path / "performance.csv"
+        perf.write_text("dataset_id,workflow_id,performance\n")
+        capsys.readouterr()
+        code = run(["ingest", "--x", str(bundle / "X.csv"),
+                    "--a", str(bundle / "A.csv"), "--performance", str(perf),
+                    "--preferences", str(bundle / "R.csv"),
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"{perf}: no data rows under the header" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_significance_source_matches_outcomes_dir(self, tmp_path):
+        """The McNemar outcome of every pair, written as a significance
+        CSV, ingests to the R that the outcome CSVs themselves give."""
+        raw = tmp_path / "raw"
+        assert run(["synth", "--n", "6", "--m", "5", "--mode", "outcome",
+                    "--instances", "40", "--seed", "2", "--out", str(raw)]) == 0
+        cube = read_outcome_dir(raw / "outcomes")
+        wf = cube.workflow_ids
+        lines = ["dataset_id,workflow_k,workflow_l,outcome"]
+        for ds, correct in zip(cube.dataset_ids, cube.matrices):
+            wins = mcnemar_wins(correct)
+            for k in range(len(wf)):
+                for l in range(k + 1, len(wf)):
+                    outcome = (PairOutcome.K_WINS if wins[k, l] else
+                               PairOutcome.L_WINS if wins[l, k] else
+                               PairOutcome.TIE)
+                    lines.append(f"{ds},{wf[k]},{wf[l]},{outcome.value}")
+        assert {line.rsplit(",", 1)[1] for line in lines[1:]} \
+            == {o.value for o in PairOutcome}
+        sig = tmp_path / "sig.csv"
+        sig.write_text("\n".join(lines) + "\n")
+        ingest = ["ingest", "--x", str(raw / "X.csv"), "--a", str(raw / "A.csv"),
+                  "--performance", str(raw / "performance.csv")]
+        by_outcomes, by_significance = tmp_path / "b1", tmp_path / "b2"
+        assert run([*ingest, "--outcomes-dir", str(raw / "outcomes"),
+                    "--out", str(by_outcomes)]) == 0
+        assert run([*ingest, "--significance", str(sig),
+                    "--out", str(by_significance)]) == 0
+        assert (by_significance / "R.csv").read_bytes() \
+            == (by_outcomes / "R.csv").read_bytes()
+        manifest = json.loads((by_significance / "manifest.json").read_text())
+        assert manifest["preference_source"] == "significance"
+
 
 class TestTrain:
     def test_writes_model_and_config(self, bundle, tmp_path):
@@ -309,6 +357,21 @@ class TestTrain:
                     "--objective", "f3", "--out", str(model)])
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('[{"max_iters": 5}]', "config must be a JSON object"),
+        ('{"max_iters": 5', "not JSON (Expecting ',' delimiter"),
+    ])
+    def test_config_that_is_no_json_object_exits_one(self, bundle, tmp_path,
+                                                     capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        model = tmp_path / "model.json"
+        code = run(["--config", str(cfg), "train", "--bundle", str(bundle),
+                    "--objective", "f3", "--out", str(model)])
+        assert code == 1
+        assert f"{cfg}: {message}" in capsys.readouterr().err
         assert not model.exists()
 
     def test_zero_t_exits_one(self, bundle, tmp_path, capsys):
@@ -418,6 +481,14 @@ class TestEvaluate:
         assert doc["protocol"] == "lodo"
         assert set(doc["aggregates"]) == {"def", "ec", "f4_direct"}
         assert "def" in (out / "report.txt").read_text()
+
+    def test_table_format_prints_report_txt(self, bundle, tmp_path, capsys):
+        out = tmp_path / "report"
+        capsys.readouterr()
+        assert run(["evaluate", "--bundle", str(bundle), "--protocol", "lodo",
+                    "--max-iters", "20", "--format", "table",
+                    "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (out / "report.txt").read_text()
 
     def test_lowo_default_rho_na(self, bundle, tmp_path):
         out = tmp_path / "report"
@@ -633,6 +704,17 @@ class TestPredict:
                     "--a", str(bundle / "A.csv"), "--out", str(out)])
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_that_is_not_json_exits_one(self, bundle, tmp_path, capsys):
+        model = self.train_model(bundle, tmp_path, objective="f3")
+        model.write_text(model.read_text()[:-3])
+        out = tmp_path / "p.csv"
+        code = run(["predict", "--model", str(model), "--bundle", str(bundle),
+                    "--task", "pair_score", "--x", str(bundle / "X.csv"),
+                    "--a", str(bundle / "A.csv"), "--out", str(out)])
+        assert code == 1
+        assert f"{model}: not JSON (" in capsys.readouterr().err
         assert not out.exists()
 
     def test_pair_scores_equal_the_per_pair_formula(self, tmp_path):

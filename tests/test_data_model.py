@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metamine.data_model import (DescriptorTable, HyperParams,
+from metamine.data_model import (DescriptorTable, HyperParams, InitScheme,
                                  PerformanceMatrix, PreferenceMatrix,
                                  TableKind, numeric_rank, standardize,
                                  validate_tables)
@@ -134,6 +134,15 @@ class TestHyperParamsChecks:
     def test_non_finite_weight_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             HyperParams(**{field: value})
+
+    @pytest.mark.parametrize("scheme", list(InitScheme))
+    def test_init_value_builds_its_member(self, scheme):
+        assert HyperParams(init=scheme.value).init is scheme
+        assert HyperParams(init=scheme).init is scheme
+
+    def test_unknown_init_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            HyperParams(init="bogus")
 
 
 class TestStandardize:

@@ -363,6 +363,16 @@ class TestCompareStrategies:
                                             Strategy.DEFAULT, "mae")
         assert (wins, total, p) == (0, 0, None)
 
+    def test_unshared_fold_raises_in_to_dict_as_in_compare(self):
+        report = self.make_report([0.1, 0.2, 0.3], [0.9, 0.8, 0.7])
+        del report.folds[1].metrics[Strategy.DEFAULT]
+        with pytest.raises(ValueError, match="share every fold") as compared:
+            compare_strategies(report, Strategy.F4_DIRECT, Strategy.DEFAULT,
+                               "mae")
+        with pytest.raises(ValueError) as serialized:
+            report.to_dict()
+        assert str(serialized.value) == str(compared.value)
+
 
 class TestReportSerialization:
     def test_json_round_trip_and_na_rendering(self):

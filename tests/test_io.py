@@ -94,6 +94,13 @@ class TestPerformanceCsv:
         with pytest.raises(IngestError, match="missing performance"):
             read_performance_csv(path)
 
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "perf.csv"
+        path.write_text("dataset_id,workflow_id,performance\n")
+        with pytest.raises(IngestError) as err:
+            read_performance_csv(path)
+        assert str(err.value) == f"{path}: no data rows under the header"
+
 
 class TestPreferenceCsv:
     def test_round_trip(self, tmp_path):

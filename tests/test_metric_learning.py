@@ -2,6 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from metamine.metric_learning import (Objective, ObjectiveKind, StopReason,
                                       build_objective, gradient, initialize,
                                       minimize, objective_value, train)
 from metamine.metric_learning import TrainTrace, minimize_many, train_many
+from metamine.preference import SimilarityAxis, similarity_target
 from metamine.synth import SynthConfig, centered_scores, generate
 
 from conftest import make_tables
@@ -246,6 +248,41 @@ class TestTrain:
         params, trace = train(ObjectiveKind.F3, result.x, result.a,
                               result.preferences, hyper, fit_matrix=target)
         assert trace.objective_values[0] < 1e-12 * np.sum(target ** 2)
+
+    @pytest.mark.parametrize("kind", [ObjectiveKind.F1, ObjectiveKind.F2])
+    def test_svd_warm_start_of_a_metric_objective(self, kind):
+        """f1 starts from U U' = the top-t eigen-truncation, negative
+        eigenvalues clipped to 0, of pinv(X) S_X pinv(X)' symmetrized, and
+        V = 0; f2 is the mirror, from A and S_A."""
+        result = generate(SynthConfig(n=12, m=9, d=5, l=4, latent_t=2,
+                                      noise_sigma=0.5, seed=4, mode="noisy"))
+        hyper = HyperParams(t=2, max_iters=0, init=InitScheme.SVD_WARM_START)
+        params, _ = train(kind, result.x, result.a, result.preferences, hyper)
+        if kind is ObjectiveKind.F1:
+            table = params.transform_dataset(result.x.features)
+            axis, factor, other = SimilarityAxis.DATASETS, params.u, params.v
+        else:
+            table = params.transform_workflow(result.a.features)
+            axis, factor, other = SimilarityAxis.WORKFLOWS, params.v, params.u
+        target = similarity_target(result.preferences, axis).matrix
+        w = np.linalg.pinv(table) @ target @ np.linalg.pinv(table).T
+        w = 0.5 * (w + w.T)
+        vals, vecs = scipy.linalg.eigh(w, subset_by_index=[len(w) - 2, len(w) - 1])
+        expected = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+        np.testing.assert_allclose(factor @ factor.T, expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
+        assert not other.any()
+
+    def test_init_value_trains_as_its_member(self):
+        result = generate(SynthConfig(n=10, m=6, d=4, l=3, latent_t=2, seed=8))
+        runs = [train(ObjectiveKind.F4, result.x, result.a, result.preferences,
+                      HyperParams(max_iters=40, t=2, init=init))
+                for init in ("svd_warm_start", InitScheme.SVD_WARM_START)]
+        (by_value, value_trace), (by_member, member_trace) = runs
+        assert by_value.hyper == by_member.hyper
+        np.testing.assert_array_equal(by_value.u, by_member.u)
+        np.testing.assert_array_equal(by_value.v, by_member.v)
+        assert value_trace == member_trace
 
 
 class TestF4SpecialCases:

@@ -1,8 +1,11 @@
 """Source checks that need no linter: every module of the package uses
 each name it imports, every private module-level name is used somewhere
-in the package, and no module imports scipy when it is imported."""
+in the package, no module imports scipy when it is imported, and every
+function the benchmark wraps exists."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,3 +118,36 @@ def test_check_sees_a_module_level_scipy_import():
         "def f():\n    from scipy import stats\n    import scipy\n"
         "g = lambda: __import__('scipy')\nfrom . import scipy_like\n") \
         == ["scipy.stats", "scipy", "scipy.special"]
+
+
+def bench_targets():
+    """The TARGETS of bench/layers.py, loaded from the file as it is, with
+    its sibling module spans.py importable for the load only and no
+    bytecode written under bench/."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    had_spans = "spans" in sys.modules
+    wrote_bytecode = sys.dont_write_bytecode
+    sys.path.insert(0, str(bench))
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("bench_layers",
+                                                      bench / "layers.py")
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+    finally:
+        sys.path.remove(str(bench))
+        sys.dont_write_bytecode = wrote_bytecode
+        if not had_spans:
+            sys.modules.pop("spans", None)
+    return layers.TARGETS
+
+
+@pytest.mark.parametrize("target", bench_targets(), ids=lambda t: t.name)
+def test_every_benchmark_target_resolves(target):
+    """A refactor that drops or renames a function the traced benchmark
+    run wraps fails here, not in that run."""
+    module_name, _, class_name = target.owner.partition(":")
+    holder = importlib.import_module(module_name)
+    if class_name:
+        holder = getattr(holder, class_name)
+    assert callable(getattr(holder, target.attr, None))

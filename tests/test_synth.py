@@ -18,6 +18,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="instance"):
             SynthConfig(mode=SynthMode.OUTCOME_LEVEL, instances_per_dataset=0)
 
+    def test_mode_value_builds_its_member(self):
+        config = SynthConfig(n=4, m=3, d=3, l=3, latent_t=2, mode="outcome",
+                             instances_per_dataset=10)
+        assert config.mode is SynthMode.OUTCOME_LEVEL
+        assert generate(config).cube is not None
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            SynthConfig(mode="bogus")
+
 
 class TestGenerate:
     def test_outputs_pass_validation(self):
