@@ -305,15 +305,14 @@ def write_predictions_csv(path, target_ids, predictions):
 
 
 def read_significance_csv(path):
-    """Long-format significance tensor. Returns (dataset_ids, workflow_ids,
-    outcome tables) suitable for build_preference_from_significance."""
+    """Long-format significance tensor: (dataset_ids, workflow_ids, one m x m
+    PairOutcome table per dataset) for build_preference_from_significance."""
     rows = _read_rows(path)
     if [h.strip() for h in rows[0][:4]] != ["dataset_id", "workflow_k", "workflow_l", "outcome"]:
         raise IngestError(f"{path}: header must be dataset_id,workflow_k,workflow_l,outcome")
-    datasets = {}       # the dataset ids in first-seen order
-    index = {}          # workflow id -> column, in first-seen order
-    records = []
-    for ln, row in enumerate(_body(path, rows), start=2):
+    datasets, index = {}, {}    # id -> index, both in first-seen order
+    body, cells = _body(path, rows), []
+    for ln, row in enumerate(body, start=2):
         if len(row) != 4:
             raise IngestError(f"{path}: line {ln}: expected 4 fields")
         ds, wk, wl, outcome = row
@@ -324,32 +323,27 @@ def read_significance_csv(path):
         if wk == wl:
             raise IngestError(f"{path}: line {ln}: workflow {wk!r} compared "
                               "with itself")
-        for wid in (wk, wl):
-            index.setdefault(wid, len(index))
-        datasets.setdefault(ds)
-        records.append((ds, wk, wl, outcome))
-    dataset_ids, workflow_ids = tuple(datasets), tuple(index)
-    m = len(workflow_ids)
-    tables = {ds: [[PairOutcome.TIE] * m for _ in range(m)] for ds in dataset_ids}
-    seen = set()
-    for ds, wk, wl, outcome in records:
-        k, l = index[wk], index[wl]
-        if k > l:
+        k, l = index.setdefault(wk, len(index)), index.setdefault(wl, len(index))
+        if k > l:   # each pair is held once, above the diagonal
             k, l = l, k
             outcome = {PairOutcome.K_WINS: PairOutcome.L_WINS,
-                       PairOutcome.L_WINS: PairOutcome.K_WINS,
-                       PairOutcome.TIE: PairOutcome.TIE}[outcome]
-        if (ds, k, l) in seen:
+                       PairOutcome.L_WINS: PairOutcome.K_WINS}.get(outcome, outcome)
+        cells.append((datasets.setdefault(ds, len(datasets)), k, l, outcome))
+    dataset_ids, workflow_ids = tuple(datasets), tuple(index)
+    tables = np.empty((len(datasets), len(index), len(index)), dtype=object)
+    tables.fill(PairOutcome.TIE)    # np.full would store the enum's str
+    seen = np.zeros(tables.shape, dtype=bool)
+    for (i, k, l, outcome), (ds, wk, wl, _) in zip(cells, body):
+        if seen[i, k, l]:
             raise IngestError(f"{path}: duplicate pair ({ds},{wk},{wl})")
-        seen.add((ds, k, l))
-        tables[ds][k][l] = outcome
-    for ds in dataset_ids:
-        for k in range(m):
-            for l in range(k + 1, m):
-                if (ds, k, l) not in seen:
-                    raise IngestError(f"{path}: missing pair ({ds},"
-                                      f"{workflow_ids[k]},{workflow_ids[l]})")
-    return dataset_ids, workflow_ids, [tables[ds] for ds in dataset_ids]
+        seen[i, k, l] = True
+        tables[i, k, l] = outcome
+    missing = np.argwhere(~seen & np.triu(np.ones(tables.shape[1:], dtype=bool), 1))
+    if missing.size:
+        i, k, l = missing[0]
+        raise IngestError(f"{path}: missing pair ({dataset_ids[i]},"
+                          f"{workflow_ids[k]},{workflow_ids[l]})")
+    return dataset_ids, workflow_ids, list(tables)
 
 
 def check_bundle(data: MetaMiningData, where) -> MetaMiningData:
@@ -497,7 +491,7 @@ def _hyper(key, value):
     for name, given in value.items():
         default = defaults[name]
         if isinstance(default, Enum):
-            ok = isinstance(given, str) and given in {e.value for e in type(default)}
+            ok = isinstance(given, str)     # HyperParams checks the value
         elif isinstance(default, float):
             ok = _is_int(given) or (isinstance(given, float) and np.isfinite(given))
         else:  # the int fields; t alone defaults to None

@@ -67,6 +67,7 @@ class Objective:
     r: Optional[np.ndarray] = None      # n x m preference / score target
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", ObjectiveKind(self.kind))
         for name, fits in zip(("s_x", "s_a", "r"), _TERMS[self.kind]):
             if fits and getattr(self, name) is None:
                 raise ValueError(f"objective {self.kind.value} requires {name}")
@@ -372,7 +373,7 @@ def build_objective(kind: ObjectiveKind, x_std: np.ndarray, a_std: np.ndarray,
     fit_matrix optionally replaces R's scores as the heterogeneous target
     (e.g. a latent score matrix from the synthetic generator).
     """
-    fx, fa, fr = _TERMS[kind]
+    fx, fa, fr = _TERMS[ObjectiveKind(kind)]
     s_x = similarity_target(r, SimilarityAxis.DATASETS).matrix if fx else None
     s_a = similarity_target(r, SimilarityAxis.WORKFLOWS).matrix if fa else None
     r_mat = None
@@ -396,7 +397,7 @@ def _setup(kind, x, a, r, hyper, fit_matrix=None):
     u0, v0 = initialize(obj, t, hyper)
     model = partial(ModelParams, t=t, hyper=hyper,
                     x_standardization=x_record, a_standardization=a_record,
-                    objective=kind.value, x_feature_names=x.feature_names,
+                    objective=obj.kind.value, x_feature_names=x.feature_names,
                     a_feature_names=a.feature_names)
     return (obj, u0, v0), model
 
@@ -422,7 +423,7 @@ def train_many(problems, hyper: HyperParams):
     for kind, x, a, r in problems:
         # keep only the QR-reduced problem, not the n x m targets
         (obj, u0, v0), model = _setup(kind, x, a, r, hyper)
-        reduced.append((kind, obj.reduced, u0, v0))
+        reduced.append((obj.kind, obj.reduced, u0, v0))
         models.append(model)
     return [(model(u=u, v=v), trace) for model, (u, v, trace)
             in zip(models, _descend_all(reduced, hyper))]

@@ -69,7 +69,6 @@ class SimilarityTarget:
     """
 
     matrix: np.ndarray
-    axis: SimilarityAxis
     constant_entities: tuple = ()
 
     def __post_init__(self):
@@ -236,5 +235,4 @@ def similarity_target(r: PreferenceMatrix, axis: SimilarityAxis) -> SimilarityTa
     corr[constant, :] = 0.0
     corr[:, constant] = 0.0
     np.fill_diagonal(corr, 1.0)
-    return SimilarityTarget(matrix=corr, axis=axis,
-                            constant_entities=tuple(np.flatnonzero(constant).tolist()))
+    return SimilarityTarget(corr, tuple(np.flatnonzero(constant).tolist()))

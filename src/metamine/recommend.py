@@ -63,7 +63,6 @@ _KNN = (Strategy.F1_KNN, Strategy.F2_KNN, Strategy.F4_KNN)
 
 @dataclass(frozen=True)
 class PreferencePrediction:
-    task: Task
     values: np.ndarray    # length m / n vector, or pair scores (0-d for one)
     strategy: Strategy
     flags: tuple = ()     # e.g. "nonpositive_similarity_fallback"
@@ -93,7 +92,7 @@ def _knn_by_similarity(sims, n):
     return order[: int(n)]
 
 
-def _knn_predict(query, train_std, p, pref_rows, n, task, strategy):
+def _knn_predict(query, train_std, p, pref_rows, n, strategy):
     """kNN over the similarity through p p', p = U (datasets) or V."""
     sims = (train_std @ p) @ (p.T @ np.asarray(query, dtype=float))
     if pref_rows.shape[0] == 0:
@@ -104,8 +103,8 @@ def _knn_predict(query, train_std, p, pref_rows, n, task, strategy):
     if w.sum() <= 0.0:
         w = np.ones(len(picked))
         flags = ("nonpositive_similarity_fallback",)
-    return PreferencePrediction(task=task, strategy=strategy, flags=flags,
-                                values=_weighted_rows(pref_rows[picked], w))
+    return PreferencePrediction(_weighted_rows(pref_rows[picked], w), strategy,
+                                flags)
 
 
 def knn_predict_workflow_prefs(x_new, train_x_std, r: PreferenceMatrix,
@@ -114,16 +113,14 @@ def knn_predict_workflow_prefs(x_new, train_x_std, r: PreferenceMatrix,
     """Similarity-weighted average of the n most similar training datasets'
     preference rows. Nonpositive similarity sums fall back to uniform
     weights over the selected neighbors (flagged)."""
-    return _knn_predict(x_new, train_x_std, params.u, r.scores, n,
-                        Task.WORKFLOW_PREFS, strategy)
+    return _knn_predict(x_new, train_x_std, params.u, r.scores, n, strategy)
 
 
 def knn_predict_dataset_prefs(a_new, train_a_std, r: PreferenceMatrix,
                               params: ModelParams, n: int,
                               strategy: Strategy = Strategy.F2_KNN):
     """Mirror of the workflow-preference predictor over columns of R."""
-    return _knn_predict(a_new, train_a_std, params.v, r.scores.T, n,
-                        Task.DATASET_PREFS, strategy)
+    return _knn_predict(a_new, train_a_std, params.v, r.scores.T, n, strategy)
 
 
 def predict_pair(x_new, a_new, params: ModelParams):
@@ -136,25 +133,23 @@ def predict_pair(x_new, a_new, params: ModelParams):
     return np.vecdot(np.matvec(params.u.T, x), np.matvec(params.v.T, a))
 
 
-def _direct_predict(query, targets_std, p_query, p_target, task, strategy):
+def _direct_predict(query, targets_std, p_query, p_target, strategy):
     """Scores targets_std p_target p_query' query, p = U or V."""
     q = np.asarray(query, dtype=float)
-    return PreferencePrediction(task=task, strategy=strategy,
-                                values=targets_std @ (p_target @ (p_query.T @ q)))
+    return PreferencePrediction(targets_std @ (p_target @ (p_query.T @ q)),
+                                strategy)
 
 
 def predict_workflow_prefs_direct(x_new, a_all_std, params: ModelParams,
                                   strategy: Strategy = Strategy.F3_DIRECT):
     """Direct bilinear scores of one dataset against every workflow."""
-    return _direct_predict(x_new, a_all_std, params.u, params.v,
-                           Task.WORKFLOW_PREFS, strategy)
+    return _direct_predict(x_new, a_all_std, params.u, params.v, strategy)
 
 
 def predict_dataset_prefs_direct(a_new, x_all_std, params: ModelParams,
                                  strategy: Strategy = Strategy.F3_DIRECT):
     """Direct bilinear scores of one workflow against every dataset."""
-    return _direct_predict(a_new, x_all_std, params.v, params.u,
-                           Task.DATASET_PREFS, strategy)
+    return _direct_predict(a_new, x_all_std, params.v, params.u, strategy)
 
 
 def default_strategy(task: Task, r_train: PreferenceMatrix) -> PreferencePrediction:
@@ -167,8 +162,7 @@ def default_strategy(task: Task, r_train: PreferenceMatrix) -> PreferencePredict
         values = scores.mean(axis=1)
     else:
         values = np.asarray(scores.mean())
-    return PreferencePrediction(task=task, values=values,
-                                strategy=Strategy.DEFAULT)
+    return PreferencePrediction(values, Strategy.DEFAULT)
 
 
 def euclidean_strategy(query, train_std, r: PreferenceMatrix, n: int,
@@ -185,11 +179,8 @@ def euclidean_strategy(query, train_std, r: PreferenceMatrix, n: int,
     picked = _knn_by_similarity(-dists, min(n, len(dists)))
     w = 1.0 / (1.0 + dists[picked])
     rows = r.scores if task is Task.WORKFLOW_PREFS else r.scores.T
-    return PreferencePrediction(
-        task=task,
-        values=_weighted_rows(rows[picked], w),
-        strategy=Strategy.EUCLIDEAN,
-    )
+    return PreferencePrediction(_weighted_rows(rows[picked], w),
+                                Strategy.EUCLIDEAN)
 
 
 def predict(strategy: Strategy, task: Task, x_new, a_new, x, a,
@@ -215,8 +206,7 @@ def predict(strategy: Strategy, task: Task, x_new, a_new, x, a,
             # workflow's column, so they would leak the held-out truth,
             # ranked exactly backwards.
             return PreferencePrediction(
-                task=task, values=np.full(r.n_datasets, r.n_workflows / 2.0),
-                strategy=strategy)
+                np.full(r.n_datasets, r.n_workflows / 2.0), strategy)
         return default_strategy(task, r)
     if strategy is Strategy.EUCLIDEAN:
         table, query = (x, x_new) if task is Task.WORKFLOW_PREFS else (a, a_new)
@@ -226,8 +216,7 @@ def predict(strategy: Strategy, task: Task, x_new, a_new, x, a,
     qx = None if x_new is None else params.transform_dataset(x_new)
     qa = None if a_new is None else params.transform_workflow(a_new)
     if task is Task.PAIR_SCORE:
-        return PreferencePrediction(task=task, values=predict_pair(qx, qa, params),
-                                    strategy=strategy)
+        return PreferencePrediction(predict_pair(qx, qa, params), strategy)
     if strategy in _KNN and task is Task.WORKFLOW_PREFS:
         return knn_predict_workflow_prefs(qx, params.transform_dataset(x.features),
                                           r, params, n, strategy=strategy)

@@ -1096,3 +1096,125 @@ class TestReportBuiltOnce:
                     "--out", str(out)]) == 0
         assert len(calls) == 1
         assert (out / "report.txt").read_text() == calls[0].render_table() + "\n"
+
+
+def _ids(path, column):
+    """The ids in one column of a CSV's data rows."""
+    with open(path, newline="") as fh:
+        return [row[column] for row in list(csv.reader(fh))[1:]]
+
+
+def _ties_first_seen_swapped(bundle, path):
+    """A significance CSV of all ties whose first line names the second
+    workflow first, so its workflows are seen in another order than A's."""
+    wf, datasets = _ids(bundle / "A.csv", 0), _ids(bundle / "X.csv", 0)
+    pairs = [(1, 0)] + [(k, l) for k in range(len(wf))
+                        for l in range(k + 1, len(wf)) if (k, l) != (0, 1)]
+    path.write_text("dataset_id,workflow_k,workflow_l,outcome\n" + "".join(
+        f"{ds},{wf[k]},{wf[l]},tie\n" for ds in datasets for k, l in pairs))
+
+
+class TestIdsInAnotherOrder:
+    """Ids that match their table's as a set but not in order are named at
+    the first position where they differ, with both ids there."""
+
+    def swapped_rows(self, bundle, path, name):
+        lines = (bundle / name).read_text().splitlines()
+        lines[1], lines[2] = lines[2], lines[1]
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("flag, name, where, axis, column", [
+        ("--preferences", "R.csv", "R", "dataset", 0),
+        ("--performance", "performance.csv", "P", "workflow", 1),
+        ("--significance", "sig.csv", "R", "workflow", 1),
+    ])
+    def test_ingest_names_both_ids(self, bundle, tmp_path, capsys, flag, name,
+                                   where, axis, column):
+        edited = tmp_path / name
+        files = {"--x": bundle / "X.csv", "--a": bundle / "A.csv",
+                 "--performance": bundle / "performance.csv",
+                 "--preferences": bundle / "R.csv"}
+        if flag == "--significance":
+            _ties_first_seen_swapped(bundle, edited)
+            del files["--preferences"]
+        else:
+            self.swapped_rows(bundle, edited, name)
+        files[flag] = edited
+        code = run(["ingest", *(str(v) for pair in files.items() for v in pair),
+                    "--out", str(tmp_path / "out")])
+        table = "X" if axis == "dataset" else "A"
+        expected, got = _ids(bundle / f"{table}.csv", 0), _ids(edited, column)
+        assert got[0] == expected[1]
+        assert code == 1
+        assert (f"{where}[{axis}_ids]: {axis} ids do not match {table} entity "
+                f"ids (position 0 holds {got[0]!r} where {table} holds "
+                f"{expected[0]!r})") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestModelInitIsCheckedByHyperParams:
+    def test_unknown_init_exits_one(self, bundle, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert run(["train", "--bundle", str(bundle), "--objective", "f3",
+                    "--max-iters", "5", "--t", "2", "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        doc["hyper"]["init"] = "bogus"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        code = run(["predict", "--model", str(model), "--bundle", str(bundle),
+                    "--task", "pair_score", "--x", str(bundle / "X.csv"),
+                    "--a", str(bundle / "A.csv"), "--out", str(out)])
+        assert code == 1
+        assert (f"{model}: hyper: 'bogus' is not a valid InitScheme"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+class TestValidationErrorsExitOne:
+    """Validation errors of the library that reach the CLI: exit 1 and
+    the library's message."""
+
+    def test_evaluate_zero_neighbors(self, bundle, tmp_path, capsys):
+        code = run(["evaluate", "--bundle", str(bundle), "--protocol", "lodo",
+                    "--strategies", "def,ec", "--neighbors", "0",
+                    "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "n_neighbors must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_train_negative_max_iters(self, bundle, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        code = run(["train", "--bundle", str(bundle), "--objective", "f3",
+                    "--max-iters", "-1", "--out", str(model)])
+        assert code == 1
+        assert "max_iters must be nonnegative" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_ingest_outcomes_with_one_workflow(self, bundle, tmp_path, capsys):
+        outcomes = tmp_path / "outcomes"
+        outcomes.mkdir()
+        for ds in _ids(bundle / "X.csv", 0):
+            (outcomes / f"{ds}.csv").write_text("wf000\n1\n0\n")
+        code = run(["ingest", "--x", str(bundle / "X.csv"),
+                    "--a", str(bundle / "A.csv"),
+                    "--performance", str(bundle / "performance.csv"),
+                    "--outcomes-dir", str(outcomes),
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "need at least two workflows to compare" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_predict_model_without_scale(self, bundle, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert run(["train", "--bundle", str(bundle), "--objective", "f3",
+                    "--max-iters", "5", "--t", "2", "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        del doc["x_standardization"]["scale"]
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        code = run(["predict", "--model", str(model), "--bundle", str(bundle),
+                    "--task", "pair_score", "--x", str(bundle / "X.csv"),
+                    "--a", str(bundle / "A.csv"), "--out", str(out)])
+        assert code == 1
+        assert "x_standardization lacks ['scale']" in capsys.readouterr().err
+        assert not out.exists()

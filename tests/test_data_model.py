@@ -216,3 +216,34 @@ class TestPreferenceMatrixInvariants:
                              [[1.75, 1.0, 0.25]])
         with pytest.raises(ValueError, match="multiple of 0.5"):
             r.check_invariants()
+
+
+class TestIdsInAnotherOrder:
+    """Ids that equal their table's as a set are named where they first
+    differ; any other mismatch keeps listing the ids on one side only."""
+
+    valid = TestValidateTablesWithPreferences.valid
+
+    def test_swapped_ids_name_the_first_position(self, small_tables):
+        x, a, p = small_tables
+        r = PreferenceMatrix(x.entity_ids, (a.entity_ids[0], a.entity_ids[2],
+                                            a.entity_ids[1], a.entity_ids[3]),
+                             self.valid)
+        assert [str(i) for i in validate_tables(x, a, p, r).issues] == [
+            "R[workflow_ids]: workflow ids do not match A entity ids "
+            "(position 1 holds 'wf2' where A holds 'wf1')"]
+
+    def test_repeated_id_names_the_position(self, small_tables):
+        x, a, p = small_tables
+        r = PreferenceMatrix((*x.entity_ids, "ds0"), a.entity_ids,
+                             [*self.valid, self.valid[0]])
+        assert [str(i) for i in validate_tables(x, a, None, r).issues] == [
+            "R[dataset_ids]: dataset ids do not match X entity ids "
+            "(position 3 holds 'ds0' where X holds None)"]
+
+    def test_other_mismatches_list_the_ids(self, small_tables):
+        x, a, p = small_tables
+        r = PreferenceMatrix(("ds1", "ds0", "ds9"), a.entity_ids, self.valid)
+        assert [str(i) for i in validate_tables(x, a, p, r).issues] == [
+            "R[dataset_ids]: dataset ids do not match X entity ids "
+            "(mismatch: ['ds2', 'ds9'])"]

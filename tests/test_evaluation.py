@@ -391,3 +391,35 @@ class TestReportSerialization:
         assert "def" in table and "ec" in table
         assert "NA" in table
         assert "delta" in table
+
+
+class TestValidationErrors:
+    """The checks each protocol and helper makes on its input."""
+
+    @staticmethod
+    def data(n, m):
+        x, a, p = make_tables(n=n, m=m)
+        r = PreferenceMatrix(x.entity_ids, a.entity_ids,
+                             np.tile(np.arange(m, dtype=float), (n, 1)))
+        return MetaMiningData(x=x, a=a, r=r, performance=p)
+
+    def test_lowo_needs_three_workflows(self):
+        with pytest.raises(ValueError, match="needs at least 3 workflows"):
+            run_lowo(self.data(n=4, m=2), [Strategy.DEFAULT], FAST)
+
+    def test_lodwo_needs_three_of_each(self):
+        with pytest.raises(ValueError, match="needs at least 3 of each entity"):
+            run_lodwo(self.data(n=2, m=4), [Strategy.DEFAULT], FAST)
+
+    @pytest.mark.parametrize("wins, total, message", [
+        (5, 3, r"wins must lie in \[0, total\]"),
+        (-1, 3, r"wins must lie in \[0, total\]"),
+        (0, 0, "total must be positive"),
+    ])
+    def test_sign_test_arguments(self, wins, total, message):
+        with pytest.raises(ValueError, match=message):
+            binomial_sign_test(wins, total)
+
+    def test_top_k_beyond_the_workflows(self):
+        with pytest.raises(ValueError, match="k exceeds the number of workflows"):
+            top_k_performance([0.3, 0.1, 0.2], [0.5, 0.6, 0.7], k=4)

@@ -21,7 +21,8 @@ from metamine.io import (IngestError, load_model, read_bundle,
                          write_descriptor_csv, write_outcome_dir,
                          write_performance_csv, write_preference_csv)
 from metamine.metric_learning import ObjectiveKind, train
-from metamine.preference import OutcomeCube, build_preference_from_significance
+from metamine.preference import (OutcomeCube, PairOutcome,
+                                 build_preference_from_significance)
 from metamine.recommend import predict_pair
 from metamine.synth import SynthConfig, SynthMode, generate
 
@@ -1001,3 +1002,43 @@ def test_predict_csv_formats_like_repr(tmp_path, served_bundle, scores):
         for score in predict_pair(params.transform_dataset(feats),
                                   np.array([[1.0]]), params)])
     assert out.read_bytes() == want.read_bytes()
+
+
+class TestSignificanceTables:
+    HEADER = "dataset_id,workflow_k,workflow_l,outcome\n"
+
+    def test_each_table_is_an_array_of_outcomes(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        # w1 is seen first, so it is column 0; the pair (w2, w1) is held
+        # once, above the diagonal, as (w1, w2) with its outcome swapped
+        path.write_text(self.HEADER + "d0,w1,w0,k_wins\nd0,w0,w2,tie\n"
+                        "d0,w2,w1,l_wins\n")
+        ds, wf, tables = read_significance_csv(path)
+        assert (ds, wf) == (("d0",), ("w1", "w0", "w2"))
+        [table] = tables
+        assert table.shape == (3, 3) and table.dtype == object
+        tie, k_wins = PairOutcome.TIE, PairOutcome.K_WINS
+        expected = [[tie, k_wins, k_wins], [tie, tie, tie], [tie, tie, tie]]
+        assert all(got is want for got, want
+                   in zip(table.ravel(), np.array(expected, dtype=object).ravel()))
+
+    @pytest.mark.parametrize("body, message", [
+        # per-line faults come first, in line order
+        ("d0,w0,w1,tie\nd0,w1,w0,tie\nd0,w0,w2\n", "line 4: expected 4 fields"),
+        ("d0,w0,w1,tie\nd0,w1,w0,tie\nd0,w0,w2,draw\n",
+         "line 4: unknown outcome 'draw'"),
+        ("d0,w0,w1,tie\nd0,w1,w0,tie\nd0,w2,w2,tie\n",
+         "line 4: workflow 'w2' compared with itself"),
+        # then duplicates, in line order, as the line names the pair
+        ("d0,w0,w1,tie\nd0,w1,w2,tie\nd0,w1,w0,tie\nd0,w2,w1,tie\n",
+         "duplicate pair (d0,w1,w0)"),
+        # then the first missing pair in (dataset, k, l) order
+        ("d1,w0,w1,tie\nd0,w0,w1,tie\nd0,w1,w2,tie\nd1,w0,w2,tie\n",
+         "missing pair (d1,w1,w2)"),
+    ])
+    def test_faults_are_reported_in_order(self, tmp_path, body, message):
+        path = tmp_path / "sig.csv"
+        path.write_text(self.HEADER + body)
+        with pytest.raises(IngestError) as info:
+            read_significance_csv(path)
+        assert str(info.value) == f"{path}: {message}"

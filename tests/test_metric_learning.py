@@ -584,3 +584,42 @@ class TestStackedDescentOracle:
             assert (tmp_path / f"many{k}.json").read_bytes() \
                 == (tmp_path / f"alone{k}.json").read_bytes()
             assert trace == alone_trace
+
+
+class TestObjectiveKindByValue:
+    """Objective, train and train_many take an objective's value as well as
+    its member, as HyperParams takes its init scheme."""
+
+    def test_value_evaluates_as_the_member(self):
+        x, a, s_x, s_a, r, u, v = random_instance(7)
+        hyper = HyperParams(mu1=0.3, mu2=0.7)
+        by_value = Objective(kind="f1", x=x, a=a, s_x=s_x)
+        by_member = Objective(kind=ObjectiveKind.F1, x=x, a=a, s_x=s_x)
+        assert by_value.kind is ObjectiveKind.F1
+        assert (objective_value(by_value, u, v, hyper)
+                == objective_value(by_member, u, v, hyper))
+        for got, expected in zip(gradient(by_value, u, v, hyper),
+                                 gradient(by_member, u, v, hyper)):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_train_by_value_is_bit_identical(self):
+        res = generate(SynthConfig(n=8, m=5, d=4, l=3, latent_t=2, seed=4))
+        hyper = HyperParams(max_iters=30, t=2, seed=1)
+        data = (res.x, res.a, res.preferences)
+        expected, expected_trace = train(ObjectiveKind.F3, *data, hyper)
+        for params, trace in [train("f3", *data, hyper),
+                              *train_many([("f3", *data)], hyper)]:
+            np.testing.assert_array_equal(params.u, expected.u)
+            np.testing.assert_array_equal(params.v, expected.v)
+            assert params.objective == "f3"
+            assert trace.objective_values == expected_trace.objective_values
+
+    def test_unknown_value_rejected(self, small_tables):
+        x, a, s_x, s_a, r, _, _ = random_instance(8)
+        with pytest.raises(ValueError, match="'bogus' is not a valid ObjectiveKind"):
+            Objective(kind="bogus", x=x, a=a, s_x=s_x, s_a=s_a, r=r)
+        tx, ta, _ = small_tables
+        rm = PreferenceMatrix(tx.entity_ids, ta.entity_ids,
+                              np.tile([3.0, 2.0, 1.0, 0.0], (3, 1)))
+        with pytest.raises(ValueError, match="'bogus' is not a valid ObjectiveKind"):
+            train("bogus", tx, ta, rm, HyperParams(max_iters=0, t=2))

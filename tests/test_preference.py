@@ -442,3 +442,29 @@ class TestStackedRanks:
         for got, (x, y) in zip(spearman_many(pairs), pairs):
             want = spearman(x, y)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestValidationErrors:
+    def test_spearman_rows_needs_two_values(self):
+        with pytest.raises(ValueError, match="need at least two observations"):
+            spearman_rows([1.0], [2.0])
+        with pytest.raises(ValueError, match="need at least two observations"):
+            spearman([1.0], [2.0])
+
+    def test_cube_needs_one_matrix_per_dataset(self):
+        with pytest.raises(ValueError, match="one correctness matrix required"):
+            OutcomeCube(("d0", "d1"), ("w0", "w1"), [np.ones((3, 2))])
+
+    def test_cube_matrix_needs_a_column_per_workflow(self):
+        with pytest.raises(ValueError, match="dataset 1: matrix must have 2 "
+                                             "workflow columns"):
+            OutcomeCube(("d0", "d1"), ("w0", "w1"),
+                        [np.ones((3, 2)), np.ones((3, 3))])
+        with pytest.raises(ValueError, match="dataset 0: matrix must have 2 "
+                                             "workflow columns"):
+            OutcomeCube(("d0",), ("w0", "w1"), [np.ones(2)])
+
+    def test_cube_entries_are_zero_or_one(self):
+        with pytest.raises(ValueError, match="dataset 0: correctness entries "
+                                             "must be 0/1"):
+            OutcomeCube(("d0",), ("w0", "w1"), [[[1.0, 0.5], [0.0, 1.0]]])

@@ -283,3 +283,11 @@ class TestPredict:
         # the fold's row means would rank the held-out column exactly backwards
         assert spearman(r_fold.scores.mean(axis=1), scores[:, 0]) \
             == pytest.approx(-1.0)
+
+
+class TestEuclideanEmptyTraining:
+    def test_empty_training_table_rejected(self):
+        r = make_r(np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="empty training set"):
+            euclidean_strategy(np.zeros(4), np.zeros((0, 4)), r, n=2,
+                               task=Task.WORKFLOW_PREFS)

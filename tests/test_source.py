@@ -1,7 +1,7 @@
 """Source checks that need no linter: every module of the package uses
 each name it imports, every private module-level name is used somewhere
-in the package, no module imports scipy when it is imported, and every
-function the benchmark wraps exists."""
+in the package, no module imports scipy when it is imported, every
+function the benchmark wraps exists, and every command it runs parses."""
 
 import ast
 import importlib.util
@@ -120,26 +120,37 @@ def test_check_sees_a_module_level_scipy_import():
         == ["scipy.stats", "scipy", "scipy.special"]
 
 
-def bench_targets():
-    """The TARGETS of bench/layers.py, loaded from the file as it is, with
-    its sibling module spans.py importable for the load only and no
-    bytecode written under bench/."""
-    bench = Path(__file__).resolve().parents[1] / "bench"
-    had_spans = "spans" in sys.modules
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench(name):
+    """bench/<name>.py loaded from the file as it is: registered in
+    sys.modules while it runs (dataclasses look their module up there),
+    with its sibling modules importable for the load only and no bytecode
+    written under bench/."""
+    before = set(sys.modules)
     wrote_bytecode = sys.dont_write_bytecode
-    sys.path.insert(0, str(bench))
+    sys.path.insert(0, str(BENCH))
     sys.dont_write_bytecode = True
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     try:
-        spec = importlib.util.spec_from_file_location("bench_layers",
-                                                      bench / "layers.py")
-        layers = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(layers)
+        spec.loader.exec_module(module)
     finally:
-        sys.path.remove(str(bench))
+        sys.path.remove(str(BENCH))
         sys.dont_write_bytecode = wrote_bytecode
-        if not had_spans:
-            sys.modules.pop("spans", None)
-    return layers.TARGETS
+        for loaded in set(sys.modules) - before:
+            source = getattr(sys.modules[loaded], "__file__", None)
+            if source and Path(source).parent == BENCH:
+                del sys.modules[loaded]
+    return module
+
+
+def bench_targets():
+    """The TARGETS of bench/layers.py."""
+    return load_bench("layers").TARGETS
 
 
 @pytest.mark.parametrize("target", bench_targets(), ids=lambda t: t.name)
@@ -151,3 +162,23 @@ def test_every_benchmark_target_resolves(target):
     if class_name:
         holder = getattr(holder, class_name)
     assert callable(getattr(holder, target.attr, None))
+
+
+def bench_commands():
+    """(workload, argv) of every generate and op command of every
+    benchmark workload, each argument as a string, as bench/workloads.py
+    passes it to cli.main."""
+    workloads = load_bench("workloads").WORKLOADS
+    return [(name, [str(arg) for arg in argv])
+            for name, workload in workloads.items()
+            for argv in (workload.generate(1, Path("inputs"))
+                         + workload.op(Path("inputs"), Path("out")))]
+
+
+@pytest.mark.parametrize("workload, argv", bench_commands(),
+                         ids=lambda v: v if isinstance(v, str) else v[0])
+def test_every_benchmark_command_parses(workload, argv):
+    """A refactor that drops or renames a flag a benchmark workload still
+    passes fails here, not in the benchmark run."""
+    from metamine import cli
+    cli.build_parser().parse_args(argv)
