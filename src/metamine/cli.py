@@ -330,7 +330,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="train an objective on a bundle")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--objective", choices=["f1", "f2", "f3", "f4"], required=True)
+    p.add_argument("--objective", choices=[e.value for e in ObjectiveKind], required=True)
     _add_field_flags(p, HyperParams, _HYPER_FIELDS)
     p.add_argument("--preset", default=None)
     p.add_argument("--out", required=True, help="model JSON path")
@@ -338,7 +338,7 @@ def build_parser():
 
     p = sub.add_parser("evaluate", help="run a leave-one-out protocol")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--protocol", choices=["lodo", "lowo", "lodwo"], required=True)
+    p.add_argument("--protocol", choices=[e.value for e in Protocol], required=True)
     p.add_argument("--strategies", default="def,ec,f4",
                    help="comma list from: " + ",".join(sorted(_STRATEGY_ALIASES)))
     _add_field_flags(p, HyperParams, _HYPER_FIELDS)

@@ -28,6 +28,13 @@ def _as_readonly(a):
     return out
 
 
+def _store(obj, **convert):
+    """Set each named field of the frozen dataclass obj to its value passed
+    through convert[name]: the one way a container stores its fields."""
+    for name, to_stored in convert.items():
+        object.__setattr__(obj, name, to_stored(getattr(obj, name)))
+
+
 @dataclass(frozen=True)
 class DescriptorTable:
     """Dense entity-by-feature matrix with row ids and column names.
@@ -42,9 +49,7 @@ class DescriptorTable:
     kind: TableKind
 
     def __post_init__(self):
-        object.__setattr__(self, "entity_ids", tuple(self.entity_ids))
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "features", _as_readonly(self.features))
+        _store(self, entity_ids=tuple, feature_names=tuple, features=_as_readonly)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
         n, d = self.features.shape
@@ -85,9 +90,7 @@ class PerformanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dataset_ids", tuple(self.dataset_ids))
-        object.__setattr__(self, "workflow_ids", tuple(self.workflow_ids))
-        object.__setattr__(self, "values", _as_readonly(self.values))
+        _store(self, dataset_ids=tuple, workflow_ids=tuple, values=_as_readonly)
         if self.values.shape != (len(self.dataset_ids), len(self.workflow_ids)):
             raise ValueError("performance matrix shape does not match id lists")
 
@@ -105,9 +108,7 @@ class PreferenceMatrix:
     scores: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dataset_ids", tuple(self.dataset_ids))
-        object.__setattr__(self, "workflow_ids", tuple(self.workflow_ids))
-        object.__setattr__(self, "scores", _as_readonly(self.scores))
+        _store(self, dataset_ids=tuple, workflow_ids=tuple, scores=_as_readonly)
         if self.scores.shape != (len(self.dataset_ids), len(self.workflow_ids)):
             raise ValueError("preference matrix shape does not match id lists")
 
@@ -176,9 +177,7 @@ class StandardizationRecord:
     constant_columns: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", _as_readonly(self.mean))
-        object.__setattr__(self, "scale", _as_readonly(self.scale))
-        object.__setattr__(self, "constant_columns", tuple(self.constant_columns))
+        _store(self, mean=_as_readonly, scale=_as_readonly, constant_columns=tuple)
 
     def apply(self, features: np.ndarray) -> np.ndarray:
         return (np.asarray(features, dtype=float) - self.mean) / self.scale
@@ -206,7 +205,7 @@ class HyperParams:
     t: Optional[int] = None  # None -> min(numeric_rank(X), numeric_rank(A))
 
     def __post_init__(self):
-        object.__setattr__(self, "init", InitScheme(self.init))
+        _store(self, init=InitScheme)
         for name in ("mu1", "mu2", "alpha", "beta", "gamma"):
             if not 0 <= getattr(self, name) < np.inf:  # nan fails too
                 raise ValueError(f"{name} must be finite and nonnegative")
@@ -246,12 +245,9 @@ class ModelParams:
     a_feature_names: Optional[tuple] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "u", _as_readonly(self.u))
-        object.__setattr__(self, "v", _as_readonly(self.v))
-        if self.x_feature_names is not None:
-            object.__setattr__(self, "x_feature_names", tuple(self.x_feature_names))
-        if self.a_feature_names is not None:
-            object.__setattr__(self, "a_feature_names", tuple(self.a_feature_names))
+        _store(self, u=_as_readonly, v=_as_readonly, **{
+            name: tuple for name in ("x_feature_names", "a_feature_names")
+            if getattr(self, name) is not None})
         if self.u.shape[1] != self.t or self.v.shape[1] != self.t:
             raise ValueError("u and v must both have t columns")
 
@@ -391,12 +387,5 @@ def standardize(table: DescriptorTable):
 
 def numeric_rank(matrix: np.ndarray) -> int:
     """Count of singular values above s_max * max(rows, cols) *
-    machine_eps."""
-    m = np.asarray(matrix, dtype=float)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    tol = s[0] * max(m.shape) * np.finfo(float).eps
-    return int(np.sum(s > tol))
+    machine_eps: np.linalg.matrix_rank at its default tolerance."""
+    return int(np.linalg.matrix_rank(np.asarray(matrix, dtype=float)))

@@ -408,7 +408,7 @@ def write_json(path, doc):
 def _record_to_dict(rec: StandardizationRecord):
     return {"mean": list(map(repr, rec.mean.tolist())),
             "scale": list(map(repr, rec.scale.tolist())),
-            "constant_columns": list(rec.constant_columns)}
+            "constant_columns": rec.constant_columns}
 
 
 def save_model(path, params: ModelParams, trace_summary=None):
@@ -422,10 +422,8 @@ def save_model(path, params: ModelParams, trace_summary=None):
         "hyper": params.hyper.to_dict(),
         "x_standardization": _record_to_dict(params.x_standardization),
         "a_standardization": _record_to_dict(params.a_standardization),
-        "x_feature_names": (None if params.x_feature_names is None
-                            else list(params.x_feature_names)),
-        "a_feature_names": (None if params.a_feature_names is None
-                            else list(params.a_feature_names)),
+        "x_feature_names": params.x_feature_names,
+        "a_feature_names": params.a_feature_names,
         "trace_summary": trace_summary,
     })
 
@@ -505,9 +503,9 @@ def _hyper(key, value):
 
 
 def _objective(key, value):
-    if not (isinstance(value, str)
-            and value in {kind.value for kind in ObjectiveKind}):
-        raise IngestError(f"unknown objective {value!r} (known: f1, f2, f3, f4)")
+    known = [kind.value for kind in ObjectiveKind]
+    if not (isinstance(value, str) and value in known):
+        raise IngestError(f"unknown objective {value!r} (known: {', '.join(known)})")
     return value
 
 

@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .data_model import (DescriptorTable, HyperParams, InitScheme,
-                         ModelParams, PreferenceMatrix, numeric_rank,
-                         standardize)
+                         ModelParams, PreferenceMatrix, _store,
+                         numeric_rank, standardize)
 from .preference import SimilarityAxis, similarity_target
 
 ARMIJO_ACCEPT = 1e-4
@@ -67,7 +67,7 @@ class Objective:
     r: Optional[np.ndarray] = None      # n x m preference / score target
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", ObjectiveKind(self.kind))
+        _store(self, kind=ObjectiveKind)
         for name, fits in zip(("s_x", "s_a", "r"), _TERMS[self.kind]):
             if fits and getattr(self, name) is None:
                 raise ValueError(f"objective {self.kind.value} requires {name}")
@@ -216,13 +216,11 @@ def gradient(obj: Objective, u: np.ndarray, v: np.ndarray,
 def _svd_warm_start(obj: Objective, t: int):
     """Closed-form starting point from a truncated factorization of the
     objective's main target, mapped back through pseudo-inverses."""
-    x_pinv = np.linalg.pinv(obj.x)
-    a_pinv = np.linalg.pinv(obj.a)
-    d, l = obj.x.shape[1], obj.a.shape[1]
-    u = np.zeros((d, t))
-    v = np.zeros((l, t))
-    if _TERMS[obj.kind][2]:                    # f3 / f4: the fit of R
-        m = x_pinv @ obj.r @ a_pinv.T          # d x l
+    fx, _, fr = _TERMS[obj.kind]
+    u = np.zeros((obj.x.shape[1], t))
+    v = np.zeros((obj.a.shape[1], t))
+    if fr:                                     # f3 / f4: the fit of R
+        m = np.linalg.pinv(obj.x) @ obj.r @ np.linalg.pinv(obj.a).T   # d x l
         p, s, qt = np.linalg.svd(m, full_matrices=False)
         k = min(t, s.size)
         root = np.sqrt(s[:k])
@@ -230,10 +228,8 @@ def _svd_warm_start(obj: Objective, t: int):
         v[:, :k] = qt[:k].T * root
         return u, v
     # f1 / f2: the top eigenpairs of the dataset / workflow metric target
-    if obj.kind is ObjectiveKind.F1:
-        pinv, target, out = x_pinv, obj.s_x, u
-    else:
-        pinv, target, out = a_pinv, obj.s_a, v
+    features, target, out = (obj.x, obj.s_x, u) if fx else (obj.a, obj.s_a, v)
+    pinv = np.linalg.pinv(features)
     w = pinv @ target @ pinv.T                 # d x d or l x l, symmetric
     w = 0.5 * (w + w.T)
     vals, vecs = np.linalg.eigh(w)
@@ -254,6 +250,7 @@ def initialize(obj: Objective, t: int, hyper: HyperParams):
     return u, v
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a trial that overflows is rejected
 def _descend(kind, red: ReducedObjective, u, v, hyper):
     """Gradient descent with Armijo backtracking on the stacked (U, V) of
     each problem of a stack (red, u and v carry a leading problem axis),
@@ -268,6 +265,8 @@ def _descend(kind, red: ReducedObjective, u, v, hyper):
     k = len(u)
     res = _residuals(kind, red, u, v)
     f = _value(kind, red, u, v, res, hyper)
+    if not np.isfinite(f).all():
+        raise ValueError(f"objective {kind.value}: the starting value is not finite")
     step = np.ones(k)
     live = np.ones(k, dtype=bool)
     stops = [None] * k                      # what stop records, per problem
@@ -294,6 +293,9 @@ def _descend(kind, red: ReducedObjective, u, v, hyper):
     for it in range(hyper.max_iters):
         gu, gv = _gradient(kind, red, u, v, res, hyper)
         g_sq = _sq(gu) + _sq(gv)
+        if not np.isfinite(g_sq).all():
+            raise ValueError(f"objective {kind.value}: the squared gradient norm "
+                             f"is not finite at iteration {it}")
         norms.append(np.sqrt(g_sq))
         if np.count_nonzero(g_sq) < k:          # a stationary point
             if not stop((g_sq == 0.0) & live, StopReason.REL_TOL, it, flat=True):

@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data_model import PreferenceMatrix
+from .data_model import PreferenceMatrix, _as_readonly, _store
 
 # scipy.stats is imported where it is used: it is most of the package's
 # import time, and synth, ingest and predict never need it
@@ -44,14 +44,12 @@ class OutcomeCube:
     matrices: tuple  # one (instances_i x m) array per dataset
 
     def __post_init__(self):
-        object.__setattr__(self, "dataset_ids", tuple(self.dataset_ids))
-        object.__setattr__(self, "workflow_ids", tuple(self.workflow_ids))
-        mats = tuple(np.asarray(m, dtype=float) for m in self.matrices)
-        object.__setattr__(self, "matrices", mats)
-        if len(mats) != len(self.dataset_ids):
+        _store(self, dataset_ids=tuple, workflow_ids=tuple,
+               matrices=lambda ms: tuple(np.asarray(m, dtype=float) for m in ms))
+        if len(self.matrices) != len(self.dataset_ids):
             raise ValueError("one correctness matrix required per dataset")
         m = len(self.workflow_ids)
-        for i, mat in enumerate(mats):
+        for i, mat in enumerate(self.matrices):
             if mat.ndim != 2 or mat.shape[1] != m:
                 raise ValueError(f"dataset {i}: matrix must have {m} workflow columns")
             if mat.shape[0] < 1:
@@ -72,10 +70,7 @@ class SimilarityTarget:
     constant_entities: tuple = ()
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "constant_entities", tuple(self.constant_entities))
+        _store(self, matrix=_as_readonly, constant_entities=tuple)
 
 
 def points(wins) -> np.ndarray:

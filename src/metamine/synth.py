@@ -9,7 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .data_model import DescriptorTable, PerformanceMatrix, PreferenceMatrix, TableKind
+from .data_model import (DescriptorTable, PerformanceMatrix, PreferenceMatrix,
+                         TableKind, _store)
 from .preference import (OutcomeCube, _preference_matrix,
                          build_preference_matrix, points)
 
@@ -37,7 +38,7 @@ class SynthConfig:
     instances_per_dataset: int = 200   # outcome-level mode only
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", SynthMode(self.mode))
+        _store(self, mode=SynthMode)
         if min(self.n, self.m, self.d, self.l) < 3:
             raise ValueError("all sizes must be at least 3")
         if not 1 <= self.latent_t <= min(self.d, self.l):

@@ -1218,3 +1218,54 @@ class TestValidationErrorsExitOne:
         assert code == 1
         assert "x_standardization lacks ['scale']" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+class TestTrainingThatCannotStart:
+    """On an 8 x 5 bundle, a weight so large that the starting value or its
+    squared gradient norm is not finite fails as a validation error, with
+    no model file and no report directory; a weight whose trial steps
+    overflow only makes the line search fail. Each runs under the suite's
+    error::RuntimeWarning filter."""
+
+    @pytest.fixture
+    def bundle(self, tmp_path):
+        raw, bundle = tmp_path / "raw", tmp_path / "bundle"
+        assert run(["synth", "--n", "8", "--m", "5", "--d", "4", "--l", "3",
+                    "--latent-t", "2", "--out", str(raw)]) == 0
+        assert _ingest(raw, bundle) == 0
+        return bundle
+
+    @pytest.mark.parametrize("mu1, what", [("1e308", "the starting value"),
+                                           ("1e200", "the squared gradient norm")])
+    def test_train_exits_one_without_a_model(self, bundle, tmp_path, capsys,
+                                             mu1, what):
+        model = tmp_path / "model.json"
+        capsys.readouterr()
+        assert run(["train", "--bundle", str(bundle), "--objective", "f3",
+                    "--mu1", mu1, "--out", str(model)]) == 1
+        assert f"error: objective f3: {what} is not finite" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_evaluate_exits_one_without_a_report(self, bundle, tmp_path, capsys):
+        out = tmp_path / "report"
+        capsys.readouterr()
+        assert run(["evaluate", "--bundle", str(bundle), "--protocol", "lodo",
+                    "--strategies", "def,f4", "--mu1", "1e308", "--max-iters",
+                    "5", "--out", str(out)]) == 1
+        assert "the starting value is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_trials_fail_the_line_search(self, bundle, tmp_path,
+                                                     capsys):
+        model = tmp_path / "model.json"
+        capsys.readouterr()
+        assert run(["train", "--bundle", str(bundle), "--objective", "f3",
+                    "--mu1", "1e150", "--out", str(model)]) == 0
+        assert "after 0 iterations (line_search_failure)" in capsys.readouterr().out
+        summary = json.loads(model.read_text(),
+                             parse_constant=_reject_constant)["trace_summary"]
+        assert summary["reason"] == "line_search_failure"

@@ -6,6 +6,12 @@ from metamine.data_model import (DescriptorTable, HyperParams, InitScheme,
                                  TableKind, numeric_rank, standardize,
                                  validate_tables)
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from metamine.data_model import ModelParams, StandardizationRecord
+from metamine.preference import SimilarityTarget
+
 from conftest import make_tables
 
 
@@ -247,3 +253,92 @@ class TestIdsInAnotherOrder:
         assert [str(i) for i in validate_tables(x, a, p, r).issues] == [
             "R[dataset_ids]: dataset ids do not match X entity ids "
             "(mismatch: ['ds2', 'ds9'])"]
+
+
+def rank_by_formula(m):
+    """The rank rule written out: the singular values above s_max *
+    max(rows, cols) * eps, and 0 for an empty or all-zero matrix."""
+    if m.size == 0:
+        return 0
+    s = np.linalg.svd(m, compute_uv=False)
+    if s[0] == 0.0:
+        return 0
+    return int(np.sum(s > s[0] * max(m.shape) * np.finfo(float).eps))
+
+
+@st.composite
+def rank_matrices(draw, rows=None, cols=None):
+    """A rows x cols matrix (0-11 each unless given) that is a product
+    through `inner` columns, so of rank at most `inner` (0 gives the zero
+    matrix), with some columns zeroed and scaled by 10^-300 .. 10^300."""
+    rows = draw(st.integers(0, 11)) if rows is None else rows
+    cols = draw(st.integers(0, 11)) if cols is None else cols
+    inner = draw(st.integers(0, max(rows, cols, 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.standard_normal((rows, inner)) @ rng.standard_normal((inner, cols))
+    m[:, draw(st.lists(st.booleans(), min_size=cols, max_size=cols))] = 0.0
+    return m * 10.0 ** draw(st.integers(-300, 300))
+
+
+class TestNumericRankOracle:
+    """numeric_rank is numpy's matrix_rank at its default tolerance, which
+    equals the rule written out: scaling by eps, a power of two, commutes
+    with rounding."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rank_matrices())
+    def test_matches_the_formula(self, m):
+        assert numeric_rank(m) == rank_by_formula(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 11), st.integers(0, 11), st.data())
+    def test_a_stack_gives_each_matrix_its_rank(self, k, rows, cols, data):
+        stack = np.stack([data.draw(rank_matrices(rows, cols)) for _ in range(k)])
+        assert np.linalg.matrix_rank(stack).tolist() == [
+            numeric_rank(m) for m in stack] == [rank_by_formula(m) for m in stack]
+
+
+def _record(given):
+    return StandardizationRecord(mean=given[0], scale=given[1],
+                                 constant_columns=[2])
+
+
+# container -> (build from the caller's 2 x 3 array, id fields, array fields)
+STORED = {
+    "DescriptorTable": (lambda given: DescriptorTable(
+        ["d0", "d1"], given, ["f0", "f1", "f2"], TableKind.DATASET),
+        ("entity_ids", "feature_names"), ("features",)),
+    "PerformanceMatrix": (lambda given: PerformanceMatrix(
+        ["d0", "d1"], ["w0", "w1", "w2"], given),
+        ("dataset_ids", "workflow_ids"), ("values",)),
+    "PreferenceMatrix": (lambda given: PreferenceMatrix(
+        ["d0", "d1"], ["w0", "w1", "w2"], given),
+        ("dataset_ids", "workflow_ids"), ("scores",)),
+    "StandardizationRecord": (_record, ("constant_columns",), ("mean", "scale")),
+    "ModelParams": (lambda given: ModelParams(
+        u=given, v=given[:1], t=3, hyper=HyperParams(),
+        x_standardization=_record(given), a_standardization=_record(given),
+        objective="f3", x_feature_names=["f0", "f1"], a_feature_names=["p0"]),
+        ("x_feature_names", "a_feature_names"), ("u", "v")),
+    "SimilarityTarget": (lambda given: SimilarityTarget(given, [1]),
+                         ("constant_entities",), ("matrix",)),
+}
+
+
+class TestStorageRule:
+    """Every frozen container stores ids as tuples and arrays as read-only
+    float copies, leaving the caller's own array as it was."""
+
+    @pytest.mark.parametrize("build, ids, arrays", STORED.values(),
+                             ids=STORED.keys())
+    def test_ids_are_tuples_and_arrays_read_only_copies(self, build, ids, arrays):
+        given = np.arange(6.0).reshape(2, 3)
+        stored = build(given)
+        for name in ids:
+            assert isinstance(getattr(stored, name), tuple), name
+        for name in arrays:
+            array = getattr(stored, name)
+            assert not array.flags.writeable, name
+            assert not np.shares_memory(array, given), name
+        assert given.flags.writeable
+        np.testing.assert_array_equal(given, np.arange(6.0).reshape(2, 3))

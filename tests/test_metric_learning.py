@@ -623,3 +623,34 @@ class TestObjectiveKindByValue:
                               np.tile([3.0, 2.0, 1.0, 0.0], (3, 1)))
         with pytest.raises(ValueError, match="'bogus' is not a valid ObjectiveKind"):
             train("bogus", tx, ta, rm, HyperParams(max_iters=0, t=2))
+
+
+class TestTrainingThatCannotStart:
+    """train on an 8 x 5 problem: a start whose value or squared gradient
+    norm is not finite is a ValueError, even with no iteration to take; a
+    trial step that overflows is only a trial the Armijo test rejects, so
+    no RuntimeWarning reaches the suite's error filter."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        s = generate(SynthConfig(n=8, m=5, d=4, l=3, latent_t=2))
+        return s.x, s.a, s.preferences
+
+    @pytest.mark.parametrize("mu1, max_iters, what", [
+        (1e308, 5000, "the starting value"), (1e308, 0, "the starting value"),
+        (1e200, 5000, "the squared gradient norm")])
+    def test_non_finite_start_raises(self, problem, mu1, max_iters, what):
+        with pytest.raises(ValueError, match=f"objective f3: {what} is not finite"):
+            train(ObjectiveKind.F3, *problem,
+                  HyperParams(mu1=mu1, max_iters=max_iters))
+
+    def test_train_many_raises_too(self, problem):
+        hyper = HyperParams(mu1=1e200)
+        with pytest.raises(ValueError, match="squared gradient norm"):
+            train_many([(ObjectiveKind.F3, *problem)] * 3, hyper)
+
+    def test_overflowing_trials_are_rejected(self, problem):
+        _, trace = train(ObjectiveKind.F3, *problem, HyperParams(mu1=1e150))
+        assert trace.reason is StopReason.LINE_SEARCH_FAILURE
+        assert trace.iterations == 0
+        assert np.isfinite(trace.objective_values).all()

@@ -1,11 +1,14 @@
 """Source checks that need no linter: every module of the package uses
 each name it imports, every private module-level name is used somewhere
-in the package, no module imports scipy when it is imported, every
-function the benchmark wraps exists, and every command it runs parses."""
+in the package, no module imports scipy when it is imported, only
+data_model._store sets the field of a frozen container, the CLI's
+choices come from their enums, every function the benchmark wraps
+exists, and every command it runs parses."""
 
 import ast
 import importlib.util
 import sys
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -118,6 +121,64 @@ def test_check_sees_a_module_level_scipy_import():
         "def f():\n    from scipy import stats\n    import scipy\n"
         "g = lambda: __import__('scipy')\nfrom . import scipy_like\n") \
         == ["scipy.stats", "scipy", "scipy.special"]
+
+
+def setattr_callers(source):
+    """The name of the function around each object.__setattr__ call of a
+    module (None for a call outside every function)."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "__setattr__"
+                    and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id == "object"):
+                found.append(function)
+            visit(child, function)
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_store_sets_frozen_fields():
+    """Every frozen container stores its fields through data_model._store,
+    the one place their conversions are applied."""
+    assert {(p.name, caller) for p in PACKAGE
+            for caller in setattr_callers(p.read_text(encoding="utf-8"))} \
+        == {("data_model.py", "_store")}
+
+
+def test_check_sees_a_field_set_outside_store():
+    assert setattr_callers(
+        "def _store(obj, **convert):\n    object.__setattr__(obj, 'a', 1)\n"
+        "class C:\n    def __post_init__(self):\n"
+        "        f = lambda: object.__setattr__(self, 'b', 2)\n"
+        "        setattr(self, 'c', 3)\n"
+        "object.__setattr__(C, 'd', 4)\n") == ["_store", "__post_init__", None]
+
+
+def flag_choices(parser, subcommand, dest):
+    return list(next(action.choices for action
+                     in parser.subcommands[subcommand]._actions
+                     if action.dest == dest))
+
+
+@pytest.mark.parametrize("subcommand, dest, enum_name", [
+    ("train", "objective", "ObjectiveKind"), ("evaluate", "protocol", "Protocol"),
+    ("predict", "task", "Task")])
+def test_cli_choices_come_from_their_enum(subcommand, dest, enum_name,
+                                          monkeypatch):
+    """The choices equal the enum's values, and follow the enum: a parser
+    built while cli sees another enum offers that enum's values."""
+    from metamine import cli
+    assert flag_choices(cli.build_parser(), subcommand, dest) \
+        == [member.value for member in getattr(cli, enum_name)]
+    monkeypatch.setattr(cli, enum_name, Enum(enum_name, {"OTHER": "other"}))
+    assert flag_choices(cli.build_parser(), subcommand, dest) == ["other"]
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
