@@ -372,17 +372,21 @@ def validate_queries(table: DescriptorTable,
     return report
 
 
-def standardize(table: DescriptorTable):
-    """Z-score each column (population std). Zero-variance columns are left
-    at 0 and flagged in the record. Returns (standardized table, record)."""
-    f = table.features
-    mean = f.mean(axis=0)
-    std = f.std(axis=0)  # population std
-    constant = np.flatnonzero(std == 0.0)
+def standardize_stack(features: np.ndarray):
+    """Z-score each column (population std) of each matrix of a stack
+    (k, n, d); a zero-variance column is left at 0 and flagged in its
+    matrix's record. Returns (standardized stack, k records)."""
+    mean, std = features.mean(axis=-2), features.std(axis=-2)
     scale = np.where(std == 0.0, 1.0, std)
-    record = StandardizationRecord(mean=mean, scale=scale,
-                                   constant_columns=tuple(int(c) for c in constant))
-    return replace(table, features=record.apply(f)), record
+    records = [StandardizationRecord(mu, sc, np.flatnonzero(sd == 0.0).tolist())
+               for mu, sc, sd in zip(mean, scale, std)]
+    return (features - mean[:, None]) / scale[:, None], records
+
+
+def standardize(table: DescriptorTable):
+    """standardize_stack of one table: (standardized table, record)."""
+    (features,), (record,) = standardize_stack(table.features[None])
+    return replace(table, features=features), record
 
 
 def numeric_rank(matrix: np.ndarray) -> int:

@@ -15,22 +15,26 @@ descriptor tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, partial
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from .data_model import (DescriptorTable, HyperParams, InitScheme,
                          ModelParams, PreferenceMatrix, _store,
-                         numeric_rank, standardize)
-from .preference import SimilarityAxis, similarity_target
+                         standardize_stack)
+from .preference import similarity_stack
 
 ARMIJO_ACCEPT = 1e-4
 ARMIJO_SHRINK = 0.5
 MAX_BACKTRACKS = 60
 _TINY = np.finfo(float).tiny
+# the most similarity-target cells one set-up stack holds: unbounded, LODO
+# 160 x 10 took peak RSS from 112 to 209 MB and ran slower; bounded, 118 MB
+_TARGET_CELLS = 2 ** 18
 
 
 class ObjectiveKind(str, Enum):
@@ -57,7 +61,8 @@ _TERMS = {ObjectiveKind.F1: (True, False, False),
 @dataclass(frozen=True)
 class Objective:
     """Precomputed inputs of one training problem: standardized feature
-    matrices plus whichever targets the objective kind needs."""
+    matrices plus whichever targets the objective kind needs; a stack of
+    k problems of one shape when every array has a leading axis k."""
 
     kind: ObjectiveKind
     x: np.ndarray                       # n x d, standardized
@@ -74,8 +79,8 @@ class Objective:
 
     @cached_property
     def reduced(self) -> ReducedObjective:
-        """The QR-reduced form, computed on first use."""
-        return _reduce(self)
+        """The QR-reduced form, a stack of one, computed on first use."""
+        return _reduce(_each(lambda field: field[None], self))
 
 
 @dataclass
@@ -91,22 +96,29 @@ class TrainTrace:
 
 
 def _sq(m):
-    """The squared Frobenius norm of m (r x c), or of each matrix in a
-    stack of them (k x r x c): one vecdot per flattened matrix, the dot
-    that np.vdot takes."""
-    flat = m.reshape(len(m), -1) if m.ndim == 3 else m.reshape(-1)
+    """The squared Frobenius norm of each matrix of a stack (k x r x c):
+    one vecdot per flattened matrix, the dot that np.vdot takes."""
+    flat = m.reshape(len(m), -1)
     return np.vecdot(flat, flat)
 
 
+def _each(change, *stacks):
+    """The first of `stacks`, Objectives or ReducedObjectives of one kind,
+    with each array field set to change(that field of every stack)."""
+    return replace(stacks[0], **{
+        name: change(*(vars(stack)[name] for stack in stacks))
+        for name, value in vars(stacks[0]).items() if isinstance(value, np.ndarray)})
+
+
 def _project(q_left, target, q_right):
-    """The small target Q_l' T Q_r and the squared norm of what the
-    projection drops, ||T - Q_l (Q_l' T Q_r) Q_r'||^2. The norm is taken
-    of the direct residual, not as ||T||^2 - ||Q_l' T Q_r||^2, so it stays
-    >= 0 and keeps its precision near 0. (None, 0.0) for no target."""
+    """Per problem of a stack, the small target Q_l' T Q_r and the squared
+    norm of what the projection drops, ||T - Q_l (Q_l' T Q_r) Q_r'||^2,
+    taken of the direct residual, not as ||T||^2 - ||Q_l' T Q_r||^2, so it
+    stays >= 0 and precise near 0. (None, None) for no target."""
     if target is None:
-        return None, 0.0
-    small = q_left.T @ target @ q_right
-    return small, float(_sq(target - q_left @ small @ q_right.T))
+        return None, None
+    small = q_left.mT @ target @ q_right
+    return small, _sq(target - q_left @ small @ q_right.mT)
 
 
 @dataclass(frozen=True)
@@ -115,46 +127,37 @@ class ReducedObjective:
 
     Each fit term splits into a constant plus a small residual, e.g.
     ||R - X U V' A'||^2 = c_r + ||Q_x' R Q_a - R_x U V' R_a'||^2, so one
-    evaluation costs O((d + l)^2 t) whatever n and m are. Targets the
-    objective kind lacks stay None. A stack of k problems of the same
-    shapes holds each field with a leading axis of length k (the
-    constants as k-vectors); the same products then evaluate all k."""
+    evaluation costs O((d + l)^2 t) whatever n and m are. It is a stack
+    of k problems of one kind and shape, each field with a leading axis k
+    (the constants k-vectors), None for a target the kind lacks."""
 
-    rx: np.ndarray                      # min(n, d) x d
-    ra: np.ndarray                      # min(m, l) x l
+    rx: np.ndarray                      # k x min(n, d) x d
+    ra: np.ndarray                      # k x min(m, l) x l
     s_x: Optional[np.ndarray]           # Q_x' S_X Q_x
     s_a: Optional[np.ndarray]           # Q_a' S_A Q_a
     r: Optional[np.ndarray]             # Q_x' R Q_a
-    c_x: float                          # the constants dropped by each
-    c_a: float                          # projection, all >= 0
-    c_r: float
-
-    @staticmethod
-    def stack(reduced) -> ReducedObjective:
-        """The problems of `reduced` stacked on a leading axis; a target
-        some problem lacks is left out."""
-        columns = {f.name: [getattr(red, f.name) for red in reduced]
-                   for f in fields(ReducedObjective)}
-        return ReducedObjective(**{
-            name: None if any(c is None for c in column) else np.stack(column)
-            for name, column in columns.items()})
+    c_x: Optional[np.ndarray]           # the constants dropped by each
+    c_a: Optional[np.ndarray]           # projection, all >= 0
+    c_r: Optional[np.ndarray]
 
 
 def _reduce(obj: Objective) -> ReducedObjective:
+    """The ReducedObjective stack of an Objective stack, of its kind's targets."""
+    fx, fa, fr = _TERMS[obj.kind]
     # numpy's reduced QR gives Q n x min(n, d), also when n < d
     qx, rx = np.linalg.qr(obj.x)
     qa, ra = np.linalg.qr(obj.a)
-    s_x, c_x = _project(qx, obj.s_x, qx)
-    s_a, c_a = _project(qa, obj.s_a, qa)
-    r, c_r = _project(qx, obj.r, qa)
+    s_x, c_x = _project(qx, obj.s_x if fx else None, qx)
+    s_a, c_a = _project(qa, obj.s_a if fa else None, qa)
+    r, c_r = _project(qx, obj.r if fr else None, qa)
     return ReducedObjective(rx=rx, ra=ra, s_x=s_x, s_a=s_a, r=r,
                             c_x=c_x, c_a=c_a, c_r=c_r)
 
 
 def _residuals(kind, red: ReducedObjective, u: np.ndarray, v: np.ndarray):
     """P = R_x U, W = R_a V and the small residuals E1 = S~_X - P P',
-    E2 = S~_A - W W', E3 = R~ - P W' (None where the kind does not use
-    them). Works alike on one problem and on a stack."""
+    E2 = S~_A - W W', E3 = R~ - P W' of each problem of a stack (None
+    where the kind does not use them)."""
     fx, fa, fr = _TERMS[kind]
     p = red.rx @ u if fx or fr else None
     w = red.ra @ v if fa or fr else None
@@ -165,8 +168,8 @@ def _residuals(kind, red: ReducedObjective, u: np.ndarray, v: np.ndarray):
 
 
 def _value(kind, red, u, v, res, hyper):
-    """The objective at (u, v), whose residuals are res: a 0-d value for
-    one problem, a k-vector for a stack."""
+    """The objective at (u, v), whose residuals are res: a k-vector, one
+    value per problem of the stack."""
     _, _, e1, e2, e3 = res
     if kind is ObjectiveKind.F1:
         return red.c_x + _sq(e1) + hyper.mu1 * _sq(u)
@@ -200,53 +203,50 @@ def _gradient(kind, red, u, v, res, hyper):
 
 def objective_value(obj: Objective, u: np.ndarray, v: np.ndarray,
                     hyper: HyperParams) -> float:
-    red = obj.reduced
+    red, u, v = obj.reduced, u[None], v[None]
     return float(_value(obj.kind, red, u, v,
-                        _residuals(obj.kind, red, u, v), hyper))
+                        _residuals(obj.kind, red, u, v), hyper)[0])
 
 
 def gradient(obj: Objective, u: np.ndarray, v: np.ndarray,
              hyper: HyperParams):
     """Analytic gradients (gU, gV) of objective_value."""
-    red = obj.reduced
-    return _gradient(obj.kind, red, u, v, _residuals(obj.kind, red, u, v),
-                     hyper)
+    red, u, v = obj.reduced, u[None], v[None]
+    gu, gv = _gradient(obj.kind, red, u, v, _residuals(obj.kind, red, u, v), hyper)
+    return gu[0], gv[0]
 
 
-def _svd_warm_start(obj: Objective, t: int):
-    """Closed-form starting point from a truncated factorization of the
-    objective's main target, mapped back through pseudo-inverses."""
+def initialize(obj: Objective, t: int, hyper: HyperParams):
+    """The starting (U, V) of a problem, or the (U, V) stacks of an
+    Objective stack: one seeded draw for all its problems, or each
+    problem's closed form from a truncated factorization of its main
+    target, mapped back through pseudo-inverses."""
+    u = np.zeros((*obj.x.shape[:-2], obj.x.shape[-1], t))
+    v = np.zeros((*obj.a.shape[:-2], obj.a.shape[-1], t))
+    if hyper.init is InitScheme.SEEDED_GAUSSIAN:
+        rng = np.random.default_rng(hyper.seed)
+        u[...] = rng.standard_normal(u.shape[-2:]) / np.sqrt(t)
+        v[...] = rng.standard_normal(v.shape[-2:]) / np.sqrt(t)
+        return u, v
     fx, _, fr = _TERMS[obj.kind]
-    u = np.zeros((obj.x.shape[1], t))
-    v = np.zeros((obj.a.shape[1], t))
     if fr:                                     # f3 / f4: the fit of R
-        m = np.linalg.pinv(obj.x) @ obj.r @ np.linalg.pinv(obj.a).T   # d x l
+        m = np.linalg.pinv(obj.x) @ obj.r @ np.linalg.pinv(obj.a).mT  # d x l
         p, s, qt = np.linalg.svd(m, full_matrices=False)
-        k = min(t, s.size)
-        root = np.sqrt(s[:k])
-        u[:, :k] = p[:, :k] * root
-        v[:, :k] = qt[:k].T * root
+        k = min(t, s.shape[-1])
+        root = np.sqrt(s[..., None, :k])
+        u[..., :k] = p[..., :k] * root
+        v[..., :k] = qt[..., :k, :].mT * root
         return u, v
     # f1 / f2: the top eigenpairs of the dataset / workflow metric target
     features, target, out = (obj.x, obj.s_x, u) if fx else (obj.a, obj.s_a, v)
     pinv = np.linalg.pinv(features)
-    w = pinv @ target @ pinv.T                 # d x d or l x l, symmetric
-    w = 0.5 * (w + w.T)
+    w = pinv @ target @ pinv.mT                # d x d or l x l, symmetric
+    w = 0.5 * (w + w.mT)
     vals, vecs = np.linalg.eigh(w)
-    order = np.argsort(vals)[::-1]
-    k = min(t, out.shape[0])
-    top = np.clip(vals[order[:k]], 0.0, None)
-    out[:, :k] = vecs[:, order[:k]] * np.sqrt(top)
-    return u, v
-
-
-def initialize(obj: Objective, t: int, hyper: HyperParams):
-    if hyper.init is InitScheme.SVD_WARM_START:
-        return _svd_warm_start(obj, t)
-    rng = np.random.default_rng(hyper.seed)
-    d, l = obj.x.shape[1], obj.a.shape[1]
-    u = rng.standard_normal((d, t)) / np.sqrt(t)
-    v = rng.standard_normal((l, t)) / np.sqrt(t)
+    top_first = np.argsort(vals)[..., ::-1][..., :min(t, out.shape[-2])]
+    top = np.clip(np.take_along_axis(vals, top_first, -1), 0.0, None)
+    out[..., :top.shape[-1]] = (np.take_along_axis(vecs, top_first[..., None, :], -1)
+                                * np.sqrt(top)[..., None, :])
     return u, v
 
 
@@ -331,23 +331,22 @@ def _descend(kind, red: ReducedObjective, u, v, hyper):
             for (uj, vj, reason, n, flat), vals, sts, nrm in zip(stops, *columns)]
 
 
-def _descend_all(problems, hyper: HyperParams):
-    """The descents of (kind, ReducedObjective, u0, v0) problems, those of
-    the same kind and shapes as one stack. Returns the (u, v, TrainTrace)
-    of each problem, in order."""
+def _descend_all(stacks, hyper: HyperParams):
+    """The descents of (kind, ReducedObjective stack, u0 stack, v0 stack)
+    stacks, those of the same kind and shapes joined as one stack.
+    Returns the (u, v, TrainTrace) of each problem, in stack order."""
     groups = {}
-    for index, (kind, red, u0, v0) in enumerate(problems):
-        key = (kind, red.rx.shape, red.ra.shape, u0.shape, v0.shape)
+    for index, (kind, red, u0, v0) in enumerate(stacks):
+        key = (kind, red.rx.shape[1:], red.ra.shape[1:], u0.shape[1:], v0.shape[1:])
         groups.setdefault(key, []).append(index)
-    out = [None] * len(problems)
+    out = [None] * len(stacks)
     for (kind, *_), members in groups.items():
-        stacked = _descend(
-            kind, ReducedObjective.stack([problems[i][1] for i in members]),
-            np.stack([problems[i][2] for i in members]),
-            np.stack([problems[i][3] for i in members]), hyper)
-        for i, result in zip(members, stacked):
-            out[i] = result
-    return out
+        _, reds, us, vs = zip(*(stacks[i] for i in members))
+        results = iter(_descend(kind, _each(lambda *f: np.concatenate(f), *reds),
+                                np.concatenate(us), np.concatenate(vs), hyper))
+        for i in members:
+            out[i] = list(islice(results, len(stacks[i][2])))
+    return [result for stack in out for result in stack]
 
 
 def minimize_many(problems, hyper: HyperParams):
@@ -355,7 +354,7 @@ def minimize_many(problems, hyper: HyperParams):
     problems of the same kind and shapes descending as one stack. Returns
     the (u, v, TrainTrace) of each problem, in order; each equals what
     minimize gives for that problem alone."""
-    return _descend_all([(obj.kind, obj.reduced, u0, v0)
+    return _descend_all([(obj.kind, obj.reduced, u0[None], v0[None])
                          for obj, u0, v0 in problems], hyper)
 
 
@@ -367,65 +366,80 @@ def minimize(obj: Objective, u0: np.ndarray, v0: np.ndarray,
     return minimize_many([(obj, u0, v0)], hyper)[0]
 
 
+def _objective_stack(kind: ObjectiveKind, x_std, a_std, rs, fits) -> Objective:
+    """The Objective stack of stacked standardized features, with the
+    targets the kind requires from the preference matrices rs (S_X and
+    S_A each in one call) and fits (R's scores where one is None)."""
+    fx, fa, fr = _TERMS[kind]
+    scores = np.stack([r.scores for r in rs])
+    return Objective(
+        kind, x_std, a_std, s_x=similarity_stack(scores)[0] if fx else None,
+        s_a=similarity_stack(scores.mT)[0] if fa else None,
+        r=np.stack([r.scores if fit is None else np.asarray(fit, dtype=float)
+                    for r, fit in zip(rs, fits)]) if fr else None)
+
+
 def build_objective(kind: ObjectiveKind, x_std: np.ndarray, a_std: np.ndarray,
                     r: PreferenceMatrix, fit_matrix=None) -> Objective:
     """Assemble an Objective from standardized features and the preference
-    matrix, computing the rank-correlation targets the kind requires.
-
+    matrix, with the targets the kind requires: _objective_stack of one.
     fit_matrix optionally replaces R's scores as the heterogeneous target
-    (e.g. a latent score matrix from the synthetic generator).
-    """
-    fx, fa, fr = _TERMS[ObjectiveKind(kind)]
-    s_x = similarity_target(r, SimilarityAxis.DATASETS).matrix if fx else None
-    s_a = similarity_target(r, SimilarityAxis.WORKFLOWS).matrix if fa else None
-    r_mat = None
-    if fr:
-        r_mat = r.scores if fit_matrix is None else np.asarray(fit_matrix, dtype=float)
-    return Objective(kind=kind, x=x_std, a=a_std, s_x=s_x, s_a=s_a, r=r_mat)
+    (e.g. a latent score matrix from the synthetic generator)."""
+    return _each(lambda field: field[0], _objective_stack(
+        ObjectiveKind(kind), x_std[None], a_std[None], [r], [fit_matrix]))
 
 
-def _setup(kind, x, a, r, hyper, fit_matrix=None):
-    """One training problem: standardize, pick t, build the objective and
-    initialize. Returns the descent's (Objective, u0, v0) and a partial
-    ModelParams that takes the descent's u and v."""
-    x_std_table, x_record = standardize(x)
-    a_std_table, a_record = standardize(a)
-    x_std = x_std_table.features
-    a_std = a_std_table.features
-    t = hyper.t
-    if t is None:
-        t = max(1, min(numeric_rank(x_std), numeric_rank(a_std)))
-    obj = build_objective(kind, x_std, a_std, r, fit_matrix=fit_matrix)
-    u0, v0 = initialize(obj, t, hyper)
-    model = partial(ModelParams, t=t, hyper=hyper,
-                    x_standardization=x_record, a_standardization=a_record,
-                    objective=obj.kind.value, x_feature_names=x.feature_names,
-                    a_feature_names=a.feature_names)
-    return (obj, u0, v0), model
+def _setup_stacks(problems):
+    """The indices of `problems` by kind and shapes of X and A, split so
+    that a stack holds one problem or at most _TARGET_CELLS target cells."""
+    groups = {}
+    for index, (kind, x, a, *_) in enumerate(problems):
+        groups.setdefault((kind, x.features.shape, a.features.shape), []).append(index)
+    for (kind, (n, _), (m, _)), members in groups.items():
+        fx, fa, _ = _TERMS[kind]
+        size = max(1, _TARGET_CELLS // max(1, fx * n * n + fa * m * m))
+        for start in range(0, len(members), size):
+            yield members[start:start + size]
 
 
 def train(kind: ObjectiveKind, x: DescriptorTable, a: DescriptorTable,
           r: PreferenceMatrix, hyper: HyperParams, fit_matrix=None):
-    """Full training pipeline: standardize, pick t, initialize, descend.
+    """Full training pipeline: standardize, pick t, initialize, descend;
+    train_many of one.
 
     Returns (ModelParams, TrainTrace). Deterministic for a fixed hyper
     (including seed). max_iters=0 returns the initialization unchanged.
     """
-    problem, model = _setup(kind, x, a, r, hyper, fit_matrix)
-    u, v, trace = minimize(*problem, hyper)
-    return model(u=u, v=v), trace
+    return train_many([(kind, x, a, r, fit_matrix)], hyper)[0]
 
 
 def train_many(problems, hyper: HyperParams):
-    """train for each (kind, x, a, r) of `problems`, the descents of the
-    same kind and shapes as one stack. Returns the (ModelParams,
-    TrainTrace) of each, in order, each equal to what train gives for it
-    alone."""
-    reduced, models = [], []
-    for kind, x, a, r in problems:
-        # keep only the QR-reduced problem, not the n x m targets
-        (obj, u0, v0), model = _setup(kind, x, a, r, hyper)
-        reduced.append((obj.kind, obj.reduced, u0, v0))
-        models.append(model)
-    return [(model(u=u, v=v), trace) for model, (u, v, trace)
-            in zip(models, _descend_all(reduced, hyper))]
+    """train for each (kind, x, a, r[, fit_matrix]) of `problems`, set up
+    per stack of _setup_stacks (split by t to initialize) and descended as
+    one stack per kind and shapes. Returns the (ModelParams, TrainTrace) of
+    each, in order, each equal to what train gives for it alone."""
+    problems = [(ObjectiveKind(kind), x, a, r, fit[0] if fit else None)
+                for kind, x, a, r, *fit in problems]
+    order, models, stacks = [], [], []
+    for members in _setup_stacks(problems):
+        (kind, *_), xs, as_, rs, fits = zip(*(problems[i] for i in members))
+        x_std, x_records = standardize_stack(np.stack([x.features for x in xs]))
+        a_std, a_records = standardize_stack(np.stack([a.features for a in as_]))
+        ts = [hyper.t] * len(members) if hyper.t else np.maximum(1, np.minimum(
+            np.linalg.matrix_rank(x_std), np.linalg.matrix_rank(a_std))).tolist()
+        obj = _objective_stack(kind, x_std, a_std, rs, fits)
+        red = _reduce(obj)
+        for t in dict.fromkeys(ts):
+            pick = [j for j, tj in enumerate(ts) if tj == t]
+            stacks.append((kind, _each(lambda field: field[pick], red),
+                           *initialize(_each(lambda field: field[pick], obj), t, hyper)))
+            order += [members[j] for j in pick]
+            models += [partial(ModelParams, t=t, hyper=hyper, objective=kind.value,
+                               x_standardization=x_records[j],
+                               a_standardization=a_records[j],
+                               x_feature_names=xs[j].feature_names,
+                               a_feature_names=as_[j].feature_names) for j in pick]
+    out = [None] * len(problems)
+    for i, model, (u, v, trace) in zip(order, models, _descend_all(stacks, hyper)):
+        out[i] = (model(u=u, v=v), trace)
+    return out

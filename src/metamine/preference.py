@@ -222,12 +222,19 @@ def spearman(x, y):
     return spearman_many([spearman_rows(x, y)])[0]
 
 
+def similarity_stack(scores):
+    """Rank-correlation similarity matrices over the rows of each score
+    matrix of a stack (..., k, m), in one _rank_correlations call, and the
+    mask of constant rows, whose entries are 0 off the diagonal and 1 on it."""
+    corr, constant = _rank_correlations(scores)
+    corr[constant[..., :, None] | constant[..., None, :]] = 0.0
+    diagonal = np.arange(corr.shape[-1])
+    corr[..., diagonal, diagonal] = 1.0
+    return corr, constant
+
+
 def similarity_target(r: PreferenceMatrix, axis: SimilarityAxis) -> SimilarityTarget:
-    """Rank-correlation similarity matrix over R's rows (datasets) or
-    columns (workflows)."""
-    by_rows = axis is SimilarityAxis.DATASETS
-    corr, constant = _rank_correlations(r.scores if by_rows else r.scores.T)
-    corr[constant, :] = 0.0
-    corr[:, constant] = 0.0
-    np.fill_diagonal(corr, 1.0)
+    """similarity_stack of R's rows (datasets) or columns (workflows)."""
+    corr, constant = similarity_stack(r.scores if axis is SimilarityAxis.DATASETS
+                                      else r.scores.T)
     return SimilarityTarget(corr, tuple(np.flatnonzero(constant).tolist()))

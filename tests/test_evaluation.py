@@ -296,16 +296,14 @@ class TestBatchedRho:
                                     Strategy.F3_DIRECT],
                                    [Strategy.DEFAULT, Strategy.F4_DIRECT]):
                     calls.clear()
-                    report = runner(data, strategies, hyper)
+                    runner(data, strategies, hyper)
                     counts.setdefault((runner.__name__, len(strategies)),
-                                      []).append(len(calls) - 2 * (
-                                          len(report.folds) if Strategy.F4_DIRECT
-                                          in strategies else 0))
-        # every rho in one call (LODWO scores pairs: no rho), beside one
-        # similarity_target call per fold and axis of the f4 models
-        assert counts == {("run_lodo", 3): [1, 1], ("run_lodo", 2): [1, 1],
-                          ("run_lowo", 3): [1, 1], ("run_lowo", 2): [1, 1],
-                          ("run_lodwo", 3): [0, 0], ("run_lodwo", 2): [0, 0]}
+                                      []).append(len(calls))
+        # every rho in one call (LODWO scores pairs: no rho), and the f4
+        # models' similarity targets in one call per axis for all folds
+        assert counts == {("run_lodo", 3): [1, 1], ("run_lodo", 2): [3, 3],
+                          ("run_lowo", 3): [1, 1], ("run_lowo", 2): [3, 3],
+                          ("run_lodwo", 3): [0, 0], ("run_lodwo", 2): [2, 2]}
 
 
 class TestCompareStrategies:

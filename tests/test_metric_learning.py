@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metamine import metric_learning as ml
-from metamine.data_model import HyperParams, InitScheme, PreferenceMatrix
+from metamine.data_model import (DescriptorTable, HyperParams, InitScheme,
+                                 PreferenceMatrix, TableKind, numeric_rank,
+                                 standardize)
 from metamine.io import save_model
 from metamine.metric_learning import (Objective, ObjectiveKind, StopReason,
                                       build_objective, gradient, initialize,
@@ -654,3 +656,138 @@ class TestTrainingThatCannotStart:
         assert trace.reason is StopReason.LINE_SEARCH_FAILURE
         assert trace.iterations == 0
         assert np.isfinite(trace.objective_values).all()
+
+
+def table(features, kind):
+    n, d = features.shape
+    return DescriptorTable(entity_ids=[f"e{i}" for i in range(n)], features=features,
+                           feature_names=[f"c{k}" for k in range(d)], kind=kind)
+
+
+def train_alone(kind, x, a, r, hyper, fit_matrix=None):
+    """train written out for one problem from the public per-problem
+    functions: the set-up and descent each problem of a train_many stack
+    must reproduce bit for bit. Returns (u, v, trace, t, x record,
+    a record)."""
+    (x_std, x_record), (a_std, a_record) = standardize(x), standardize(a)
+    t = hyper.t or max(1, min(numeric_rank(x_std.features),
+                              numeric_rank(a_std.features)))
+    obj = build_objective(kind, x_std.features, a_std.features, r,
+                          fit_matrix=fit_matrix)
+    return (*minimize(obj, *initialize(obj, t, hyper), hyper), t,
+            x_record, a_record)
+
+
+def same_bits(got, expected):
+    return (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape,
+                                                     expected.tobytes())
+
+
+@st.composite
+def training_problems(draw):
+    """Problems over two shape pairs (n - 1 < d included), f1-f4 drawn per
+    problem, X and A of drawn ranks with constant columns, R on the
+    half-point grid with constant rows and columns, some with a fit
+    matrix; either init scheme, t fixed or per problem, and a cell bound
+    that may split a set-up stack down to one problem."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shapes = [tuple(draw(st.integers(lo, hi)) for lo, hi in
+                    ((2, 7), (2, 6), (1, 8), (1, 6))) for _ in range(2)]
+
+    def features(rows, cols):
+        rank = draw(st.integers(1, max(1, min(rows, cols))))
+        f = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+        for col in draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+            f[:, col] = draw(st.sampled_from((0.0, 1.5)))    # std = 0
+        return f
+
+    problems = []
+    for _ in range(draw(st.integers(1, 7))):
+        n, m, d, l = shapes[draw(st.integers(0, 1))]
+        scores = rng.integers(0, 2 * m - 1, (n, m)) / 2.0
+        if draw(st.booleans()):
+            scores[draw(st.integers(0, n - 1))] = 1.0          # a constant row
+        if draw(st.booleans()):
+            scores[:, draw(st.integers(0, m - 1))] = 0.5       # a constant column
+        r = PreferenceMatrix([f"e{i}" for i in range(n)],
+                             [f"e{j}" for j in range(m)], scores)
+        problem = (draw(st.sampled_from(ObjectiveKind)),
+                   table(features(n, d), TableKind.DATASET),
+                   table(features(m, l), TableKind.WORKFLOW), r)
+        if draw(st.booleans()):
+            problem += (rng.standard_normal((n, m)),)
+        problems.append(problem)
+    hyper = HyperParams(max_iters=draw(st.integers(0, 12)), seed=draw(st.integers(0, 9)),
+                        init=draw(st.sampled_from(InitScheme)),
+                        t=draw(st.sampled_from((None, None, 1, 3))))
+    return problems, hyper, draw(st.sampled_from((ml._TARGET_CELLS, 40, 1)))
+
+
+class TestStackedSetupOracle:
+    """train_many builds the training problems of one kind and shape as
+    one stack; each problem's model and trace must equal, bit for bit,
+    what the public per-problem functions give it alone."""
+
+    @staticmethod
+    def assert_same_training(got, expected):
+        (params, trace), (u, v, ref, t, x_record, a_record) = got, expected
+        assert same_bits(params.u, u) and same_bits(params.v, v)
+        assert params.t == t
+        assert trace.objective_values == ref.objective_values
+        assert trace.step_sizes == ref.step_sizes
+        assert trace.gradient_norms == ref.gradient_norms
+        assert trace.reason is ref.reason
+        for record, expected_record in ((params.x_standardization, x_record),
+                                        (params.a_standardization, a_record)):
+            assert same_bits(record.mean, expected_record.mean)
+            assert same_bits(record.scale, expected_record.scale)
+            assert record.constant_columns == expected_record.constant_columns
+
+    @settings(deadline=None, max_examples=150)
+    @given(training_problems())
+    def test_stack_equals_one_at_a_time(self, case):
+        problems, hyper, cells = case
+        with mock.patch.object(ml, "_TARGET_CELLS", cells):
+            trained = train_many(problems, hyper)
+        assert len(trained) == len(problems)
+        for (kind, *rest), got in zip(problems, trained):
+            assert got[0].objective == kind.value       # the order is kept
+            expected = train_alone(kind, *rest[:3], hyper, *rest[3:])
+            self.assert_same_training(got, expected)
+            self.assert_same_training(train(kind, *rest[:3], hyper, *rest[3:]),
+                                      expected)
+
+    def test_folds_that_pick_different_t(self):
+        """t = None: a fold whose X has rank 1 gets t = 1, the others t = 3
+        (A's rank), in one set-up stack."""
+        rng = np.random.default_rng(3)
+        a = table(rng.standard_normal((5, 3)), TableKind.WORKFLOW)
+        r = PreferenceMatrix([f"e{i}" for i in range(6)], [f"e{j}" for j in range(5)],
+                             rng.integers(0, 9, (6, 5)) / 2.0)
+        low = np.outer(rng.standard_normal(6), rng.standard_normal(4))
+        problems = [(ObjectiveKind.F4, table(f, TableKind.DATASET), a, r)
+                    for f in (rng.standard_normal((6, 4)), low,
+                              rng.standard_normal((6, 4)))]
+        for init in InitScheme:
+            hyper = HyperParams(max_iters=10, seed=2, init=init)
+            trained = train_many(problems, hyper)
+            assert [params.t for params, _ in trained] == [3, 1, 3]
+            for problem, got in zip(problems, trained):
+                self.assert_same_training(got, train_alone(*problem, hyper))
+
+    def test_stacks_split_at_the_cell_bound(self):
+        """Eight f1 problems of 20 datasets hold 3,200 target cells: a
+        bound of 1,000 splits them into stacks of two and keeps the bits."""
+        rng = np.random.default_rng(4)
+        a = table(rng.standard_normal((4, 2)), TableKind.WORKFLOW)
+        problems = [(ObjectiveKind.F1, table(rng.standard_normal((20, 3)),
+                                             TableKind.DATASET), a,
+                     PreferenceMatrix([f"e{i}" for i in range(20)],
+                                      [f"e{j}" for j in range(4)],
+                                      rng.integers(0, 7, (20, 4)) / 2.0))
+                    for _ in range(8)]
+        with mock.patch.object(ml, "_TARGET_CELLS", 1000):
+            assert [len(stack) for stack in ml._setup_stacks(problems)] == [2] * 4
+            trained = train_many(problems, HyperParams(max_iters=5))
+        for problem, got in zip(problems, trained):
+            self.assert_same_training(got, train_alone(*problem, HyperParams(max_iters=5)))
