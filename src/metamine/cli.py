@@ -182,9 +182,8 @@ def cmd_ingest(resolved):
 
 def cmd_train(resolved):
     data = io.read_bundle(resolved["bundle"])
-    kind = ObjectiveKind(resolved["objective"])
     hyper = _from_flags(HyperParams, _HYPER_FIELDS, resolved)
-    params, trace = train(kind, data.x, data.a, data.r, hyper)
+    params, trace = train(resolved["objective"], data.x, data.a, data.r, hyper)
     summary = {
         "iterations": trace.iterations,
         "initial_objective": trace.objective_values[0],
@@ -193,7 +192,7 @@ def cmd_train(resolved):
     }
     io.save_model(resolved["out"], params, trace_summary=summary)
     _write_resolved_config(resolved["out"], "train", resolved)
-    print(f"objective {kind.value}: final value {summary['final_objective']:.6g} "
+    print(f"objective {params.objective}: final value {summary['final_objective']:.6g} "
           f"after {summary['iterations']} iterations ({summary['reason']})")
     return 0
 

@@ -4,7 +4,7 @@ numeric utilities (validation, column standardization, numeric rank)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import zip_longest
 from typing import Optional
@@ -217,11 +217,6 @@ class HyperParams:
             raise ValueError("rel_tol must be finite and positive")
         if self.t is not None and self.t < 1:
             raise ValueError("t must be positive")
-
-    def to_dict(self):
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["init"] = self.init.value
-        return d
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from enum import Enum
 import numpy as np
 
 from .data_model import HyperParams, MetaMiningData
-from .metric_learning import ObjectiveKind, train_many
+from .metric_learning import train_many
 from .preference import spearman_many, spearman_rows
 from .recommend import OBJECTIVES, TASKS, Strategy, Task, predict
 
@@ -87,8 +87,7 @@ class EvaluationReport:
             "notices": list(self.notices),
             "folds": [
                 {
-                    "held_out": list(f.held_out) if isinstance(f.held_out, tuple)
-                                else f.held_out,
+                    "held_out": f.held_out,
                     "metrics": {
                         s.value: {m: (None if v is None or (isinstance(v, float)
                                                             and math.isnan(v)) else v)
@@ -237,16 +236,14 @@ def _train_fold_models(strategies, training_sets, hyper):
     """Per fold, the model of each objective the learning strategies use,
     retrained on the fold's training set (standardization refit per
     fold). Every fold's descents run in one train_many."""
-    kinds = sorted({ObjectiveKind(OBJECTIVES[s]) for s in strategies
-                    if s in OBJECTIVES}, key=lambda k: k.value)
+    kinds = sorted({OBJECTIVES[s] for s in strategies if s in OBJECTIVES})
     trained = iter(train_many([(kind, *training) for training in training_sets
                                for kind in kinds], hyper))
-    return [{kind.value: next(trained)[0] for kind in kinds}
-            for _ in training_sets]
+    return [{kind: next(trained)[0] for kind in kinds} for _ in training_sets]
 
 
-def _fold(held, training, models, data, strategies, hyper):
-    """Score every strategy on one fold, held = (i, j) as in
+def _fold(task, held, training, models, data, strategies, hyper):
+    """Score every strategy on one fold of the task, held = (i, j) as in
     _training_set, with the fold's training set and trained models, all
     but rho. Returns the FoldResult and the (strategy, rows) of each
     strategy whose rho is still to be computed."""
@@ -255,17 +252,14 @@ def _fold(held, training, models, data, strategies, hyper):
     x_new = None if i is None else data.x.features[i]
     a_new = None if j is None else data.a.features[j]
     perf_row = None
-    if j is None:
-        task, held_out, truth = (Task.WORKFLOW_PREFS, data.x.entity_ids[i],
-                                 data.r.scores[i])
+    if task is Task.WORKFLOW_PREFS:
+        held_out, truth = data.x.entity_ids[i], data.r.scores[i]
         perf_row = data.performance.values[i]
-    elif i is None:
-        task, held_out, truth = (Task.DATASET_PREFS, data.a.entity_ids[j],
-                                 data.r.scores[:, j])
+    elif task is Task.DATASET_PREFS:
+        held_out, truth = data.a.entity_ids[j], data.r.scores[:, j]
     else:
-        task, held_out, truth = (Task.PAIR_SCORE,
-                                 (data.x.entity_ids[i], data.a.entity_ids[j]),
-                                 float(data.r.scores[i, j]))
+        held_out = (data.x.entity_ids[i], data.a.entity_ids[j])
+        truth = float(data.r.scores[i, j])
 
     fold = FoldResult(held_out=held_out, metrics={})
     ranked = []
@@ -302,7 +296,7 @@ def _run(protocol, data, strategies, hyper, held):
         raise ValueError(f"no strategy left to run for {_TASK_NAME[task]}")
     training_sets = [_training_set(key, data) for key in held]
     models = _train_fold_models(strategies, training_sets, hyper)
-    scored = [_fold(key, training, fold_models, data, strategies, hyper)
+    scored = [_fold(task, key, training, fold_models, data, strategies, hyper)
               for key, training, fold_models in zip(held, training_sets, models)]
     ranked = [(fold, s, rows) for fold, pending in scored for s, rows in pending]
     for (fold, s, _), rho in zip(ranked, spearman_many(

@@ -419,7 +419,7 @@ def save_model(path, params: ModelParams, trace_summary=None):
         "t": params.t,
         "u": _reprs(params.u),
         "v": _reprs(params.v),
-        "hyper": params.hyper.to_dict(),
+        "hyper": vars(params.hyper),
         "x_standardization": _record_to_dict(params.x_standardization),
         "a_standardization": _record_to_dict(params.a_standardization),
         "x_feature_names": params.x_feature_names,

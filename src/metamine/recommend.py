@@ -87,7 +87,9 @@ def _weighted_rows(rows, weights):
 
 def _knn_by_similarity(sims, n):
     """Indices of the n largest similarities, ties broken by training
-    index (stable)."""
+    index (stable). Raises ValueError for an empty training set."""
+    if len(sims) == 0:
+        raise ValueError("empty training set")
     order = np.argsort(-np.asarray(sims), kind="stable")
     return order[: int(n)]
 
@@ -95,8 +97,6 @@ def _knn_by_similarity(sims, n):
 def _knn_predict(query, train_std, p, pref_rows, n, strategy):
     """kNN over the similarity through p p', p = U (datasets) or V."""
     sims = (train_std @ p) @ (p.T @ np.asarray(query, dtype=float))
-    if pref_rows.shape[0] == 0:
-        raise ValueError("empty training set")
     picked = _knn_by_similarity(sims, min(n, len(sims)))
     w = np.maximum(sims[picked], 0.0)
     flags = ()
@@ -173,8 +173,6 @@ def euclidean_strategy(query, train_std, r: PreferenceMatrix, n: int,
         raise ValueError("Euclidean baseline cannot score heterogeneous pairs")
     q = np.asarray(query, dtype=float)
     train = np.asarray(train_std, dtype=float)
-    if train.shape[0] == 0:
-        raise ValueError("empty training set")
     dists = np.sqrt(((train - q) ** 2).sum(axis=1))
     picked = _knn_by_similarity(-dists, min(n, len(dists)))
     w = 1.0 / (1.0 + dists[picked])

@@ -114,13 +114,11 @@ def generate(config: SynthConfig) -> SynthResult:
 
     cube = None
     if config.mode is SynthMode.OUTCOME_LEVEL:
-        mats = []
-        for i in range(n):
-            correct = (rng.random((config.instances_per_dataset, m))
-                       < perf_values[i]).astype(float)
-            mats.append(correct)
+        # C order: dataset i gets the draw a loop of per-dataset draws gives it
+        correct = (rng.random((n, config.instances_per_dataset, m))
+                   < perf_values[:, None])
         cube = OutcomeCube(dataset_ids=dataset_ids, workflow_ids=workflow_ids,
-                           matrices=tuple(mats))
+                           matrices=tuple(correct))
         prefs = build_preference_matrix(cube)
     else:
         prefs = _compare_preferences(perf_values, dataset_ids, workflow_ids)

@@ -10,7 +10,7 @@ import pytest
 
 import metamine
 from metamine.cli import build_parser, main
-from metamine.data_model import TableKind
+from metamine.data_model import HyperParams, InitScheme, TableKind
 from metamine.io import load_model, read_descriptor_csv, read_outcome_dir
 from metamine.preference import PairOutcome, mcnemar_wins
 from metamine.synth import SynthConfig
@@ -272,6 +272,19 @@ class TestTrain:
                         "--max-iters", "40", "--seed", "4",
                         "--out", str(m)]) == 0
         assert m1.read_bytes() == m2.read_bytes()
+
+    def test_init_is_written_as_its_value_and_read_back(self, bundle, tmp_path):
+        model = tmp_path / "model.json"
+        assert run(["train", "--bundle", str(bundle), "--objective", "f4",
+                    "--init", "svd_warm_start", "--max-iters", "5",
+                    "--out", str(model)]) == 0
+        assert '"init": "svd_warm_start"' in model.read_text()
+        hyper = json.loads(model.read_text())["hyper"]
+        assert hyper["init"] == "svd_warm_start"
+        params = load_model(model)
+        assert params.hyper == HyperParams(max_iters=5,
+                                           init=InitScheme.SVD_WARM_START)
+        assert params.hyper.init is InitScheme.SVD_WARM_START
 
     def test_preset_overrides_defaults(self, bundle, tmp_path):
         model = tmp_path / "model.json"

@@ -82,6 +82,41 @@ class TestGenerate:
         np.testing.assert_array_equal(rebuilt.scores, res.preferences.scores)
 
 
+class TestOutcomeDrawOracle:
+    """generate draws every dataset's correctness in one call; it must
+    equal the per-dataset loop of draws bit for bit, so a change of the
+    draw order changes every outcome cube and fails here."""
+
+    @staticmethod
+    def loop_cube(config, perf):
+        """The outcome matrices of one draw per dataset, in dataset order,
+        after the draws generate makes before them."""
+        rng = np.random.default_rng(config.seed)
+        n, m = config.n, config.m
+        rng.standard_normal((n, config.d))
+        rng.standard_normal((m, config.l))
+        rng.standard_normal((config.d, config.latent_t))
+        rng.standard_normal((config.l, config.latent_t))
+        if config.noise_sigma > 0:
+            rng.standard_normal((n, m))
+        return [(rng.random((config.instances_per_dataset, m)) < perf[i])
+                .astype(float) for i in range(n)]
+
+    @pytest.mark.parametrize("n, m, instances, seed, sigma", [
+        (3, 3, 1, 0, 0.0), (5, 4, 40, 1, 0.3), (7, 9, 13, 2, 0.0),
+        (12, 5, 200, 3, 1.5)])
+    def test_cube_equals_per_dataset_draws(self, n, m, instances, seed, sigma):
+        config = SynthConfig(n=n, m=m, d=4, l=3, latent_t=2, seed=seed,
+                             noise_sigma=sigma, mode=SynthMode.OUTCOME_LEVEL,
+                             instances_per_dataset=instances)
+        res = generate(config)
+        cube, expected = res.cube, self.loop_cube(config, res.performance.values)
+        assert len(cube.matrices) == len(expected)
+        for got, want in zip(cube.matrices, expected):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+
 class TestCenteredScores:
     def test_doubly_centered(self):
         res = generate(SynthConfig(n=6, m=5, d=4, l=3, latent_t=2, seed=7))

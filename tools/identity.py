@@ -1,0 +1,256 @@
+"""Byte identity of the CLI's outputs between a base revision and this tree.
+
+    python tools/identity.py --base <rev> [--keep]
+
+The base revision's src/ is extracted with `git archive` into a temporary
+directory, so the repository's .git is only read. Each tree then runs the
+same command matrix through metamine.cli.main, in one subprocess of its own,
+from a fresh working directory and with relative paths only, so that no
+output names the tree it came from. Every command's stdout, stderr and exit
+code are stored as files next to the files it writes, failing commands
+included. The significance CSV that `ingest --significance` reads is written
+here, from a seeded RNG, and copied into both working directories.
+
+Prints every file, stdout, stderr or exit code whose bytes differ and exits 1
+if any does, 0 if none, and 2 if a tree cannot be extracted or run.
+Standard library only; BLAS is pinned to one thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+# name -> synth flags. Four shapes: 8x6 d10 has n - 1 < d, and the outcome
+# shape draws per-instance correctness and writes an outcome directory.
+SHAPES = {
+    "s12x8": ["--n", "12", "--m", "8", "--d", "5", "--l", "4",
+              "--mode", "noisy", "--noise-sigma", "0.3", "--seed", "1"],
+    "s8x6": ["--n", "8", "--m", "6", "--d", "10", "--l", "4",
+             "--mode", "exact", "--seed", "2"],
+    "s15x10": ["--n", "15", "--m", "10", "--d", "6", "--l", "7",
+               "--mode", "noisy", "--noise-sigma", "0.2", "--seed", "3"],
+    "s10x7": ["--n", "10", "--m", "7", "--d", "12", "--l", "9",
+              "--mode", "outcome", "--instances", "30", "--seed", "4"],
+}
+INITS = ("seeded_gaussian", "svd_warm_start")
+STRATEGIES = "def,ec,f1,f2,f3,f4,f4-knn"
+ITERS = ["--max-iters", "40"]
+# objective -> the prediction tasks its model serves
+TASKS = {"f1": ["workflow_prefs"], "f2": ["dataset_prefs"],
+         "f3": ["workflow_prefs", "dataset_prefs", "pair_score"],
+         "f4": ["workflow_prefs", "dataset_prefs", "pair_score"]}
+SIGNIFICANCE = "sig.csv"
+
+
+def significance_csv(n, m, seed=7):
+    """A long-format significance CSV over synth's ids ds000.. x wf000..,
+    every pair once in a random orientation with a random outcome. The
+    first row names wf000 before wf001: the reader orders workflow ids by
+    first appearance, and they must follow A.csv's order."""
+    rng = random.Random(seed)
+    lines = ["dataset_id,workflow_k,workflow_l,outcome"]
+    for i in range(n):
+        for k in range(m):
+            for l in range(k + 1, m):
+                pair = [f"wf{k:03d}", f"wf{l:03d}"]
+                if len(lines) > 1 and rng.random() < 0.5:
+                    pair.reverse()
+                outcome = rng.choice(["k_wins", "l_wins", "tie"])
+                lines.append(f"ds{i:03d},{pair[0]},{pair[1]},{outcome}")
+    return "\n".join(lines) + "\n"
+
+
+def matrix():
+    """The commands, each an argv of metamine.cli.main, in run order."""
+    cmds = []
+    for name, flags in SHAPES.items():
+        raw = f"{name}/raw"
+        cmds.append(["synth", *flags, "--out", raw])
+        cmds.append(["ingest", "--x", f"{raw}/X.csv", "--a", f"{raw}/A.csv",
+                     "--performance", f"{raw}/performance.csv",
+                     "--preferences", f"{raw}/R.csv", "--out", f"{name}/b"])
+        for init in INITS:
+            for protocol in ("lodo", "lowo", "lodwo"):
+                cmds.append(["evaluate", "--bundle", f"{name}/b",
+                             "--protocol", protocol, "--strategies", STRATEGIES,
+                             "--init", init, *ITERS,
+                             "--out", f"{name}/{protocol}-{init}"])
+            for objective in TASKS:
+                cmds.append(["train", "--bundle", f"{name}/b",
+                             "--objective", objective, "--init", init, *ITERS,
+                             "--out", f"{name}/{objective}-{init}.json"])
+    cmds.append(["evaluate", "--bundle", "s12x8/b", "--protocol", "lodwo",
+                 "--strategies", "def,f3,f4", "--t", "2", *ITERS,
+                 "--format", "table", "--out", "s12x8/lodwo-t2"])
+
+    # outcome and significance sources of R
+    raw = "s10x7/raw"
+    tables = ["--x", f"{raw}/X.csv", "--a", f"{raw}/A.csv",
+              "--performance", f"{raw}/performance.csv"]
+    cmds.append(["ingest", *tables, "--outcomes-dir", f"{raw}/outcomes",
+                 "--out", "s10x7/b-outcomes"])
+    cmds.append(["ingest", *tables, "--significance", SIGNIFICANCE,
+                 "--out", "s10x7/b-significance"])
+    cmds.append(["evaluate", "--bundle", "s10x7/b-significance",
+                 "--protocol", "lodo", "--strategies", "def,ec,f4", *ITERS,
+                 "--out", "s10x7/lodo-significance"])
+
+    # predict every task each model serves, with queries of the same widths
+    cmds.append(["synth", "--n", "4", "--m", "3", "--d", "5", "--l", "4",
+                 "--seed", "9", "--out", "queries"])
+    for init in INITS:
+        for objective, tasks in TASKS.items():
+            for task in tasks:
+                cmds.append(["predict", "--model", f"s12x8/{objective}-{init}.json",
+                             "--bundle", "s12x8/b", "--task", task,
+                             "--x", "queries/X.csv", "--a", "queries/A.csv",
+                             "--out", f"s12x8/pred-{objective}-{init}-{task}.csv"])
+    cmds.append(["predict", "--model", "s12x8/f4-seeded_gaussian.json",
+                 "--bundle", "s12x8/b", "--task", "workflow_prefs",
+                 "--neighbors", "2", "--x", "queries/X.csv",
+                 "--out", "s12x8/pred-f4-n2.csv"])
+    # a resolved config read back as a config file
+    cmds.append(["--config", "s12x8/f4-svd_warm_start.json.config.json",
+                 "train", "--bundle", "s12x8/b", "--objective", "f4",
+                 "--max-iters", "5", "--out", "s12x8/f4-config.json"])
+
+    # commands that fail: their stderr and exit codes are compared too
+    cmds += [
+        ["synth", "--n", "2", "--out", "bad/synth"],
+        ["train", "--bundle", "s12x8/b", "--objective", "f9", "--out", "bad/m.json"],
+        ["train", "--bundle", "s12x8/b", "--objective", "f3", "--t", "0",
+         "--out", "bad/t0.json"],
+        ["train", "--bundle", "missing", "--objective", "f3", "--out", "bad/m.json"],
+        ["ingest", *tables, "--preferences", f"{raw}/R.csv",
+         "--significance", SIGNIFICANCE, "--out", "bad/b"],
+        ["evaluate", "--bundle", "s12x8/b", "--protocol", "lodo",
+         "--strategies", "def,nope", "--out", "bad/e"],
+        ["evaluate", "--bundle", "s12x8/b", "--protocol", "lodwo",
+         "--strategies", "ec,f1", "--out", "bad/e"],
+        ["predict", "--model", "s12x8/f1-seeded_gaussian.json",
+         "--bundle", "s12x8/b", "--task", "pair_score", "--x", "queries/X.csv",
+         "--a", "queries/A.csv", "--out", "bad/p.csv"],
+        ["predict", "--model", "s12x8/f3-seeded_gaussian.json",
+         "--bundle", "s8x6/b", "--task", "dataset_prefs",
+         "--a", "queries/A.csv", "--out", "s8x6/p.csv"],
+    ]
+    return cmds
+
+
+# Runs in each tree's subprocess: argv list on stdin, outputs under cwd.
+RUNNER = r"""
+import contextlib, io, json, sys
+from pathlib import Path
+import metamine
+from metamine.cli import main
+if Path(metamine.__file__).resolve().parents[1] != Path(sys.argv[1]).resolve():
+    sys.exit(f"imported {metamine.__file__}, not the tree under {sys.argv[1]}")
+streams = Path("_streams")
+streams.mkdir()
+for k, argv in enumerate(json.load(sys.stdin)):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse's usage errors
+            code = exc.code
+    for name, text in (("stdout", out.getvalue()), ("stderr", err.getvalue()),
+                       ("exit", f"{code}\n")):
+        (streams / f"{k:03d}.{name}").write_text(text, encoding="utf-8")
+"""
+
+
+def extract_src(rev, dest):
+    """rev's src/ under dest, read with git archive; False if git cannot."""
+    done = subprocess.run(["git", "-C", str(REPO), "archive", rev, "src"],
+                          capture_output=True)
+    if done.returncode:
+        print(f"git archive {rev}: {done.stderr.decode().strip()}", file=sys.stderr)
+        return False
+    with tarfile.open(fileobj=io.BytesIO(done.stdout)) as archive:
+        if hasattr(tarfile, "data_filter"):
+            archive.extractall(dest, filter="data")
+        else:
+            archive.extractall(dest)
+    return True
+
+
+def run_tree(src, work, cmds):
+    """Run cmds with the package under src, from the working directory
+    work; returns the subprocess's CompletedProcess."""
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", RUNNER, str(src)], cwd=work,
+                          env=env, input=json.dumps(cmds), text=True,
+                          capture_output=True)
+
+
+def files(root):
+    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+
+def differences(base, head, cmds):
+    """A line per path whose bytes differ between the two working
+    directories, or that only one of them holds."""
+    out = []
+    for rel in sorted(files(base) | files(head)):
+        a, b = base / rel, head / rel
+        if not a.is_file() or not b.is_file():
+            out.append(f"only in {'this tree' if b.is_file() else 'base'}: {rel}")
+        elif a.read_bytes() != b.read_bytes():
+            note = ""
+            if rel.startswith("_streams/"):     # _streams/<command index>.<stream>
+                note = "  <- metamine " + " ".join(cmds[int(Path(rel).stem)])
+            out.append(f"differs: {rel}{note}")
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare with")
+    parser.add_argument("--keep", action="store_true",
+                        help="keep the working directories and print where")
+    args = parser.parse_args(argv)
+    start = time.perf_counter()
+    tmp = Path(tempfile.mkdtemp(prefix="metamine-identity-"))
+    try:
+        if not extract_src(args.base, tmp / "base"):
+            return 2
+        cmds = matrix()
+        work = {"base": tmp / "work-base", "head": tmp / "work-head"}
+        sig = significance_csv(10, 7)   # the ids of shape s10x7
+        for name, src in (("base", tmp / "base" / "src"), ("head", REPO / "src")):
+            work[name].mkdir()
+            (work[name] / SIGNIFICANCE).write_text(sig, encoding="utf-8")
+            done = run_tree(src, work[name], cmds)
+            if done.returncode:
+                print(f"{name} tree: the runner failed\n{done.stderr}",
+                      file=sys.stderr)
+                return 2
+        diff = differences(work["base"], work["head"], cmds)
+        print("\n".join(diff) if diff else "no differing byte")
+        print(f"{len(cmds)} commands, {len(files(work['head']))} files "
+              f"compared, {len(diff)} differ ({time.perf_counter() - start:.1f} s)")
+        return 1 if diff else 0
+    finally:
+        if args.keep:
+            print(f"kept {tmp}")
+        else:
+            shutil.rmtree(tmp, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
