@@ -2,9 +2,9 @@
 
 Each value is resolved in the order built-in defaults (HyperParams for
 the hyperparameters) < --preset < --config file < flags on the command
-line. Every subcommand writes the fully resolved configuration, the values
-it actually used, next to its outputs, so runs are reproducible from the
-artifacts alone. Exit codes: 0 success, 1 validation error, 2 runtime
+line. After every subcommand, main writes the fully resolved
+configuration, the values it actually used, next to its outputs, so runs
+are reproducible from the artifacts alone. Exit codes: 0 success, 1 validation error, 2 runtime
 failure.
 """
 
@@ -25,7 +25,7 @@ from .evaluation import (Protocol, report_table, run_lodo, run_lodwo,
 from .metric_learning import ObjectiveKind, train
 from .preference import (build_preference_from_significance,
                          build_preference_matrix)
-from .recommend import OBJECTIVES, TASKS, Strategy, Task, predict
+from .recommend import TASKS, Strategy, Task, predict
 from .synth import SynthConfig, generate
 
 # Hyperparameter presets mirroring the published experiment settings,
@@ -106,7 +106,7 @@ def _parse(parser, argv):
     Preset and config values become defaults of the chosen subcommand's
     parser and argv is parsed again, so every flag on the command line wins,
     however it is spelled (--max-iters=5, --max-it 5). Returns the
-    subcommand's function and its resolved values, one per flag of the
+    subcommand's name and its resolved values, one per flag of the
     subcommand."""
     args = parser.parse_args(argv)
     subparser = parser.subcommands[args.subcommand]
@@ -131,7 +131,7 @@ def _parse(parser, argv):
     if layered:
         subparser.set_defaults(**layered)
         args = parser.parse_args(argv)
-    return args.func, {dest: getattr(args, dest) for dest in actions}
+    return args.subcommand, {dest: getattr(args, dest) for dest in actions}
 
 
 def _write_resolved_config(out_path, subcommand, resolved):
@@ -150,7 +150,6 @@ def cmd_synth(resolved):
                                         performance=result.performance))
     if result.cube is not None:
         io.write_outcome_dir(out / "outcomes", result.cube)
-    _write_resolved_config(out, "synth", resolved)
     print(f"wrote synthetic problem ({config.n} datasets x {config.m} workflows) to {out}")
     return 0
 
@@ -175,7 +174,6 @@ def cmd_ingest(resolved):
                            "ingest")
     out = Path(resolved["out"])
     io.write_bundle(out, data, preference_source=sources[0])
-    _write_resolved_config(out, "ingest", resolved)
     print(f"bundle written to {out}")
     return 0
 
@@ -191,7 +189,6 @@ def cmd_train(resolved):
         "reason": trace.reason.value,
     }
     io.save_model(resolved["out"], params, trace_summary=summary)
-    _write_resolved_config(resolved["out"], "train", resolved)
     print(f"objective {params.objective}: final value {summary['final_objective']:.6g} "
           f"after {summary['iterations']} iterations ({summary['reason']})")
     return 0
@@ -221,7 +218,6 @@ def cmd_evaluate(resolved):
     table = report_table(doc)
     with open(out / "report.txt", "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
-    _write_resolved_config(out, "evaluate", resolved)
     if resolved["format"] == "table":
         print(table)
     else:
@@ -234,9 +230,8 @@ def cmd_evaluate(resolved):
 def cmd_predict(resolved):
     params = io.load_model(resolved["model"])
     task = Task(resolved["task"])
-    # the model's own strategy, the first in OBJECTIVES with its objective:
-    # kNN for f1/f2, direct scoring for f3/f4
-    strategy = next(s for s, o in OBJECTIVES.items() if o == params.objective)
+    # the model's own strategy: kNN for f1/f2, direct scoring for f3/f4
+    strategy = _STRATEGY_ALIASES[params.objective]
     if task not in TASKS[strategy]:
         raise CliError({
             Task.WORKFLOW_PREFS: "model cannot rank workflows for a dataset",
@@ -248,7 +243,21 @@ def cmd_predict(resolved):
         n = params.hyper.n_neighbors
     elif n < 1:
         raise CliError(f"--neighbors must be positive, got {n}")
-    data = io.read_bundle(resolved["bundle"])
+    bundle = resolved["bundle"]
+    data = io.read_bundle(bundle)
+    # a ranking scores against the bundle's entities, so its X and A must
+    # have the model's features (pair scores read neither): their names
+    # where the model stores them, else the rows of U and V
+    sides = () if task is Task.PAIR_SCORE else (
+        ("X.csv", data.x, params.x_feature_names, params.u),
+        ("A.csv", data.a, params.a_feature_names, params.v))
+    for name, table, names, weights in sides:
+        if names is not None and table.feature_names != names:
+            raise CliError(f"{bundle}: {name} feature names do not match "
+                           "the model's")
+        if table.n_features != len(weights):
+            raise CliError(f"{bundle}: {name} has {table.n_features} "
+                           f"features but the model has {len(weights)}")
 
     def queries(flag, kind, expected):
         if not resolved[flag]:
@@ -281,7 +290,6 @@ def cmd_predict(resolved):
 
     out = Path(resolved["out"])
     io.write_predictions_csv(out, targets.entity_ids, scored)
-    _write_resolved_config(out, "predict", resolved)
     print(f"predictions written to {out}")
     return 0
 
@@ -313,7 +321,6 @@ def build_parser():
     p = sub.add_parser("synth", help="generate a synthetic problem")
     _add_field_flags(p, SynthConfig, _SYNTH_FIELDS)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="validate inputs and write a bundle")
     p.add_argument("--x", required=True, help="dataset descriptor CSV")
@@ -325,7 +332,6 @@ def build_parser():
     p.add_argument("--significance", default=None,
                    help="long-format pairwise-significance CSV")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", help="train an objective on a bundle")
     p.add_argument("--bundle", required=True)
@@ -333,7 +339,6 @@ def build_parser():
     _add_field_flags(p, HyperParams, _HYPER_FIELDS)
     p.add_argument("--preset", default=None)
     p.add_argument("--out", required=True, help="model JSON path")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="run a leave-one-out protocol")
     p.add_argument("--bundle", required=True)
@@ -346,7 +351,6 @@ def build_parser():
                    help="accepted for older scripts and configs; no effect")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--out", required=True, help="report directory")
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="cold-start predictions for unseen entities")
     p.add_argument("--model", required=True)
@@ -356,15 +360,20 @@ def build_parser():
     p.add_argument("--a", default=None, help="query workflow descriptor CSV")
     p.add_argument("--neighbors", type=int, default=None)
     p.add_argument("--out", required=True, help="prediction CSV path")
-    p.set_defaults(func=cmd_predict)
     return parser
+
+
+_COMMANDS = {"synth": cmd_synth, "ingest": cmd_ingest, "train": cmd_train,
+             "evaluate": cmd_evaluate, "predict": cmd_predict}
 
 
 def main(argv=None):
     parser = build_parser()
     try:
-        func, resolved = _parse(parser, argv)
-        return func(resolved)
+        subcommand, resolved = _parse(parser, argv)
+        code = _COMMANDS[subcommand](resolved)
+        _write_resolved_config(resolved["out"], subcommand, resolved)
+        return code
     except (io.IngestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

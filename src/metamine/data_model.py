@@ -72,12 +72,8 @@ class DescriptorTable:
 
     def drop_entity(self, index: int) -> "DescriptorTable":
         keep = [i for i in range(self.n_entities) if i != index]
-        return DescriptorTable(
-            entity_ids=tuple(self.entity_ids[i] for i in keep),
-            features=self.features[keep],
-            feature_names=self.feature_names,
-            kind=self.kind,
-        )
+        return replace(self, entity_ids=[self.entity_ids[i] for i in keep],
+                       features=self.features[keep])
 
 
 @dataclass(frozen=True)
@@ -149,8 +145,8 @@ class PreferenceMatrix:
         rows = [i for i in range(self.n_datasets) if i != dataset_index]
         cols = [j for j in range(self.n_workflows) if j != workflow_index]
         return PreferenceMatrix(
-            dataset_ids=tuple(self.dataset_ids[i] for i in rows),
-            workflow_ids=tuple(self.workflow_ids[j] for j in cols),
+            dataset_ids=[self.dataset_ids[i] for i in rows],
+            workflow_ids=[self.workflow_ids[j] for j in cols],
             scores=self.scores[np.ix_(rows, cols)],
         )
 

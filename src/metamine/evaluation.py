@@ -11,7 +11,7 @@ import numpy as np
 
 from .data_model import HyperParams, MetaMiningData
 from .metric_learning import train_many
-from .preference import spearman_many, spearman_rows
+from .preference import binomial_sign_test, spearman_many, spearman_rows
 from .recommend import OBJECTIVES, TASKS, Strategy, Task, predict
 
 HIGHER_IS_BETTER = {"rho": True, "t5p": True, "mae": False}
@@ -36,14 +36,6 @@ class FoldResult:
 _BASELINES = {Strategy.DEFAULT: "delta", Strategy.EUCLIDEAN: "delta_EC"}
 
 
-def _metric_names(fold_metrics):
-    """The metric names of strategy -> metric -> value dicts, one per
-    fold, in first-seen order."""
-    return list(dict.fromkeys(name for by_strategy in fold_metrics
-                              for metrics in by_strategy.values()
-                              for name in metrics))
-
-
 @dataclass
 class EvaluationReport:
     protocol: Protocol
@@ -61,21 +53,20 @@ class EvaluationReport:
         return float(np.mean(vals))
 
     def to_dict(self):
-        metrics = _metric_names(f.metrics for f in self.folds)
-        tallies = []    # (strategy, baseline, metric, wins, total)
+        # the folds' metric names in first-seen order
+        metrics = list(dict.fromkeys(name for f in self.folds
+                                     for by_metric in f.metrics.values()
+                                     for name in by_metric))
+        comparisons = {}
         for s in self.strategies:
             for baseline in _BASELINES:
                 if baseline not in self.strategies or s == baseline:
                     continue
                 for metric in metrics:
-                    tallies.append((s, baseline, metric,
-                                    *_tally(self, s, baseline, metric)))
-        comparisons = {}
-        for (s, baseline, metric, wins, total), p in zip(
-                tallies, _sign_tests([t[3:] for t in tallies])):
-            comparisons.setdefault(s.value, {}).setdefault(
-                baseline.value, {})[metric] = {
-                    "wins": wins, "total": total, "p": p}
+                    wins, total, p = compare_strategies(self, s, baseline, metric)
+                    comparisons.setdefault(s.value, {}).setdefault(
+                        baseline.value, {})[metric] = {
+                            "wins": wins, "total": total, "p": p}
         return {
             "protocol": self.protocol.value,
             "strategies": [s.value for s in self.strategies],
@@ -109,9 +100,9 @@ class EvaluationReport:
 def report_table(doc):
     """Plain-text table of a report's to_dict(): one row block per strategy
     with the metric aggregates and the win counts / p-values against the
-    baselines. The metric columns are the folds' metric names in
-    first-seen order."""
-    metrics = _metric_names(fold["metrics"] for fold in doc["folds"])
+    baselines. The metric columns are the aggregates' metric names, the
+    folds' in first-seen order."""
+    metrics = list(next(iter(doc["aggregates"].values()), ()))
     lines = [f"protocol: {doc['protocol']}"]
     for notice in doc["notices"]:
         lines.append(f"note: {notice}")
@@ -139,32 +130,6 @@ def report_table(doc):
     return "\n".join(lines)
 
 
-def _sign_tests(tallies):
-    """binomial_sign_test of each checked (wins, total) of tallies, None
-    where total is 0: the tails of all of them in one call each."""
-    tested = [k for k, (_, total) in enumerate(tallies) if total]
-    out = [None] * len(tallies)
-    if tested:
-        from scipy import stats     # not at module level: see preference.py
-        wins, total = np.array([tallies[k] for k in tested]).T
-        lower = stats.binom.cdf(wins, total, 0.5)
-        upper = stats.binom.sf(wins - 1, total, 0.5)
-        for k, p in zip(tested, np.minimum(1.0, 2.0 * np.minimum(lower, upper))
-                        .tolist()):
-            out[k] = p
-    return out
-
-
-def binomial_sign_test(wins: int, total: int) -> float:
-    """Exact two-sided binomial p under p=0.5: twice the smaller tail,
-    clamped to 1."""
-    if total <= 0:
-        raise ValueError("total must be positive")
-    if not 0 <= wins <= total:
-        raise ValueError("wins must lie in [0, total]")
-    return _sign_tests([(wins, total)])[0]
-
-
 def top_k_performance(predicted, perf_row, k: int) -> float:
     """Mean true performance of the k workflows ranked highest by the
     prediction; prediction ties break by stable index order."""
@@ -176,8 +141,11 @@ def top_k_performance(predicted, perf_row, k: int) -> float:
     return float(perf_row[order[:k]].mean())
 
 
-def _tally(report: EvaluationReport, strategy, baseline, metric):
-    """compare_strategies' (wins, total)."""
+def compare_strategies(report: EvaluationReport, strategy, baseline, metric):
+    """Per-fold strict-win count of strategy over baseline on one metric,
+    with the exact binomial p. Folds where either value is undefined are
+    skipped. Returns (wins, total, p); p is None when no fold is
+    comparable."""
     wins = 0
     total = 0
     for f in report.folds:
@@ -190,16 +158,7 @@ def _tally(report: EvaluationReport, strategy, baseline, metric):
         total += 1
         if (a > b) if HIGHER_IS_BETTER.get(metric, True) else (a < b):
             wins += 1
-    return wins, total
-
-
-def compare_strategies(report: EvaluationReport, strategy, baseline, metric):
-    """Per-fold strict-win count of strategy over baseline on one metric,
-    with the exact binomial p. Folds where either value is undefined are
-    skipped. Returns (wins, total, p); p is None when no fold is
-    comparable."""
-    wins, total = _tally(report, strategy, baseline, metric)
-    return wins, total, _sign_tests([(wins, total)])[0]
+    return wins, total, binomial_sign_test(wins, total) if total else None
 
 
 # task each protocol serves, and how its exclusion notices name it

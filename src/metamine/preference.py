@@ -3,6 +3,8 @@ rank-correlation similarity targets the metric objectives fit against."""
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -10,11 +12,9 @@ import numpy as np
 
 from .data_model import PreferenceMatrix, _as_readonly, _store
 
-# scipy.stats is imported where it is used: it is most of the package's
-# import time, and synth, ingest and predict never need it
-
 # the level of every McNemar comparison, and its chi-square(1) critical
-# value, stats.chi2.ppf(1 - ALPHA, 1) (tests/test_preference.py checks it)
+# value, scipy.stats.chi2.ppf(1 - ALPHA, 1) (tests/test_preference.py
+# checks it)
 ALPHA = 0.05
 _CHI2_CRITICAL = 3.841458820694124
 
@@ -83,15 +83,27 @@ def points(wins) -> np.ndarray:
     return won + 0.5 * (wins.shape[-1] - 1 - won - lost)
 
 
+def binomial_sign_test(wins: int, total: int) -> float:
+    """Exact two-sided binomial p under p=0.5: twice the smaller tail,
+    clamped to 1, as one correctly rounded division of integers."""
+    wins, total = operator.index(wins), operator.index(total)  # numpy's too
+    if total <= 0:
+        raise ValueError("total must be positive")
+    if not 0 <= wins <= total:
+        raise ValueError("wins must lie in [0, total]")
+    tail = sum(math.comb(total, k) for k in range(min(wins, total - wins) + 1))
+    return min(1.0, 2 * tail / 2 ** total)
+
+
 def mcnemar_wins(correctness, exact=False) -> np.ndarray:
     """Win matrix of one dataset from paired McNemar comparisons.
 
     correctness: (instances x m) 0/1 matrix. Workflow k beats l when the
     continuity-corrected statistic (|b-c|-1)^2/(b+c) exceeds the
     chi-square(1) critical value at level ALPHA and b > c, where b counts
-    the instances k gets right and l wrong, c the reverse. With exact=True, pairs with
-    fewer than 25 discordant instances use an exact two-sided binomial
-    test instead. A pair with b+c = 0 never wins.
+    the instances k gets right and l wrong, c the reverse. With
+    exact=True, pairs with 1 to 24 discordant instances use
+    binomial_sign_test instead. A pair with b+c = 0 never wins.
     """
     c = np.asarray(correctness, dtype=float)
     b = c.T @ (1.0 - c)                  # b[k, l]: k right, l wrong
@@ -100,11 +112,9 @@ def mcnemar_wins(correctness, exact=False) -> np.ndarray:
         statistic = (np.abs(b - b.T) - 1.0) ** 2 / discordant
     significant = statistic > _CHI2_CRITICAL
     if exact:
-        from scipy import stats
-        tail = stats.binom.cdf(np.minimum(b, b.T), discordant, 0.5)
-        significant = np.where(discordant < 25,
-                               np.minimum(1.0, 2.0 * tail) < ALPHA,
-                               significant)
+        for k, l in np.argwhere((discordant > 0) & (discordant < 25)):
+            significant[k, l] = binomial_sign_test(
+                int(b[k, l]), int(discordant[k, l])) < ALPHA
     return significant & (b > b.T)       # b > c also rules out b+c = 0
 
 
@@ -170,6 +180,25 @@ def build_preference_from_significance(dataset_ids, workflow_ids,
                               [score_from_outcomes(tab) for tab in outcomes])
 
 
+def _average_ranks(values):
+    """Ranks 1..m along the last axis of a stack (..., m), each run of ties
+    at the mean of its ranks and a row that holds a nan all nan, as
+    scipy.stats.rankdata(method="average") ranks them."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, axis=-1)
+    ordered = np.take_along_axis(values, order, axis=-1)
+    first = np.ones(values.shape, dtype=bool)      # the first of a tie run
+    first[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    starts = np.flatnonzero(first)
+    lengths = np.diff(starts, append=first.size)
+    mean_ranks = starts % values.shape[-1] + (lengths + 1) / 2.0
+    ranks = np.empty_like(values)
+    np.put_along_axis(ranks, order, np.repeat(mean_ranks, lengths)
+                      .reshape(values.shape), axis=-1)
+    ranks[np.isnan(values).any(axis=-1)] = np.nan
+    return ranks
+
+
 def _rank_correlations(vectors):
     """Spearman correlation of every pair of rows of each matrix of a stack
     (..., k, m), one Gram product of the centred average ranks per
@@ -177,8 +206,7 @@ def _rank_correlations(vectors):
     average ranks are multiples of 0.5, so the Gram entries and squared
     norms are exact and each entry rounds as the per-pair formula
     rx @ ry / sqrt((rx @ rx) * (ry @ ry)) does, whatever the stack."""
-    from scipy import stats
-    ranks = stats.rankdata(vectors, method="average", axis=-1)
+    ranks = _average_ranks(vectors)
     ranks -= ranks.mean(axis=-1, keepdims=True)
     sq = (ranks ** 2).sum(axis=-1)
     with np.errstate(invalid="ignore"):

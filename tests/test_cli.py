@@ -617,6 +617,41 @@ class TestPredict:
         assert code == 1
         assert "feature names" in capsys.readouterr().err
 
+    def other_bundle(self, bundle, tmp_path, edit_line):
+        """A copy of bundle with edit_line applied to each line of X.csv."""
+        other = tmp_path / "other_bundle"
+        shutil.copytree(bundle, other)
+        lines = (other / "X.csv").read_text().splitlines()
+        (other / "X.csv").write_text(
+            "\n".join(edit_line(k, line) for k, line in enumerate(lines)) + "\n")
+        return other
+
+    def test_bundle_feature_names_must_match_model(self, bundle, tmp_path,
+                                                   capsys):
+        model = self.train_model(bundle, tmp_path, objective="f3")
+        other = self.other_bundle(bundle, tmp_path, lambda k, line: line if k
+                                  else line.replace(",", ",renamed_", 1))
+        code = run(["predict", "--model", str(model), "--bundle", str(other),
+                    "--task", "dataset_prefs", "--a", str(bundle / "A.csv"),
+                    "--out", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {other}: X.csv feature names do not match the model's\n")
+
+    def test_bundle_width_must_match_model_without_names(self, bundle,
+                                                         tmp_path, capsys):
+        model = self.train_model(bundle, tmp_path, objective="f3")
+        doc = json.loads(model.read_text())
+        model.write_text(json.dumps({**doc, "x_feature_names": None}))
+        other = self.other_bundle(bundle, tmp_path, lambda k, line:
+                                  line + (",extra" if k == 0 else ",0.5"))
+        code = run(["predict", "--model", str(model), "--bundle", str(other),
+                    "--task", "dataset_prefs", "--a", str(bundle / "A.csv"),
+                    "--out", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {other}: X.csv has 5 features but the model has 4\n")
+
     @pytest.mark.parametrize("task, given, missing", [
         ("workflow_prefs", [], "--x"),
         ("dataset_prefs", [], "--a"),
@@ -1044,7 +1079,7 @@ class TestNoThreadStarted:
 
 
 # Runs each argv of the JSON list in sys.argv[1] through main in one fresh
-# process, and asserts that scipy.stats is not imported until the last.
+# process, and asserts that scipy.stats is never imported.
 _STATS_LOADED_BY = """
 import json, sys
 from metamine.cli import main
@@ -1054,15 +1089,15 @@ for argv in serving:
     assert main(argv) == 0, argv
     assert "scipy.stats" not in sys.modules, argv[0]
 assert main(last) == 0, last
-assert "scipy.stats" in sys.modules, last[0]
+assert "scipy.stats" not in sys.modules, last[0]
 """
 
 
 class TestNoScipyStatsAtStartUp:
-    """Importing scipy.stats is most of a fresh process's start-up, and
-    synth, ingest and predict never use it: the package imports it only in
-    the functions that do (the similarity targets of f1, f2 and f4, and
-    the sign test)."""
+    """Importing scipy.stats would be most of a fresh process's start-up,
+    and the package runs on numpy alone: synth, ingest, predict and
+    train f4 (the similarity targets, ranked by preference._average_ranks)
+    never import it."""
 
     def test_fresh_process(self, tmp_path):
         raw, bundle = tmp_path / "raw", tmp_path / "bundle"

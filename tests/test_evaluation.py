@@ -56,6 +56,20 @@ class TestBinomialSignTest:
         expected = min(1.0, 2 * min(upper, lower))
         assert binomial_sign_test(wins, total) == pytest.approx(expected, rel=1e-12)
 
+    def test_correctly_rounded_exact_value(self):
+        from fractions import Fraction
+        from math import comb
+        for total in range(1, 81):
+            for wins in range(total + 1):
+                tail = sum(comb(total, k)
+                           for k in range(min(wins, total - wins) + 1))
+                expected = min(1.0, float(Fraction(2 * tail, 2 ** total)))
+                assert binomial_sign_test(wins, total) == expected, (wins, total)
+
+    def test_numpy_integers_count_as_python_integers(self):
+        assert binomial_sign_test(np.int64(10), np.int64(70)) \
+            == binomial_sign_test(10, 70)
+
 
 class TestTopKPerformance:
     def test_k_equals_m_gives_overall_mean(self):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from metamine.data_model import PreferenceMatrix
 from metamine.preference import (OutcomeCube, PairOutcome, SimilarityAxis,
-                                 _rank_correlations,
+                                 _average_ranks, _rank_correlations,
                                  build_preference_from_significance,
                                  build_preference_matrix, mcnemar_significant,
                                  points, score_dataset, score_from_outcomes,
@@ -442,6 +442,13 @@ class TestStackedRanks:
         for got, (x, y) in zip(spearman_many(pairs), pairs):
             want = spearman(x, y)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @settings(deadline=None, max_examples=300)
+    @given(rank_stacks())
+    def test_average_ranks_equal_scipy_rankdata(self, stack):
+        from scipy import stats
+        want = stats.rankdata(stack, method="average", axis=-1)
+        assert _average_ranks(stack).tobytes() == want.tobytes()
 
 
 class TestValidationErrors:

@@ -1,9 +1,9 @@
 """Source checks that need no linter: every module of the package uses
 each name it imports, every private module-level name is used somewhere
-in the package, no module imports scipy when it is imported, only
-data_model._store sets the field of a frozen container, the CLI's
-choices come from their enums, every function the benchmark wraps
-exists, and every command it runs parses."""
+in the package, no module imports scipy (at import time or in a
+function), only data_model._store sets the field of a frozen container,
+the CLI's choices come from their enums, every function the benchmark
+wraps exists, and every command it runs parses."""
 
 import ast
 import importlib.util
@@ -121,6 +121,33 @@ def test_check_sees_a_module_level_scipy_import():
         "def f():\n    from scipy import stats\n    import scipy\n"
         "g = lambda: __import__('scipy')\nfrom . import scipy_like\n") \
         == ["scipy.stats", "scipy", "scipy.special"]
+
+
+def scipy_imports(source):
+    """Every scipy module a module imports, inside a function or not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names
+                         if alias.name.split(".")[0] == "scipy")
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and node.module.split(".")[0] == "scipy"):
+            found.append(node.module)
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    """The package runs on numpy alone: scipy is a test dependency."""
+    assert scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_sees_a_scipy_import_in_a_function():
+    assert scipy_imports(
+        "import numpy as np\nimport scipy.stats\n"
+        "def f():\n    from scipy import stats\n    import scipy\n"
+        "g = lambda: __import__('scipy')\nfrom . import scipy_like\n") \
+        == ["scipy.stats", "scipy", "scipy"]
 
 
 def setattr_callers(source):
