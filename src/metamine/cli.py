@@ -259,16 +259,16 @@ def cmd_predict(resolved):
             raise CliError(f"{bundle}: {name} has {table.n_features} "
                            f"features but the model has {len(weights)}")
 
-    def queries(flag, kind, expected):
+    def queries(flag, kind, names, weights):
         if not resolved[flag]:
             raise CliError(f"task {task.value} needs --{flag}")
-        return io.read_queries(resolved[flag], kind, expected)
+        return io.read_queries(resolved[flag], kind, names, len(weights))
 
     qx = qa = None
     if task is not Task.DATASET_PREFS:
-        qx = queries("x", TableKind.DATASET, params.x_feature_names)
+        qx = queries("x", TableKind.DATASET, params.x_feature_names, params.u)
     if task is not Task.WORKFLOW_PREFS:
-        qa = queries("a", TableKind.WORKFLOW, params.a_feature_names)
+        qa = queries("a", TableKind.WORKFLOW, params.a_feature_names, params.v)
 
     # One predict call per query entity scores it against its targets: a
     # query workflow against the training datasets, a query dataset against

@@ -276,11 +276,12 @@ class ValidationReport:
         return "\n".join(str(i) for i in self.issues)
 
 
-def _check_ids(report, where, ids):
+def _check_ids(report, where, ids, axis="row"):
     seen = {}
     for i, eid in enumerate(ids):
         if eid in seen:
-            report.add(where, f"row {i}", f"duplicate id {eid!r} (first at row {seen[eid]})")
+            report.add(where, f"{axis} {i}",
+                       f"duplicate id {eid!r} (first at {axis} {seen[eid]})")
         else:
             seen[eid] = i
 
@@ -335,6 +336,8 @@ def validate_tables(x: DescriptorTable, a: DescriptorTable,
     _check_standardizes(report, "X", x)
     _check_standardizes(report, "A", a)
     if p is not None:
+        _check_ids(report, "P", p.dataset_ids)
+        _check_ids(report, "P", p.workflow_ids, "column")
         _check_finite(report, "P", p.values)
         for i, j in np.argwhere(np.isfinite(p.values)
                                 & ((p.values < 0) | (p.values > 1))):
@@ -342,6 +345,8 @@ def validate_tables(x: DescriptorTable, a: DescriptorTable,
         _check_same_ids(report, "P", "dataset", p.dataset_ids, "X", x.entity_ids)
         _check_same_ids(report, "P", "workflow", p.workflow_ids, "A", a.entity_ids)
     if r is not None:
+        _check_ids(report, "R", r.dataset_ids)
+        _check_ids(report, "R", r.workflow_ids, "column")
         _check_finite(report, "R", r.scores)
         for coordinate, reason in r.invariant_violations():
             report.add("R", coordinate, reason)
@@ -350,14 +355,19 @@ def validate_tables(x: DescriptorTable, a: DescriptorTable,
     return report
 
 
-def validate_queries(table: DescriptorTable,
-                     feature_names) -> ValidationReport:
+def validate_queries(table: DescriptorTable, feature_names,
+                     n_features) -> ValidationReport:
     """Check a table of query entities by the bundle's rules for ids and
-    values, and its feature names against a model's (None skips them)."""
+    values, and its features against a model's: their names where the
+    model stores them, else their count, n_features (the rows of U or V)."""
     where = "X" if table.kind is TableKind.DATASET else "A"
     report = ValidationReport()
-    if feature_names is not None and table.feature_names != tuple(feature_names):
-        report.add(where, "feature_names", "feature names do not match the model")
+    if feature_names is not None:
+        if table.feature_names != tuple(feature_names):
+            report.add(where, "feature_names", "feature names do not match the model")
+    elif table.n_features != n_features:
+        report.add(where, "features", f"{table.n_features} features where "
+                                      f"the model has {n_features}")
     _check_ids(report, where, table.entity_ids)
     _check_finite(report, where, table.features)
     return report

@@ -27,8 +27,11 @@ File formats:
                       the tables it reads again: X, A and R on every read,
                       performance.csv only where the caller asks for P
 
-Every writer formats a float as repr does: the shortest decimal string
-that parses back to the same float. Every reader takes UTF-8 and drops a
+Every CSV writer joins its lines itself, by one rule: a text cell is
+quoted as csv.writer (excel dialect) quotes it, and csv.writer formats
+the header and each distinct id or text cell once; a float is written as
+repr does, the shortest decimal string that parses back to the same
+float; and every line ends in CR LF. Every reader takes UTF-8 and drops a
 leading byte-order mark; a CSV or JSON file that is not UTF-8, or a JSON
 file that does not parse, is an IngestError that names the file.
 """
@@ -40,6 +43,7 @@ import csv
 import json
 from enum import Enum
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -140,16 +144,26 @@ def _read_wide(path, no_columns):
     return tuple(header[1:]), tuple(row[0] for row in rows[1:]), values
 
 
-def _write_csv(path, header, rows):
+def _cells(texts):
+    """Each text as csv.writer writes it as a field of a row of two or
+    more: quoted where it holds a comma, a quote or a line break."""
+    lines = []      # csv.writer writes each row in one call
+    csv.writer(SimpleNamespace(write=lines.append)).writerows(
+        [text, ""] for text in texts)
+    return [line[:-3] for line in lines]    # drop ",\r\n"
+
+
+def _write_lines(path, header, blocks):
+    """The header row through csv.writer, then each block of CSV lines."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        csv.writer(fh).writerow(header)
+        fh.writelines(blocks)
 
 
 def _write_wide(path, id_header, columns, ids, values):
-    _write_csv(path, [id_header, *columns],
-               ([eid, *row] for eid, row in zip(ids, _reprs(values))))
+    _write_lines(path, [id_header, *columns],
+                 (f"{eid},{','.join(row)}\r\n"
+                  for eid, row in zip(_cells(ids), _reprs(values))))
 
 
 def read_descriptor_csv(path, kind: TableKind) -> DescriptorTable:
@@ -159,11 +173,13 @@ def read_descriptor_csv(path, kind: TableKind) -> DescriptorTable:
                            feature_names=feature_names, kind=kind)
 
 
-def read_queries(path, kind: TableKind, feature_names) -> DescriptorTable:
+def read_queries(path, kind: TableKind, feature_names,
+                 n_features) -> DescriptorTable:
     """Read a table of query entities and check it by validate_queries:
-    the bundle's rules for ids and values, and a model's feature names."""
+    the bundle's rules for ids and values, and a model's features (their
+    names, or their count where the model stores no names)."""
     table = read_descriptor_csv(path, kind)
-    report = validate_queries(table, feature_names)
+    report = validate_queries(table, feature_names, n_features)
     if not report.passed:
         raise IngestError(f"{path}: query table fails validation:\n{report}")
     return table
@@ -210,10 +226,12 @@ def read_performance_csv(path) -> PerformanceMatrix:
 
 
 def write_performance_csv(path, perf: PerformanceMatrix):
-    _write_csv(path, ["dataset_id", "workflow_id", "performance"],
-               ([ds, wf, value]
-                for ds, row in zip(perf.dataset_ids, _reprs(perf.values))
-                for wf, value in zip(perf.workflow_ids, row)))
+    workflows = _cells(perf.workflow_ids)
+    _write_lines(path, ["dataset_id", "workflow_id", "performance"],
+                 ("".join(f"{ds},{wf},{value}\r\n"
+                          for wf, value in zip(workflows, row))
+                  for ds, row in zip(_cells(perf.dataset_ids),
+                                     _reprs(perf.values))))
 
 
 def read_preference_csv(path) -> PreferenceMatrix:
@@ -288,20 +306,28 @@ def read_outcome_dir(directory) -> OutcomeCube:
 def write_outcome_dir(directory, cube: OutcomeCube):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    eol = np.frombuffer(b"\r\n", dtype=np.uint8)
     for eid, mat in zip(cube.dataset_ids, cube.matrices):
-        _write_csv(directory / f"{eid}.csv", cube.workflow_ids,
-                   mat.astype(int).tolist())
+        cells = np.full((*mat.shape, 2), ord(","), dtype=np.uint8)
+        cells[..., 0] = mat + ord("0")      # each cell, then a comma
+        rows = np.hstack([cells.reshape(len(mat), -1)[:, :-1],
+                          np.tile(eol, (len(mat), 1))])
+        _write_lines(directory / f"{eid}.csv", cube.workflow_ids,
+                     [rows.tobytes().decode("ascii")])
 
 
 def write_predictions_csv(path, target_ids, predictions):
     """predictions: (query id, PreferencePrediction) pairs over target_ids."""
-    rows = []
-    for qid, pred in predictions:
-        strategy, flags = pred.strategy.value, ";".join(pred.flags)
-        rows += ([qid, tid, score, strategy, flags] for tid, score
-                 in zip(target_ids, map(repr, pred.values.tolist())))
-    _write_csv(path, ["query_id", "target_id", "score", "strategy", "flags"],
-               rows)
+    targets = _cells(target_ids)
+
+    def block(qid, pred):
+        qid, strategy, flags = _cells([qid, pred.strategy.value,
+                                       ";".join(pred.flags)])
+        scores = map(repr, pred.values.tolist())
+        return "".join(f"{qid},{tid},{score},{strategy},{flags}\r\n"
+                       for tid, score in zip(targets, scores))
+    _write_lines(path, ["query_id", "target_id", "score", "strategy", "flags"],
+                 (block(qid, pred) for qid, pred in predictions))
 
 
 def read_significance_csv(path):

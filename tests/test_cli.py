@@ -652,6 +652,25 @@ class TestPredict:
         assert capsys.readouterr().err == (
             f"error: {other}: X.csv has 5 features but the model has 4\n")
 
+    @pytest.mark.parametrize("task", ["workflow_prefs", "pair_score"])
+    def test_query_width_must_match_model_without_names(
+            self, bundle, tmp_path, capsys, task):
+        model = self.train_model(bundle, tmp_path, objective="f3")
+        doc = json.loads(model.read_text())
+        model.write_text(json.dumps({**doc, "x_feature_names": None}))
+        wide = tmp_path / "wide_queries.csv"
+        lines = (bundle / "X.csv").read_text().splitlines()
+        wide.write_text("".join(line + (",extra\n" if k == 0 else ",0.5\n")
+                                for k, line in enumerate(lines)))
+        workflows = ["--a", str(bundle / "A.csv")] if task == "pair_score" else []
+        code = run(["predict", "--model", str(model), "--bundle", str(bundle),
+                    "--task", task, "--x", str(wide), *workflows,
+                    "--out", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {wide}: query table fails validation:\n"
+            "X[features]: 5 features where the model has 4\n")
+
     @pytest.mark.parametrize("task, given, missing", [
         ("workflow_prefs", [], "--x"),
         ("dataset_prefs", [], "--a"),

@@ -244,8 +244,20 @@ class TestIdsInAnotherOrder:
         r = PreferenceMatrix((*x.entity_ids, "ds0"), a.entity_ids,
                              [*self.valid, self.valid[0]])
         assert [str(i) for i in validate_tables(x, a, None, r).issues] == [
+            "R[row 3]: duplicate id 'ds0' (first at row 0)",
             "R[dataset_ids]: dataset ids do not match X entity ids "
             "(position 3 holds 'ds0' where X holds None)"]
+
+    def test_repeated_ids_of_p_and_r_columns(self, small_tables):
+        x, a, p = small_tables
+        workflows = (*a.entity_ids[:3], "wf0")
+        p = PerformanceMatrix(("ds0", "ds1", "ds0"), workflows, p.values)
+        r = PreferenceMatrix(x.entity_ids, workflows, self.valid)
+        issues = [str(i) for i in validate_tables(x, a, p, r).issues]
+        assert [i for i in issues if "duplicate" in i] == [
+            "P[row 2]: duplicate id 'ds0' (first at row 0)",
+            "P[column 3]: duplicate id 'wf0' (first at column 0)",
+            "R[column 3]: duplicate id 'wf0' (first at column 0)"]
 
     def test_other_mismatches_list_the_ids(self, small_tables):
         x, a, p = small_tables

@@ -19,11 +19,12 @@ from metamine.io import (IngestError, load_model, read_bundle,
                          read_performance_csv, read_preference_csv,
                          read_significance_csv, save_model, write_bundle,
                          write_descriptor_csv, write_outcome_dir,
-                         write_performance_csv, write_preference_csv)
+                         write_performance_csv, write_predictions_csv,
+                         write_preference_csv)
 from metamine.metric_learning import ObjectiveKind, train
 from metamine.preference import (OutcomeCube, PairOutcome,
                                  build_preference_from_significance)
-from metamine.recommend import predict_pair
+from metamine.recommend import PreferencePrediction, Strategy, predict_pair
 from metamine.synth import SynthConfig, SynthMode, generate
 
 import metamine.io
@@ -957,6 +958,119 @@ class TestWritersFormatLikeRepr:
                 scale=[_text(value) for value in record.scale])
         want = json.dumps(doc, sort_keys=True, indent=1) + "\n"
         assert path.read_text() == want
+
+
+# The csv.writer row writers that joined lines replaced, kept as the
+# reference: every writer's file holds the bytes these write.
+def rowwise_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def rowwise_wide(path, id_header, columns, ids, values):
+    rowwise_csv(path, [id_header, *columns],
+                ([eid, *map(repr, row)] for eid, row in zip(ids, values.tolist())))
+
+
+def rowwise_performance(path, perf):
+    rowwise_csv(path, ["dataset_id", "workflow_id", "performance"],
+                ([ds, wf, repr(value)]
+                 for ds, row in zip(perf.dataset_ids, perf.values.tolist())
+                 for wf, value in zip(perf.workflow_ids, row)))
+
+
+def rowwise_outcome_dir(directory, cube):
+    directory.mkdir()
+    for eid, mat in zip(cube.dataset_ids, cube.matrices):
+        rowwise_csv(directory / f"{eid}.csv", cube.workflow_ids,
+                    mat.astype(int).tolist())
+
+
+def rowwise_predictions(path, target_ids, predictions):
+    rows = []
+    for qid, pred in predictions:
+        strategy, flags = pred.strategy.value, ";".join(pred.flags)
+        rows += ([qid, tid, score, strategy, flags] for tid, score
+                 in zip(target_ids, map(repr, pred.values.tolist())))
+    rowwise_csv(path, ["query_id", "target_id", "score", "strategy", "flags"],
+                rows)
+
+
+# Text csv.writer quotes, and text beside it: commas, quotes, both line
+# breaks, spaces, the empty string and non-ASCII letters.
+cell_text = st.one_of(
+    st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "é", "✓"]),
+            max_size=4), csv_text)
+
+
+def cell_texts(size):
+    return st.lists(cell_text, min_size=size, max_size=size)
+
+
+class TestWritersMatchCsvWriter:
+    """Every writer joins its lines itself; its files hold the bytes the
+    csv.writer row writers above write, whatever text the ids hold."""
+
+    hypothesis_settings = settings(
+        deadline=None, max_examples=100,
+        suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @hypothesis_settings
+    @given(data=st.data(), values=matrices())
+    def test_tables(self, tmp_path, data, values):
+        n, m = values.shape
+        rows, columns = data.draw(cell_texts(n)), data.draw(cell_texts(m))
+        written = {
+            "X.csv": (lambda p: write_descriptor_csv(p, DescriptorTable(
+                rows, values, columns, TableKind.DATASET)),
+                lambda p: rowwise_wide(p, "id", columns, rows, values)),
+            "R.csv": (lambda p: write_preference_csv(p, PreferenceMatrix(
+                rows, columns, values)),
+                lambda p: rowwise_wide(p, "dataset_id", columns, rows, values)),
+            "P.csv": (lambda p: write_performance_csv(p, PerformanceMatrix(
+                rows, columns, values)),
+                lambda p: rowwise_performance(p, PerformanceMatrix(
+                    rows, columns, values))),
+        }
+        for name, (write, reference) in written.items():
+            write(tmp_path / name)
+            reference(tmp_path / f"want-{name}")
+            assert (tmp_path / name).read_bytes() == \
+                (tmp_path / f"want-{name}").read_bytes(), name
+
+    @hypothesis_settings
+    @given(data=st.data(), m=st.integers(0, 4))
+    def test_outcome_dir(self, data, m):
+        bits = data.draw(st.lists(matrices(st.integers(1, 5), st.just(m),
+                                           st.sampled_from((0.0, 1.0, -0.0))),
+                                  min_size=1, max_size=3))
+        cube = OutcomeCube([f"d{i}" for i in range(len(bits))],
+                           data.draw(cell_texts(m)), bits)
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got", Path(tmp) / "want"
+            write_outcome_dir(got, cube)
+            rowwise_outcome_dir(want, cube)
+            for eid in cube.dataset_ids:
+                assert (got / f"{eid}.csv").read_bytes() == \
+                    (want / f"{eid}.csv").read_bytes()
+
+    @hypothesis_settings
+    @given(data=st.data(), k=st.integers(1, 4))
+    def test_predictions(self, tmp_path, data, k):
+        targets = data.draw(cell_texts(k))
+        predictions = data.draw(st.lists(st.tuples(
+            cell_text,
+            st.builds(PreferencePrediction,
+                      values=matrices(st.just(1), st.just(k)).map(lambda v: v[0]),
+                      strategy=st.sampled_from(Strategy),
+                      flags=st.lists(cell_text, max_size=2).map(tuple))),
+            max_size=4))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_predictions_csv(got, targets, predictions)
+        rowwise_predictions(want, targets, predictions)
+        assert got.read_bytes() == want.read_bytes()
 
 
 @pytest.fixture(scope="module")

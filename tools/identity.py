@@ -8,8 +8,9 @@ same command matrix through metamine.cli.main, in one subprocess of its own,
 from a fresh working directory and with relative paths only, so that no
 output names the tree it came from. Every command's stdout, stderr and exit
 code are stored as files next to the files it writes, failing commands
-included. The significance CSV that `ingest --significance` reads is written
-here, from a seeded RNG, and copied into both working directories.
+included. The significance CSV that `ingest --significance` reads, and a
+small bundle whose ids only a quoting CSV writer gets right, are written
+here, from seeded RNGs, and copied into both working directories.
 
 Prints every file, stdout, stderr or exit code whose bytes differ and exits 1
 if any does, 0 if none, and 2 if a tree cannot be extracted or run.
@@ -19,6 +20,7 @@ Standard library only; BLAS is pinned to one thread.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import os
@@ -53,6 +55,11 @@ TASKS = {"f1": ["workflow_prefs"], "f2": ["dataset_prefs"],
          "f3": ["workflow_prefs", "dataset_prefs", "pair_score"],
          "f4": ["workflow_prefs", "dataset_prefs", "pair_score"]}
 SIGNIFICANCE = "sig.csv"
+QUOTED = "quoted/raw"
+# Ids csv quotes: a comma, a quote, line breaks, and text beside them that
+# it leaves bare (spaces, non-ASCII letters).
+QUOTED_DATASETS = ("ds,0", 'ds"1', "ds\n2", "ds\r\n3", " ds 4 ", "dé5")
+QUOTED_WORKFLOWS = ("wf,a", 'wf"b"', "wf\nc", "wfd")
 
 
 def significance_csv(n, m, seed=7):
@@ -71,6 +78,36 @@ def significance_csv(n, m, seed=7):
                 outcome = rng.choice(["k_wins", "l_wins", "tie"])
                 lines.append(f"ds{i:03d},{pair[0]},{pair[1]},{outcome}")
     return "\n".join(lines) + "\n"
+
+
+def quoted_tables(d=3, l=2, seed=11):
+    """{path: text} of the raw tables of a bundle over QUOTED_DATASETS x
+    QUOTED_WORKFLOWS: Gaussian descriptors, uniform performances and, in
+    each row of R, the scores 0..m-1 in a random order."""
+    rng = random.Random(seed)
+    m = len(QUOTED_WORKFLOWS)
+
+    def csv_text(rows):
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        return buf.getvalue()
+
+    def descriptors(ids, prefix, width):
+        return csv_text([["id", *(f"{prefix}{k}" for k in range(width))]] + [
+            [eid, *(repr(rng.gauss(0, 1)) for _ in range(width))] for eid in ids])
+
+    return {
+        f"{QUOTED}/X.csv": descriptors(QUOTED_DATASETS, "f", d),
+        f"{QUOTED}/A.csv": descriptors(QUOTED_WORKFLOWS, "g", l),
+        f"{QUOTED}/performance.csv": csv_text(
+            [["dataset_id", "workflow_id", "performance"]]
+            + [[ds, wf, repr(rng.random())] for ds in QUOTED_DATASETS
+               for wf in QUOTED_WORKFLOWS]),
+        f"{QUOTED}/R.csv": csv_text(
+            [["dataset_id", *QUOTED_WORKFLOWS]]
+            + [[ds, *map(repr, rng.sample(range(m), m))]
+               for ds in QUOTED_DATASETS]),
+    }
 
 
 def matrix():
@@ -122,6 +159,17 @@ def matrix():
                  "--bundle", "s12x8/b", "--task", "workflow_prefs",
                  "--neighbors", "2", "--x", "queries/X.csv",
                  "--out", "s12x8/pred-f4-n2.csv"])
+    # ids that need quoting, from ingest to both tasks of an f3 model
+    cmds.append(["ingest", "--x", f"{QUOTED}/X.csv", "--a", f"{QUOTED}/A.csv",
+                 "--performance", f"{QUOTED}/performance.csv",
+                 "--preferences", f"{QUOTED}/R.csv", "--out", "quoted/b"])
+    cmds.append(["train", "--bundle", "quoted/b", "--objective", "f3",
+                 "--t", "2", *ITERS, "--out", "quoted/f3.json"])
+    x, a = ["--x", f"{QUOTED}/X.csv"], ["--a", f"{QUOTED}/A.csv"]
+    for task, queries in (("workflow_prefs", x), ("pair_score", x + a)):
+        cmds.append(["predict", "--model", "quoted/f3.json", "--bundle",
+                     "quoted/b", "--task", task, *queries,
+                     "--out", f"quoted/pred-{task}.csv"])
     # a resolved config read back as a config file
     cmds.append(["--config", "s12x8/f4-svd_warm_start.json.config.json",
                  "train", "--bundle", "s12x8/b", "--objective", "f4",
@@ -231,10 +279,13 @@ def main(argv=None):
             return 2
         cmds = matrix()
         work = {"base": tmp / "work-base", "head": tmp / "work-head"}
-        sig = significance_csv(10, 7)   # the ids of shape s10x7
+        inputs = {SIGNIFICANCE: significance_csv(10, 7),   # the ids of s10x7
+                  **quoted_tables()}
         for name, src in (("base", tmp / "base" / "src"), ("head", REPO / "src")):
-            work[name].mkdir()
-            (work[name] / SIGNIFICANCE).write_text(sig, encoding="utf-8")
+            for rel, text in inputs.items():
+                path = work[name] / rel
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text, encoding="utf-8", newline="")
             done = run_tree(src, work[name], cmds)
             if done.returncode:
                 print(f"{name} tree: the runner failed\n{done.stderr}",
