@@ -168,8 +168,8 @@ def cmd_ingest(resolved):
     elif resolved["outcomes_dir"]:
         r = build_preference_matrix(io.read_outcome_dir(resolved["outcomes_dir"]))
     else:
-        ds_ids, wf_ids, tables = io.read_significance_csv(resolved["significance"])
-        r = build_preference_from_significance(ds_ids, wf_ids, tables)
+        ds_ids, wf_ids, wins = io.read_significance_csv(resolved["significance"])
+        r = build_preference_from_significance(ds_ids, wf_ids, wins)
     data = io.check_bundle(MetaMiningData(x=x, a=a, r=r, performance=perf),
                            "ingest")
     out = Path(resolved["out"])

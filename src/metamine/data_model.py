@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
@@ -294,9 +293,11 @@ def _check_finite(report, where, values):
 def _check_same_ids(report, where, axis, ids, table, expected):
     if tuple(ids) != tuple(expected):
         detail = f"mismatch: {sorted(set(ids) ^ set(expected))}"
-        if set(ids) == set(expected):   # the same ids: name where they part
+        if set(ids) == set(expected) and len(ids) != len(expected):
+            detail = f"{where} holds {len(ids)} ids where {table} holds {len(expected)}"
+        elif set(ids) == set(expected):   # the same ids: name where they part
             i, (got, want) = next((i, pair) for i, pair in enumerate(
-                zip_longest(ids, expected)) if pair[0] != pair[1])
+                zip(ids, expected)) if pair[0] != pair[1])
             detail = f"position {i} holds {got!r} where {table} holds {want!r}"
         report.add(where, f"{axis}_ids", f"{axis} ids do not match {table} "
                                          f"entity ids ({detail})")

@@ -15,7 +15,9 @@ File formats:
                       through csv as before, with the same values and
                       the same errors
   significance      - long CSV: dataset_id, workflow_k, workflow_l, outcome
-                      with outcome in {k_wins, l_wins, tie}
+                      with outcome in {k_wins, l_wins, tie}, every pair
+                      once, either way round; read as one win matrix per
+                      dataset, the form preference.points tallies
   predictions       - long CSV: query_id, target_id, score, strategy,
                       flags (';'-joined); one row per target of each query
   model             - versioned JSON container; floats are serialized via
@@ -331,8 +333,9 @@ def write_predictions_csv(path, target_ids, predictions):
 
 
 def read_significance_csv(path):
-    """Long-format significance tensor: (dataset_ids, workflow_ids, one m x m
-    PairOutcome table per dataset) for build_preference_from_significance."""
+    """Long-format significance tensor: (dataset_ids, workflow_ids, wins)
+    for build_preference_from_significance, wins an n x m x m bool stack
+    with wins[i, k, l] true when workflow k beats l on dataset i."""
     rows = _read_rows(path)
     if [h.strip() for h in rows[0][:4]] != ["dataset_id", "workflow_k", "workflow_l", "outcome"]:
         raise IngestError(f"{path}: header must be dataset_id,workflow_k,workflow_l,outcome")
@@ -350,26 +353,22 @@ def read_significance_csv(path):
             raise IngestError(f"{path}: line {ln}: workflow {wk!r} compared "
                               "with itself")
         k, l = index.setdefault(wk, len(index)), index.setdefault(wl, len(index))
-        if k > l:   # each pair is held once, above the diagonal
-            k, l = l, k
-            outcome = {PairOutcome.K_WINS: PairOutcome.L_WINS,
-                       PairOutcome.L_WINS: PairOutcome.K_WINS}.get(outcome, outcome)
         cells.append((datasets.setdefault(ds, len(datasets)), k, l, outcome))
     dataset_ids, workflow_ids = tuple(datasets), tuple(index)
-    tables = np.empty((len(datasets), len(index), len(index)), dtype=object)
-    tables.fill(PairOutcome.TIE)    # np.full would store the enum's str
-    seen = np.zeros(tables.shape, dtype=bool)
+    wins = np.zeros((len(datasets), len(index), len(index)), dtype=bool)
+    seen = np.zeros(wins.shape, dtype=bool)     # each pair both ways round
     for (i, k, l, outcome), (ds, wk, wl, _) in zip(cells, body):
         if seen[i, k, l]:
             raise IngestError(f"{path}: duplicate pair ({ds},{wk},{wl})")
-        seen[i, k, l] = True
-        tables[i, k, l] = outcome
-    missing = np.argwhere(~seen & np.triu(np.ones(tables.shape[1:], dtype=bool), 1))
+        seen[i, k, l] = seen[i, l, k] = True
+        wins[i, k, l] = outcome is PairOutcome.K_WINS
+        wins[i, l, k] = outcome is PairOutcome.L_WINS
+    missing = np.argwhere(~seen & np.triu(np.ones(wins.shape[1:], dtype=bool), 1))
     if missing.size:
         i, k, l = missing[0]
         raise IngestError(f"{path}: missing pair ({dataset_ids[i]},"
                           f"{workflow_ids[k]},{workflow_ids[l]})")
-    return dataset_ids, workflow_ids, list(tables)
+    return dataset_ids, workflow_ids, wins
 
 
 def check_bundle(data: MetaMiningData, where) -> MetaMiningData:

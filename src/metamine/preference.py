@@ -144,20 +144,6 @@ def score_dataset(correctness, exact=False) -> np.ndarray:
     return points(mcnemar_wins(mat, exact=exact))
 
 
-def score_from_outcomes(pair_outcomes) -> np.ndarray:
-    """Score vector from a precomputed m x m significance table.
-
-    pair_outcomes[k][l] (k < l) holds the PairOutcome of workflows k vs l;
-    entries elsewhere are ignored.
-    """
-    table = np.array(pair_outcomes, dtype=object)
-    upper = np.triu(np.ones(table.shape, dtype=bool), 1)
-
-    def holds(outcome):  # a bare str enum would be compared as its str()
-        return upper & (table == np.array(outcome, dtype=object))
-    return points(holds(PairOutcome.K_WINS) | holds(PairOutcome.L_WINS).T)
-
-
 def _preference_matrix(dataset_ids, workflow_ids, rows) -> PreferenceMatrix:
     """R from its rows of comparison points, one per dataset."""
     r = PreferenceMatrix(dataset_ids, workflow_ids, np.vstack(rows))
@@ -173,11 +159,10 @@ def build_preference_matrix(cube: OutcomeCube) -> PreferenceMatrix:
 
 
 def build_preference_from_significance(dataset_ids, workflow_ids,
-                                       outcomes) -> PreferenceMatrix:
-    """Alternate ingestion path: outcomes[i] is an m x m table of
-    PairOutcome for dataset i (upper triangle used)."""
-    return _preference_matrix(dataset_ids, workflow_ids,
-                              [score_from_outcomes(tab) for tab in outcomes])
+                                       wins) -> PreferenceMatrix:
+    """Alternate ingestion path: wins is the n x m x m stack of win
+    matrices that read_significance_csv gives, one per dataset."""
+    return _preference_matrix(dataset_ids, workflow_ids, points(wins))
 
 
 def _average_ranks(values):

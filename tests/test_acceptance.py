@@ -6,7 +6,6 @@ off the terminal:
     pytest tests/test_acceptance.py -s
 """
 
-import json
 import time
 from math import comb
 
@@ -20,7 +19,7 @@ from metamine.evaluation import (MetaMiningData, binomial_sign_test, run_lodo,
 from metamine.metric_learning import (Objective, ObjectiveKind, initialize,
                                       minimize, objective_value, gradient,
                                       train)
-from metamine.recommend import Strategy, predict_pair
+from metamine.recommend import Strategy
 from metamine.synth import SynthConfig, SynthMode, centered_scores, generate
 
 

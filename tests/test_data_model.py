@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from metamine.data_model import ModelParams, StandardizationRecord
 from metamine.preference import SimilarityTarget
 
-from conftest import make_tables
-
 
 class TestValidateTables:
     def test_well_formed_inputs_pass(self, small_tables):
@@ -246,7 +244,17 @@ class TestIdsInAnotherOrder:
         assert [str(i) for i in validate_tables(x, a, None, r).issues] == [
             "R[row 3]: duplicate id 'ds0' (first at row 0)",
             "R[dataset_ids]: dataset ids do not match X entity ids "
-            "(position 3 holds 'ds0' where X holds None)"]
+            "(R holds 4 ids where X holds 3)"]
+
+    def test_repeated_id_on_the_x_side_names_the_counts(self, small_tables):
+        x, a, _ = small_tables
+        x = DescriptorTable((*x.entity_ids, "ds0"), [*x.features, x.features[0]],
+                            x.feature_names, x.kind)
+        r = PreferenceMatrix(x.entity_ids[:3], a.entity_ids, self.valid)
+        assert [str(i) for i in validate_tables(x, a, None, r).issues] == [
+            "X[row 3]: duplicate id 'ds0' (first at row 0)",
+            "R[dataset_ids]: dataset ids do not match X entity ids "
+            "(R holds 3 ids where X holds 4)"]
 
     def test_repeated_ids_of_p_and_r_columns(self, small_tables):
         x, a, p = small_tables

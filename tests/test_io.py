@@ -1,5 +1,6 @@
 import codecs
 import csv
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -22,8 +23,7 @@ from metamine.io import (IngestError, load_model, read_bundle,
                          write_performance_csv, write_predictions_csv,
                          write_preference_csv)
 from metamine.metric_learning import ObjectiveKind, train
-from metamine.preference import (OutcomeCube, PairOutcome,
-                                 build_preference_from_significance)
+from metamine.preference import OutcomeCube, build_preference_from_significance
 from metamine.recommend import PreferencePrediction, Strategy, predict_pair
 from metamine.synth import SynthConfig, SynthMode, generate
 
@@ -1121,20 +1121,44 @@ def test_predict_csv_formats_like_repr(tmp_path, served_bundle, scores):
 class TestSignificanceTables:
     HEADER = "dataset_id,workflow_k,workflow_l,outcome\n"
 
-    def test_each_table_is_an_array_of_outcomes(self, tmp_path):
+    def test_the_tables_are_one_win_stack(self, tmp_path):
         path = tmp_path / "sig.csv"
-        # w1 is seen first, so it is column 0; the pair (w2, w1) is held
-        # once, above the diagonal, as (w1, w2) with its outcome swapped
+        # w1 is seen first, so it is column 0; w1 beats w0 and w2 whichever
+        # way round the line names the pair, and the tie sets neither entry
         path.write_text(self.HEADER + "d0,w1,w0,k_wins\nd0,w0,w2,tie\n"
                         "d0,w2,w1,l_wins\n")
-        ds, wf, tables = read_significance_csv(path)
+        ds, wf, wins = read_significance_csv(path)
         assert (ds, wf) == (("d0",), ("w1", "w0", "w2"))
-        [table] = tables
-        assert table.shape == (3, 3) and table.dtype == object
-        tie, k_wins = PairOutcome.TIE, PairOutcome.K_WINS
-        expected = [[tie, k_wins, k_wins], [tie, tie, tie], [tie, tie, tie]]
-        assert all(got is want for got, want
-                   in zip(table.ravel(), np.array(expected, dtype=object).ravel()))
+        assert wins.dtype == bool
+        np.testing.assert_array_equal(wins, [[[False, True, True],
+                                              [False, False, False],
+                                              [False, False, False]]])
+
+    @settings(deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_wins_hold_what_the_rows_state(self, tmp_path, data):
+        """Every pair once, each row stated either way round and the rows
+        in any order: wins holds the (dataset, winner, loser) triples the
+        rows state."""
+        n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 6))
+        swap = {"k_wins": "l_wins", "l_wins": "k_wins", "tie": "tie"}
+        rows, stated = [], set()
+        for i, (k, l) in itertools.product(
+                range(n), itertools.combinations(range(m), 2)):
+            outcome = data.draw(st.sampled_from(sorted(swap)))
+            if outcome != "tie":
+                winner, loser = (k, l) if outcome == "k_wins" else (l, k)
+                stated.add((f"d{i}", f"w{winner}", f"w{loser}"))
+            if data.draw(st.booleans()):
+                k, l, outcome = l, k, swap[outcome]
+            rows.append(f"d{i},w{k},w{l},{outcome}\n")
+        path = tmp_path / "sig.csv"
+        path.write_text(self.HEADER + "".join(data.draw(st.permutations(rows))))
+        ds, wf, wins = read_significance_csv(path)
+        assert sorted(ds) == [f"d{i}" for i in range(n)]
+        assert sorted(wf) == sorted(f"w{k}" for k in range(m))
+        assert {(ds[i], wf[k], wf[l]) for i, k, l in np.argwhere(wins)} == stated
 
     @pytest.mark.parametrize("body, message", [
         # per-line faults come first, in line order

@@ -18,8 +18,6 @@ from metamine.metric_learning import TrainTrace, minimize_many, train_many
 from metamine.preference import SimilarityAxis, similarity_target
 from metamine.synth import SynthConfig, centered_scores, generate
 
-from conftest import make_tables
-
 
 def random_instance(seed, n=8, m=6, d=5, l=4, t=2):
     rng = np.random.default_rng(seed)

@@ -12,9 +12,8 @@ from metamine.preference import (OutcomeCube, PairOutcome, SimilarityAxis,
                                  _average_ranks, _rank_correlations,
                                  build_preference_from_significance,
                                  build_preference_matrix, mcnemar_significant,
-                                 points, score_dataset, score_from_outcomes,
-                                 similarity_target, spearman, spearman_many,
-                                 spearman_rows)
+                                 points, score_dataset, similarity_target,
+                                 spearman, spearman_many, spearman_rows)
 
 
 def pearson(x, y):
@@ -231,15 +230,15 @@ class TestBuildPreferenceMatrix:
 
     def test_significance_tensor_path_matches_mcnemar_path(self):
         cube = self.make_cube(n=3, m=4, seed=8)
-        tables = []
-        for mat in cube.matrices:
-            table = [[PairOutcome.TIE] * 4 for _ in range(4)]
+        wins = np.zeros((3, 4, 4), dtype=bool)
+        for i, mat in enumerate(cube.matrices):
             for k, l in itertools.combinations(range(4), 2):
-                table[k][l] = mcnemar_significant(mat[:, k], mat[:, l])
-            tables.append(table)
+                outcome = mcnemar_significant(mat[:, k], mat[:, l])
+                wins[i, k, l] = outcome is PairOutcome.K_WINS
+                wins[i, l, k] = outcome is PairOutcome.L_WINS
         r1 = build_preference_matrix(cube)
         r2 = build_preference_from_significance(cube.dataset_ids,
-                                                cube.workflow_ids, tables)
+                                                cube.workflow_ids, wins)
         np.testing.assert_array_equal(r1.scores, r2.scores)
 
     def test_zero_instances_rejected(self):

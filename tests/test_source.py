@@ -1,9 +1,10 @@
-"""Source checks that need no linter: every module of the package uses
-each name it imports, every private module-level name is used somewhere
-in the package, no module imports scipy (at import time or in a
-function), only data_model._store sets the field of a frozen container,
-the CLI's choices come from their enums, every function the benchmark
-wraps exists, and every command it runs parses."""
+"""Source checks that need no linter: every module of the package, of
+tests/ and of tools/ uses each name it imports, every private
+module-level name is used somewhere in the package, no module imports
+scipy (at import time or in a function), only data_model._store sets
+the field of a frozen container, the CLI's choices come from their
+enums, every function the benchmark wraps exists, and every command it
+runs parses."""
 
 import ast
 import importlib.util
@@ -18,6 +19,8 @@ import metamine
 PACKAGE = sorted(Path(metamine.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE
            if p.name != "__init__.py"]   # its imports are re-exports
+REPO = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted([*REPO.glob("tests/*.py"), *REPO.glob("tools/*.py")])
 
 
 def unused_imports(source):
@@ -36,7 +39,9 @@ def unused_imports(source):
     return [name for name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [
+    *(pytest.param(p, id=p.name) for p in MODULES),
+    *(pytest.param(p, id=str(p.relative_to(REPO))) for p in SCRIPTS)])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -208,7 +213,7 @@ def test_cli_choices_come_from_their_enum(subcommand, dest, enum_name,
     assert flag_choices(cli.build_parser(), subcommand, dest) == ["other"]
 
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+BENCH = REPO / "bench"
 
 
 def load_bench(name):

@@ -8,9 +8,10 @@ same command matrix through metamine.cli.main, in one subprocess of its own,
 from a fresh working directory and with relative paths only, so that no
 output names the tree it came from. Every command's stdout, stderr and exit
 code are stored as files next to the files it writes, failing commands
-included. The significance CSV that `ingest --significance` reads, and a
-small bundle whose ids only a quoting CSV writer gets right, are written
-here, from seeded RNGs, and copied into both working directories.
+included. The significance CSV that `ingest --significance` reads, two
+faulty copies of it that ingest rejects, and a small bundle whose ids
+only a quoting CSV writer gets right, are written here, from seeded RNGs,
+and copied into both working directories.
 
 Prints every file, stdout, stderr or exit code whose bytes differ and exits 1
 if any does, 0 if none, and 2 if a tree cannot be extracted or run.
@@ -55,6 +56,7 @@ TASKS = {"f1": ["workflow_prefs"], "f2": ["dataset_prefs"],
          "f3": ["workflow_prefs", "dataset_prefs", "pair_score"],
          "f4": ["workflow_prefs", "dataset_prefs", "pair_score"]}
 SIGNIFICANCE = "sig.csv"
+SIG_DUPLICATE, SIG_MISSING = "sig-duplicate.csv", "sig-missing.csv"
 QUOTED = "quoted/raw"
 # Ids csv quotes: a comma, a quote, line breaks, and text beside them that
 # it leaves bare (spaces, non-ASCII letters).
@@ -78,6 +80,16 @@ def significance_csv(n, m, seed=7):
                 outcome = rng.choice(["k_wins", "l_wins", "tie"])
                 lines.append(f"ds{i:03d},{pair[0]},{pair[1]},{outcome}")
     return "\n".join(lines) + "\n"
+
+
+def faulty_significance(text):
+    """{path: text} of two copies of a significance CSV that ingest
+    rejects: one states a line's pair again the other way round, one
+    leaves that line out."""
+    lines = text.splitlines(keepends=True)
+    ds, k, l, _ = lines[40].rstrip("\n").split(",")
+    return {SIG_DUPLICATE: f"{text}{ds},{l},{k},tie\n",
+            SIG_MISSING: "".join(lines[:40] + lines[41:])}
 
 
 def quoted_tables(d=3, l=2, seed=11):
@@ -184,6 +196,8 @@ def matrix():
         ["train", "--bundle", "missing", "--objective", "f3", "--out", "bad/m.json"],
         ["ingest", *tables, "--preferences", f"{raw}/R.csv",
          "--significance", SIGNIFICANCE, "--out", "bad/b"],
+        ["ingest", *tables, "--significance", SIG_DUPLICATE, "--out", "bad/b"],
+        ["ingest", *tables, "--significance", SIG_MISSING, "--out", "bad/b"],
         ["evaluate", "--bundle", "s12x8/b", "--protocol", "lodo",
          "--strategies", "def,nope", "--out", "bad/e"],
         ["evaluate", "--bundle", "s12x8/b", "--protocol", "lodwo",
@@ -279,8 +293,9 @@ def main(argv=None):
             return 2
         cmds = matrix()
         work = {"base": tmp / "work-base", "head": tmp / "work-head"}
-        inputs = {SIGNIFICANCE: significance_csv(10, 7),   # the ids of s10x7
-                  **quoted_tables()}
+        significance = significance_csv(10, 7)      # the ids of s10x7
+        inputs = {SIGNIFICANCE: significance,
+                  **faulty_significance(significance), **quoted_tables()}
         for name, src in (("base", tmp / "base" / "src"), ("head", REPO / "src")):
             for rel, text in inputs.items():
                 path = work[name] / rel
