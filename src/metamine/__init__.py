@@ -13,8 +13,7 @@ from .metric_learning import (Objective, ObjectiveKind, StopReason,
                               TrainTrace, gradient, objective_value, train)
 from .preference import (OutcomeCube, PairOutcome, SimilarityAxis,
                          SimilarityTarget, build_preference_matrix,
-                         mcnemar_significant, score_dataset, similarity_target,
-                         spearman)
+                         score_dataset, similarity_target, spearman)
 from .recommend import (PreferencePrediction, Strategy, Task,
                         default_strategy, euclidean_strategy,
                         knn_predict_dataset_prefs, knn_predict_workflow_prefs,

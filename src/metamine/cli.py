@@ -374,7 +374,7 @@ def main(argv=None):
         code = _COMMANDS[subcommand](resolved)
         _write_resolved_config(resolved["out"], subcommand, resolved)
         return code
-    except (io.IngestError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # io.IngestError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # anything else is a runtime failure

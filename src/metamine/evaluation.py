@@ -4,6 +4,7 @@ the exact binomial sign test used to compare strategies."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from .data_model import HyperParams, MetaMiningData
 from .metric_learning import train_many
-from .preference import binomial_sign_test, spearman_many, spearman_rows
+from .preference import spearman_many, spearman_rows
 from .recommend import OBJECTIVES, TASKS, Strategy, Task, predict
 
 HIGHER_IS_BETTER = {"rho": True, "t5p": True, "mae": False}
@@ -139,6 +140,18 @@ def top_k_performance(predicted, perf_row, k: int) -> float:
         raise ValueError("k exceeds the number of workflows")
     order = np.argsort(-predicted, kind="stable")
     return float(perf_row[order[:k]].mean())
+
+
+def binomial_sign_test(wins: int, total: int) -> float:
+    """Exact two-sided binomial p under p=0.5: twice the smaller tail,
+    clamped to 1, as one correctly rounded division of integers."""
+    wins, total = operator.index(wins), operator.index(total)  # numpy's too
+    if total <= 0:
+        raise ValueError("total must be positive")
+    if not 0 <= wins <= total:
+        raise ValueError("wins must lie in [0, total]")
+    tail = sum(math.comb(total, k) for k in range(min(wins, total - wins) + 1))
+    return min(1.0, 2 * tail / 2 ** total)
 
 
 def compare_strategies(report: EvaluationReport, strategy, baseline, metric):

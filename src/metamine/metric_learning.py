@@ -366,34 +366,31 @@ def minimize(obj: Objective, u0: np.ndarray, v0: np.ndarray,
     return minimize_many([(obj, u0, v0)], hyper)[0]
 
 
-def _objective_stack(kind: ObjectiveKind, x_std, a_std, rs, fits) -> Objective:
+def _objective_stack(kind: ObjectiveKind, x_std, a_std, rs) -> Objective:
     """The Objective stack of stacked standardized features, with the
     targets the kind requires from the preference matrices rs (S_X and
-    S_A each in one call) and fits (R's scores where one is None)."""
+    S_A each in one call)."""
     fx, fa, fr = _TERMS[kind]
     scores = np.stack([r.scores for r in rs])
-    return Objective(
-        kind, x_std, a_std, s_x=similarity_stack(scores)[0] if fx else None,
-        s_a=similarity_stack(scores.mT)[0] if fa else None,
-        r=np.stack([r.scores if fit is None else np.asarray(fit, dtype=float)
-                    for r, fit in zip(rs, fits)]) if fr else None)
+    return Objective(kind, x_std, a_std,
+                     s_x=similarity_stack(scores)[0] if fx else None,
+                     s_a=similarity_stack(scores.mT)[0] if fa else None,
+                     r=scores if fr else None)
 
 
 def build_objective(kind: ObjectiveKind, x_std: np.ndarray, a_std: np.ndarray,
-                    r: PreferenceMatrix, fit_matrix=None) -> Objective:
+                    r: PreferenceMatrix) -> Objective:
     """Assemble an Objective from standardized features and the preference
-    matrix, with the targets the kind requires: _objective_stack of one.
-    fit_matrix optionally replaces R's scores as the heterogeneous target
-    (e.g. a latent score matrix from the synthetic generator)."""
+    matrix, with the targets the kind requires: _objective_stack of one."""
     return _each(lambda field: field[0], _objective_stack(
-        ObjectiveKind(kind), x_std[None], a_std[None], [r], [fit_matrix]))
+        ObjectiveKind(kind), x_std[None], a_std[None], [r]))
 
 
 def _setup_stacks(problems):
     """The indices of `problems` by kind and shapes of X and A, split so
     that a stack holds one problem or at most _TARGET_CELLS target cells."""
     groups = {}
-    for index, (kind, x, a, *_) in enumerate(problems):
+    for index, (kind, x, a, _) in enumerate(problems):
         groups.setdefault((kind, x.features.shape, a.features.shape), []).append(index)
     for (kind, (n, _), (m, _)), members in groups.items():
         fx, fa, _ = _TERMS[kind]
@@ -403,31 +400,30 @@ def _setup_stacks(problems):
 
 
 def train(kind: ObjectiveKind, x: DescriptorTable, a: DescriptorTable,
-          r: PreferenceMatrix, hyper: HyperParams, fit_matrix=None):
+          r: PreferenceMatrix, hyper: HyperParams):
     """Full training pipeline: standardize, pick t, initialize, descend;
     train_many of one.
 
     Returns (ModelParams, TrainTrace). Deterministic for a fixed hyper
     (including seed). max_iters=0 returns the initialization unchanged.
     """
-    return train_many([(kind, x, a, r, fit_matrix)], hyper)[0]
+    return train_many([(kind, x, a, r)], hyper)[0]
 
 
 def train_many(problems, hyper: HyperParams):
-    """train for each (kind, x, a, r[, fit_matrix]) of `problems`, set up
-    per stack of _setup_stacks (split by t to initialize) and descended as
-    one stack per kind and shapes. Returns the (ModelParams, TrainTrace) of
-    each, in order, each equal to what train gives for it alone."""
-    problems = [(ObjectiveKind(kind), x, a, r, fit[0] if fit else None)
-                for kind, x, a, r, *fit in problems]
+    """train for each (kind, x, a, r) of `problems`, set up per stack of
+    _setup_stacks (split by t to initialize) and descended as one stack per
+    kind and shapes. Returns the (ModelParams, TrainTrace) of each, in
+    order, each equal to what train gives for it alone."""
+    problems = [(ObjectiveKind(kind), x, a, r) for kind, x, a, r in problems]
     order, models, stacks = [], [], []
     for members in _setup_stacks(problems):
-        (kind, *_), xs, as_, rs, fits = zip(*(problems[i] for i in members))
+        (kind, *_), xs, as_, rs = zip(*(problems[i] for i in members))
         x_std, x_records = standardize_stack(np.stack([x.features for x in xs]))
         a_std, a_records = standardize_stack(np.stack([a.features for a in as_]))
         ts = [hyper.t] * len(members) if hyper.t else np.maximum(1, np.minimum(
             np.linalg.matrix_rank(x_std), np.linalg.matrix_rank(a_std))).tolist()
-        obj = _objective_stack(kind, x_std, a_std, rs, fits)
+        obj = _objective_stack(kind, x_std, a_std, rs)
         red = _reduce(obj)
         for t in dict.fromkeys(ts):
             pick = [j for j, tj in enumerate(ts) if tj == t]

@@ -3,8 +3,6 @@ rank-correlation similarity targets the metric objectives fit against."""
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -83,55 +81,23 @@ def points(wins) -> np.ndarray:
     return won + 0.5 * (wins.shape[-1] - 1 - won - lost)
 
 
-def binomial_sign_test(wins: int, total: int) -> float:
-    """Exact two-sided binomial p under p=0.5: twice the smaller tail,
-    clamped to 1, as one correctly rounded division of integers."""
-    wins, total = operator.index(wins), operator.index(total)  # numpy's too
-    if total <= 0:
-        raise ValueError("total must be positive")
-    if not 0 <= wins <= total:
-        raise ValueError("wins must lie in [0, total]")
-    tail = sum(math.comb(total, k) for k in range(min(wins, total - wins) + 1))
-    return min(1.0, 2 * tail / 2 ** total)
-
-
-def mcnemar_wins(correctness, exact=False) -> np.ndarray:
+def mcnemar_wins(correctness) -> np.ndarray:
     """Win matrix of one dataset from paired McNemar comparisons.
 
     correctness: (instances x m) 0/1 matrix. Workflow k beats l when the
     continuity-corrected statistic (|b-c|-1)^2/(b+c) exceeds the
     chi-square(1) critical value at level ALPHA and b > c, where b counts
-    the instances k gets right and l wrong, c the reverse. With
-    exact=True, pairs with 1 to 24 discordant instances use
-    binomial_sign_test instead. A pair with b+c = 0 never wins.
+    the instances k gets right and l wrong, c the reverse. A pair with
+    b+c = 0 never wins.
     """
     c = np.asarray(correctness, dtype=float)
     b = c.T @ (1.0 - c)                  # b[k, l]: k right, l wrong
-    discordant = b + b.T
     with np.errstate(divide="ignore"):
-        statistic = (np.abs(b - b.T) - 1.0) ** 2 / discordant
-    significant = statistic > _CHI2_CRITICAL
-    if exact:
-        for k, l in np.argwhere((discordant > 0) & (discordant < 25)):
-            significant[k, l] = binomial_sign_test(
-                int(b[k, l]), int(discordant[k, l])) < ALPHA
-    return significant & (b > b.T)       # b > c also rules out b+c = 0
+        statistic = (np.abs(b - b.T) - 1.0) ** 2 / (b + b.T)
+    return (statistic > _CHI2_CRITICAL) & (b > b.T)  # b > c rules out b+c = 0
 
 
-def mcnemar_significant(correct_k, correct_l, exact=False) -> PairOutcome:
-    """Paired significance comparison of two workflows' 0/1 correctness
-    vectors: the mcnemar_wins rule on the two columns."""
-    k = np.asarray(correct_k, dtype=float)
-    l = np.asarray(correct_l, dtype=float)
-    if k.shape != l.shape:
-        raise ValueError(f"length mismatch: {k.shape} vs {l.shape}")
-    wins = mcnemar_wins(np.column_stack([k, l]), exact=exact)
-    if wins[0, 1]:
-        return PairOutcome.K_WINS
-    return PairOutcome.L_WINS if wins[1, 0] else PairOutcome.TIE
-
-
-def score_dataset(correctness, exact=False) -> np.ndarray:
+def score_dataset(correctness) -> np.ndarray:
     """Comparison points of every workflow on one dataset.
 
     correctness: (instances x m) 0/1 matrix. Each unordered workflow pair is
@@ -141,7 +107,7 @@ def score_dataset(correctness, exact=False) -> np.ndarray:
     mat = np.asarray(correctness, dtype=float)
     if mat.shape[1] < 2:
         raise ValueError("need at least two workflows to compare")
-    return points(mcnemar_wins(mat, exact=exact))
+    return points(mcnemar_wins(mat))
 
 
 def _preference_matrix(dataset_ids, workflow_ids, rows) -> PreferenceMatrix:
@@ -213,18 +179,13 @@ def spearman_rows(x, y):
 
 
 def spearman_many(rows):
-    """spearman of each pair of rows that spearman_rows gives, in order:
-    the pairs of one length are ranked as one stack, in one call."""
-    by_length = {}
-    for index, pair in enumerate(rows):
-        by_length.setdefault(pair.shape, []).append(index)
-    out = [None] * len(rows)
-    for members in by_length.values():
-        corr, constant = _rank_correlations(np.stack([rows[i] for i in members]))
-        rhos = np.where(constant.any(axis=-1), np.nan, corr[:, 0, 1])
-        for i, rho in zip(members, rhos.tolist()):
-            out[i] = rho
-    return out
+    """spearman of each pair of rows that spearman_rows gives, in order,
+    all the pairs ranked as one stack in one call: the pairs must share
+    one length. [] for no pairs."""
+    if not rows:
+        return []
+    corr, constant = _rank_correlations(np.stack(rows))
+    return np.where(constant.any(axis=-1), np.nan, corr[:, 0, 1]).tolist()
 
 
 def spearman(x, y):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from metamine.cli import main as cli_main
-from metamine.data_model import HyperParams
+from metamine.data_model import HyperParams, PreferenceMatrix
 from metamine.evaluation import (MetaMiningData, binomial_sign_test, run_lodo,
                                  run_lodwo, run_lowo)
 from metamine.metric_learning import (Objective, ObjectiveKind, initialize,
@@ -101,8 +101,8 @@ def test_3_exact_recovery_on_noiseless_synthetic():
     target = centered_scores(result)
     hyper = HyperParams(mu1=0.0, mu2=0.0, t=3, max_iters=20000,
                         rel_tol=1e-16, seed=0)
-    params, trace = train(ObjectiveKind.F3, result.x, result.a,
-                          result.preferences, hyper, fit_matrix=target)
+    r = PreferenceMatrix(result.x.entity_ids, result.a.entity_ids, target)
+    params, trace = train(ObjectiveKind.F3, result.x, result.a, r, hyper)
     ratio = trace.objective_values[-1] / trace.objective_values[0]
     x_std = params.transform_dataset(result.x.features)
     a_std = params.transform_workflow(result.a.features)

@@ -184,8 +184,8 @@ class TestTrain:
         target = centered_scores(result)
         hyper = HyperParams(mu1=0.0, mu2=0.0, t=2, max_iters=20000,
                             rel_tol=1e-16, seed=0)
-        params, trace = train(ObjectiveKind.F3, result.x, result.a,
-                              result.preferences, hyper, fit_matrix=target)
+        r = PreferenceMatrix(result.x.entity_ids, result.a.entity_ids, target)
+        params, trace = train(ObjectiveKind.F3, result.x, result.a, r, hyper)
         assert trace.objective_values[-1] < 1e-6 * np.sum(target ** 2)
 
     def test_max_iters_zero_returns_initialization(self, small_tables):
@@ -245,8 +245,8 @@ class TestTrain:
         target = centered_scores(result)
         hyper = HyperParams(mu1=0.0, mu2=0.0, t=2, max_iters=5,
                             init=InitScheme.SVD_WARM_START, seed=0)
-        params, trace = train(ObjectiveKind.F3, result.x, result.a,
-                              result.preferences, hyper, fit_matrix=target)
+        r = PreferenceMatrix(result.x.entity_ids, result.a.entity_ids, target)
+        params, trace = train(ObjectiveKind.F3, result.x, result.a, r, hyper)
         assert trace.objective_values[0] < 1e-12 * np.sum(target ** 2)
 
     @pytest.mark.parametrize("kind", [ObjectiveKind.F1, ObjectiveKind.F2])
@@ -662,7 +662,7 @@ def table(features, kind):
                            feature_names=[f"c{k}" for k in range(d)], kind=kind)
 
 
-def train_alone(kind, x, a, r, hyper, fit_matrix=None):
+def train_alone(kind, x, a, r, hyper):
     """train written out for one problem from the public per-problem
     functions: the set-up and descent each problem of a train_many stack
     must reproduce bit for bit. Returns (u, v, trace, t, x record,
@@ -670,8 +670,7 @@ def train_alone(kind, x, a, r, hyper, fit_matrix=None):
     (x_std, x_record), (a_std, a_record) = standardize(x), standardize(a)
     t = hyper.t or max(1, min(numeric_rank(x_std.features),
                               numeric_rank(a_std.features)))
-    obj = build_objective(kind, x_std.features, a_std.features, r,
-                          fit_matrix=fit_matrix)
+    obj = build_objective(kind, x_std.features, a_std.features, r)
     return (*minimize(obj, *initialize(obj, t, hyper), hyper), t,
             x_record, a_record)
 
@@ -685,8 +684,8 @@ def same_bits(got, expected):
 def training_problems(draw):
     """Problems over two shape pairs (n - 1 < d included), f1-f4 drawn per
     problem, X and A of drawn ranks with constant columns, R on the
-    half-point grid with constant rows and columns, some with a fit
-    matrix; either init scheme, t fixed or per problem, and a cell bound
+    half-point grid or real-valued (a fit target), with constant rows and
+    columns; either init scheme, t fixed or per problem, and a cell bound
     that may split a set-up stack down to one problem."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     shapes = [tuple(draw(st.integers(lo, hi)) for lo, hi in
@@ -703,18 +702,17 @@ def training_problems(draw):
     for _ in range(draw(st.integers(1, 7))):
         n, m, d, l = shapes[draw(st.integers(0, 1))]
         scores = rng.integers(0, 2 * m - 1, (n, m)) / 2.0
+        if draw(st.booleans()):                                # real-valued
+            scores = rng.standard_normal((n, m))
         if draw(st.booleans()):
             scores[draw(st.integers(0, n - 1))] = 1.0          # a constant row
         if draw(st.booleans()):
             scores[:, draw(st.integers(0, m - 1))] = 0.5       # a constant column
         r = PreferenceMatrix([f"e{i}" for i in range(n)],
                              [f"e{j}" for j in range(m)], scores)
-        problem = (draw(st.sampled_from(ObjectiveKind)),
-                   table(features(n, d), TableKind.DATASET),
-                   table(features(m, l), TableKind.WORKFLOW), r)
-        if draw(st.booleans()):
-            problem += (rng.standard_normal((n, m)),)
-        problems.append(problem)
+        problems.append((draw(st.sampled_from(ObjectiveKind)),
+                         table(features(n, d), TableKind.DATASET),
+                         table(features(m, l), TableKind.WORKFLOW), r))
     hyper = HyperParams(max_iters=draw(st.integers(0, 12)), seed=draw(st.integers(0, 9)),
                         init=draw(st.sampled_from(InitScheme)),
                         t=draw(st.sampled_from((None, None, 1, 3))))
@@ -748,12 +746,11 @@ class TestStackedSetupOracle:
         with mock.patch.object(ml, "_TARGET_CELLS", cells):
             trained = train_many(problems, hyper)
         assert len(trained) == len(problems)
-        for (kind, *rest), got in zip(problems, trained):
-            assert got[0].objective == kind.value       # the order is kept
-            expected = train_alone(kind, *rest[:3], hyper, *rest[3:])
+        for problem, got in zip(problems, trained):
+            assert got[0].objective == problem[0].value     # the order is kept
+            expected = train_alone(*problem, hyper)
             self.assert_same_training(got, expected)
-            self.assert_same_training(train(kind, *rest[:3], hyper, *rest[3:]),
-                                      expected)
+            self.assert_same_training(train(*problem, hyper), expected)
 
     def test_folds_that_pick_different_t(self):
         """t = None: a fold whose X has rank 1 gets t = 1, the others t = 3

@@ -1,6 +1,5 @@
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,9 +10,9 @@ from metamine.data_model import PreferenceMatrix
 from metamine.preference import (OutcomeCube, PairOutcome, SimilarityAxis,
                                  _average_ranks, _rank_correlations,
                                  build_preference_from_significance,
-                                 build_preference_matrix, mcnemar_significant,
-                                 points, score_dataset, similarity_target,
-                                 spearman, spearman_many, spearman_rows)
+                                 build_preference_matrix, mcnemar_wins, points,
+                                 score_dataset, similarity_target, spearman,
+                                 spearman_many, spearman_rows)
 
 
 def pearson(x, y):
@@ -39,34 +38,30 @@ def vectors_with_discordants(b, c, both=5, neither=5):
     return np.array(k), np.array(l)
 
 
+def pair_outcome(k, l):
+    """The McNemar outcome of two workflows' 0/1 correctness vectors:
+    mcnemar_wins on the two columns."""
+    wins = mcnemar_wins(np.column_stack([k, l]))
+    if wins[0, 1]:
+        return PairOutcome.K_WINS
+    return PairOutcome.L_WINS if wins[1, 0] else PairOutcome.TIE
+
+
 class TestMcnemar:
     def test_large_imbalance_significant(self):
         # b=10, c=0: statistic (10-1)^2/10 = 8.1 > 3.841 (chi2_1 at 0.05)
         k, l = vectors_with_discordants(10, 0)
-        assert mcnemar_significant(k, l) is PairOutcome.K_WINS
-        assert mcnemar_significant(l, k) is PairOutcome.L_WINS
+        assert pair_outcome(k, l) is PairOutcome.K_WINS
+        assert pair_outcome(l, k) is PairOutcome.L_WINS
 
     def test_balanced_discordants_tie(self):
         # b=c=5: statistic (0-1)^2/10 = 0.1, not significant
         k, l = vectors_with_discordants(5, 5)
-        assert mcnemar_significant(k, l) is PairOutcome.TIE
+        assert pair_outcome(k, l) is PairOutcome.TIE
 
     def test_identical_vectors_tie(self):
         v = np.array([1, 0, 1, 1, 0])
-        assert mcnemar_significant(v, v) is PairOutcome.TIE
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            mcnemar_significant([1, 0], [1, 0, 1])
-
-    def test_exact_variant_used_below_25_discordants(self):
-        # b=6, c=0: exact two-sided p = 2 * 0.5^6 = 0.03125 < 0.05,
-        # while the corrected chi-square statistic 25/6 > 3.841 as well;
-        # b=5, c=0 separates them: exact p = 0.0625 (tie), chi2 16/5 (tie)
-        k, l = vectors_with_discordants(6, 0)
-        assert mcnemar_significant(k, l, exact=True) is PairOutcome.K_WINS
-        k, l = vectors_with_discordants(5, 0)
-        assert mcnemar_significant(k, l, exact=True) is PairOutcome.TIE
+        assert pair_outcome(v, v) is PairOutcome.TIE
 
     def test_critical_value_is_the_chi2_quantile(self):
         # a literal, so that importing the package does not import
@@ -98,7 +93,7 @@ class TestScoreDataset:
         scores = score_dataset(correct)
         expected = np.zeros(4)
         for k, l in itertools.combinations(range(4), 2):
-            outcome = mcnemar_significant(correct[:, k], correct[:, l])
+            outcome = pair_outcome(correct[:, k], correct[:, l])
             if outcome is PairOutcome.K_WINS:
                 expected[k] += 1
             elif outcome is PairOutcome.L_WINS:
@@ -118,24 +113,17 @@ class TestScoreDataset:
         np.testing.assert_array_equal(permuted, direct[perm])
 
 
-def oracle_scores(correct, exact):
+def oracle_scores(correct):
     """McNemar at alpha = 0.05 one pair at a time, independent of the
     program: continuity-corrected chi-square against the published
-    chi-square(1) critical value, or with exact=True and fewer than 25
-    discordant instances an exact binomial tail in rational arithmetic."""
+    chi-square(1) critical value."""
     m = correct.shape[1]
     scores = [0.0] * m
     for k, l in itertools.combinations(range(m), 2):
         b = sum(1 for u, v in zip(correct[:, k], correct[:, l]) if u == 1 and v == 0)
         c = sum(1 for u, v in zip(correct[:, k], correct[:, l]) if u == 0 and v == 1)
         n = b + c
-        if n == 0:
-            significant = False
-        elif exact and n < 25:
-            tail = Fraction(sum(math.comb(n, i) for i in range(min(b, c) + 1)), 2 ** n)
-            significant = min(Fraction(1), 2 * tail) < Fraction(1, 20)
-        else:
-            significant = (abs(b - c) - 1) ** 2 / n > 3.841458820694124
+        significant = n > 0 and (abs(b - c) - 1) ** 2 / n > 3.841458820694124
         if significant and b > c:
             scores[k] += 1.0
         elif significant and c > b:
@@ -147,8 +135,7 @@ def oracle_scores(correct, exact):
 
 
 class TestMcnemarOracle:
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_score_dataset_matches_per_pair_formula(self, exact):
+    def test_score_dataset_matches_per_pair_formula(self):
         rng = np.random.default_rng(21)
         for _ in range(150):
             instances = int(rng.integers(1, 70))
@@ -157,30 +144,24 @@ class TestMcnemarOracle:
                        < rng.uniform(0.05, 0.95, size=m)).astype(float)
             if rng.random() < 0.3:          # an identical pair: b + c = 0
                 correct[:, -1] = correct[:, 0]
-            assert score_dataset(correct, exact=exact).tolist() \
-                == oracle_scores(correct, exact)
+            assert score_dataset(correct).tolist() == oracle_scores(correct)
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_every_discordant_count_up_to_40(self, exact):
-        # covers b = 4, c = 13, where the exact test and chi-square disagree
+    def test_every_discordant_count_up_to_40(self):
         for b in range(41):
             for c in range(41 - b):
                 k, l = vectors_with_discordants(b, c)
                 correct = np.column_stack([k, l]).astype(float)
-                assert score_dataset(correct, exact=exact).tolist() \
-                    == oracle_scores(correct, exact)
+                assert score_dataset(correct).tolist() == oracle_scores(correct)
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_pair_rule_matches_per_pair_formula(self, exact):
+    def test_pair_rule_matches_per_pair_formula(self):
         rng = np.random.default_rng(22)
         for _ in range(150):
             correct = (rng.random((int(rng.integers(1, 70)), 2))
                        < rng.uniform(0.05, 0.95, size=2)).astype(float)
             expected = {(1.0, 0.0): PairOutcome.K_WINS,
                         (0.0, 1.0): PairOutcome.L_WINS,
-                        (0.5, 0.5): PairOutcome.TIE}[tuple(oracle_scores(correct, exact))]
-            assert mcnemar_significant(correct[:, 0], correct[:, 1],
-                                       exact=exact) is expected
+                        (0.5, 0.5): PairOutcome.TIE}[tuple(oracle_scores(correct))]
+            assert pair_outcome(correct[:, 0], correct[:, 1]) is expected
 
 
 class TestPoints:
@@ -233,7 +214,7 @@ class TestBuildPreferenceMatrix:
         wins = np.zeros((3, 4, 4), dtype=bool)
         for i, mat in enumerate(cube.matrices):
             for k, l in itertools.combinations(range(4), 2):
-                outcome = mcnemar_significant(mat[:, k], mat[:, l])
+                outcome = pair_outcome(mat[:, k], mat[:, l])
                 wins[i, k, l] = outcome is PairOutcome.K_WINS
                 wins[i, l, k] = outcome is PairOutcome.L_WINS
         r1 = build_preference_matrix(cube)
@@ -436,11 +417,14 @@ class TestStackedRanks:
     def test_spearman_many_equals_one_at_a_time(self, stack):
         pairs = [spearman_rows(x, y) for matrix in stack
                  for x, y in zip(matrix, matrix[::-1])]
-        pairs += [spearman_rows(x[1:], y[1:]) for x, y in pairs  # 2 lengths
-                  if x.size > 2]
-        for got, (x, y) in zip(spearman_many(pairs), pairs):
-            want = spearman(x, y)
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        shorter = [spearman_rows(x[1:], y[1:]) for x, y in pairs
+                   if x.size > 2]
+        for group in (pairs, shorter):       # one length per call
+            got = spearman_many(group)
+            assert len(got) == len(group)
+            for rho, (x, y) in zip(got, group):
+                want = spearman(x, y)
+                assert np.float64(rho).tobytes() == np.float64(want).tobytes()
 
     @settings(deadline=None, max_examples=300)
     @given(rank_stacks())

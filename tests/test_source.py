@@ -1,6 +1,8 @@
 """Source checks that need no linter: every module of the package, of
 tests/ and of tools/ uses each name it imports, every private
-module-level name is used somewhere in the package, no module imports
+module-level name is used somewhere in the package, every defaulted
+parameter of a package function is set by some call of the package or
+the benchmark, no module imports
 scipy (at import time or in a function), only data_model._store sets
 the field of a frozen container, the CLI's choices come from their
 enums, every function the benchmark wraps exists, and every command it
@@ -20,6 +22,7 @@ PACKAGE = sorted(Path(metamine.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE
            if p.name != "__init__.py"]   # its imports are re-exports
 REPO = Path(__file__).resolve().parent.parent
+BENCH = REPO / "bench"
 SCRIPTS = sorted([*REPO.glob("tests/*.py"), *REPO.glob("tools/*.py")])
 
 
@@ -88,6 +91,62 @@ def test_check_sees_a_dead_helper():
         "_LIMIT = 3\n_SHARED = 4\nclass _Old:\n    pass\nx = _used()\n",
         "from .a import _SHARED\n",
     ]) == ["_dead", "_LIMIT", "_Old"]
+
+
+def unset_defaults(definitions, callers):
+    """`function.parameter` of each defaulted parameter of a function
+    defined in the `definitions` sources that no call in the `callers`
+    sources passes, by position or by keyword. Calls match by the called
+    name alone, and one that unpacks *args or **kwargs passes them all."""
+    defaults = {}           # (function, parameter) -> position in a call
+    for tree in map(ast.parse, definitions):
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = id(node) in methods and "staticmethod" not in {
+                getattr(d, "id", None) for d in node.decorator_list}
+            for index in range(len(positional) - len(args.defaults), len(positional)):
+                defaults[node.name, positional[index].arg] = index - bound
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    defaults[node.name, arg.arg] = None
+    passed = set()
+    for tree in map(ast.parse, callers):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                passed.update((name, key.arg) for key in node.keywords)
+                passed.update((name, index) for index in range(len(node.args)))
+                if (any(isinstance(arg, ast.Starred) for arg in node.args)
+                        or any(key.arg is None for key in node.keywords)):
+                    passed.add((name, "*"))
+    return [f"{name}.{parameter}" for (name, parameter), index in defaults.items()
+            if not passed & {(name, parameter), (name, index), (name, "*")}]
+
+
+def test_every_defaulted_parameter_is_set():
+    """A default that no call of the package or the benchmark overrides is
+    a setting with one value in use, so it is a constant or dead code;
+    calls from tests do not count."""
+    package = [p.read_text(encoding="utf-8") for p in PACKAGE]
+    bench = [p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))]
+    assert unset_defaults(package, package + bench) == []
+
+
+def test_check_sees_an_unset_default():
+    assert unset_defaults([
+        "def f(a, b=1, *, c=2, d=3):\n    pass\n"
+        "def g(x=0, y=0):\n    pass\n"
+        "class C:\n    def m(self, p=1, q=2):\n        pass\n"
+        "    @staticmethod\n    def s(r=0, z=0):\n        pass\n",
+    ], [
+        "f(1, c=5)\ng(*xs)\nC().m(7)\nC.s(0)\n",
+        "def f(b=0):\n    pass\n",      # a definition is not a call
+    ]) == ["f.b", "f.d", "m.q", "s.z"]
 
 
 def module_level_scipy_imports(source):
@@ -212,8 +271,6 @@ def test_cli_choices_come_from_their_enum(subcommand, dest, enum_name,
     monkeypatch.setattr(cli, enum_name, Enum(enum_name, {"OTHER": "other"}))
     assert flag_choices(cli.build_parser(), subcommand, dest) == ["other"]
 
-
-BENCH = REPO / "bench"
 
 
 def load_bench(name):

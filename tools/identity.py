@@ -13,8 +13,9 @@ faulty copies of it that ingest rejects, and a small bundle whose ids
 only a quoting CSV writer gets right, are written here, from seeded RNGs,
 and copied into both working directories.
 
-Prints every file, stdout, stderr or exit code whose bytes differ and exits 1
-if any does, 0 if none, and 2 if a tree cannot be extracted or run.
+Prints every file, stdout, stderr or exit code whose bytes differ, then the
+line count of each src/metamine module in both trees, and exits 1 if any
+byte differs, 0 if none, and 2 if a tree cannot be extracted or run.
 Standard library only; BLAS is pinned to one thread.
 """
 
@@ -280,6 +281,23 @@ def differences(base, head, cmds):
     return out
 
 
+def module_lines(src):
+    """name -> line count of each module of the package under src, as
+    `wc -l` counts them."""
+    return {p.name: p.read_bytes().count(b"\n")
+            for p in sorted((src / "metamine").glob("*.py"))}
+
+
+def size_table(base, head):
+    """A line per module of either tree, `<name> <base> -> <this tree>`
+    ('-' where a tree lacks it), then the totals."""
+    lines = ["lines of src/metamine (base -> this tree):"]
+    for name in sorted(base.keys() | head.keys()):
+        lines.append(f"  {name} {base.get(name, '-')} -> {head.get(name, '-')}")
+    lines.append(f"  total {sum(base.values())} -> {sum(head.values())}")
+    return "\n".join(lines)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare with")
@@ -310,6 +328,8 @@ def main(argv=None):
         print("\n".join(diff) if diff else "no differing byte")
         print(f"{len(cmds)} commands, {len(files(work['head']))} files "
               f"compared, {len(diff)} differ ({time.perf_counter() - start:.1f} s)")
+        print(size_table(module_lines(tmp / "base" / "src"),
+                         module_lines(REPO / "src")))
         return 1 if diff else 0
     finally:
         if args.keep:
