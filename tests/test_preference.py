@@ -63,6 +63,27 @@ class TestMcnemar:
         v = np.array([1, 0, 1, 1, 0])
         assert pair_outcome(v, v) is PairOutcome.TIE
 
+    def test_few_discordants_follow_the_chi_square_rule(self):
+        # b=6, c=0: 25/6 > 3.841; b=5, c=0: 16/5 < 3.841. b=4, c=13:
+        # 64/17 < 3.841, a tie, though the exact binomial p = 2 * 3214 /
+        # 2^17 ~ 0.049 would call it: no exact variant below 25 discordants
+        for b, c, outcome in ((6, 0, PairOutcome.K_WINS),
+                              (5, 0, PairOutcome.TIE),
+                              (4, 13, PairOutcome.TIE)):
+            k, l = vectors_with_discordants(b, c)
+            assert pair_outcome(k, l) is outcome, (b, c)
+
+    def test_win_matrix_holds_each_pair_one_way_at_most(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            m = int(rng.integers(2, 7))
+            correct = (rng.random((int(rng.integers(1, 60)), m))
+                       < rng.uniform(0.05, 0.95, size=m)).astype(float)
+            wins = mcnemar_wins(correct)
+            assert wins.shape == (m, m) and wins.dtype == bool
+            assert not np.diagonal(wins).any()
+            assert not (wins & wins.T).any()
+
     def test_critical_value_is_the_chi2_quantile(self):
         # a literal, so that importing the package does not import
         # scipy.stats; it must be the quantile exactly
@@ -425,6 +446,15 @@ class TestStackedRanks:
             for rho, (x, y) in zip(got, group):
                 want = spearman(x, y)
                 assert np.float64(rho).tobytes() == np.float64(want).tobytes()
+
+    def test_spearman_many_of_no_pairs_is_empty(self):
+        assert spearman_many([]) == []
+
+    def test_spearman_many_rejects_pairs_of_two_lengths(self):
+        pairs = [spearman_rows([1.0, 2.0, 3.0], [3.0, 1.0, 2.0]),
+                 spearman_rows([1.0, 2.0], [2.0, 1.0])]
+        with pytest.raises(ValueError):
+            spearman_many(pairs)
 
     @settings(deadline=None, max_examples=300)
     @given(rank_stacks())
