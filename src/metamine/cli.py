@@ -25,7 +25,7 @@ from .evaluation import (Protocol, report_table, run_lodo, run_lodwo,
 from .metric_learning import ObjectiveKind, train
 from .preference import (build_preference_from_significance,
                          build_preference_matrix)
-from .recommend import TASKS, Strategy, Task, predict
+from .recommend import TASKS, PreferencePrediction, Strategy, Task, predict
 from .synth import SynthConfig, generate
 
 # Hyperparameter presets mirroring the published experiment settings,
@@ -270,26 +270,23 @@ def cmd_predict(resolved):
     if task is not Task.WORKFLOW_PREFS:
         qa = queries("a", TableKind.WORKFLOW, params.a_feature_names, params.v)
 
-    # One predict call per query entity scores it against its targets: a
-    # query workflow against the training datasets, a query dataset against
+    # One predict call scores every query, a row each, against its targets:
+    # query workflows against the training datasets, query datasets against
     # the training workflows or, for pair scores, the query-workflow table.
     q, targets = (qa, data.x) if qx is None else (qx, data.a if qa is None else qa)
-    scored = []
-    for qid, feats in zip(q.entity_ids, q.features):
-        x_new, a_new = ((None, feats) if qx is None else
-                        (feats, None if qa is None else qa.features))
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            pred = predict(strategy, task, x_new, a_new, data.x, data.a,
-                           data.r, params, n)
-        bad = np.flatnonzero(~np.isfinite(pred.values))
-        if bad.size:
-            raise CliError(f"non-finite score of query {qid!r} for "
-                           f"{targets.entity_ids[bad[0]]!r}: a query "
-                           "descriptor is too large for the model")
-        scored.append((qid, pred))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        pred = predict(strategy, task, qx and qx.features, qa and qa.features,
+                       data.x, data.a, data.r, params, n)
+    bad = np.argwhere(~np.isfinite(pred.values))    # in row order
+    if bad.size:
+        raise CliError(f"non-finite score of query {q.entity_ids[bad[0, 0]]!r} "
+                       f"for {targets.entity_ids[bad[0, 1]]!r}: a query "
+                       "descriptor is too large for the model")
 
     out = Path(resolved["out"])
-    io.write_predictions_csv(out, targets.entity_ids, scored)
+    io.write_predictions_csv(out, targets.entity_ids, [
+        (qid, PreferencePrediction(values, strategy, flags))
+        for qid, values, flags in zip(q.entity_ids, pred.values, pred.flags)])
     print(f"predictions written to {out}")
     return 0
 

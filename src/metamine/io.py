@@ -43,6 +43,7 @@ from __future__ import annotations
 import codecs
 import csv
 import json
+from contextlib import suppress
 from enum import Enum
 from pathlib import Path
 from types import SimpleNamespace
@@ -320,16 +321,14 @@ def write_outcome_dir(directory, cube: OutcomeCube):
 
 def write_predictions_csv(path, target_ids, predictions):
     """predictions: (query id, PreferencePrediction) pairs over target_ids."""
-    targets = _cells(target_ids)
-
-    def block(qid, pred):
-        qid, strategy, flags = _cells([qid, pred.strategy.value,
-                                       ";".join(pred.flags)])
-        scores = map(repr, pred.values.tolist())
-        return "".join(f"{qid},{tid},{score},{strategy},{flags}\r\n"
-                       for tid, score in zip(targets, scores))
-    _write_lines(path, ["query_id", "target_id", "score", "strategy", "flags"],
-                 (block(qid, pred) for qid, pred in predictions))
+    targets, predictions = _cells(target_ids), list(predictions)
+    heads = _cells([text for qid, pred in predictions for text in (
+        qid, pred.strategy.value, ";".join(pred.flags))])
+    _write_lines(path, ["query_id", "target_id", "score", "strategy", "flags"], (
+        "".join(f"{qid},{tid},{score},{strategy},{flags}\r\n"
+                for tid, score in zip(targets, map(repr, pred.values.tolist())))
+        for qid, strategy, flags, (_, pred) in zip(
+            heads[::3], heads[1::3], heads[2::3], predictions)))
 
 
 def read_significance_csv(path):
@@ -458,8 +457,7 @@ def _is_int(value):
 
 
 def _number(key, value):
-    """A finite float from a repr string (as save_model writes) or a JSON
-    number."""
+    """A finite float from a repr string (save_model's) or a JSON number."""
     try:
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise ValueError
@@ -471,10 +469,22 @@ def _number(key, value):
     return number
 
 
+def _numbers(key, rows):
+    """rows, equal-length lists, as one float array: at once if all are
+    strings, as save_model writes (numpy reads a str as float() does), else
+    by _number one by one, which names the first fault in row order."""
+    if all(type(v) is str for row in rows for v in row):
+        with suppress(ValueError):
+            values = np.array(rows, dtype=float)
+            if np.isfinite(values).all():
+                return values
+    return np.array([[_number(key, v) for v in row] for row in rows])
+
+
 def _vector(key, value):
     if not isinstance(value, list):
         raise IngestError(f"{key} is not a list")
-    return np.array([_number(key, v) for v in value])
+    return _numbers(key, [value])[0]
 
 
 def _matrix(key, rows):
@@ -482,7 +492,7 @@ def _matrix(key, rows):
             isinstance(row, list) and len(row) == len(rows[0]) for row in rows)):
         raise IngestError(f"{key} is not a 2-d matrix "
                           "(a non-empty list of equal-length rows)")
-    return np.array([[_number(key, v) for v in row] for row in rows])
+    return _numbers(key, rows)
 
 
 def _record(key, value):

@@ -283,10 +283,10 @@ def _descend(kind, red: ReducedObjective, u, v, hyper):
 
     def stop(mask, reason, n, flat=False):
         """Stop the problems of `mask` after n accepted steps, flat if at a
-        zero gradient, keeping their current U and V (a later step-0 trial
-        may turn a -0.0 of them into 0.0); returns how many are still live."""
+        zero gradient, keeping a copy of their current U and V (a later
+        step-0 trial may turn a -0.0 into 0.0); returns how many are live."""
         for j in np.flatnonzero(mask).tolist():
-            stops[j] = (u[j], v[j], reason, n, flat)
+            stops[j] = (u[j].copy(), v[j].copy(), reason, n, flat)
         live[mask] = False
         return np.count_nonzero(live)
 

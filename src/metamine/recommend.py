@@ -1,11 +1,11 @@
 """Prediction strategies for the three tasks: learned-metric kNN, direct
 bilinear scoring, and the default / Euclidean baselines.
 
-`predict` serves one query with one strategy from raw descriptors; it is
-the one place that decides which predictor a (strategy, task) pair uses.
-The predictors below it expect descriptor vectors already standardized
-with the model's stored records (ModelParams.transform_dataset /
-transform_workflow). All functions are pure and safe to call concurrently.
+`predict` serves one query, or a table of them in one call, with one
+strategy from raw descriptors; it is the one place that decides which
+predictor a (strategy, task) pair uses. Its predictors take descriptors
+standardized with the model's records; a query table's rows get the bits
+of one-query calls (np.matvec / np.vecdot). All are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -63,9 +63,21 @@ _KNN = (Strategy.F1_KNN, Strategy.F2_KNN, Strategy.F4_KNN)
 
 @dataclass(frozen=True)
 class PreferencePrediction:
-    values: np.ndarray    # length m / n vector, or pair scores (0-d for one)
-    strategy: Strategy
-    flags: tuple = ()     # e.g. "nonpositive_similarity_fallback"
+    values: np.ndarray    # m / n scores, or pair scores (0-d for one); a
+    strategy: Strategy    # query table adds a leading axis, one row per query
+    flags: tuple = ()     # e.g. "nonpositive_similarity_fallback"; per query
+
+
+def _flags(fallback):
+    """A query's flags from its kNN fallback bool, or a table's, per row."""
+    if np.ndim(fallback):
+        return tuple(map(_flags, fallback))
+    return ("nonpositive_similarity_fallback",) if fallback else ()
+
+
+def _unflagged(values, strategy, lead):
+    """values of the queries along the axes `lead`, none of them flagged."""
+    return PreferencePrediction(values, strategy, _flags(np.zeros(lead, bool)))
 
 
 def learned_similarity(e1, e2, params: ModelParams,
@@ -82,29 +94,26 @@ def learned_similarity(e1, e2, params: ModelParams,
 
 def _weighted_rows(rows, weights):
     w = np.asarray(weights, dtype=float)
-    return (w[:, None] * rows).sum(axis=0) / w.sum()
+    return (w[..., None] * rows).sum(axis=-2) / w.sum(axis=-1)[..., None]
 
 
 def _knn_by_similarity(sims, n):
-    """Indices of the n largest similarities, ties broken by training
-    index (stable). Raises ValueError for an empty training set."""
-    if len(sims) == 0:
+    """Indices of the n largest similarities along the last axis, ties broken
+    by training index (stable). Raises ValueError for an empty training set."""
+    if np.shape(sims)[-1] == 0:
         raise ValueError("empty training set")
-    order = np.argsort(-np.asarray(sims), kind="stable")
-    return order[: int(n)]
+    return np.argsort(-np.asarray(sims), axis=-1, kind="stable")[..., : int(n)]
 
 
 def _knn_predict(query, train_std, p, pref_rows, n, strategy):
     """kNN over the similarity through p p', p = U (datasets) or V."""
-    sims = (train_std @ p) @ (p.T @ np.asarray(query, dtype=float))
-    picked = _knn_by_similarity(sims, min(n, len(sims)))
-    w = np.maximum(sims[picked], 0.0)
-    flags = ()
-    if w.sum() <= 0.0:
-        w = np.ones(len(picked))
-        flags = ("nonpositive_similarity_fallback",)
+    sims = np.matvec(train_std @ p, np.matvec(p.T, np.asarray(query, dtype=float)))
+    picked = _knn_by_similarity(sims, min(n, sims.shape[-1]))
+    w = np.maximum(np.take_along_axis(sims, picked, -1), 0.0)
+    fallback = w.sum(axis=-1) <= 0.0        # uniform weights instead
+    w = np.where(fallback[..., None], 1.0, w)
     return PreferencePrediction(_weighted_rows(pref_rows[picked], w), strategy,
-                                flags)
+                                _flags(fallback))
 
 
 def knn_predict_workflow_prefs(x_new, train_x_std, r: PreferenceMatrix,
@@ -125,19 +134,18 @@ def knn_predict_dataset_prefs(a_new, train_a_std, r: PreferenceMatrix,
 
 def predict_pair(x_new, a_new, params: ModelParams):
     """Direct heterogeneous score x' U V' a of one dataset against one
-    workflow (0-d) or a table of them, one per row. Each score equals the
-    per-pair (u'x) @ (v'a) to the last bit, which one matrix product of the
-    projections does not on OpenBLAS."""
-    x = np.asarray(x_new, dtype=float)
-    a = np.asarray(a_new, dtype=float)
-    return np.vecdot(np.matvec(params.u.T, x), np.matvec(params.v.T, a))
+    workflow (0-d) or a table of them, one per row; a table of datasets
+    adds a leading axis. Each score equals the per-pair (u'x) @ (v'a) to
+    the last bit, which one product of the projections is not on OpenBLAS."""
+    zx = np.matvec(params.u.T, np.asarray(x_new, dtype=float))
+    za = np.matvec(params.v.T, np.asarray(a_new, dtype=float))
+    return np.vecdot(zx[..., None, :] if za.ndim > 1 else zx, za)
 
 
 def _direct_predict(query, targets_std, p_query, p_target, strategy):
     """Scores targets_std p_target p_query' query, p = U or V."""
-    q = np.asarray(query, dtype=float)
-    return PreferencePrediction(targets_std @ (p_target @ (p_query.T @ q)),
-                                strategy)
+    z = np.matvec(p_target, np.matvec(p_query.T, np.asarray(query, dtype=float)))
+    return _unflagged(np.matvec(targets_std, z), strategy, z.shape[:-1])
 
 
 def predict_workflow_prefs_direct(x_new, a_all_std, params: ModelParams,
@@ -171,41 +179,40 @@ def euclidean_strategy(query, train_std, r: PreferenceMatrix, n: int,
     weights 1/(1+distance). Not applicable to pair scoring."""
     if task is Task.PAIR_SCORE:
         raise ValueError("Euclidean baseline cannot score heterogeneous pairs")
-    q = np.asarray(query, dtype=float)
+    q = np.asarray(query, dtype=float)[..., None, :]
     train = np.asarray(train_std, dtype=float)
-    dists = np.sqrt(((train - q) ** 2).sum(axis=1))
-    picked = _knn_by_similarity(-dists, min(n, len(dists)))
-    w = 1.0 / (1.0 + dists[picked])
+    dists = np.sqrt(((train - q) ** 2).sum(axis=-1))
+    picked = _knn_by_similarity(-dists, min(n, dists.shape[-1]))
+    w = 1.0 / (1.0 + np.take_along_axis(dists, picked, -1))
     rows = r.scores if task is Task.WORKFLOW_PREFS else r.scores.T
-    return PreferencePrediction(_weighted_rows(rows[picked], w),
-                                Strategy.EUCLIDEAN)
+    return _unflagged(_weighted_rows(rows[picked], w), Strategy.EUCLIDEAN, w.shape[:-1])
 
 
 def predict(strategy: Strategy, task: Task, x_new, a_new, x, a,
             r: PreferenceMatrix, params: ModelParams, n: int
             ) -> PreferencePrediction:
-    """Serve one cold-start query with one strategy.
+    """Serve one cold-start query, or a table of them (a row each), with
+    one strategy: a row of scores and a flag tuple per query.
 
-    x_new / a_new are the raw descriptors of the new dataset / workflow
-    (None where the task needs none; a_new of a pair score may be a table
-    of workflows, one per row); x, a (DescriptorTables) and r are the
+    x_new / a_new are the raw descriptors of the new dataset(s) /
+    workflow(s), None where the task needs none; a_new of a pair score
+    holds its target workflows. x, a (DescriptorTables) and r are the
     training entities and their preferences; params is the strategy's
     trained model (None for the baselines); n is the neighbourhood size.
     Raises ValueError for a task outside TASKS[strategy].
     """
     if task not in TASKS[strategy]:
         raise ValueError(f"strategy {strategy.value} cannot serve {task.value}")
+    lead = np.shape(a_new if task is Task.DATASET_PREFS else x_new)[:-1]
     if strategy is Strategy.DEFAULT:
-        if task is Task.DATASET_PREFS:
-            # With m = r.n_workflows, every dataset's points over the m + 1
-            # workflows (the new one included) sum to (m+1)m/2, so each
-            # dataset averages m/2: a constant. The row means of r are
-            # (m(m+1)/2 - truth) / m when r is a fold that dropped the new
-            # workflow's column, so they would leak the held-out truth,
-            # ranked exactly backwards.
-            return PreferencePrediction(
-                np.full(r.n_datasets, r.n_workflows / 2.0), strategy)
-        return default_strategy(task, r)
+        # With m = r.n_workflows, each dataset's points over the m + 1
+        # workflows (the new one too) sum to (m+1)m/2: it averages m/2. The
+        # row means of a fold's r are (m(m+1)/2 - truth) / m, so they would
+        # leak the held-out truth, ranked exactly backwards.
+        values = (default_strategy(task, r).values if task is not Task.DATASET_PREFS
+                  else np.full(r.n_datasets, r.n_workflows / 2.0))
+        return _unflagged(np.array(np.broadcast_to(values, lead + values.shape)),
+                          strategy, lead)
     if strategy is Strategy.EUCLIDEAN:
         table, query = (x, x_new) if task is Task.WORKFLOW_PREFS else (a, a_new)
         train_std, record = standardize(table)
@@ -214,7 +221,7 @@ def predict(strategy: Strategy, task: Task, x_new, a_new, x, a,
     qx = None if x_new is None else params.transform_dataset(x_new)
     qa = None if a_new is None else params.transform_workflow(a_new)
     if task is Task.PAIR_SCORE:
-        return PreferencePrediction(predict_pair(qx, qa, params), strategy)
+        return _unflagged(predict_pair(qx, qa, params), strategy, lead)
     if strategy in _KNN and task is Task.WORKFLOW_PREFS:
         return knn_predict_workflow_prefs(qx, params.transform_dataset(x.features),
                                           r, params, n, strategy=strategy)

@@ -6,13 +6,17 @@ import subprocess
 import sys
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 import metamine
 from metamine.cli import build_parser, main
-from metamine.data_model import HyperParams, InitScheme, TableKind
-from metamine.io import load_model, read_descriptor_csv, read_outcome_dir
+from metamine.data_model import (HyperParams, InitScheme, ModelParams,
+                                 StandardizationRecord, TableKind)
+from metamine.io import (load_model, read_bundle, read_descriptor_csv,
+                         read_outcome_dir, save_model)
 from metamine.preference import PairOutcome, mcnemar_wins
+from metamine.recommend import Strategy, Task, predict
 from metamine.synth import SynthConfig
 
 
@@ -858,6 +862,62 @@ class TestPredict:
                     "--a", str(bundle / "A.csv"), "--out", str(out)]) == 1
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("task", ["workflow_prefs", "dataset_prefs",
+                                      "pair_score"])
+    def test_first_overflowing_query_is_named(self, bundle, tmp_path, capsys,
+                                              task):
+        # the 2nd and 3rd of four queries overflow: the error names the 2nd,
+        # with the first target that scoring it alone finds non-finite
+        model = self.train_model(bundle, tmp_path)
+        name, kind = (("A.csv", TableKind.WORKFLOW) if task == "dataset_prefs"
+                      else ("X.csv", TableKind.DATASET))
+        header, *rows = (bundle / name).read_text().splitlines()[:5]
+        for k, cell in ((1, "1.7e308"), (2, "-1.7e308")):
+            rows[k] = ",".join([rows[k].split(",")[0]] + [cell] * header.count(","))
+        queries = tmp_path / "huge.csv"
+        queries.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        assert run(["predict", "--model", str(model), "--bundle", str(bundle),
+                    "--task", task, f"--{name[0].lower()}", str(queries),
+                    *(["--a", str(bundle / "A.csv")] if task == "pair_score" else []),
+                    "--out", str(out)]) == 1
+        params, data = load_model(model), read_bundle(bundle)
+        second = read_descriptor_csv(queries, kind).features[1]
+        x_new, a_new = ((None, second) if task == "dataset_prefs" else
+                        (second, data.a.features if task == "pair_score" else None))
+        with np.errstate(all="ignore"):
+            alone = predict(Strategy.F4_DIRECT, Task(task), x_new, a_new,
+                            data.x, data.a, data.r, params, 5).values
+        targets = data.x if task == "dataset_prefs" else data.a
+        first = targets.entity_ids[np.flatnonzero(~np.isfinite(alone))[0]]
+        qid = rows[1].split(",")[0]
+        assert capsys.readouterr().err == (
+            f"error: non-finite score of query {qid!r} for {first!r}: a query "
+            "descriptor is too large for the model\n")
+        assert not out.exists()
+
+    def test_overflow_named_in_row_order(self, bundle, tmp_path, capsys):
+        # U = V = [[1]], so a pair score is x * a: q1 overflows at w1 only,
+        # q2 at both, and the error names (q1, w1), the first in row order
+        one = StandardizationRecord(mean=[0.0], scale=[1.0], constant_columns=())
+        model = tmp_path / "m.json"
+        save_model(model, ModelParams(u=[[1.0]], v=[[1.0]], t=1,
+                                      hyper=HyperParams(t=1), objective="f3",
+                                      x_standardization=one,
+                                      a_standardization=one))
+        (tmp_path / "qx.csv").write_text(
+            "id,f\nq0,1.0\nq1,1e308\nq2,1.5e308\nq3,0.5\n")
+        (tmp_path / "qa.csv").write_text("id,g\nw0,1.5\nw1,3.0\n")
+        capsys.readouterr()
+        assert run(["predict", "--model", str(model), "--bundle", str(bundle),
+                    "--task", "pair_score", "--x", str(tmp_path / "qx.csv"),
+                    "--a", str(tmp_path / "qa.csv"),
+                    "--out", str(tmp_path / "p.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: non-finite score of query 'q1' for 'w1': a query "
+            "descriptor is too large for the model\n")
 
 
 def _edit_cell(path, row, column, cell):

@@ -2,6 +2,7 @@ import codecs
 import csv
 import itertools
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -351,6 +352,41 @@ class TestModelPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(IngestError, match=message):
             load_model(path)
+
+    @pytest.mark.parametrize("first, second, message", [
+        ("nan", "abc", "u holds a non-finite value 'nan'"),
+        ("abc", "nan", "u holds 'abc', not a number"),
+        (True, "0.25", "u holds True, not a number"),
+        ("0.25", False, "u holds False, not a number"),
+        ("1e400", None, "u holds a non-finite value '1e400'"),
+        (None, "-inf", "u holds None, not a number"),
+        ([0.5], "abc", r"u holds \[0.5\], not a number"),
+    ])
+    def test_first_fault_in_row_order_named(self, tmp_path, first, second,
+                                            message):
+        # u is read in one pass; a fault is named as the value-by-value
+        # reading names it, the first in row order
+        params, _ = self.make_model(seed=9)
+        path = tmp_path / "model.json"
+        save_model(path, params)
+        doc = json.loads(path.read_text())
+        doc["u"][1][1], doc["u"][3][0] = first, second
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IngestError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_model(path)
+
+    def test_json_numbers_read_as_their_values(self, tmp_path):
+        # a hand-written model may hold JSON numbers beside repr strings
+        params, _ = self.make_model(seed=9)
+        path = tmp_path / "model.json"
+        save_model(path, params)
+        doc = json.loads(path.read_text())
+        doc["u"][2] = [float(text) for text in doc["u"][2]]
+        doc["x_standardization"]["mean"][0] = 0
+        path.write_text(json.dumps(doc))
+        back = load_model(path)
+        np.testing.assert_array_equal(back.u, params.u, strict=True)
+        assert back.x_standardization.mean[0] == 0.0
 
 
 # Any text a UTF-8 CSV can hold: no surrogates, no NUL.

@@ -492,6 +492,16 @@ class TestStackedDescentOracle:
                 assert_same_descent(got, expected)
                 assert_same_descent(minimize(*problem, hyper), expected)
 
+    @settings(deadline=None, max_examples=60)
+    @given(stacks())
+    def test_results_own_their_data(self, case):
+        # a view of a problem's U or V would pin the whole stack array of
+        # the iteration the problem stopped in, for as long as it is held
+        problems, hyper, backtracks = case
+        with mock.patch.object(ml, "MAX_BACKTRACKS", backtracks):
+            for u, v, _ in minimize_many(problems, hyper):
+                assert u.base is None and v.base is None
+
     @staticmethod
     def stack_of_four(kind, seed):
         rng = np.random.default_rng(seed)

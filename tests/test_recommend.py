@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metamine.data_model import (HyperParams, ModelParams, PreferenceMatrix,
-                                 StandardizationRecord)
+                                 StandardizationRecord, standardize)
 from metamine.preference import SimilarityAxis, spearman
 from metamine.recommend import (TASKS, Strategy, Task, default_strategy,
                                 euclidean_strategy, knn_predict_dataset_prefs,
@@ -291,3 +293,51 @@ class TestEuclideanEmptyTraining:
         with pytest.raises(ValueError, match="empty training set"):
             euclidean_strategy(np.zeros(4), np.zeros((0, 4)), r, n=2,
                                task=Task.WORKFLOW_PREFS)
+
+
+class TestQueryTable:
+    """predict on a k-row query table is, row for row, the bits and flags
+    of k one-query calls, for every (strategy, task) of TASKS."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5),
+           at_mean=st.integers(0, 4), n=st.integers(1, 7),
+           t=st.integers(1, 40), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_table_equals_one_call_per_query(self, seed, k, at_mean, n, t,
+                                             scale):
+        rng = np.random.default_rng(seed)
+        x, a, _ = make_tables(n=int(rng.integers(2, 9)), m=int(rng.integers(2, 8)),
+                              d=int(rng.integers(1, 41)), l=int(rng.integers(1, 41)),
+                              seed=seed % 1000)
+        params = ModelParams(u=rng.standard_normal((x.n_features, t)),
+                             v=rng.standard_normal((a.n_features, t)), t=t,
+                             hyper=HyperParams(),
+                             x_standardization=standardize(x)[1],
+                             a_standardization=standardize(a)[1],
+                             objective="f4")
+        r = make_r(rng.integers(0, 7, (x.n_entities, a.n_entities)) / 2.0)
+        # one query of each table sits at the training column means, where
+        # every learned similarity is 0 and kNN falls back to uniform weights
+        qx = scale * rng.standard_normal((k, x.n_features))
+        qa = scale * rng.standard_normal((k + 1, a.n_features))
+        qx[at_mean % k] = params.x_standardization.mean
+        qa[at_mean % k] = params.a_standardization.mean
+        for strategy, tasks in TASKS.items():
+            for task in tasks:
+                if task is Task.DATASET_PREFS:
+                    table = predict(strategy, task, None, qa, x, a, r, params, n)
+                    one = [predict(strategy, task, None, q, x, a, r, params, n)
+                           for q in qa]
+                else:
+                    pair = qa if task is Task.PAIR_SCORE else None
+                    table = predict(strategy, task, qx, pair, x, a, r, params, n)
+                    one = [predict(strategy, task, q, pair, x, a, r, params, n)
+                           for q in qx]
+                want = np.stack([p.values for p in one])
+                assert table.values.shape == want.shape, (strategy, task)
+                assert table.values.tobytes() == want.tobytes(), (strategy, task)
+                assert table.flags == tuple(p.flags for p in one), (strategy, task)
+                if strategy in (Strategy.F1_KNN, Strategy.F2_KNN,
+                                Strategy.F4_KNN):
+                    assert one[at_mean % k].flags == (
+                        "nonpositive_similarity_fallback",), (strategy, task)

@@ -11,7 +11,10 @@ code are stored as files next to the files it writes, failing commands
 included. The significance CSV that `ingest --significance` reads, two
 faulty copies of it that ingest rejects, and a small bundle whose ids
 only a quoting CSV writer gets right, are written here, from seeded RNGs,
-and copied into both working directories.
+and copied into both working directories, with a query table whose 2nd and
+3rd rows overflow a model's scores. A MEAN_QUERY step of the matrix is
+no CLI command: it writes a copy of a query table with one more row, at
+a model's x_standardization.mean, where every learned similarity is 0.
 
 Prints every file, stdout, stderr or exit code whose bytes differ, then the
 line count of each src/metamine module in both trees, and exits 1 if any
@@ -63,6 +66,13 @@ QUOTED = "quoted/raw"
 # it leaves bare (spaces, non-ASCII letters).
 QUOTED_DATASETS = ("ds,0", 'ds"1', "ds\n2", "ds\r\n3", " ds 4 ", "dé5")
 QUOTED_WORKFLOWS = ("wf,a", 'wf"b"', "wf\nc", "wfd")
+# queries over s12x8's dataset features, the 2nd and 3rd near +-the
+# largest float (the recipe of TestPredict::test_overflowing_query_exits_one)
+HUGE = "huge-queries.csv"
+HUGE_TEXT = "".join(f"{q}\r\n" for q in (
+    "id,feat000,feat001,feat002,feat003,feat004", "q0,0.5,-1.0,0.25,2.0,-0.75",
+    "q1" + ",1.7e308" * 5, "q2" + ",-1.7e308" * 5, "q3,1.0,1.0,-1.0,0.0,0.5"))
+MEAN_QUERY = "@mean-query"     # model, query table, out
 
 
 def significance_csv(n, m, seed=7):
@@ -172,6 +182,17 @@ def matrix():
                  "--bundle", "s12x8/b", "--task", "workflow_prefs",
                  "--neighbors", "2", "--x", "queries/X.csv",
                  "--out", "s12x8/pred-f4-n2.csv"])
+    # an f1 kNN query at the training means (flagged), f2 with one
+    # neighbour, and an f3 query table whose 2nd and 3rd queries overflow
+    cmds.append([MEAN_QUERY, "s12x8/f1-seeded_gaussian.json", "queries/X.csv",
+                 "queries/X-mean.csv"])
+    cmds.append(["predict", "--model", "s12x8/f1-seeded_gaussian.json",
+                 "--bundle", "s12x8/b", "--task", "workflow_prefs",
+                 "--x", "queries/X-mean.csv", "--out", "s12x8/pred-f1-mean.csv"])
+    cmds.append(["predict", "--model", "s12x8/f2-seeded_gaussian.json",
+                 "--bundle", "s12x8/b", "--task", "dataset_prefs",
+                 "--neighbors", "1", "--a", "queries/A.csv",
+                 "--out", "s12x8/pred-f2-n1.csv"])
     # ids that need quoting, from ingest to both tasks of an f3 model
     cmds.append(["ingest", "--x", f"{QUOTED}/X.csv", "--a", f"{QUOTED}/A.csv",
                  "--performance", f"{QUOTED}/performance.csv",
@@ -209,11 +230,15 @@ def matrix():
         ["predict", "--model", "s12x8/f3-seeded_gaussian.json",
          "--bundle", "s8x6/b", "--task", "dataset_prefs",
          "--a", "queries/A.csv", "--out", "s8x6/p.csv"],
+        ["predict", "--model", "s12x8/f3-seeded_gaussian.json",
+         "--bundle", "s12x8/b", "--task", "workflow_prefs",
+         "--x", HUGE, "--out", "bad/huge.csv"],
     ]
     return cmds
 
 
-# Runs in each tree's subprocess: argv list on stdin, outputs under cwd.
+# Runs in each tree's subprocess: argv list on stdin, outputs under cwd;
+# sys.argv holds the tree's src and the name of the MEAN_QUERY step.
 RUNNER = r"""
 import contextlib, io, json, sys
 from pathlib import Path
@@ -224,6 +249,12 @@ if Path(metamine.__file__).resolve().parents[1] != Path(sys.argv[1]).resolve():
 streams = Path("_streams")
 streams.mkdir()
 for k, argv in enumerate(json.load(sys.stdin)):
+    if argv[0] == sys.argv[2]:         # MEAN_QUERY
+        model, table, dest = argv[1:]
+        mean = json.loads(Path(model).read_text())["x_standardization"]["mean"]
+        Path(dest).write_bytes(Path(table).read_bytes()
+                               + ",".join(["mean", *mean]).encode() + b"\r\n")
+        continue
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -256,8 +287,8 @@ def run_tree(src, work, cmds):
     work; returns the subprocess's CompletedProcess."""
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    return subprocess.run([sys.executable, "-c", RUNNER, str(src)], cwd=work,
-                          env=env, input=json.dumps(cmds), text=True,
+    return subprocess.run([sys.executable, "-c", RUNNER, str(src), MEAN_QUERY],
+                          cwd=work, env=env, input=json.dumps(cmds), text=True,
                           capture_output=True)
 
 
@@ -312,7 +343,7 @@ def main(argv=None):
         cmds = matrix()
         work = {"base": tmp / "work-base", "head": tmp / "work-head"}
         significance = significance_csv(10, 7)      # the ids of s10x7
-        inputs = {SIGNIFICANCE: significance,
+        inputs = {SIGNIFICANCE: significance, HUGE: HUGE_TEXT,
                   **faulty_significance(significance), **quoted_tables()}
         for name, src in (("base", tmp / "base" / "src"), ("head", REPO / "src")):
             for rel, text in inputs.items():
