@@ -19,13 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .data_model import HyperParams, MetaMiningData, TableKind
+from .data_model import HyperParams, MetaMiningData
 from .evaluation import (Protocol, report_table, run_lodo, run_lodwo,
                          run_lowo)
 from .metric_learning import ObjectiveKind, train
 from .preference import (build_preference_from_significance,
                          build_preference_matrix)
-from .recommend import TASKS, PreferencePrediction, Strategy, Task, predict
+from .recommend import TASKS, Strategy, Task, predict
 from .synth import SynthConfig, generate
 
 # Hyperparameter presets mirroring the published experiment settings,
@@ -160,8 +160,8 @@ def cmd_ingest(resolved):
     if len(sources) != 1:
         raise CliError("exactly one of --preferences, --outcomes-dir, "
                        "--significance is required")
-    x = io.read_descriptor_csv(resolved["x"], TableKind.DATASET)
-    a = io.read_descriptor_csv(resolved["a"], TableKind.WORKFLOW)
+    x = io.read_descriptor_csv(resolved["x"])
+    a = io.read_descriptor_csv(resolved["a"])
     perf = io.read_performance_csv(resolved["performance"])
     if resolved["preferences"]:
         r = io.read_preference_csv(resolved["preferences"])
@@ -259,16 +259,16 @@ def cmd_predict(resolved):
             raise CliError(f"{bundle}: {name} has {table.n_features} "
                            f"features but the model has {len(weights)}")
 
-    def queries(flag, kind, names, weights):
+    def queries(flag, names, weights):
         if not resolved[flag]:
             raise CliError(f"task {task.value} needs --{flag}")
-        return io.read_queries(resolved[flag], kind, names, len(weights))
+        return io.read_queries(resolved[flag], flag.upper(), names, len(weights))
 
     qx = qa = None
     if task is not Task.DATASET_PREFS:
-        qx = queries("x", TableKind.DATASET, params.x_feature_names, params.u)
+        qx = queries("x", params.x_feature_names, params.u)
     if task is not Task.WORKFLOW_PREFS:
-        qa = queries("a", TableKind.WORKFLOW, params.a_feature_names, params.v)
+        qa = queries("a", params.a_feature_names, params.v)
 
     # One predict call scores every query, a row each, against its targets:
     # query workflows against the training datasets, query datasets against
@@ -284,9 +284,7 @@ def cmd_predict(resolved):
                        "descriptor is too large for the model")
 
     out = Path(resolved["out"])
-    io.write_predictions_csv(out, targets.entity_ids, [
-        (qid, PreferencePrediction(values, strategy, flags))
-        for qid, values, flags in zip(q.entity_ids, pred.values, pred.flags)])
+    io.write_predictions_csv(out, q.entity_ids, targets.entity_ids, strategy, pred)
     print(f"predictions written to {out}")
     return 0
 

@@ -11,11 +11,6 @@ from typing import Optional
 import numpy as np
 
 
-class TableKind(str, Enum):
-    DATASET = "dataset"
-    WORKFLOW = "workflow"
-
-
 class InitScheme(str, Enum):
     SEEDED_GAUSSIAN = "seeded_gaussian"
     SVD_WARM_START = "svd_warm_start"
@@ -45,7 +40,6 @@ class DescriptorTable:
     entity_ids: tuple
     features: np.ndarray
     feature_names: tuple
-    kind: TableKind
 
     def __post_init__(self):
         _store(self, entity_ids=tuple, feature_names=tuple, features=_as_readonly)
@@ -356,12 +350,12 @@ def validate_tables(x: DescriptorTable, a: DescriptorTable,
     return report
 
 
-def validate_queries(table: DescriptorTable, feature_names,
+def validate_queries(where, table: DescriptorTable, feature_names,
                      n_features) -> ValidationReport:
-    """Check a table of query entities by the bundle's rules for ids and
-    values, and its features against a model's: their names where the
-    model stores them, else their count, n_features (the rows of U or V)."""
-    where = "X" if table.kind is TableKind.DATASET else "A"
+    """Check a table of query entities, labelled where ("X" or "A"), by
+    the bundle's rules for ids and values, and its features against a
+    model's: their names where the model stores them, else their count,
+    n_features (the rows of U or V)."""
     report = ValidationReport()
     if feature_names is not None:
         if table.feature_names != tuple(feature_names):

@@ -282,8 +282,9 @@ def _run(protocol, data, strategies, hyper, held):
 def run_lodo(data: MetaMiningData, strategies, hyper: HyperParams) -> EvaluationReport:
     """Leave one dataset out; every learning strategy is retrained on the
     remaining datasets (standardization refit per fold)."""
-    if data.x.n_entities < 3:
-        raise ValueError("leave-one-dataset-out needs at least 3 datasets")
+    if data.x.n_entities < 3 or data.a.n_entities < 2:
+        raise ValueError("leave-one-dataset-out needs at least 3 datasets "
+                         "and 2 workflows")
     if data.performance is None:
         raise ValueError("leave-one-dataset-out scores the top-5 performance "
                          "and needs the performance matrix P")
@@ -294,8 +295,9 @@ def run_lodo(data: MetaMiningData, strategies, hyper: HyperParams) -> Evaluation
 def run_lowo(data: MetaMiningData, strategies, hyper: HyperParams) -> EvaluationReport:
     """Leave one workflow out (dataset-preference task). The default
     strategy's prediction is constant, so its rank correlation is NA."""
-    if data.a.n_entities < 3:
-        raise ValueError("leave-one-workflow-out needs at least 3 workflows")
+    if data.a.n_entities < 3 or data.x.n_entities < 2:
+        raise ValueError("leave-one-workflow-out needs at least 3 workflows "
+                         "and 2 datasets")
     report = _run(Protocol.LOWO, data, strategies, hyper,
                   [(None, j) for j in range(data.a.n_entities)])
     if Strategy.DEFAULT in report.strategies:

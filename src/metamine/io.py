@@ -52,7 +52,7 @@ import numpy as np
 
 from .data_model import (DescriptorTable, HyperParams, MetaMiningData,
                          ModelParams, PerformanceMatrix, PreferenceMatrix,
-                         StandardizationRecord, TableKind, validate_queries,
+                         StandardizationRecord, validate_queries,
                          validate_tables)
 from .metric_learning import ObjectiveKind
 from .preference import OutcomeCube, PairOutcome
@@ -169,20 +169,19 @@ def _write_wide(path, id_header, columns, ids, values):
                   for eid, row in zip(_cells(ids), _reprs(values))))
 
 
-def read_descriptor_csv(path, kind: TableKind) -> DescriptorTable:
+def read_descriptor_csv(path) -> DescriptorTable:
     feature_names, ids, features = _read_wide(
         path, "header must name an id column and at least one feature")
     return DescriptorTable(entity_ids=ids, features=features,
-                           feature_names=feature_names, kind=kind)
+                           feature_names=feature_names)
 
 
-def read_queries(path, kind: TableKind, feature_names,
-                 n_features) -> DescriptorTable:
-    """Read a table of query entities and check it by validate_queries:
-    the bundle's rules for ids and values, and a model's features (their
-    names, or their count where the model stores no names)."""
-    table = read_descriptor_csv(path, kind)
-    report = validate_queries(table, feature_names, n_features)
+def read_queries(path, where, feature_names, n_features) -> DescriptorTable:
+    """Read a table of query entities and check it by validate_queries under
+    the label where ("X" or "A"): the bundle's rules for ids and values, and
+    a model's features (their names, or their count where it stores none)."""
+    table = read_descriptor_csv(path)
+    report = validate_queries(where, table, feature_names, n_features)
     if not report.passed:
         raise IngestError(f"{path}: query table fails validation:\n{report}")
     return table
@@ -319,16 +318,17 @@ def write_outcome_dir(directory, cube: OutcomeCube):
                      [rows.tobytes().decode("ascii")])
 
 
-def write_predictions_csv(path, target_ids, predictions):
-    """predictions: (query id, PreferencePrediction) pairs over target_ids."""
-    targets, predictions = _cells(target_ids), list(predictions)
-    heads = _cells([text for qid, pred in predictions for text in (
-        qid, pred.strategy.value, ";".join(pred.flags))])
+def write_predictions_csv(path, query_ids, target_ids, strategy, prediction):
+    """A query table's PreferencePrediction, made by strategy: a line per
+    query and target, values[q, t] scoring query_ids[q] for target_ids[t]."""
+    targets = _cells(target_ids)
+    heads = _cells([text for qid, flags in zip(query_ids, prediction.flags)
+                    for text in (qid, ";".join(flags))])
     _write_lines(path, ["query_id", "target_id", "score", "strategy", "flags"], (
-        "".join(f"{qid},{tid},{score},{strategy},{flags}\r\n"
-                for tid, score in zip(targets, map(repr, pred.values.tolist())))
-        for qid, strategy, flags, (_, pred) in zip(
-            heads[::3], heads[1::3], heads[2::3], predictions)))
+        "".join(f"{qid},{tid},{score},{strategy.value},{flags}\r\n"
+                for tid, score in zip(targets, row))
+        for qid, flags, row in zip(heads[::2], heads[1::2],
+                                   _reprs(prediction.values))))
 
 
 def read_significance_csv(path):
@@ -387,8 +387,8 @@ def read_bundle(directory, performance=False) -> MetaMiningData:
     if not (directory / "manifest.json").exists():
         raise IngestError(f"{directory}: not a bundle (missing manifest.json)")
     return check_bundle(MetaMiningData(
-        x=read_descriptor_csv(directory / "X.csv", TableKind.DATASET),
-        a=read_descriptor_csv(directory / "A.csv", TableKind.WORKFLOW),
+        x=read_descriptor_csv(directory / "X.csv"),
+        a=read_descriptor_csv(directory / "A.csv"),
         performance=(read_performance_csv(directory / "performance.csv")
                      if performance else None),
         r=read_preference_csv(directory / "R.csv")), directory)
@@ -464,6 +464,8 @@ def _number(key, value):
         number = float(value)
     except ValueError:
         raise IngestError(f"{key} holds {value!r}, not a number") from None
+    except OverflowError:   # a JSON integer beyond the largest float
+        raise IngestError(f"{key} holds an integer too large for a float") from None
     if not np.isfinite(number):
         raise IngestError(f"{key} holds a non-finite value {value!r}")
     return number
@@ -527,6 +529,8 @@ def _hyper(key, value):
             ok = isinstance(given, str)     # HyperParams checks the value
         elif isinstance(default, float):
             ok = _is_int(given) or (isinstance(given, float) and np.isfinite(given))
+            if _is_int(given):
+                _number(f"{key}.{name}", given)     # it must fit in a float
         else:  # the int fields; t alone defaults to None
             ok = _is_int(given) or (default is None and given is None)
         if not ok:

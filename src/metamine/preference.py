@@ -23,11 +23,6 @@ class PairOutcome(str, Enum):
     TIE = "tie"
 
 
-class SimilarityAxis(str, Enum):
-    DATASETS = "datasets"
-    WORKFLOWS = "workflows"
-
-
 @dataclass(frozen=True)
 class OutcomeCube:
     """Per-dataset matrices of per-instance correctness indicators.
@@ -207,8 +202,8 @@ def similarity_stack(scores):
     return corr, constant
 
 
-def similarity_target(r: PreferenceMatrix, axis: SimilarityAxis) -> SimilarityTarget:
-    """similarity_stack of R's rows (datasets) or columns (workflows)."""
-    corr, constant = similarity_stack(r.scores if axis is SimilarityAxis.DATASETS
-                                      else r.scores.T)
+def similarity_target(scores) -> SimilarityTarget:
+    """similarity_stack of the rows of one score matrix: R's (datasets) or
+    R's transpose (workflows)."""
+    corr, constant = similarity_stack(scores)
     return SimilarityTarget(corr, tuple(np.flatnonzero(constant).tolist()))

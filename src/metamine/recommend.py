@@ -6,7 +6,8 @@ strategy from raw descriptors; it is the one place that decides which
 predictor a (strategy, task) pair uses. Its predictors take descriptors
 standardized with the model's records; a query table's rows get the bits
 of one-query calls (np.matvec / np.vecdot). All are pure and thread-safe.
-"""
+A PreferencePrediction holds scores and flags; strategy and task are the
+caller's."""
 
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from enum import Enum
 import numpy as np
 
 from .data_model import ModelParams, PreferenceMatrix, standardize
-from .preference import SimilarityAxis
 
 
 class Task(str, Enum):
@@ -64,7 +64,7 @@ _KNN = (Strategy.F1_KNN, Strategy.F2_KNN, Strategy.F4_KNN)
 @dataclass(frozen=True)
 class PreferencePrediction:
     values: np.ndarray    # m / n scores, or pair scores (0-d for one); a
-    strategy: Strategy    # query table adds a leading axis, one row per query
+    #                       query table adds a leading axis, one row per query
     flags: tuple = ()     # e.g. "nonpositive_similarity_fallback"; per query
 
 
@@ -75,18 +75,16 @@ def _flags(fallback):
     return ("nonpositive_similarity_fallback",) if fallback else ()
 
 
-def _unflagged(values, strategy, lead):
+def _unflagged(values, lead):
     """values of the queries along the axes `lead`, none of them flagged."""
-    return PreferencePrediction(values, strategy, _flags(np.zeros(lead, bool)))
+    return PreferencePrediction(values, _flags(np.zeros(lead, bool)))
 
 
-def learned_similarity(e1, e2, params: ModelParams,
-                       axis: SimilarityAxis) -> float:
-    """Bilinear similarity through U U' (datasets) or V V' (workflows).
+def learned_similarity(e1, e2, p) -> float:
+    """Bilinear similarity through p p', p = U (datasets) or V (workflows).
 
     Symmetric in its arguments and nonnegative for e1 == e2.
     """
-    p = params.u if axis is SimilarityAxis.DATASETS else params.v
     z1 = p.T @ np.asarray(e1, dtype=float)
     z2 = p.T @ np.asarray(e2, dtype=float)
     return float(z1 @ z2)
@@ -105,31 +103,29 @@ def _knn_by_similarity(sims, n):
     return np.argsort(-np.asarray(sims), axis=-1, kind="stable")[..., : int(n)]
 
 
-def _knn_predict(query, train_std, p, pref_rows, n, strategy):
+def _knn_predict(query, train_std, p, pref_rows, n):
     """kNN over the similarity through p p', p = U (datasets) or V."""
     sims = np.matvec(train_std @ p, np.matvec(p.T, np.asarray(query, dtype=float)))
     picked = _knn_by_similarity(sims, min(n, sims.shape[-1]))
     w = np.maximum(np.take_along_axis(sims, picked, -1), 0.0)
     fallback = w.sum(axis=-1) <= 0.0        # uniform weights instead
     w = np.where(fallback[..., None], 1.0, w)
-    return PreferencePrediction(_weighted_rows(pref_rows[picked], w), strategy,
+    return PreferencePrediction(_weighted_rows(pref_rows[picked], w),
                                 _flags(fallback))
 
 
 def knn_predict_workflow_prefs(x_new, train_x_std, r: PreferenceMatrix,
-                               params: ModelParams, n: int,
-                               strategy: Strategy = Strategy.F1_KNN):
+                               params: ModelParams, n: int):
     """Similarity-weighted average of the n most similar training datasets'
     preference rows. Nonpositive similarity sums fall back to uniform
     weights over the selected neighbors (flagged)."""
-    return _knn_predict(x_new, train_x_std, params.u, r.scores, n, strategy)
+    return _knn_predict(x_new, train_x_std, params.u, r.scores, n)
 
 
 def knn_predict_dataset_prefs(a_new, train_a_std, r: PreferenceMatrix,
-                              params: ModelParams, n: int,
-                              strategy: Strategy = Strategy.F2_KNN):
+                              params: ModelParams, n: int):
     """Mirror of the workflow-preference predictor over columns of R."""
-    return _knn_predict(a_new, train_a_std, params.v, r.scores.T, n, strategy)
+    return _knn_predict(a_new, train_a_std, params.v, r.scores.T, n)
 
 
 def predict_pair(x_new, a_new, params: ModelParams):
@@ -142,22 +138,20 @@ def predict_pair(x_new, a_new, params: ModelParams):
     return np.vecdot(zx[..., None, :] if za.ndim > 1 else zx, za)
 
 
-def _direct_predict(query, targets_std, p_query, p_target, strategy):
+def _direct_predict(query, targets_std, p_query, p_target):
     """Scores targets_std p_target p_query' query, p = U or V."""
     z = np.matvec(p_target, np.matvec(p_query.T, np.asarray(query, dtype=float)))
-    return _unflagged(np.matvec(targets_std, z), strategy, z.shape[:-1])
+    return _unflagged(np.matvec(targets_std, z), z.shape[:-1])
 
 
-def predict_workflow_prefs_direct(x_new, a_all_std, params: ModelParams,
-                                  strategy: Strategy = Strategy.F3_DIRECT):
+def predict_workflow_prefs_direct(x_new, a_all_std, params: ModelParams):
     """Direct bilinear scores of one dataset against every workflow."""
-    return _direct_predict(x_new, a_all_std, params.u, params.v, strategy)
+    return _direct_predict(x_new, a_all_std, params.u, params.v)
 
 
-def predict_dataset_prefs_direct(a_new, x_all_std, params: ModelParams,
-                                 strategy: Strategy = Strategy.F3_DIRECT):
+def predict_dataset_prefs_direct(a_new, x_all_std, params: ModelParams):
     """Direct bilinear scores of one workflow against every dataset."""
-    return _direct_predict(a_new, x_all_std, params.v, params.u, strategy)
+    return _direct_predict(a_new, x_all_std, params.v, params.u)
 
 
 def default_strategy(task: Task, r_train: PreferenceMatrix) -> PreferencePrediction:
@@ -170,7 +164,7 @@ def default_strategy(task: Task, r_train: PreferenceMatrix) -> PreferencePredict
         values = scores.mean(axis=1)
     else:
         values = np.asarray(scores.mean())
-    return PreferencePrediction(values, Strategy.DEFAULT)
+    return PreferencePrediction(values)
 
 
 def euclidean_strategy(query, train_std, r: PreferenceMatrix, n: int,
@@ -185,7 +179,7 @@ def euclidean_strategy(query, train_std, r: PreferenceMatrix, n: int,
     picked = _knn_by_similarity(-dists, min(n, dists.shape[-1]))
     w = 1.0 / (1.0 + np.take_along_axis(dists, picked, -1))
     rows = r.scores if task is Task.WORKFLOW_PREFS else r.scores.T
-    return _unflagged(_weighted_rows(rows[picked], w), Strategy.EUCLIDEAN, w.shape[:-1])
+    return _unflagged(_weighted_rows(rows[picked], w), w.shape[:-1])
 
 
 def predict(strategy: Strategy, task: Task, x_new, a_new, x, a,
@@ -212,7 +206,7 @@ def predict(strategy: Strategy, task: Task, x_new, a_new, x, a,
         values = (default_strategy(task, r).values if task is not Task.DATASET_PREFS
                   else np.full(r.n_datasets, r.n_workflows / 2.0))
         return _unflagged(np.array(np.broadcast_to(values, lead + values.shape)),
-                          strategy, lead)
+                          lead)
     if strategy is Strategy.EUCLIDEAN:
         table, query = (x, x_new) if task is Task.WORKFLOW_PREFS else (a, a_new)
         train_std, record = standardize(table)
@@ -221,15 +215,15 @@ def predict(strategy: Strategy, task: Task, x_new, a_new, x, a,
     qx = None if x_new is None else params.transform_dataset(x_new)
     qa = None if a_new is None else params.transform_workflow(a_new)
     if task is Task.PAIR_SCORE:
-        return _unflagged(predict_pair(qx, qa, params), strategy, lead)
+        return _unflagged(predict_pair(qx, qa, params), lead)
     if strategy in _KNN and task is Task.WORKFLOW_PREFS:
         return knn_predict_workflow_prefs(qx, params.transform_dataset(x.features),
-                                          r, params, n, strategy=strategy)
+                                          r, params, n)
     if strategy in _KNN:
         return knn_predict_dataset_prefs(qa, params.transform_workflow(a.features),
-                                         r, params, n, strategy=strategy)
+                                         r, params, n)
     if task is Task.WORKFLOW_PREFS:
         return predict_workflow_prefs_direct(
-            qx, params.transform_workflow(a.features), params, strategy=strategy)
+            qx, params.transform_workflow(a.features), params)
     return predict_dataset_prefs_direct(
-        qa, params.transform_dataset(x.features), params, strategy=strategy)
+        qa, params.transform_dataset(x.features), params)

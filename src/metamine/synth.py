@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .data_model import (DescriptorTable, PerformanceMatrix, PreferenceMatrix,
-                         TableKind, _store)
+                         _store)
 from .preference import (OutcomeCube, _preference_matrix,
                          build_preference_matrix, points)
 
@@ -104,11 +104,9 @@ def generate(config: SynthConfig) -> SynthResult:
     perf_values = _squash_rows(scores)
 
     x = DescriptorTable(entity_ids=dataset_ids, features=x_feat,
-                        feature_names=tuple(f"feat{k:03d}" for k in range(d)),
-                        kind=TableKind.DATASET)
+                        feature_names=tuple(f"feat{k:03d}" for k in range(d)))
     a = DescriptorTable(entity_ids=workflow_ids, features=a_feat,
-                        feature_names=tuple(f"pat{k:03d}" for k in range(l)),
-                        kind=TableKind.WORKFLOW)
+                        feature_names=tuple(f"pat{k:03d}" for k in range(l)))
     perf = PerformanceMatrix(dataset_ids=dataset_ids, workflow_ids=workflow_ids,
                              values=perf_values)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metamine.data_model import DescriptorTable, PerformanceMatrix, TableKind
+from metamine.data_model import DescriptorTable, PerformanceMatrix
 
 
 def make_tables(n=3, m=4, d=5, l=4, seed=0):
@@ -10,13 +10,11 @@ def make_tables(n=3, m=4, d=5, l=4, seed=0):
         entity_ids=[f"ds{i}" for i in range(n)],
         features=rng.standard_normal((n, d)),
         feature_names=[f"f{k}" for k in range(d)],
-        kind=TableKind.DATASET,
     )
     a = DescriptorTable(
         entity_ids=[f"wf{j}" for j in range(m)],
         features=rng.standard_normal((m, l)),
         feature_names=[f"p{k}" for k in range(l)],
-        kind=TableKind.WORKFLOW,
     )
     p = PerformanceMatrix(
         dataset_ids=x.entity_ids,

@@ -11,13 +11,16 @@ import pytest
 
 import metamine
 from metamine.cli import build_parser, main
-from metamine.data_model import (HyperParams, InitScheme, ModelParams,
-                                 StandardizationRecord, TableKind)
+from metamine.data_model import (HyperParams, InitScheme, MetaMiningData,
+                                 ModelParams, PreferenceMatrix,
+                                 StandardizationRecord)
 from metamine.io import (load_model, read_bundle, read_descriptor_csv,
-                         read_outcome_dir, save_model)
+                         read_outcome_dir, save_model, write_bundle)
 from metamine.preference import PairOutcome, mcnemar_wins
 from metamine.recommend import Strategy, Task, predict
 from metamine.synth import SynthConfig
+
+from conftest import make_tables
 
 
 def run(argv):
@@ -803,8 +806,8 @@ class TestPredict:
                     "--a", str(raw / "A.csv"), "--out", str(out)]) == 0
         params = load_model(model)
         assert params.t == 30
-        x = read_descriptor_csv(raw / "X.csv", TableKind.DATASET)
-        a = read_descriptor_csv(raw / "A.csv", TableKind.WORKFLOW)
+        x = read_descriptor_csv(raw / "X.csv")
+        a = read_descriptor_csv(raw / "A.csv")
         expected = []
         for xid, xf in zip(x.entity_ids, x.features):
             for aid, af in zip(a.entity_ids, a.features):
@@ -870,8 +873,7 @@ class TestPredict:
         # the 2nd and 3rd of four queries overflow: the error names the 2nd,
         # with the first target that scoring it alone finds non-finite
         model = self.train_model(bundle, tmp_path)
-        name, kind = (("A.csv", TableKind.WORKFLOW) if task == "dataset_prefs"
-                      else ("X.csv", TableKind.DATASET))
+        name = "A.csv" if task == "dataset_prefs" else "X.csv"
         header, *rows = (bundle / name).read_text().splitlines()[:5]
         for k, cell in ((1, "1.7e308"), (2, "-1.7e308")):
             rows[k] = ",".join([rows[k].split(",")[0]] + [cell] * header.count(","))
@@ -884,7 +886,7 @@ class TestPredict:
                     *(["--a", str(bundle / "A.csv")] if task == "pair_score" else []),
                     "--out", str(out)]) == 1
         params, data = load_model(model), read_bundle(bundle)
-        second = read_descriptor_csv(queries, kind).features[1]
+        second = read_descriptor_csv(queries).features[1]
         x_new, a_new = ((None, second) if task == "dataset_prefs" else
                         (second, data.a.features if task == "pair_score" else None))
         with np.errstate(all="ignore"):
@@ -1331,6 +1333,27 @@ class TestValidationErrorsExitOne:
         assert "need at least two workflows to compare" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("protocol, n, m, message", [
+        ("lodo", 5, 1, "needs at least 3 datasets and 2 workflows"),
+        ("lowo", 1, 4, "needs at least 3 workflows and 2 datasets")])
+    def test_evaluate_bundle_too_small_to_rank(self, tmp_path, capsys,
+                                               protocol, n, m, message):
+        # a valid bundle with one workflow (LODO) or one dataset (LOWO)
+        # leaves every fold one value to rank: rejected before any fold
+        x, a, p = make_tables(n=n, m=m)
+        r = PreferenceMatrix(x.entity_ids, a.entity_ids,
+                             np.tile(np.arange(m, dtype=float), (n, 1)))
+        raw, bundle = tmp_path / "raw", tmp_path / "bundle"
+        write_bundle(raw, MetaMiningData(x=x, a=a, r=r, performance=p))
+        assert run(["ingest", "--x", str(raw / "X.csv"), "--a", str(raw / "A.csv"),
+                    "--performance", str(raw / "performance.csv"),
+                    "--preferences", str(raw / "R.csv"), "--out", str(bundle)]) == 0
+        code = run(["evaluate", "--bundle", str(bundle), "--protocol", protocol,
+                    "--max-iters", "5", "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_predict_model_without_scale(self, bundle, tmp_path, capsys):
         model = tmp_path / "model.json"
         assert run(["train", "--bundle", str(bundle), "--objective", "f3",
@@ -1344,6 +1367,32 @@ class TestValidationErrorsExitOne:
                     "--a", str(bundle / "A.csv"), "--out", str(out)])
         assert code == 1
         assert "x_standardization lacks ['scale']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["u", "x_standardization.mean", "hyper.mu1"])
+    def test_predict_model_integer_too_large(self, bundle, tmp_path, capsys, key):
+        # 10**400 written as JSON digits overflows float(): a malformed
+        # model file, exit 1 naming the key, as "1e400" is
+        model = tmp_path / "model.json"
+        assert run(["train", "--bundle", str(bundle), "--objective", "f3",
+                    "--max-iters", "5", "--t", "2", "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        section, _, name = key.rpartition(".")
+        if section == "hyper":
+            doc["hyper"][name] = 10 ** 400
+        elif section:
+            doc[section][name][0] = 10 ** 400
+        else:
+            doc[name][0][0] = 10 ** 400
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        code = run(["predict", "--model", str(model), "--bundle", str(bundle),
+                    "--task", "workflow_prefs", "--x", str(bundle / "X.csv"),
+                    "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}: {key} holds an integer too large for a float\n")
         assert not out.exists()
 
 

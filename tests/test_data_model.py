@@ -3,8 +3,7 @@ import pytest
 
 from metamine.data_model import (DescriptorTable, HyperParams, InitScheme,
                                  PerformanceMatrix, PreferenceMatrix,
-                                 TableKind, numeric_rank, standardize,
-                                 validate_tables)
+                                 numeric_rank, standardize, validate_tables)
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +30,7 @@ class TestValidateTables:
     def test_duplicate_dataset_id_named(self, small_tables):
         x, a, p = small_tables
         dup = DescriptorTable(("ds0", "ds0", "ds2"), x.features,
-                              x.feature_names, TableKind.DATASET)
+                              x.feature_names)
         report = validate_tables(dup, a, p)
         assert not report.passed
         assert any("'ds0'" in str(i) for i in report.issues)
@@ -40,7 +39,7 @@ class TestValidateTables:
         x, a, p = small_tables
         feats = x.features.copy()
         feats[0, 1] = np.nan
-        bad = DescriptorTable(x.entity_ids, feats, x.feature_names, x.kind)
+        bad = DescriptorTable(x.entity_ids, feats, x.feature_names)
         report = validate_tables(bad, a, p)
         assert any("non-finite" in str(i) for i in report.issues)
 
@@ -153,7 +152,7 @@ class TestStandardize:
     def test_column_oracle(self):
         # population std of [1,2,3] is sqrt(2/3)
         table = DescriptorTable(("a", "b", "c"), [[1.0], [2.0], [3.0]],
-                                ("f",), TableKind.DATASET)
+                                ("f",))
         out, record = standardize(table)
         expected = np.array([-1.2247448713915892, 0.0, 1.2247448713915892])
         np.testing.assert_allclose(out.features[:, 0], expected, atol=1e-12)
@@ -161,7 +160,7 @@ class TestStandardize:
 
     def test_constant_column_zeroed_and_flagged(self):
         table = DescriptorTable(("a", "b", "c"), [[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]],
-                                ("f0", "f1"), TableKind.DATASET)
+                                ("f0", "f1"))
         out, record = standardize(table)
         assert np.all(out.features[:, 0] == 0.0)
         assert record.constant_columns == (0,)
@@ -249,7 +248,7 @@ class TestIdsInAnotherOrder:
     def test_repeated_id_on_the_x_side_names_the_counts(self, small_tables):
         x, a, _ = small_tables
         x = DescriptorTable((*x.entity_ids, "ds0"), [*x.features, x.features[0]],
-                            x.feature_names, x.kind)
+                            x.feature_names)
         r = PreferenceMatrix(x.entity_ids[:3], a.entity_ids, self.valid)
         assert [str(i) for i in validate_tables(x, a, None, r).issues] == [
             "X[row 3]: duplicate id 'ds0' (first at row 0)",
@@ -326,7 +325,7 @@ def _record(given):
 # container -> (build from the caller's 2 x 3 array, id fields, array fields)
 STORED = {
     "DescriptorTable": (lambda given: DescriptorTable(
-        ["d0", "d1"], given, ["f0", "f1", "f2"], TableKind.DATASET),
+        ["d0", "d1"], given, ["f0", "f1", "f2"]),
         ("entity_ids", "feature_names"), ("features",)),
     "PerformanceMatrix": (lambda given: PerformanceMatrix(
         ["d0", "d1"], ["w0", "w1", "w2"], given),

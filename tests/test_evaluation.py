@@ -419,6 +419,15 @@ class TestValidationErrors:
         with pytest.raises(ValueError, match="needs at least 3 workflows"):
             run_lowo(self.data(n=4, m=2), [Strategy.DEFAULT], FAST)
 
+    def test_lodo_needs_two_workflows(self):
+        # one workflow leaves every fold one value to rank
+        with pytest.raises(ValueError, match="and 2 workflows"):
+            run_lodo(self.data(n=5, m=1), [Strategy.DEFAULT], FAST)
+
+    def test_lowo_needs_two_datasets(self):
+        with pytest.raises(ValueError, match="and 2 datasets"):
+            run_lowo(self.data(n=1, m=4), [Strategy.DEFAULT], FAST)
+
     def test_lodwo_needs_three_of_each(self):
         with pytest.raises(ValueError, match="needs at least 3 of each entity"):
             run_lodwo(self.data(n=2, m=4), [Strategy.DEFAULT], FAST)

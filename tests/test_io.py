@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from metamine.cli import main
 from metamine.data_model import (DescriptorTable, HyperParams, MetaMiningData,
                                  ModelParams, PerformanceMatrix,
-                                 PreferenceMatrix, StandardizationRecord,
-                                 TableKind)
+                                 PreferenceMatrix, StandardizationRecord)
 from metamine.io import (IngestError, load_model, read_bundle,
                          read_descriptor_csv, read_outcome_dir,
                          read_performance_csv, read_preference_csv,
@@ -37,7 +36,7 @@ class TestDescriptorCsv:
         x, _, _ = make_tables(seed=1)
         path = tmp_path / "x.csv"
         write_descriptor_csv(path, x)
-        back = read_descriptor_csv(path, TableKind.DATASET)
+        back = read_descriptor_csv(path)
         assert back.entity_ids == x.entity_ids
         assert back.feature_names == x.feature_names
         np.testing.assert_array_equal(back.features, x.features)
@@ -46,25 +45,25 @@ class TestDescriptorCsv:
         path = tmp_path / "bad.csv"
         path.write_text("id\nd0\n")
         with pytest.raises(IngestError, match="at least one feature"):
-            read_descriptor_csv(path, TableKind.DATASET)
+            read_descriptor_csv(path)
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,f1,f2\nd0,1.0\n")
         with pytest.raises(IngestError, match="line 2"):
-            read_descriptor_csv(path, TableKind.DATASET)
+            read_descriptor_csv(path)
 
     def test_non_numeric_value_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,f1\nd0,oops\n")
         with pytest.raises(IngestError, match="not a number"):
-            read_descriptor_csv(path, TableKind.DATASET)
+            read_descriptor_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(IngestError, match="empty"):
-            read_descriptor_csv(path, TableKind.DATASET)
+            read_descriptor_csv(path)
 
 
 class TestPerformanceCsv:
@@ -375,6 +374,25 @@ class TestModelPersistence:
         with pytest.raises(IngestError, match=f"^{re.escape(str(path))}: {message}$"):
             load_model(path)
 
+    @pytest.mark.parametrize("key, edit", [
+        ("u", lambda doc: doc["u"][1].__setitem__(0, 10 ** 400)),
+        ("x_standardization.mean",
+         lambda doc: doc["x_standardization"]["mean"].__setitem__(2, -10 ** 400)),
+        ("hyper.mu1", lambda doc: doc["hyper"].update(mu1=10 ** 400)),
+    ])
+    def test_integer_too_large_for_a_float_rejected(self, tmp_path, key, edit):
+        # a JSON integer beyond the largest float: float() raises
+        # OverflowError on it, and HyperParams compares it with inf exactly
+        params, _ = self.make_model(seed=9)
+        path = tmp_path / "model.json"
+        save_model(path, params)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IngestError, match=f"^{re.escape(str(path))}: {key} "
+                           "holds an integer too large for a float$"):
+            load_model(path)
+
     def test_json_numbers_read_as_their_values(self, tmp_path):
         # a hand-written model may hold JSON numbers beside repr strings
         params, _ = self.make_model(seed=9)
@@ -417,9 +435,8 @@ class TestCsvRoundTripProperty:
     def test_descriptor_table(self, tmp_path, table):
         ids, features, values = table
         path = tmp_path / "x.csv"
-        write_descriptor_csv(path, DescriptorTable(ids, values, features,
-                                                   TableKind.WORKFLOW))
-        back = read_descriptor_csv(path, TableKind.WORKFLOW)
+        write_descriptor_csv(path, DescriptorTable(ids, values, features))
+        back = read_descriptor_csv(path)
         assert (back.entity_ids, back.feature_names) == (ids, features)
         assert back.features.tobytes() == values.tobytes()
 
@@ -598,7 +615,7 @@ class TestBulkParseOracle:
         _write_rows(path, rows)
         if data.draw(st.booleans()):
             def read():
-                table = read_descriptor_csv(path, TableKind.DATASET)
+                table = read_descriptor_csv(path)
                 return table.entity_ids, table.features
         else:
             def read():
@@ -932,8 +949,7 @@ class TestWritersFormatLikeRepr:
         ids, columns = [f"e{i}" for i in range(n)], [f"c{j}" for j in range(k)]
         path, want = tmp_path / "got.csv", tmp_path / "want.csv"
         if wide == "X":
-            write_descriptor_csv(path, DescriptorTable(ids, values, columns,
-                                                       TableKind.DATASET))
+            write_descriptor_csv(path, DescriptorTable(ids, values, columns))
             header = "id"
         else:
             write_preference_csv(path, PreferenceMatrix(ids, columns, values))
@@ -1024,12 +1040,12 @@ def rowwise_outcome_dir(directory, cube):
                     mat.astype(int).tolist())
 
 
-def rowwise_predictions(path, target_ids, predictions):
+def rowwise_predictions(path, query_ids, target_ids, strategy, prediction):
     rows = []
-    for qid, pred in predictions:
-        strategy, flags = pred.strategy.value, ";".join(pred.flags)
-        rows += ([qid, tid, score, strategy, flags] for tid, score
-                 in zip(target_ids, map(repr, pred.values.tolist())))
+    for qid, values, flags in zip(query_ids, prediction.values,
+                                  prediction.flags):
+        rows += ([qid, tid, score, strategy.value, ";".join(flags)]
+                 for tid, score in zip(target_ids, map(repr, values.tolist())))
     rowwise_csv(path, ["query_id", "target_id", "score", "strategy", "flags"],
                 rows)
 
@@ -1060,7 +1076,7 @@ class TestWritersMatchCsvWriter:
         rows, columns = data.draw(cell_texts(n)), data.draw(cell_texts(m))
         written = {
             "X.csv": (lambda p: write_descriptor_csv(p, DescriptorTable(
-                rows, values, columns, TableKind.DATASET)),
+                rows, values, columns)),
                 lambda p: rowwise_wide(p, "id", columns, rows, values)),
             "R.csv": (lambda p: write_preference_csv(p, PreferenceMatrix(
                 rows, columns, values)),
@@ -1093,19 +1109,17 @@ class TestWritersMatchCsvWriter:
                     (want / f"{eid}.csv").read_bytes()
 
     @hypothesis_settings
-    @given(data=st.data(), k=st.integers(1, 4))
-    def test_predictions(self, tmp_path, data, k):
-        targets = data.draw(cell_texts(k))
-        predictions = data.draw(st.lists(st.tuples(
-            cell_text,
-            st.builds(PreferencePrediction,
-                      values=matrices(st.just(1), st.just(k)).map(lambda v: v[0]),
-                      strategy=st.sampled_from(Strategy),
-                      flags=st.lists(cell_text, max_size=2).map(tuple))),
-            max_size=4))
+    @given(data=st.data(), k=st.integers(1, 4), q=st.integers(0, 4))
+    def test_predictions(self, tmp_path, data, k, q):
+        targets, queries = data.draw(cell_texts(k)), data.draw(cell_texts(q))
+        strategy = data.draw(st.sampled_from(Strategy))
+        prediction = PreferencePrediction(
+            data.draw(matrices(st.just(q), st.just(k))),
+            data.draw(st.lists(st.lists(cell_text, max_size=2).map(tuple),
+                               min_size=q, max_size=q).map(tuple)))
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        write_predictions_csv(got, targets, predictions)
-        rowwise_predictions(want, targets, predictions)
+        write_predictions_csv(got, queries, targets, strategy, prediction)
+        rowwise_predictions(want, queries, targets, strategy, prediction)
         assert got.read_bytes() == want.read_bytes()
 
 
@@ -1136,15 +1150,15 @@ def test_predict_csv_formats_like_repr(tmp_path, served_bundle, scores):
     save_model(model, params)
     ids = [f"q{i}" for i in range(len(scores))]
     write_descriptor_csv(queries, DescriptorTable(
-        ids, np.array(scores)[:, None], ("f",), TableKind.DATASET))
+        ids, np.array(scores)[:, None], ("f",)))
     write_descriptor_csv(workflow, DescriptorTable(
-        ("w0",), [[1.0]], ("g",), TableKind.WORKFLOW))
+        ("w0",), [[1.0]], ("g",)))
     out, want = tmp_path / "p.csv", tmp_path / "want.csv"
     assert main([str(a) for a in (
         "predict", "--model", model, "--bundle", served_bundle,
         "--task", "pair_score", "--x", queries, "--a", workflow,
         "--out", out)]) == 0
-    table = read_descriptor_csv(queries, TableKind.DATASET)
+    table = read_descriptor_csv(queries)
     _reference_csv(want, [["query_id", "target_id", "score", "strategy",
                            "flags"]] + [
         [qid, "w0", _text(score), "f3_direct", ""]

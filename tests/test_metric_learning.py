@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from metamine import metric_learning as ml
 from metamine.data_model import (DescriptorTable, HyperParams, InitScheme,
-                                 PreferenceMatrix, TableKind, numeric_rank,
-                                 standardize)
+                                 PreferenceMatrix, numeric_rank, standardize)
 from metamine.io import save_model
 from metamine.metric_learning import (Objective, ObjectiveKind, StopReason,
                                       build_objective, gradient, initialize,
                                       minimize, objective_value, train)
 from metamine.metric_learning import TrainTrace, minimize_many, train_many
-from metamine.preference import SimilarityAxis, similarity_target
+from metamine.preference import similarity_target
 from metamine.synth import SynthConfig, centered_scores, generate
 
 
@@ -260,11 +259,11 @@ class TestTrain:
         params, _ = train(kind, result.x, result.a, result.preferences, hyper)
         if kind is ObjectiveKind.F1:
             table = params.transform_dataset(result.x.features)
-            axis, factor, other = SimilarityAxis.DATASETS, params.u, params.v
+            scores, factor, other = result.preferences.scores, params.u, params.v
         else:
             table = params.transform_workflow(result.a.features)
-            axis, factor, other = SimilarityAxis.WORKFLOWS, params.v, params.u
-        target = similarity_target(result.preferences, axis).matrix
+            scores, factor, other = result.preferences.scores.T, params.v, params.u
+        target = similarity_target(scores).matrix
         w = np.linalg.pinv(table) @ target @ np.linalg.pinv(table).T
         w = 0.5 * (w + w.T)
         vals, vecs = scipy.linalg.eigh(w, subset_by_index=[len(w) - 2, len(w) - 1])
@@ -666,10 +665,10 @@ class TestTrainingThatCannotStart:
         assert np.isfinite(trace.objective_values).all()
 
 
-def table(features, kind):
+def table(features):
     n, d = features.shape
     return DescriptorTable(entity_ids=[f"e{i}" for i in range(n)], features=features,
-                           feature_names=[f"c{k}" for k in range(d)], kind=kind)
+                           feature_names=[f"c{k}" for k in range(d)])
 
 
 def train_alone(kind, x, a, r, hyper):
@@ -721,8 +720,8 @@ def training_problems(draw):
         r = PreferenceMatrix([f"e{i}" for i in range(n)],
                              [f"e{j}" for j in range(m)], scores)
         problems.append((draw(st.sampled_from(ObjectiveKind)),
-                         table(features(n, d), TableKind.DATASET),
-                         table(features(m, l), TableKind.WORKFLOW), r))
+                         table(features(n, d)),
+                         table(features(m, l)), r))
     hyper = HyperParams(max_iters=draw(st.integers(0, 12)), seed=draw(st.integers(0, 9)),
                         init=draw(st.sampled_from(InitScheme)),
                         t=draw(st.sampled_from((None, None, 1, 3))))
@@ -766,11 +765,11 @@ class TestStackedSetupOracle:
         """t = None: a fold whose X has rank 1 gets t = 1, the others t = 3
         (A's rank), in one set-up stack."""
         rng = np.random.default_rng(3)
-        a = table(rng.standard_normal((5, 3)), TableKind.WORKFLOW)
+        a = table(rng.standard_normal((5, 3)))
         r = PreferenceMatrix([f"e{i}" for i in range(6)], [f"e{j}" for j in range(5)],
                              rng.integers(0, 9, (6, 5)) / 2.0)
         low = np.outer(rng.standard_normal(6), rng.standard_normal(4))
-        problems = [(ObjectiveKind.F4, table(f, TableKind.DATASET), a, r)
+        problems = [(ObjectiveKind.F4, table(f), a, r)
                     for f in (rng.standard_normal((6, 4)), low,
                               rng.standard_normal((6, 4)))]
         for init in InitScheme:
@@ -784,9 +783,8 @@ class TestStackedSetupOracle:
         """Eight f1 problems of 20 datasets hold 3,200 target cells: a
         bound of 1,000 splits them into stacks of two and keeps the bits."""
         rng = np.random.default_rng(4)
-        a = table(rng.standard_normal((4, 2)), TableKind.WORKFLOW)
-        problems = [(ObjectiveKind.F1, table(rng.standard_normal((20, 3)),
-                                             TableKind.DATASET), a,
+        a = table(rng.standard_normal((4, 2)))
+        problems = [(ObjectiveKind.F1, table(rng.standard_normal((20, 3))), a,
                      PreferenceMatrix([f"e{i}" for i in range(20)],
                                       [f"e{j}" for j in range(4)],
                                       rng.integers(0, 7, (20, 4)) / 2.0))

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metamine.data_model import PreferenceMatrix
-from metamine.preference import (OutcomeCube, PairOutcome, SimilarityAxis,
-                                 _average_ranks, _rank_correlations,
+from metamine.preference import (OutcomeCube, PairOutcome, _average_ranks,
+                                 _rank_correlations,
                                  build_preference_from_significance,
                                  build_preference_matrix, mcnemar_wins, points,
                                  score_dataset, similarity_target, spearman,
@@ -280,48 +279,28 @@ class TestSpearman:
 
 
 class TestSimilarityTarget:
-    def make_r(self, scores):
-        from metamine.data_model import PreferenceMatrix
-        scores = np.asarray(scores, dtype=float)
-        n, m = scores.shape
-        return PreferenceMatrix(tuple(f"d{i}" for i in range(n)),
-                                tuple(f"w{j}" for j in range(m)), scores)
-
     def test_identical_rows_give_unit_similarity(self):
-        r = self.make_r([[2, 1, 0], [2, 1, 0], [0, 1, 2]])
-        target = similarity_target(r, SimilarityAxis.DATASETS)
+        target = similarity_target(np.array([[2.0, 1, 0], [2, 1, 0], [0, 1, 2]]))
         assert target.matrix[0, 1] == pytest.approx(1.0)
         assert target.matrix[0, 2] == pytest.approx(-1.0)
 
     def test_matches_elementwise_spearman(self):
         rng = np.random.default_rng(13)
         scores = rng.random((4, 3))
-        r = self.make_r(scores)
-        target = similarity_target(r, SimilarityAxis.DATASETS)
+        target = similarity_target(scores)
         for i in range(4):
             for j in range(4):
                 expected = 1.0 if i == j else spearman(scores[i], scores[j])
                 assert target.matrix[i, j] == pytest.approx(expected, abs=1e-12)
 
-    def test_workflow_axis_uses_columns(self):
-        rng = np.random.default_rng(14)
-        scores = rng.random((5, 4))
-        r = self.make_r(scores)
-        target = similarity_target(r, SimilarityAxis.WORKFLOWS)
-        assert target.matrix.shape == (4, 4)
-        assert target.matrix[1, 2] == pytest.approx(
-            spearman(scores[:, 1], scores[:, 2]), abs=1e-12)
-
     def test_symmetry_and_unit_diagonal(self):
         rng = np.random.default_rng(15)
-        r = self.make_r(rng.random((6, 5)))
-        target = similarity_target(r, SimilarityAxis.DATASETS)
+        target = similarity_target(rng.random((6, 5)))
         np.testing.assert_allclose(target.matrix, target.matrix.T, atol=1e-12)
         np.testing.assert_array_equal(np.diag(target.matrix), np.ones(6))
 
     def test_constant_vector_flagged_and_zeroed(self):
-        r = self.make_r([[1, 1, 1], [2, 1, 0], [0, 1, 2]])
-        target = similarity_target(r, SimilarityAxis.DATASETS)
+        target = similarity_target(np.array([[1.0, 1, 1], [2, 1, 0], [0, 1, 2]]))
         assert target.constant_entities == (0,)
         assert target.matrix[0, 1] == 0.0 and target.matrix[0, 0] == 1.0
 
@@ -366,13 +345,10 @@ class TestRankCorrelationOracle:
     @settings(deadline=None, max_examples=150)
     @given(score_matrices())
     def test_similarity_target_equals_per_pair_oracle(self, scores):
-        n, m = scores.shape
-        r = PreferenceMatrix(tuple(f"d{i}" for i in range(n)),
-                             tuple(f"w{j}" for j in range(m)), scores)
-        for axis, vectors in ((SimilarityAxis.DATASETS, scores),
-                              (SimilarityAxis.WORKFLOWS, scores.T)):
+        # R's rows (datasets) and R's columns (workflows)
+        for vectors in (scores, scores.T):
             expected, constant = oracle_similarity(vectors.tolist())
-            target = similarity_target(r, axis)
+            target = similarity_target(vectors)
             assert np.array_equal(target.matrix, expected)
             assert target.constant_entities == constant
 

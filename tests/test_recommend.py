@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from metamine.data_model import (HyperParams, ModelParams, PreferenceMatrix,
                                  StandardizationRecord, standardize)
-from metamine.preference import SimilarityAxis, spearman
+from metamine.preference import spearman
 from metamine.recommend import (TASKS, Strategy, Task, default_strategy,
                                 euclidean_strategy, knn_predict_dataset_prefs,
                                 knn_predict_workflow_prefs, learned_similarity,
@@ -41,13 +41,13 @@ class TestLearnedSimilarity:
         params = make_params(rng.standard_normal((5, 2)), rng.standard_normal((4, 2)))
         for _ in range(20):
             x = rng.standard_normal(5)
-            assert learned_similarity(x, x, params, SimilarityAxis.DATASETS) >= 0
+            assert learned_similarity(x, x, params.u) >= 0
 
     def test_identity_projection_is_inner_product(self):
         params = make_params(np.eye(3), np.eye(3))
         x1 = np.array([1.0, 2.0, -1.0])
         x2 = np.array([0.5, -1.0, 2.0])
-        assert learned_similarity(x1, x2, params, SimilarityAxis.DATASETS) \
+        assert learned_similarity(x1, x2, params.u) \
             == pytest.approx(x1 @ x2)
 
     def test_matches_two_step_projection(self):
@@ -56,9 +56,9 @@ class TestLearnedSimilarity:
         params = make_params(u, rng.standard_normal((4, 3)))
         x1, x2 = rng.standard_normal(6), rng.standard_normal(6)
         expected = (u.T @ x1) @ (u.T @ x2)
-        assert learned_similarity(x1, x2, params, SimilarityAxis.DATASETS) \
+        assert learned_similarity(x1, x2, params.u) \
             == pytest.approx(expected)
-        assert learned_similarity(x2, x1, params, SimilarityAxis.DATASETS) \
+        assert learned_similarity(x2, x1, params.u) \
             == pytest.approx(expected)
 
     def test_rotation_of_u_columns_leaves_similarity_unchanged(self):
@@ -68,8 +68,8 @@ class TestLearnedSimilarity:
         p1 = make_params(u, rng.standard_normal((4, 3)))
         p2 = make_params(u @ q, p1.v)
         x1, x2 = rng.standard_normal(5), rng.standard_normal(5)
-        s1 = learned_similarity(x1, x2, p1, SimilarityAxis.DATASETS)
-        s2 = learned_similarity(x1, x2, p2, SimilarityAxis.DATASETS)
+        s1 = learned_similarity(x1, x2, p1.u)
+        s2 = learned_similarity(x1, x2, p2.u)
         assert s1 == pytest.approx(s2, abs=1e-10)
 
 
@@ -196,7 +196,6 @@ class TestDefaultStrategy:
         r = make_r([[2, 1, 0], [0, 1, 2]])
         pred = default_strategy(Task.WORKFLOW_PREFS, r)
         np.testing.assert_allclose(pred.values, [1.0, 1.0, 1.0])
-        assert pred.strategy is Strategy.DEFAULT
 
     def test_dataset_prefs_constant_by_row_sum_identity(self):
         rng = np.random.default_rng(9)
@@ -272,7 +271,6 @@ class TestPredict:
                        params, 2)
         expected = knn_predict_dataset_prefs(q, a.features, r, params, 2)
         np.testing.assert_array_equal(pred.values, expected.values)
-        assert pred.strategy is Strategy.F2_KNN
 
     def test_dataset_default_does_not_leak_held_out_column(self):
         rng = np.random.default_rng(13)

@@ -12,7 +12,9 @@ included. The significance CSV that `ingest --significance` reads, two
 faulty copies of it that ingest rejects, and a small bundle whose ids
 only a quoting CSV writer gets right, are written here, from seeded RNGs,
 and copied into both working directories, with a query table whose 2nd and
-3rd rows overflow a model's scores. A MEAN_QUERY step of the matrix is
+3rd rows overflow a model's scores, and faulty copies of the quoted tables,
+query tables and model files that ingest and predict reject, so that every
+validation message is compared too. A MEAN_QUERY step of the matrix is
 no CLI command: it writes a copy of a query table with one more row, at
 a model's x_standardization.mean, where every learned similarity is 0.
 
@@ -73,6 +75,19 @@ HUGE_TEXT = "".join(f"{q}\r\n" for q in (
     "id,feat000,feat001,feat002,feat003,feat004", "q0,0.5,-1.0,0.25,2.0,-0.75",
     "q1" + ",1.7e308" * 5, "q2" + ",-1.7e308" * 5, "q3,1.0,1.0,-1.0,0.0,0.5"))
 MEAN_QUERY = "@mean-query"     # model, query table, out
+# inputs that ingest and predict reject, in one directory
+BAD = "bad/in"
+# query tables over s12x8's feature widths, each with a feature name the
+# model does not store, a repeated id and a non-finite cell
+WRONG_QUERIES = {
+    f"{BAD}/qx-names.csv": "id,feat000,feat001,feat002,feat003,feat04\r\n"
+                           "q0,0.5,1.0,-1.0,0.0,2.0\r\nq0,1.0,nan,0.5,0.5,0.5\r\n",
+    f"{BAD}/qa-names.csv": "id,pat000,pat001,pat003,pat002\r\n"
+                           "q0,0.5,1.0,-1.0,0.0\r\nq1,inf,1.0,0.5,0.5\r\n"
+                           "q1,1.0,1.0,1.0,1.0\r\n",
+    f"{BAD}/qx-narrow.csv": "id,f0,f1,f2,f3\r\nq0,0.5,1.0,-1.0,0.0\r\n",
+    f"{BAD}/qa-narrow.csv": "id,g0,g1,g2\r\nq0,0.5,1.0,-1.0\r\n",
+}
 
 
 def significance_csv(n, m, seed=7):
@@ -103,18 +118,22 @@ def faulty_significance(text):
             SIG_MISSING: "".join(lines[:40] + lines[41:])}
 
 
+def csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def csv_rows(text):
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
 def quoted_tables(d=3, l=2, seed=11):
     """{path: text} of the raw tables of a bundle over QUOTED_DATASETS x
     QUOTED_WORKFLOWS: Gaussian descriptors, uniform performances and, in
     each row of R, the scores 0..m-1 in a random order."""
     rng = random.Random(seed)
     m = len(QUOTED_WORKFLOWS)
-
-    def csv_text(rows):
-        buf = io.StringIO()
-        csv.writer(buf).writerows(rows)
-        return buf.getvalue()
-
     def descriptors(ids, prefix, width):
         return csv_text([["id", *(f"{prefix}{k}" for k in range(width))]] + [
             [eid, *(repr(rng.gauss(0, 1)) for _ in range(width))] for eid in ids])
@@ -131,6 +150,32 @@ def quoted_tables(d=3, l=2, seed=11):
             + [[ds, *map(repr, rng.sample(range(m), m))]
                for ds in QUOTED_DATASETS]),
     }
+
+
+def faulty_tables(quoted):
+    """{path: text} of copies of quoted_tables' tables that ingest rejects
+    (an X whose 2nd row repeats the 1st's id and whose 3rd holds a nan, an
+    R whose first two rows trade places, an A with a non-numeric token),
+    and of f3 model files with U and V of s12x8's widths: one that stores
+    no feature names, and one whose u holds a non-numeric cell."""
+    x, r, a = (csv_rows(quoted[f"{QUOTED}/{name}.csv"]) for name in "XRA")
+    x[2][0], x[3][2] = x[1][0], "nan"
+    r[1], r[2] = r[2], r[1]
+    a[2][1] = "0,5"
+
+    def model(u):
+        return json.dumps({
+            "format_version": 1, "objective": "f3", "t": 1, "hyper": {},
+            "u": u, "v": [["1.0"], ["-0.5"], ["0.25"], ["2.0"]],
+            **{f"{side}_standardization": {"mean": ["0.0"] * k,
+                                           "scale": ["1.0"] * k,
+                                           "constant_columns": []}
+               for side, k in (("x", 5), ("a", 4))}})
+
+    u = [["0.5"], ["-1.0"], ["0.75"], ["1.5"], ["-0.25"]]
+    return {f"{BAD}/X.csv": csv_text(x), f"{BAD}/R.csv": csv_text(r),
+            f"{BAD}/A.csv": csv_text(a), f"{BAD}/nameless.json": model(u),
+            f"{BAD}/u-token.json": model([*u[:3], ["abc"], u[4]])}
 
 
 def matrix():
@@ -234,6 +279,22 @@ def matrix():
          "--bundle", "s12x8/b", "--task", "workflow_prefs",
          "--x", HUGE, "--out", "bad/huge.csv"],
     ]
+    # faulty tables, query tables and model files, each exit 1
+    quoted = {name: f"{QUOTED}/{name}.csv" for name in ("X", "A", "R")}
+    for name in quoted:
+        tables = {**quoted, name: f"{BAD}/{name}.csv"}
+        cmds.append(["ingest", "--x", tables["X"], "--a", tables["A"],
+                     "--performance", f"{QUOTED}/performance.csv",
+                     "--preferences", tables["R"], "--out", "bad/b"])
+    for model, task, flag, table in (
+            ("s12x8/f3-seeded_gaussian.json", "workflow_prefs", "--x", "qx-names"),
+            ("s12x8/f3-seeded_gaussian.json", "dataset_prefs", "--a", "qa-names"),
+            (f"{BAD}/nameless.json", "workflow_prefs", "--x", "qx-narrow"),
+            (f"{BAD}/nameless.json", "dataset_prefs", "--a", "qa-narrow"),
+            (f"{BAD}/u-token.json", "workflow_prefs", "--x", "qx-narrow")):
+        cmds.append(["predict", "--model", model, "--bundle", "s12x8/b",
+                     "--task", task, flag, f"{BAD}/{table}.csv",
+                     "--out", "bad/p.csv"])
     return cmds
 
 
@@ -343,8 +404,10 @@ def main(argv=None):
         cmds = matrix()
         work = {"base": tmp / "work-base", "head": tmp / "work-head"}
         significance = significance_csv(10, 7)      # the ids of s10x7
-        inputs = {SIGNIFICANCE: significance, HUGE: HUGE_TEXT,
-                  **faulty_significance(significance), **quoted_tables()}
+        quoted = quoted_tables()
+        inputs = {SIGNIFICANCE: significance, HUGE: HUGE_TEXT, **quoted,
+                  **faulty_significance(significance), **faulty_tables(quoted),
+                  **WRONG_QUERIES}
         for name, src in (("base", tmp / "base" / "src"), ("head", REPO / "src")):
             for rel, text in inputs.items():
                 path = work[name] / rel
