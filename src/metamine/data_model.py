@@ -235,12 +235,6 @@ class ModelParams:
         if self.u.shape[1] != self.t or self.v.shape[1] != self.t:
             raise ValueError("u and v must both have t columns")
 
-    def transform_dataset(self, features: np.ndarray) -> np.ndarray:
-        return self.x_standardization.apply(features)
-
-    def transform_workflow(self, features: np.ndarray) -> np.ndarray:
-        return self.a_standardization.apply(features)
-
 
 @dataclass(frozen=True)
 class ValidationIssue:
@@ -330,23 +324,20 @@ def validate_tables(x: DescriptorTable, a: DescriptorTable,
     _check_finite(report, "A", a.features)
     _check_standardizes(report, "X", x)
     _check_standardizes(report, "A", a)
-    if p is not None:
-        _check_ids(report, "P", p.dataset_ids)
-        _check_ids(report, "P", p.workflow_ids, "column")
-        _check_finite(report, "P", p.values)
-        for i, j in np.argwhere(np.isfinite(p.values)
-                                & ((p.values < 0) | (p.values > 1))):
-            report.add("P", f"({i},{j})", f"performance {p.values[i, j]} out of [0,1]")
-        _check_same_ids(report, "P", "dataset", p.dataset_ids, "X", x.entity_ids)
-        _check_same_ids(report, "P", "workflow", p.workflow_ids, "A", a.entity_ids)
-    if r is not None:
-        _check_ids(report, "R", r.dataset_ids)
-        _check_ids(report, "R", r.workflow_ids, "column")
-        _check_finite(report, "R", r.scores)
-        for coordinate, reason in r.invariant_violations():
-            report.add("R", coordinate, reason)
-        _check_same_ids(report, "R", "dataset", r.dataset_ids, "X", x.entity_ids)
-        _check_same_ids(report, "R", "workflow", r.workflow_ids, "A", a.entity_ids)
+    for where, matrix in (("P", p), ("R", r)):
+        if matrix is None:
+            continue
+        values = matrix.values if where == "P" else matrix.scores
+        _check_ids(report, where, matrix.dataset_ids)
+        _check_ids(report, where, matrix.workflow_ids, "column")
+        _check_finite(report, where, values)
+        found = (matrix.invariant_violations() if where == "R" else
+                 [(f"({i},{j})", f"performance {values[i, j]} out of [0,1]") for i, j
+                  in np.argwhere(np.isfinite(values) & ((values < 0) | (values > 1)))])
+        for coordinate, reason in found:
+            report.add(where, coordinate, reason)
+        _check_same_ids(report, where, "dataset", matrix.dataset_ids, "X", x.entity_ids)
+        _check_same_ids(report, where, "workflow", matrix.workflow_ids, "A", a.entity_ids)
     return report
 
 

@@ -195,13 +195,16 @@ def _metrics(pred, truth, perf_row):
     return out, rows
 
 
-def _training_set(held, data):
-    """The fold's (X, A, R) with dataset i and/or workflow j held out,
-    held = (i, j) with None for the axis kept whole."""
-    i, j = held
-    return (data.x if i is None else data.x.drop_entity(i),
-            data.a if j is None else data.a.drop_entity(j),
-            data.r.drop(dataset_index=i, workflow_index=j))
+def _training_sets(held, data):
+    """Each fold's (X, A, R) with dataset i and/or workflow j held out,
+    held = [(i, j), ...] with None for the axis kept whole. Folds that hold
+    out one entity share its one dropped X or A; each gets its own R."""
+    xs = {i: data.x if i is None else data.x.drop_entity(i)
+          for i in {i for i, _ in held}}
+    as_ = {j: data.a if j is None else data.a.drop_entity(j)
+           for j in {j for _, j in held}}
+    return [(xs[i], as_[j], data.r.drop(dataset_index=i, workflow_index=j))
+            for i, j in held]
 
 
 def _train_fold_models(strategies, training_sets, hyper):
@@ -216,7 +219,7 @@ def _train_fold_models(strategies, training_sets, hyper):
 
 def _fold(task, held, training, models, data, strategies, hyper):
     """Score every strategy on one fold of the task, held = (i, j) as in
-    _training_set, with the fold's training set and trained models, all
+    _training_sets, with the fold's training set and trained models, all
     but rho. Returns the FoldResult and the (strategy, rows) of each
     strategy whose rho is still to be computed."""
     i, j = held
@@ -266,7 +269,7 @@ def _run(protocol, data, strategies, hyper, held):
     strategies = [s for s in strategies if task in TASKS[s]]
     if not strategies:
         raise ValueError(f"no strategy left to run for {_TASK_NAME[task]}")
-    training_sets = [_training_set(key, data) for key in held]
+    training_sets = _training_sets(held, data)
     models = _train_fold_models(strategies, training_sets, hyper)
     scored = [_fold(task, key, training, fold_models, data, strategies, hyper)
               for key, training, fold_models in zip(held, training_sets, models)]

@@ -55,9 +55,11 @@ from .data_model import (DescriptorTable, HyperParams, MetaMiningData,
                          StandardizationRecord, validate_queries,
                          validate_tables)
 from .metric_learning import ObjectiveKind
-from .preference import OutcomeCube, PairOutcome
+from .preference import OutcomeCube
 
 MODEL_FORMAT_VERSION = 1
+# significance CSV outcome -> (workflow k beats l, l beats k)
+_OUTCOMES = {"k_wins": (True, False), "l_wins": (False, True), "tie": (False, False)}
 
 
 class IngestError(ValueError):
@@ -344,10 +346,8 @@ def read_significance_csv(path):
         if len(row) != 4:
             raise IngestError(f"{path}: line {ln}: expected 4 fields")
         ds, wk, wl, outcome = row
-        try:
-            outcome = PairOutcome(outcome)
-        except ValueError:
-            raise IngestError(f"{path}: line {ln}: unknown outcome {outcome!r}") from None
+        if outcome not in _OUTCOMES:
+            raise IngestError(f"{path}: line {ln}: unknown outcome {outcome!r}")
         if wk == wl:
             raise IngestError(f"{path}: line {ln}: workflow {wk!r} compared "
                               "with itself")
@@ -360,8 +360,7 @@ def read_significance_csv(path):
         if seen[i, k, l]:
             raise IngestError(f"{path}: duplicate pair ({ds},{wk},{wl})")
         seen[i, k, l] = seen[i, l, k] = True
-        wins[i, k, l] = outcome is PairOutcome.K_WINS
-        wins[i, l, k] = outcome is PairOutcome.L_WINS
+        wins[i, k, l], wins[i, l, k] = _OUTCOMES[outcome]
     missing = np.argwhere(~seen & np.triu(np.ones(wins.shape[1:], dtype=bool), 1))
     if missing.size:
         i, k, l = missing[0]
@@ -418,7 +417,7 @@ def read_json(path):
             return json.load(fh)
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer too long
         raise IngestError(f"{path}: not JSON ({exc})") from None
 
 

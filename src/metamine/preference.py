@@ -4,7 +4,6 @@ rank-correlation similarity targets the metric objectives fit against."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -15,12 +14,6 @@ from .data_model import PreferenceMatrix, _as_readonly, _store
 # checks it)
 ALPHA = 0.05
 _CHI2_CRITICAL = 3.841458820694124
-
-
-class PairOutcome(str, Enum):
-    K_WINS = "k_wins"
-    L_WINS = "l_wins"
-    TIE = "tie"
 
 
 @dataclass(frozen=True)
@@ -121,8 +114,8 @@ def build_preference_matrix(cube: OutcomeCube) -> PreferenceMatrix:
 
 def build_preference_from_significance(dataset_ids, workflow_ids,
                                        wins) -> PreferenceMatrix:
-    """Alternate ingestion path: wins is the n x m x m stack of win
-    matrices that read_significance_csv gives, one per dataset."""
+    """R from wins, an n x m x m stack of win matrices, one per dataset:
+    those read_significance_csv gives, or synth's."""
     return _preference_matrix(dataset_ids, workflow_ids, points(wins))
 
 

@@ -106,7 +106,7 @@ def _knn_by_similarity(sims, n):
 def _knn_predict(query, train_std, p, pref_rows, n):
     """kNN over the similarity through p p', p = U (datasets) or V."""
     sims = np.matvec(train_std @ p, np.matvec(p.T, np.asarray(query, dtype=float)))
-    picked = _knn_by_similarity(sims, min(n, sims.shape[-1]))
+    picked = _knn_by_similarity(sims, n)
     w = np.maximum(np.take_along_axis(sims, picked, -1), 0.0)
     fallback = w.sum(axis=-1) <= 0.0        # uniform weights instead
     w = np.where(fallback[..., None], 1.0, w)
@@ -176,7 +176,7 @@ def euclidean_strategy(query, train_std, r: PreferenceMatrix, n: int,
     q = np.asarray(query, dtype=float)[..., None, :]
     train = np.asarray(train_std, dtype=float)
     dists = np.sqrt(((train - q) ** 2).sum(axis=-1))
-    picked = _knn_by_similarity(-dists, min(n, dists.shape[-1]))
+    picked = _knn_by_similarity(-dists, n)
     w = 1.0 / (1.0 + np.take_along_axis(dists, picked, -1))
     rows = r.scores if task is Task.WORKFLOW_PREFS else r.scores.T
     return _unflagged(_weighted_rows(rows[picked], w), w.shape[:-1])
@@ -212,18 +212,15 @@ def predict(strategy: Strategy, task: Task, x_new, a_new, x, a,
         train_std, record = standardize(table)
         return euclidean_strategy(record.apply(query), train_std.features, r,
                                   n, task)
-    qx = None if x_new is None else params.transform_dataset(x_new)
-    qa = None if a_new is None else params.transform_workflow(a_new)
+    std_x, std_a = params.x_standardization.apply, params.a_standardization.apply
+    qx = None if x_new is None else std_x(x_new)
+    qa = None if a_new is None else std_a(a_new)
     if task is Task.PAIR_SCORE:
         return _unflagged(predict_pair(qx, qa, params), lead)
     if strategy in _KNN and task is Task.WORKFLOW_PREFS:
-        return knn_predict_workflow_prefs(qx, params.transform_dataset(x.features),
-                                          r, params, n)
+        return knn_predict_workflow_prefs(qx, std_x(x.features), r, params, n)
     if strategy in _KNN:
-        return knn_predict_dataset_prefs(qa, params.transform_workflow(a.features),
-                                         r, params, n)
+        return knn_predict_dataset_prefs(qa, std_a(a.features), r, params, n)
     if task is Task.WORKFLOW_PREFS:
-        return predict_workflow_prefs_direct(
-            qx, params.transform_workflow(a.features), params)
-    return predict_dataset_prefs_direct(
-        qa, params.transform_dataset(x.features), params)
+        return predict_workflow_prefs_direct(qx, std_a(a.features), params)
+    return predict_dataset_prefs_direct(qa, std_x(x.features), params)

@@ -11,8 +11,8 @@ import numpy as np
 
 from .data_model import (DescriptorTable, PerformanceMatrix, PreferenceMatrix,
                          _store)
-from .preference import (OutcomeCube, _preference_matrix,
-                         build_preference_matrix, points)
+from .preference import (OutcomeCube, build_preference_from_significance,
+                         build_preference_matrix)
 
 PERF_LOW = 0.5
 PERF_HIGH = 0.95
@@ -79,7 +79,7 @@ def _compare_preferences(perf, dataset_ids, workflow_ids):
     # one dataset at a time: the whole n x m x m float difference would
     # hold 8 n m^2 bytes where the boolean stack needs n m^2
     wins = np.array([row[:, None] - row > TIE_EPS for row in perf])
-    return _preference_matrix(dataset_ids, workflow_ids, points(wins))
+    return build_preference_from_significance(dataset_ids, workflow_ids, wins)
 
 
 def generate(config: SynthConfig) -> SynthResult:

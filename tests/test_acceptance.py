@@ -104,8 +104,8 @@ def test_3_exact_recovery_on_noiseless_synthetic():
     r = PreferenceMatrix(result.x.entity_ids, result.a.entity_ids, target)
     params, trace = train(ObjectiveKind.F3, result.x, result.a, r, hyper)
     ratio = trace.objective_values[-1] / trace.objective_values[0]
-    x_std = params.transform_dataset(result.x.features)
-    a_std = params.transform_workflow(result.a.features)
+    x_std = params.x_standardization.apply(result.x.features)
+    a_std = params.a_standardization.apply(result.a.features)
     predicted = x_std @ params.u @ params.v.T @ a_std.T
     pair_err = np.abs(predicted - target).max()
     elapsed = time.monotonic() - started

@@ -16,7 +16,7 @@ from metamine.data_model import (HyperParams, InitScheme, MetaMiningData,
                                  StandardizationRecord)
 from metamine.io import (load_model, read_bundle, read_descriptor_csv,
                          read_outcome_dir, save_model, write_bundle)
-from metamine.preference import PairOutcome, mcnemar_wins
+from metamine.preference import mcnemar_wins
 from metamine.recommend import Strategy, Task, predict
 from metamine.synth import SynthConfig
 
@@ -241,12 +241,11 @@ class TestIngest:
             wins = mcnemar_wins(correct)
             for k in range(len(wf)):
                 for l in range(k + 1, len(wf)):
-                    outcome = (PairOutcome.K_WINS if wins[k, l] else
-                               PairOutcome.L_WINS if wins[l, k] else
-                               PairOutcome.TIE)
-                    lines.append(f"{ds},{wf[k]},{wf[l]},{outcome.value}")
+                    outcome = ("k_wins" if wins[k, l] else
+                               "l_wins" if wins[l, k] else "tie")
+                    lines.append(f"{ds},{wf[k]},{wf[l]},{outcome}")
         assert {line.rsplit(",", 1)[1] for line in lines[1:]} \
-            == {o.value for o in PairOutcome}
+            == {"k_wins", "l_wins", "tie"}
         sig = tmp_path / "sig.csv"
         sig.write_text("\n".join(lines) + "\n")
         ingest = ["ingest", "--x", str(raw / "X.csv"), "--a", str(raw / "A.csv"),
@@ -382,6 +381,10 @@ class TestTrain:
     @pytest.mark.parametrize("text, message", [
         ('[{"max_iters": 5}]', "config must be a JSON object"),
         ('{"max_iters": 5', "not JSON (Expecting ',' delimiter"),
+        # more digits than Python converts (its int-string limit)
+        pytest.param('{"max_iters": 1' + "0" * 5000 + "}",
+                     "not JSON (Exceeds the limit (4300 digits)",
+                     id="integer-too-long"),
     ])
     def test_config_that_is_no_json_object_exits_one(self, bundle, tmp_path,
                                                      capsys, text, message):
@@ -791,6 +794,22 @@ class TestPredict:
         assert f"{model}: not JSON (" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_model_integer_too_long_exits_one(self, bundle, tmp_path, capsys):
+        # an integer of more digits than Python converts (its int-string
+        # limit, 4,300) is no JSON that json can read either
+        model = self.train_model(bundle, tmp_path, objective="f3")
+        doc = json.loads(model.read_text())
+        doc["u"][0][0] = "@"
+        model.write_text(json.dumps(doc).replace('"@"', "1" + "0" * 5000))
+        out = tmp_path / "p.csv"
+        code = run(["predict", "--model", str(model), "--bundle", str(bundle),
+                    "--task", "workflow_prefs", "--x", str(bundle / "X.csv"),
+                    "--out", str(out)])
+        assert code == 1
+        assert (f"{model}: not JSON (Exceeds the limit (4300 digits)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_pair_scores_equal_the_per_pair_formula(self, tmp_path):
         # every score of a t = 30 model is the per-pair x'U V'a to the last
         # bit, as the per-pair serving loop wrote it
@@ -811,8 +830,8 @@ class TestPredict:
         expected = []
         for xid, xf in zip(x.entity_ids, x.features):
             for aid, af in zip(a.entity_ids, a.features):
-                xs = params.transform_dataset(xf)
-                as_ = params.transform_workflow(af)
+                xs = params.x_standardization.apply(xf)
+                as_ = params.a_standardization.apply(af)
                 score = float((params.u.T @ xs) @ (params.v.T @ as_))
                 expected.append([xid, aid, repr(score), "f3_direct", ""])
         with open(out, newline="") as fh:

@@ -293,10 +293,10 @@ class TestModelPersistence:
         back = load_model(path)
         for i in range(res.x.n_entities):
             for j in range(res.a.n_entities):
-                qx = params.transform_dataset(res.x.features[i])
-                qa = params.transform_workflow(res.a.features[j])
-                bx = back.transform_dataset(res.x.features[i])
-                ba = back.transform_workflow(res.a.features[j])
+                qx = params.x_standardization.apply(res.x.features[i])
+                qa = params.a_standardization.apply(res.a.features[j])
+                bx = back.x_standardization.apply(res.x.features[i])
+                ba = back.a_standardization.apply(res.a.features[j])
                 assert predict_pair(bx, ba, back) == predict_pair(qx, qa, params)
 
     def test_save_twice_byte_identical(self, tmp_path):
@@ -1163,7 +1163,7 @@ def test_predict_csv_formats_like_repr(tmp_path, served_bundle, scores):
                            "flags"]] + [
         [qid, "w0", _text(score), "f3_direct", ""]
         for qid, feats in zip(table.entity_ids, table.features)
-        for score in predict_pair(params.transform_dataset(feats),
+        for score in predict_pair(params.x_standardization.apply(feats),
                                   np.array([[1.0]]), params)])
     assert out.read_bytes() == want.read_bytes()
 

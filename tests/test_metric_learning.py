@@ -195,8 +195,8 @@ class TestTrain:
         params, trace = train(ObjectiveKind.F3, x, a, r, hyper)
         assert trace.iterations == 0
         obj = build_objective(ObjectiveKind.F3,
-                              params.transform_dataset(x.features),
-                              params.transform_workflow(a.features), r)
+                              params.x_standardization.apply(x.features),
+                              params.a_standardization.apply(a.features), r)
         u0, v0 = initialize(obj, 2, hyper)
         np.testing.assert_array_equal(params.u, u0)
         np.testing.assert_array_equal(params.v, v0)
@@ -258,10 +258,10 @@ class TestTrain:
         hyper = HyperParams(t=2, max_iters=0, init=InitScheme.SVD_WARM_START)
         params, _ = train(kind, result.x, result.a, result.preferences, hyper)
         if kind is ObjectiveKind.F1:
-            table = params.transform_dataset(result.x.features)
+            table = params.x_standardization.apply(result.x.features)
             scores, factor, other = result.preferences.scores, params.u, params.v
         else:
-            table = params.transform_workflow(result.a.features)
+            table = params.a_standardization.apply(result.a.features)
             scores, factor, other = result.preferences.scores.T, params.v, params.u
         target = similarity_target(scores).matrix
         w = np.linalg.pinv(table) @ target @ np.linalg.pinv(table).T

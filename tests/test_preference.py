@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metamine.preference import (OutcomeCube, PairOutcome, _average_ranks,
-                                 _rank_correlations,
+from metamine.preference import (OutcomeCube, _average_ranks, _rank_correlations,
                                  build_preference_from_significance,
                                  build_preference_matrix, mcnemar_wins, points,
                                  score_dataset, similarity_target, spearman,
@@ -42,35 +41,35 @@ def pair_outcome(k, l):
     mcnemar_wins on the two columns."""
     wins = mcnemar_wins(np.column_stack([k, l]))
     if wins[0, 1]:
-        return PairOutcome.K_WINS
-    return PairOutcome.L_WINS if wins[1, 0] else PairOutcome.TIE
+        return "k_wins"
+    return "l_wins" if wins[1, 0] else "tie"
 
 
 class TestMcnemar:
     def test_large_imbalance_significant(self):
         # b=10, c=0: statistic (10-1)^2/10 = 8.1 > 3.841 (chi2_1 at 0.05)
         k, l = vectors_with_discordants(10, 0)
-        assert pair_outcome(k, l) is PairOutcome.K_WINS
-        assert pair_outcome(l, k) is PairOutcome.L_WINS
+        assert pair_outcome(k, l) == "k_wins"
+        assert pair_outcome(l, k) == "l_wins"
 
     def test_balanced_discordants_tie(self):
         # b=c=5: statistic (0-1)^2/10 = 0.1, not significant
         k, l = vectors_with_discordants(5, 5)
-        assert pair_outcome(k, l) is PairOutcome.TIE
+        assert pair_outcome(k, l) == "tie"
 
     def test_identical_vectors_tie(self):
         v = np.array([1, 0, 1, 1, 0])
-        assert pair_outcome(v, v) is PairOutcome.TIE
+        assert pair_outcome(v, v) == "tie"
 
     def test_few_discordants_follow_the_chi_square_rule(self):
         # b=6, c=0: 25/6 > 3.841; b=5, c=0: 16/5 < 3.841. b=4, c=13:
         # 64/17 < 3.841, a tie, though the exact binomial p = 2 * 3214 /
         # 2^17 ~ 0.049 would call it: no exact variant below 25 discordants
-        for b, c, outcome in ((6, 0, PairOutcome.K_WINS),
-                              (5, 0, PairOutcome.TIE),
-                              (4, 13, PairOutcome.TIE)):
+        for b, c, outcome in ((6, 0, "k_wins"),
+                              (5, 0, "tie"),
+                              (4, 13, "tie")):
             k, l = vectors_with_discordants(b, c)
-            assert pair_outcome(k, l) is outcome, (b, c)
+            assert pair_outcome(k, l) == outcome, (b, c)
 
     def test_win_matrix_holds_each_pair_one_way_at_most(self):
         rng = np.random.default_rng(23)
@@ -114,9 +113,9 @@ class TestScoreDataset:
         expected = np.zeros(4)
         for k, l in itertools.combinations(range(4), 2):
             outcome = pair_outcome(correct[:, k], correct[:, l])
-            if outcome is PairOutcome.K_WINS:
+            if outcome == "k_wins":
                 expected[k] += 1
-            elif outcome is PairOutcome.L_WINS:
+            elif outcome == "l_wins":
                 expected[l] += 1
             else:
                 expected[k] += 0.5
@@ -178,10 +177,10 @@ class TestMcnemarOracle:
         for _ in range(150):
             correct = (rng.random((int(rng.integers(1, 70)), 2))
                        < rng.uniform(0.05, 0.95, size=2)).astype(float)
-            expected = {(1.0, 0.0): PairOutcome.K_WINS,
-                        (0.0, 1.0): PairOutcome.L_WINS,
-                        (0.5, 0.5): PairOutcome.TIE}[tuple(oracle_scores(correct))]
-            assert pair_outcome(correct[:, 0], correct[:, 1]) is expected
+            expected = {(1.0, 0.0): "k_wins",
+                        (0.0, 1.0): "l_wins",
+                        (0.5, 0.5): "tie"}[tuple(oracle_scores(correct))]
+            assert pair_outcome(correct[:, 0], correct[:, 1]) == expected
 
 
 class TestPoints:
@@ -235,8 +234,8 @@ class TestBuildPreferenceMatrix:
         for i, mat in enumerate(cube.matrices):
             for k, l in itertools.combinations(range(4), 2):
                 outcome = pair_outcome(mat[:, k], mat[:, l])
-                wins[i, k, l] = outcome is PairOutcome.K_WINS
-                wins[i, l, k] = outcome is PairOutcome.L_WINS
+                wins[i, k, l] = outcome == "k_wins"
+                wins[i, l, k] = outcome == "l_wins"
         r1 = build_preference_matrix(cube)
         r2 = build_preference_from_significance(cube.dataset_ids,
                                                 cube.workflow_ids, wins)

@@ -5,10 +5,12 @@ parameter of a package function is set by some call of the package or
 the benchmark, no module imports
 scipy (at import time or in a function), only data_model._store sets
 the field of a frozen container, the CLI's choices come from their
-enums, every function the benchmark wraps exists, and every command it
-runs parses."""
+enums, every function the benchmark wraps exists, every command it
+runs parses, and each of its ops calls the wrapped functions recorded
+for it."""
 
 import ast
+import dataclasses
 import importlib.util
 import sys
 from enum import Enum
@@ -19,8 +21,6 @@ import pytest
 import metamine
 
 PACKAGE = sorted(Path(metamine.__file__).parent.glob("*.py"))
-MODULES = [p for p in PACKAGE
-           if p.name != "__init__.py"]   # its imports are re-exports
 REPO = Path(__file__).resolve().parent.parent
 BENCH = REPO / "bench"
 SCRIPTS = sorted([*REPO.glob("tests/*.py"), *REPO.glob("tools/*.py")])
@@ -43,7 +43,7 @@ def unused_imports(source):
 
 
 @pytest.mark.parametrize("path", [
-    *(pytest.param(p, id=p.name) for p in MODULES),
+    *(pytest.param(p, id=p.name) for p in PACKAGE),
     *(pytest.param(p, id=str(p.relative_to(REPO))) for p in SCRIPTS)])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -332,3 +332,92 @@ def test_every_benchmark_command_parses(workload, argv):
     passes fails here, not in the benchmark run."""
     from metamine import cli
     cli.build_parser().parse_args(argv)
+
+
+# the synth sizes of bench/tests/test_bench.py::SMALL
+SMALL = {
+    "lodo-20x10": {"n": 8, "m": 6, "d": 4, "l": 3, "latent_t": 2,
+                   "mode": "noisy", "noise_sigma": 0.5},
+    "train-serve-200x50": {"n": 30, "m": 12, "d": 5, "l": 4, "latent_t": 2,
+                           "mode": "noisy", "noise_sigma": 0.5},
+    "ingest-10x40": {"n": 6, "m": 5, "d": 4, "l": 3, "latent_t": 2,
+                     "mode": "outcome", "instances": 40},
+}
+
+# workload -> the bench/layers.py targets its op never calls; synth runs
+# in the set-up alone
+NEVER_CALLED = {
+    "lodo-20x10": {
+        "evaluation.render_table", "evaluation.run_lodwo",
+        "evaluation.run_lowo", "io.load_model", "io.read_outcome_dir",
+        "io.read_significance_csv", "io.save_model",
+        "io.write_descriptor_csv", "io.write_outcome_dir",
+        "io.write_performance_csv", "io.write_preference_csv",
+        "metric_learning.build_objective", "metric_learning.gradient",
+        "metric_learning.minimize", "metric_learning.objective_value",
+        "metric_learning.train",
+        "preference.build_preference_from_significance",
+        "preference.build_preference_matrix", "preference.similarity_target",
+        "recommend.knn_predict_dataset_prefs",
+        "recommend.knn_predict_workflow_prefs",
+        "recommend.learned_similarity",
+        "recommend.predict_dataset_prefs_direct", "recommend.predict_pair",
+        "synth.generate"},
+    "train-serve-200x50": {
+        "evaluation.render_table", "evaluation.run_lodo",
+        "evaluation.run_lodwo", "evaluation.run_lowo", "evaluation.to_dict",
+        "io.read_outcome_dir", "io.read_significance_csv",
+        "io.write_outcome_dir", "metric_learning.build_objective",
+        "metric_learning.gradient", "metric_learning.minimize",
+        "metric_learning.objective_value",
+        "preference.build_preference_from_significance",
+        "preference.build_preference_matrix", "preference.similarity_target",
+        "recommend.default_strategy", "recommend.euclidean_strategy",
+        "recommend.knn_predict_dataset_prefs",
+        "recommend.knn_predict_workflow_prefs",
+        "recommend.learned_similarity",
+        "recommend.predict_dataset_prefs_direct", "synth.generate"},
+    "ingest-10x40": {
+        "evaluation.render_table", "evaluation.run_lodo",
+        "evaluation.run_lodwo", "evaluation.run_lowo", "evaluation.to_dict",
+        "io.load_model", "io.read_preference_csv", "io.read_significance_csv",
+        "io.save_model", "io.write_outcome_dir",
+        "metric_learning.build_objective", "metric_learning.gradient",
+        "metric_learning.minimize", "metric_learning.objective_value",
+        "metric_learning.train",
+        "preference.build_preference_from_significance",
+        "preference.similarity_target", "recommend.default_strategy",
+        "recommend.euclidean_strategy", "recommend.knn_predict_dataset_prefs",
+        "recommend.knn_predict_workflow_prefs",
+        "recommend.learned_similarity",
+        "recommend.predict_dataset_prefs_direct", "recommend.predict_pair",
+        "recommend.predict_workflow_prefs_direct", "synth.generate"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_benchmark_ops_call_the_recorded_targets(name, tmp_path):
+    """The traced benchmark finds a layer by wrapping a module-level name,
+    so a refactor that moves the work out from under a wrapper leaves that
+    layer's metrics at 0 and raises nothing. Each workload, shrunk, runs
+    its set-up and one op through cli.main with every target wrapped; the
+    targets the op never calls must be the recorded ones."""
+    from metamine import cli
+    layers = load_bench("layers")
+    workload = dataclasses.replace(load_bench("workloads").WORKLOADS[name],
+                                   synth=SMALL[name])
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+
+    def run(commands):
+        return [cli.main([str(arg) for arg in argv]) for argv in commands]
+
+    assert set(run(workload.generate(1, inputs))) == {0}
+    tracer = load_bench("spans").Tracer(layers.TARGETS)
+    tracer.install()
+    try:
+        assert set(run(workload.op(inputs, out))) == {0}
+    finally:
+        tracer.remove()
+    called = {span.name for span in tracer.spans} | {
+        target for _, target in tracer.counts}
+    assert {t.name for t in layers.TARGETS} - called == NEVER_CALLED[name]
