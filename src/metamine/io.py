@@ -341,7 +341,7 @@ def read_significance_csv(path):
     if [h.strip() for h in rows[0][:4]] != ["dataset_id", "workflow_k", "workflow_l", "outcome"]:
         raise IngestError(f"{path}: header must be dataset_id,workflow_k,workflow_l,outcome")
     datasets, index = {}, {}    # id -> index, both in first-seen order
-    body, cells = _body(path, rows), []
+    body, cells, pairs = _body(path, rows), [], {}
     for ln, row in enumerate(body, start=2):
         if len(row) != 4:
             raise IngestError(f"{path}: line {ln}: expected 4 fields")
@@ -351,14 +351,14 @@ def read_significance_csv(path):
         if wk == wl:
             raise IngestError(f"{path}: line {ln}: workflow {wk!r} compared "
                               "with itself")
+        if pairs.setdefault((ds, frozenset((wk, wl))), ln) != ln:   # either way round
+            raise IngestError(f"{path}: duplicate pair ({ds},{wk},{wl})")
         k, l = index.setdefault(wk, len(index)), index.setdefault(wl, len(index))
         cells.append((datasets.setdefault(ds, len(datasets)), k, l, outcome))
     dataset_ids, workflow_ids = tuple(datasets), tuple(index)
     wins = np.zeros((len(datasets), len(index), len(index)), dtype=bool)
     seen = np.zeros(wins.shape, dtype=bool)     # each pair both ways round
-    for (i, k, l, outcome), (ds, wk, wl, _) in zip(cells, body):
-        if seen[i, k, l]:
-            raise IngestError(f"{path}: duplicate pair ({ds},{wk},{wl})")
+    for i, k, l, outcome in cells:
         seen[i, k, l] = seen[i, l, k] = True
         wins[i, k, l], wins[i, l, k] = _OUTCOMES[outcome]
     missing = np.argwhere(~seen & np.triu(np.ones(wins.shape[1:], dtype=bool), 1))

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, partial
-from itertools import islice
+from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -331,31 +331,23 @@ def _descend(kind, red: ReducedObjective, u, v, hyper):
             for (uj, vj, reason, n, flat), vals, sts, nrm in zip(stops, *columns)]
 
 
-def _descend_all(stacks, hyper: HyperParams):
-    """The descents of (kind, ReducedObjective stack, u0 stack, v0 stack)
-    stacks, those of the same kind and shapes joined as one stack.
-    Returns the (u, v, TrainTrace) of each problem, in stack order."""
-    groups = {}
-    for index, (kind, red, u0, v0) in enumerate(stacks):
-        key = (kind, red.rx.shape[1:], red.ra.shape[1:], u0.shape[1:], v0.shape[1:])
-        groups.setdefault(key, []).append(index)
-    out = [None] * len(stacks)
-    for (kind, *_), members in groups.items():
-        _, reds, us, vs = zip(*(stacks[i] for i in members))
-        results = iter(_descend(kind, _each(lambda *f: np.concatenate(f), *reds),
-                                np.concatenate(us), np.concatenate(vs), hyper))
-        for i in members:
-            out[i] = list(islice(results, len(stacks[i][2])))
-    return [result for stack in out for result in stack]
-
-
 def minimize_many(problems, hyper: HyperParams):
     """minimize for each (Objective, u0, v0) of `problems`, with the
     problems of the same kind and shapes descending as one stack. Returns
     the (u, v, TrainTrace) of each problem, in order; each equals what
     minimize gives for that problem alone."""
-    return _descend_all([(obj.kind, obj.reduced, u0[None], v0[None])
-                         for obj, u0, v0 in problems], hyper)
+    groups = {}
+    for index, (obj, u0, v0) in enumerate(problems):
+        groups.setdefault((obj.kind, obj.x.shape, obj.a.shape, u0.shape, v0.shape),
+                          []).append(index)
+    out = [None] * len(problems)
+    for (kind, *_), members in groups.items():
+        objs, us, vs = zip(*(problems[i] for i in members))
+        for i, result in zip(members, _descend(
+                kind, _each(lambda *f: np.concatenate(f), *(o.reduced for o in objs)),
+                np.stack(us), np.stack(vs), hyper)):
+            out[i] = result
+    return out
 
 
 def minimize(obj: Objective, u0: np.ndarray, v0: np.ndarray,
@@ -386,19 +378,6 @@ def build_objective(kind: ObjectiveKind, x_std: np.ndarray, a_std: np.ndarray,
         ObjectiveKind(kind), x_std[None], a_std[None], [r]))
 
 
-def _setup_stacks(problems):
-    """The indices of `problems` by kind and shapes of X and A, split so
-    that a stack holds one problem or at most _TARGET_CELLS target cells."""
-    groups = {}
-    for index, (kind, x, a, _) in enumerate(problems):
-        groups.setdefault((kind, x.features.shape, a.features.shape), []).append(index)
-    for (kind, (n, _), (m, _)), members in groups.items():
-        fx, fa, _ = _TERMS[kind]
-        size = max(1, _TARGET_CELLS // max(1, fx * n * n + fa * m * m))
-        for start in range(0, len(members), size):
-            yield members[start:start + size]
-
-
 def train(kind: ObjectiveKind, x: DescriptorTable, a: DescriptorTable,
           r: PreferenceMatrix, hyper: HyperParams):
     """Full training pipeline: standardize, pick t, initialize, descend;
@@ -411,31 +390,42 @@ def train(kind: ObjectiveKind, x: DescriptorTable, a: DescriptorTable,
 
 
 def train_many(problems, hyper: HyperParams):
-    """train for each (kind, x, a, r) of `problems`, set up per stack of
-    _setup_stacks (split by t to initialize) and descended as one stack per
-    kind and shapes. Returns the (ModelParams, TrainTrace) of each, in
-    order, each equal to what train gives for it alone."""
+    """train for each (kind, x, a, r) of `problems`, grouped by kind and
+    shapes of X and A, each group set up in stacks of one problem or at
+    most _TARGET_CELLS target cells and descended once per t. Returns the
+    (ModelParams, TrainTrace) of each, in order, as train gives it alone."""
     problems = [(ObjectiveKind(kind), x, a, r) for kind, x, a, r in problems]
-    order, models, stacks = [], [], []
-    for members in _setup_stacks(problems):
-        (kind, *_), xs, as_, rs = zip(*(problems[i] for i in members))
-        x_std, x_records = standardize_stack(np.stack([x.features for x in xs]))
-        a_std, a_records = standardize_stack(np.stack([a.features for a in as_]))
-        ts = [hyper.t] * len(members) if hyper.t else np.maximum(1, np.minimum(
-            np.linalg.matrix_rank(x_std), np.linalg.matrix_rank(a_std))).tolist()
-        obj = _objective_stack(kind, x_std, a_std, rs)
-        red = _reduce(obj)
-        for t in dict.fromkeys(ts):
-            pick = [j for j, tj in enumerate(ts) if tj == t]
-            stacks.append((kind, _each(lambda field: field[pick], red),
-                           *initialize(_each(lambda field: field[pick], obj), t, hyper)))
-            order += [members[j] for j in pick]
-            models += [partial(ModelParams, t=t, hyper=hyper, objective=kind.value,
-                               x_standardization=x_records[j],
-                               a_standardization=a_records[j],
-                               x_feature_names=xs[j].feature_names,
-                               a_feature_names=as_[j].feature_names) for j in pick]
+    groups = {}
+    for index, (kind, x, a, _) in enumerate(problems):
+        groups.setdefault((kind, x.features.shape, a.features.shape), []).append(index)
     out = [None] * len(problems)
-    for i, model, (u, v, trace) in zip(order, models, _descend_all(stacks, hyper)):
-        out[i] = (model(u=u, v=v), trace)
+    for (kind, (n, _), (m, _)), members in groups.items():
+        fx, fa, _ = _TERMS[kind]
+        size = max(1, _TARGET_CELLS // max(1, fx * n * n + fa * m * m))
+        by_t = {}   # t -> (index and records, red, u0, v0) of each set-up stack
+        for start in range(0, len(members), size):
+            stack = members[start:start + size]
+            _, xs, as_, rs = zip(*(problems[i] for i in stack))
+            x_std, x_records = standardize_stack(np.stack([x.features for x in xs]))
+            a_std, a_records = standardize_stack(np.stack([a.features for a in as_]))
+            ts = [hyper.t] * len(stack) if hyper.t else np.maximum(1, np.minimum(
+                np.linalg.matrix_rank(x_std), np.linalg.matrix_rank(a_std))).tolist()
+            obj = _objective_stack(kind, x_std, a_std, rs)
+            red = _reduce(obj)
+            for t in dict.fromkeys(ts):
+                pick = [j for j, tj in enumerate(ts) if tj == t]
+                by_t.setdefault(t, []).append((
+                    [(stack[j], x_records[j], a_records[j]) for j in pick],
+                    _each(lambda field: field[pick], red),
+                    *initialize(_each(lambda field: field[pick], obj), t, hyper)))
+        for t, pieces in by_t.items():
+            picked, reds, us, vs = zip(*pieces)
+            results = _descend(kind, _each(lambda *f: np.concatenate(f), *reds),
+                               np.concatenate(us), np.concatenate(vs), hyper)
+            for (i, x_record, a_record), (u, v, trace) in zip(chain(*picked), results):
+                out[i] = (ModelParams(
+                    u=u, v=v, t=t, hyper=hyper, objective=kind.value,
+                    x_standardization=x_record, a_standardization=a_record,
+                    x_feature_names=problems[i][1].feature_names,
+                    a_feature_names=problems[i][2].feature_names), trace)
     return out

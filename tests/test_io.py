@@ -1211,13 +1211,16 @@ class TestSignificanceTables:
         assert {(ds[i], wf[k], wf[l]) for i, k, l in np.argwhere(wins)} == stated
 
     @pytest.mark.parametrize("body, message", [
-        # per-line faults come first, in line order
-        ("d0,w0,w1,tie\nd0,w1,w0,tie\nd0,w0,w2\n", "line 4: expected 4 fields"),
-        ("d0,w0,w1,tie\nd0,w1,w0,tie\nd0,w0,w2,draw\n",
-         "line 4: unknown outcome 'draw'"),
-        ("d0,w0,w1,tie\nd0,w1,w0,tie\nd0,w2,w2,tie\n",
-         "line 4: workflow 'w2' compared with itself"),
-        # then duplicates, in line order, as the line names the pair
+        # the first faulty line is named, a repeated pair as that line
+        # names it, whichever kind of fault a later line holds
+        ("d0,w0,w1,tie\nd0,w0,w2\nd0,w1,w0,tie\n", "line 3: expected 4 fields"),
+        ("d0,w0,w1,tie\nd0,w0,w2,draw\nd0,w1,w0,tie\n",
+         "line 3: unknown outcome 'draw'"),
+        ("d0,w0,w1,tie\nd0,w2,w2,tie\nd0,w1,w0,tie\n",
+         "line 3: workflow 'w2' compared with itself"),
+        ("d0,w0,w1,tie\nd0,w1,w0,tie\nd0,w0,w2\n", "duplicate pair (d0,w1,w0)"),
+        ("d0,w0,w1,tie\nd0,w1,w0,tie\nd0,w0,w2,draw\n", "duplicate pair (d0,w1,w0)"),
+        ("d0,w0,w1,tie\nd0,w1,w0,tie\nd0,w2,w2,tie\n", "duplicate pair (d0,w1,w0)"),
         ("d0,w0,w1,tie\nd0,w1,w2,tie\nd0,w1,w0,tie\nd0,w2,w1,tie\n",
          "duplicate pair (d0,w1,w0)"),
         # then the first missing pair in (dataset, k, l) order

@@ -789,8 +789,9 @@ class TestStackedSetupOracle:
                                       [f"e{j}" for j in range(4)],
                                       rng.integers(0, 7, (20, 4)) / 2.0))
                     for _ in range(8)]
-        with mock.patch.object(ml, "_TARGET_CELLS", 1000):
-            assert [len(stack) for stack in ml._setup_stacks(problems)] == [2] * 4
+        with mock.patch.object(ml, "_TARGET_CELLS", 1000), mock.patch.object(
+                ml, "_objective_stack", wraps=ml._objective_stack) as built:
             trained = train_many(problems, HyperParams(max_iters=5))
+        assert [len(call.args[3]) for call in built.call_args_list] == [2] * 4
         for problem, got in zip(problems, trained):
             self.assert_same_training(got, train_alone(*problem, HyperParams(max_iters=5)))

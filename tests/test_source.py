@@ -334,15 +334,16 @@ def test_every_benchmark_command_parses(workload, argv):
     cli.build_parser().parse_args(argv)
 
 
-# the synth sizes of bench/tests/test_bench.py::SMALL
-SMALL = {
-    "lodo-20x10": {"n": 8, "m": 6, "d": 4, "l": 3, "latent_t": 2,
-                   "mode": "noisy", "noise_sigma": 0.5},
-    "train-serve-200x50": {"n": 30, "m": 12, "d": 5, "l": 4, "latent_t": 2,
-                           "mode": "noisy", "noise_sigma": 0.5},
-    "ingest-10x40": {"n": 6, "m": 5, "d": 4, "l": 3, "latent_t": 2,
-                     "mode": "outcome", "instances": 40},
-}
+def bench_small():
+    """The synth sizes of bench/tests/test_bench.py::SMALL, read as the
+    literal of its `SMALL = {...}` assignment, without importing it."""
+    tree = ast.parse((BENCH / "tests" / "test_bench.py").read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == ["SMALL"])
+
+
+SMALL = bench_small()
 
 # workload -> the bench/layers.py targets its op never calls; synth runs
 # in the set-up alone

@@ -8,13 +8,16 @@ same command matrix through metamine.cli.main, in one subprocess of its own,
 from a fresh working directory and with relative paths only, so that no
 output names the tree it came from. Every command's stdout, stderr and exit
 code are stored as files next to the files it writes, failing commands
-included. The significance CSV that `ingest --significance` reads, two
-faulty copies of it that ingest rejects, and a small bundle whose ids
-only a quoting CSV writer gets right, are written here, from seeded RNGs,
-and copied into both working directories, with a query table whose 2nd and
-3rd rows overflow a model's scores, and faulty copies of the quoted tables,
-query tables and model files that ingest and predict reject, so that every
-validation message is compared too. A MEAN_QUERY step of the matrix is
+included. The significance CSV that `ingest --significance` reads,
+faulty copies of it and of the performance CSV, two outcome directories
+(one read partly through csv, one whose columns differ between files),
+and a small bundle whose ids only a quoting CSV writer gets right, are
+written here, from seeded RNGs, and copied into both working directories,
+with a query table whose 2nd and 3rd rows overflow a model's scores, and
+faulty copies of the quoted tables, query tables, config and model files
+that the CLI rejects, so that every validation message is compared too.
+So are usage errors, bad flag values, and a descent that stops on
+line_search_failure. A MEAN_QUERY step of the matrix is
 no CLI command: it writes a copy of a query table with one more row, at
 a model's x_standardization.mean, where every learned similarity is 0.
 
@@ -77,6 +80,9 @@ HUGE_TEXT = "".join(f"{q}\r\n" for q in (
 MEAN_QUERY = "@mean-query"     # model, query table, out
 # inputs that ingest and predict reject, in one directory
 BAD = "bad/in"
+# outcome directories over s10x7's ids: one that ingest reads partly
+# through csv, one whose columns differ between files
+OUTCOMES_CSV, OUTCOMES_COLUMNS = "outcomes/csv", "outcomes/columns"
 # query tables over s12x8's feature widths, each with a feature name the
 # model does not store, a repeated id and a non-finite cell
 WRONG_QUERIES = {
@@ -162,20 +168,86 @@ def faulty_tables(quoted):
     x[2][0], x[3][2] = x[1][0], "nan"
     r[1], r[2] = r[2], r[1]
     a[2][1] = "0,5"
+    u = model_doc()["u"]
+    return {f"{BAD}/X.csv": csv_text(x), f"{BAD}/R.csv": csv_text(r),
+            f"{BAD}/A.csv": csv_text(a),
+            f"{BAD}/nameless.json": json.dumps(model_doc()),
+            f"{BAD}/u-token.json": json.dumps(model_doc(u=[*u[:3], ["abc"], u[4]]))}
 
-    def model(u):
-        return json.dumps({
-            "format_version": 1, "objective": "f3", "t": 1, "hyper": {},
-            "u": u, "v": [["1.0"], ["-0.5"], ["0.25"], ["2.0"]],
+
+def model_doc(**changes):
+    """An f3 model document with U and V of s12x8's widths and no feature
+    names, with the given keys set to other values."""
+    return {"format_version": 1, "objective": "f3", "t": 1, "hyper": {},
+            "u": [["0.5"], ["-1.0"], ["0.75"], ["1.5"], ["-0.25"]],
+            "v": [["1.0"], ["-0.5"], ["0.25"], ["2.0"]],
             **{f"{side}_standardization": {"mean": ["0.0"] * k,
                                            "scale": ["1.0"] * k,
                                            "constant_columns": []}
-               for side, k in (("x", 5), ("a", 4))}})
+               for side, k in (("x", 5), ("a", 4))}, **changes}
 
-    u = [["0.5"], ["-1.0"], ["0.75"], ["1.5"], ["-0.25"]]
-    return {f"{BAD}/X.csv": csv_text(x), f"{BAD}/R.csv": csv_text(r),
-            f"{BAD}/A.csv": csv_text(a), f"{BAD}/nameless.json": model(u),
-            f"{BAD}/u-token.json": model([*u[:3], ["abc"], u[4]])}
+
+def outcome_dirs(rows=20, seed=13):
+    """{path: text} of two outcome directories over s10x7's ids, one CSV
+    per dataset in the form write_outcome_dir writes, except that in
+    OUTCOMES_CSV ds004.csv writes a cell as 1.0, so that it is read through
+    csv, and in OUTCOMES_COLUMNS ds005.csv names its columns in reverse
+    order, which ingest rejects."""
+    rng = random.Random(seed)
+    ids = [f"wf{k:03d}" for k in range(7)]
+    out = {}
+    for i in range(10):
+        lines = [",".join(rng.choice("01") for _ in ids) + "\r\n"
+                 for _ in range(rows)]
+        header = ",".join(ids[::-1] if i == 5 else ids) + "\r\n"
+        out[f"{OUTCOMES_COLUMNS}/ds{i:03d}.csv"] = "".join([header, *lines])
+        if i == 4:
+            lines[3] = "1.0" + lines[3][1:]
+        out[f"{OUTCOMES_CSV}/ds{i:03d}.csv"] = "".join([",".join(ids) + "\r\n", *lines])
+    return out
+
+
+def faulty_files(significance, quoted):
+    """{path: text or bytes} of more files that are rejected, each for one
+    fault: performance and significance CSVs made from the good ones,
+    descriptor tables (not UTF-8, empty, a header alone, and one whose
+    first feature holds values near 1e200), config and model files."""
+    perf = csv_rows(quoted[f"{QUOTED}/performance.csv"])
+    x = quoted[f"{QUOTED}/X.csv"]
+    huge = csv_rows(x)
+    for row in huge[1:]:
+        row[1] = repr(float(row[1]) * 1e200)
+    lines = significance.splitlines(keepends=True)
+
+    def sig(index, change):
+        fields = lines[index].rstrip("\n").split(",")
+        return "".join([*lines[:index], ",".join(change(fields)) + "\n",
+                        *lines[index + 1:]])
+
+    record = model_doc()["x_standardization"]
+    models = {"list": [model_doc()], "version": model_doc(format_version=2),
+              "lacks-t": {k: v for k, v in model_doc().items() if k != "t"},
+              "hyper-key": model_doc(hyper={"bogus": 1}),
+              "hyper-iters": model_doc(hyper={"max_iters": 1.5}),
+              "scale": model_doc(x_standardization={
+                  **record, "scale": ["1.0", "0.0", "1.0", "1.0", "1.0"]})}
+    return {
+        f"{BAD}/perf-duplicate.csv": csv_text([*perf, [*perf[3][:2], "0.5"]]),
+        f"{BAD}/perf-missing.csv": csv_text([*perf[:5], *perf[6:]]),
+        f"{BAD}/perf-short.csv": csv_text([*perf[:4], perf[4][:2], *perf[5:]]),
+        f"{BAD}/sig-outcome.csv": sig(10, lambda f: [*f[:3], "draw"]),
+        f"{BAD}/sig-short.csv": sig(20, lambda f: f[:3]),
+        f"{BAD}/sig-self.csv": sig(30, lambda f: [f[0], f[1], f[1], f[3]]),
+        f"{BAD}/x-latin1.csv": x.encode("latin-1"),     # "dé5" is not UTF-8
+        f"{BAD}/x-empty.csv": "",
+        f"{BAD}/x-header.csv": x[:x.index("\n") + 1],
+        f"{BAD}/x-huge.csv": csv_text(huge),
+        f"{BAD}/config-list.json": "[]\n",
+        f"{BAD}/config-key.json": '{"bogus": 1}\n',
+        f"{BAD}/config-type.json": '{"max_iters": "many"}\n',
+        f"{BAD}/config-choice.json": '{"init": "zeros"}\n',
+        **{f"{BAD}/model-{name}.json": json.dumps(doc) for name, doc in models.items()},
+    }
 
 
 def matrix():
@@ -212,6 +284,8 @@ def matrix():
     cmds.append(["evaluate", "--bundle", "s10x7/b-significance",
                  "--protocol", "lodo", "--strategies", "def,ec,f4", *ITERS,
                  "--out", "s10x7/lodo-significance"])
+    cmds.append(["ingest", *tables, "--outcomes-dir", OUTCOMES_CSV,
+                 "--out", "s10x7/b-outcomes-csv"])
 
     # predict every task each model serves, with queries of the same widths
     cmds.append(["synth", "--n", "4", "--m", "3", "--d", "5", "--l", "4",
@@ -253,6 +327,9 @@ def matrix():
     cmds.append(["--config", "s12x8/f4-svd_warm_start.json.config.json",
                  "train", "--bundle", "s12x8/b", "--objective", "f4",
                  "--max-iters", "5", "--out", "s12x8/f4-config.json"])
+    # a descent that stops on line_search_failure at its first iteration
+    cmds.append(["train", "--bundle", "s12x8/b", "--objective", "f3",
+                 "--mu1", "1e18", *ITERS, "--out", "s12x8/f3-lsf.json"])
 
     # commands that fail: their stderr and exit codes are compared too
     cmds += [
@@ -265,6 +342,9 @@ def matrix():
          "--significance", SIGNIFICANCE, "--out", "bad/b"],
         ["ingest", *tables, "--significance", SIG_DUPLICATE, "--out", "bad/b"],
         ["ingest", *tables, "--significance", SIG_MISSING, "--out", "bad/b"],
+        *(["ingest", *tables, "--significance", f"{BAD}/sig-{fault}.csv",
+           "--out", "bad/b"] for fault in ("outcome", "short", "self")),
+        ["ingest", *tables, "--outcomes-dir", OUTCOMES_COLUMNS, "--out", "bad/b"],
         ["evaluate", "--bundle", "s12x8/b", "--protocol", "lodo",
          "--strategies", "def,nope", "--out", "bad/e"],
         ["evaluate", "--bundle", "s12x8/b", "--protocol", "lodwo",
@@ -278,13 +358,36 @@ def matrix():
         ["predict", "--model", "s12x8/f3-seeded_gaussian.json",
          "--bundle", "s12x8/b", "--task", "workflow_prefs",
          "--x", HUGE, "--out", "bad/huge.csv"],
+        ["predict", "--model", "s12x8/f3-seeded_gaussian.json",
+         "--bundle", "s12x8/b", "--task", "workflow_prefs", "--out", "bad/p.csv"],
+        ["predict", "--model", "s12x8/f1-seeded_gaussian.json",
+         "--bundle", "s12x8/b", "--task", "workflow_prefs", "--neighbors", "0",
+         "--x", "queries/X.csv", "--out", "bad/p.csv"],
+        ["evaluate", "--bundle", "s12x8/b", "--protocol", "lodo", "--jobs", "0",
+         "--out", "bad/e"],
+        ["train", "--bundle", "s12x8/b", "--objective", "f3", "--preset", "nope",
+         "--out", "bad/m.json"],
+        ["train", "--bundle", "s12x8/b", "--objective", "f3", "--mu1", "-1",
+         "--out", "bad/m.json"],
+        *(["--config", f"{BAD}/config-{fault}.json", "train", "--bundle", "s12x8/b",
+           "--objective", "f3", "--out", "bad/m.json"]
+          for fault in ("list", "key", "type", "choice")),
+        *(["predict", "--model", f"{BAD}/model-{fault}.json", "--bundle", "s12x8/b",
+           "--task", "workflow_prefs", "--x", "queries/X.csv", "--out", "bad/p.csv"]
+          for fault in ("list", "version", "lacks-t", "hyper-key", "hyper-iters",
+                        "scale")),
     ]
     # faulty tables, query tables and model files, each exit 1
-    quoted = {name: f"{QUOTED}/{name}.csv" for name in ("X", "A", "R")}
-    for name in quoted:
-        tables = {**quoted, name: f"{BAD}/{name}.csv"}
+    quoted = {name: f"{QUOTED}/{name}.csv"
+              for name in ("X", "A", "R", "performance")}
+    for name, bad in [*((name, name) for name in ("X", "A", "R")),
+                      *(("performance", f"perf-{fault}")
+                        for fault in ("duplicate", "missing", "short")),
+                      *(("X", f"x-{fault}")
+                        for fault in ("latin1", "empty", "header", "huge"))]:
+        tables = {**quoted, name: f"{BAD}/{bad}.csv"}
         cmds.append(["ingest", "--x", tables["X"], "--a", tables["A"],
-                     "--performance", f"{QUOTED}/performance.csv",
+                     "--performance", tables["performance"],
                      "--preferences", tables["R"], "--out", "bad/b"])
     for model, task, flag, table in (
             ("s12x8/f3-seeded_gaussian.json", "workflow_prefs", "--x", "qx-names"),
@@ -407,12 +510,14 @@ def main(argv=None):
         quoted = quoted_tables()
         inputs = {SIGNIFICANCE: significance, HUGE: HUGE_TEXT, **quoted,
                   **faulty_significance(significance), **faulty_tables(quoted),
-                  **WRONG_QUERIES}
+                  **WRONG_QUERIES, **outcome_dirs(),
+                  **faulty_files(significance, quoted)}
         for name, src in (("base", tmp / "base" / "src"), ("head", REPO / "src")):
-            for rel, text in inputs.items():
+            for rel, data in inputs.items():
                 path = work[name] / rel
                 path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(text, encoding="utf-8", newline="")
+                path.write_bytes(data if isinstance(data, bytes)
+                                 else data.encode("utf-8"))
             done = run_tree(src, work[name], cmds)
             if done.returncode:
                 print(f"{name} tree: the runner failed\n{done.stderr}",
