@@ -126,12 +126,6 @@ class PreferenceMatrix:
                       for i, j in np.argwhere(np.isfinite(self.scores) & bad)]
         return found
 
-    def check_invariants(self):
-        """Raise ValueError on the first violated invariant."""
-        found = self.invariant_violations()
-        if found:
-            raise ValueError("{}: {}".format(*found[0]))
-
     def drop(self, dataset_index=None, workflow_index=None) -> "PreferenceMatrix":
         """Submatrix with one row and/or one column removed. The result is a
         plain score table; row-sum invariants no longer apply."""

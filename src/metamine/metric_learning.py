@@ -331,23 +331,13 @@ def _descend(kind, red: ReducedObjective, u, v, hyper):
             for (uj, vj, reason, n, flat), vals, sts, nrm in zip(stops, *columns)]
 
 
-def minimize_many(problems, hyper: HyperParams):
-    """minimize for each (Objective, u0, v0) of `problems`, with the
-    problems of the same kind and shapes descending as one stack. Returns
-    the (u, v, TrainTrace) of each problem, in order; each equals what
-    minimize gives for that problem alone."""
-    groups = {}
-    for index, (obj, u0, v0) in enumerate(problems):
-        groups.setdefault((obj.kind, obj.x.shape, obj.a.shape, u0.shape, v0.shape),
-                          []).append(index)
-    out = [None] * len(problems)
-    for (kind, *_), members in groups.items():
-        objs, us, vs = zip(*(problems[i] for i in members))
-        for i, result in zip(members, _descend(
-                kind, _each(lambda *f: np.concatenate(f), *(o.reduced for o in objs)),
-                np.stack(us), np.stack(vs), hyper)):
-            out[i] = result
-    return out
+def minimize_many(obj: Objective, u0: np.ndarray, v0: np.ndarray,
+                  hyper: HyperParams):
+    """minimize for each problem of an Objective stack, its starts the
+    stacks u0 and v0, descending as one stack. Returns the (u, v,
+    TrainTrace) of each problem, in order; each equals what minimize
+    gives for that problem alone."""
+    return _descend(obj.kind, _reduce(obj), u0, v0, hyper)
 
 
 def minimize(obj: Objective, u0: np.ndarray, v0: np.ndarray,
@@ -355,7 +345,7 @@ def minimize(obj: Objective, u0: np.ndarray, v0: np.ndarray,
     """Gradient descent with Armijo backtracking on the stacked (U, V): a
     stack of one problem. The accepted objective sequence is
     non-increasing by construction. Returns (u, v, TrainTrace)."""
-    return minimize_many([(obj, u0, v0)], hyper)[0]
+    return _descend(obj.kind, obj.reduced, u0[None], v0[None], hyper)[0]
 
 
 def _objective_stack(kind: ObjectiveKind, x_std, a_std, rs) -> Objective:

@@ -98,25 +98,18 @@ def score_dataset(correctness) -> np.ndarray:
     return points(mcnemar_wins(mat))
 
 
-def _preference_matrix(dataset_ids, workflow_ids, rows) -> PreferenceMatrix:
-    """R from its rows of comparison points, one per dataset."""
-    r = PreferenceMatrix(dataset_ids, workflow_ids, np.vstack(rows))
-    r.check_invariants()
-    return r
-
-
 def build_preference_matrix(cube: OutcomeCube) -> PreferenceMatrix:
     """Populate R: row i holds the comparison points of all workflows on
     dataset i."""
-    return _preference_matrix(cube.dataset_ids, cube.workflow_ids,
-                              [score_dataset(mat) for mat in cube.matrices])
+    return PreferenceMatrix(cube.dataset_ids, cube.workflow_ids,
+                            np.vstack([score_dataset(mat) for mat in cube.matrices]))
 
 
 def build_preference_from_significance(dataset_ids, workflow_ids,
                                        wins) -> PreferenceMatrix:
     """R from wins, an n x m x m stack of win matrices, one per dataset:
     those read_significance_csv gives, or synth's."""
-    return _preference_matrix(dataset_ids, workflow_ids, points(wins))
+    return PreferenceMatrix(dataset_ids, workflow_ids, points(wins))
 
 
 def _average_ranks(values):

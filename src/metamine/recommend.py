@@ -167,19 +167,16 @@ def default_strategy(task: Task, r_train: PreferenceMatrix) -> PreferencePredict
     return PreferencePrediction(values)
 
 
-def euclidean_strategy(query, train_std, r: PreferenceMatrix, n: int,
-                       task: Task) -> PreferencePrediction:
+def euclidean_strategy(query, train_std, pref_rows, n: int) -> PreferencePrediction:
     """Plain Euclidean-distance kNN over standardized descriptors with
-    weights 1/(1+distance). Not applicable to pair scoring."""
-    if task is Task.PAIR_SCORE:
-        raise ValueError("Euclidean baseline cannot score heterogeneous pairs")
+    weights 1/(1+distance), averaging the preference rows (R's, or R's
+    transpose's) of the nearest training entities."""
     q = np.asarray(query, dtype=float)[..., None, :]
     train = np.asarray(train_std, dtype=float)
     dists = np.sqrt(((train - q) ** 2).sum(axis=-1))
     picked = _knn_by_similarity(-dists, n)
     w = 1.0 / (1.0 + np.take_along_axis(dists, picked, -1))
-    rows = r.scores if task is Task.WORKFLOW_PREFS else r.scores.T
-    return _unflagged(_weighted_rows(rows[picked], w), w.shape[:-1])
+    return _unflagged(_weighted_rows(pref_rows[picked], w), w.shape[:-1])
 
 
 def predict(strategy: Strategy, task: Task, x_new, a_new, x, a,
@@ -208,10 +205,10 @@ def predict(strategy: Strategy, task: Task, x_new, a_new, x, a,
         return _unflagged(np.array(np.broadcast_to(values, lead + values.shape)),
                           lead)
     if strategy is Strategy.EUCLIDEAN:
-        table, query = (x, x_new) if task is Task.WORKFLOW_PREFS else (a, a_new)
+        table, query, rows = ((x, x_new, r.scores) if task is Task.WORKFLOW_PREFS
+                              else (a, a_new, r.scores.T))
         train_std, record = standardize(table)
-        return euclidean_strategy(record.apply(query), train_std.features, r,
-                                  n, task)
+        return euclidean_strategy(record.apply(query), train_std.features, rows, n)
     std_x, std_a = params.x_standardization.apply, params.a_standardization.apply
     qx = None if x_new is None else std_x(x_new)
     qa = None if a_new is None else std_a(a_new)

@@ -45,6 +45,8 @@ class SynthConfig:
             raise ValueError("latent_t must be in [1, min(d, l)]")
         if not 0 <= self.noise_sigma < np.inf:  # nan fails too
             raise ValueError("noise_sigma must be finite and nonnegative")
+        if self.mode is SynthMode.EXACT_BILINEAR and self.noise_sigma > 0:
+            raise ValueError("noise_sigma applies to the noisy and outcome modes only")
         if self.mode is SynthMode.OUTCOME_LEVEL and self.instances_per_dataset < 1:
             raise ValueError("outcome-level mode needs at least one instance per dataset")
 
@@ -96,7 +98,7 @@ def generate(config: SynthConfig) -> SynthResult:
     u_true = rng.standard_normal((d, t)) / np.sqrt(t)
     v_true = rng.standard_normal((l, t)) / np.sqrt(t)
     scores = x_feat @ u_true @ v_true.T @ a_feat.T
-    if config.mode is not SynthMode.EXACT_BILINEAR and config.noise_sigma > 0:
+    if config.noise_sigma > 0:
         scores = scores + config.noise_sigma * scores.std() * rng.standard_normal((n, m))
 
     dataset_ids = tuple(f"ds{i:03d}" for i in range(n))

@@ -1138,6 +1138,15 @@ class TestNonFiniteNoiseSigma:
         assert not out.exists()
 
 
+class TestNoiseInExactMode:
+    def test_synth_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "raw"
+        assert run(["synth", "--noise-sigma", "0.3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: noise_sigma applies to the noisy and outcome modes only\n")
+        assert not out.exists()
+
+
 class TestNoStrategyLeft:
     @pytest.mark.parametrize("protocol, strategies, task", [
         ("lodo", "", "workflow ranking"),

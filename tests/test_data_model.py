@@ -118,12 +118,12 @@ class TestValidateTablesWithPreferences:
         issues = validate_tables(x, a, None, _preferences(x, a, scores)).issues
         assert {i.where for i in issues} == {"R"}
 
-    def test_check_invariants_raises_the_first_issue(self):
+    def test_invariant_violations_name_each_issue(self):
         r = PreferenceMatrix(("d0",), ("w0", "w1", "w2"), [[0.0, 1.0, 2.0]])
         assert r.invariant_violations() == []
         r = PreferenceMatrix(("d0",), ("w0", "w1", "w2"), [[-1.0, 2.0, 2.0]])
-        with pytest.raises(ValueError, match=r"outside \[0, 2\]"):
-            r.check_invariants()
+        assert r.invariant_violations() == [
+            ("(0,0)", "preference score -1.0 outside [0, 2]")]
 
 
 class TestHyperParamsChecks:
@@ -211,14 +211,14 @@ class TestPreferenceMatrixInvariants:
     def test_row_sum_violation_detected(self):
         r = PreferenceMatrix(("d0", "d1"), ("w0", "w1", "w2"),
                              [[2.0, 1.0, 0.0], [2.0, 1.0, 0.5]])
-        with pytest.raises(ValueError, match="sums to"):
-            r.check_invariants()
+        assert r.invariant_violations() == [("row 1", "sums to 3.5, expected 3.0")]
 
     def test_half_point_grid_enforced(self):
         r = PreferenceMatrix(("d0",), ("w0", "w1", "w2"),
                              [[1.75, 1.0, 0.25]])
-        with pytest.raises(ValueError, match="multiple of 0.5"):
-            r.check_invariants()
+        assert r.invariant_violations() == [
+            ("(0,0)", "preference score 1.75 not a multiple of 0.5"),
+            ("(0,2)", "preference score 0.25 not a multiple of 0.5")]
 
 
 class TestIdsInAnotherOrder:

@@ -113,7 +113,7 @@ class TestPreferenceCsv:
         assert back.dataset_ids == res.preferences.dataset_ids
         assert back.workflow_ids == res.preferences.workflow_ids
         np.testing.assert_array_equal(back.scores, res.preferences.scores)
-        back.check_invariants()
+        assert back.invariant_violations() == []
 
     def test_no_workflow_columns_rejected(self, tmp_path):
         path = tmp_path / "r.csv"

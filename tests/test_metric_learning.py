@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -446,12 +447,20 @@ def assert_same_descent(got, expected):
                                           + trace.gradient_norms))
 
 
+def as_stack(problems):
+    """minimize_many's Objective stack and start stacks of (Objective, u0,
+    v0) problems of one kind, shape and set of targets."""
+    objs, us, vs = zip(*problems)
+    return ml._each(lambda *f: np.stack(f), *objs), np.stack(us), np.stack(vs)
+
+
 @st.composite
 def stacks(draw):
-    """Problems of shared shapes (n <= d and t = 1 included), with kinds
-    and targets drawn per problem, some starting from U = V = 0, where every
-    gradient is exactly zero; plus hyperparameters under which problems
-    stop on rel_tol, on line_search_failure or at max_iters."""
+    """Problems of one kind and shared shapes (n <= d and t = 1 included),
+    with the kind's targets only or all three, some starting from U = V =
+    0, where every gradient is exactly zero; plus hyperparameters under
+    which problems stop on rel_tol, on line_search_failure or at
+    max_iters."""
     n, m = draw(st.integers(2, 9)), draw(st.integers(2, 9))
     d, l, t = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(1, 3))
     hyper = HyperParams(mu1=draw(weight), mu2=draw(weight), alpha=draw(weight),
@@ -459,12 +468,13 @@ def stacks(draw):
                         max_iters=draw(st.integers(0, 40)),
                         rel_tol=draw(st.sampled_from((1e-12, 1e-5, 1e-3, 3e-2))))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(ObjectiveKind))
+    needed_only = draw(st.booleans())
     problems = []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(ObjectiveKind))
         targets = {"s_x": symmetric(rng, n), "s_a": symmetric(rng, m),
                    "r": rng.standard_normal((n, m))}
-        if draw(st.booleans()):      # only the targets the kind needs
+        if needed_only:
             needs = {ObjectiveKind.F1: ("s_x",), ObjectiveKind.F2: ("s_a",),
                      ObjectiveKind.F3: ("r",)}.get(kind, tuple(targets))
             targets = {name: targets[name] for name in needs}
@@ -485,7 +495,7 @@ class TestStackedDescentOracle:
     def test_stack_equals_one_at_a_time(self, case):
         problems, hyper, backtracks = case
         with mock.patch.object(ml, "MAX_BACKTRACKS", backtracks):
-            stacked = minimize_many(problems, hyper)
+            stacked = minimize_many(*as_stack(problems), hyper)
             for problem, got in zip(problems, stacked):
                 expected = descend_alone(*problem, hyper)
                 assert_same_descent(got, expected)
@@ -498,7 +508,7 @@ class TestStackedDescentOracle:
         # the iteration the problem stopped in, for as long as it is held
         problems, hyper, backtracks = case
         with mock.patch.object(ml, "MAX_BACKTRACKS", backtracks):
-            for u, v, _ in minimize_many(problems, hyper):
+            for u, v, _ in minimize_many(*as_stack(problems), hyper):
                 assert u.base is None and v.base is None
 
     @staticmethod
@@ -529,7 +539,7 @@ class TestStackedDescentOracle:
         else:                              # so far out that no step is short enough
             u0, v0 = 1e10 * u0, 1e10 * v0
         problems[1] = (obj, u0, v0)
-        stacked = minimize_many(problems, hyper)
+        stacked = minimize_many(*as_stack(problems), hyper)
         for problem, got in zip(problems, stacked):
             assert_same_descent(got, descend_alone(*problem, hyper))
         traces = [trace for _, _, trace in stacked]
@@ -542,10 +552,9 @@ class TestStackedDescentOracle:
         # where every gradient is 0
         problems = self.stack_of_four(ObjectiveKind.F3, 5)
         obj, u0, v0 = problems[2]
-        problems[2] = (Objective(kind=ObjectiveKind.F3, x=obj.x, a=obj.a,
-                                 r=np.zeros_like(obj.r)), u0, np.zeros_like(v0))
+        problems[2] = (replace(obj, r=np.zeros_like(obj.r)), u0, np.zeros_like(v0))
         hyper = HyperParams(mu1=0.25, mu2=0.3, max_iters=30, rel_tol=1e-12)
-        stacked = minimize_many(problems, hyper)
+        stacked = minimize_many(*as_stack(problems), hyper)
         for problem, got in zip(problems, stacked):
             assert_same_descent(got, descend_alone(*problem, hyper))
         trace = stacked[2][2]
@@ -561,7 +570,7 @@ class TestStackedDescentOracle:
         obj, u0, v0 = problems[0]
         problems[0] = (obj, np.zeros_like(u0), np.zeros_like(v0))
         hyper = HyperParams(mu1=0.01, mu2=0.01, max_iters=1500, rel_tol=1e-300)
-        stacked = minimize_many(problems, hyper)
+        stacked = minimize_many(*as_stack(problems), hyper)
         for problem, got in zip(problems, stacked):
             assert_same_descent(got, descend_alone(*problem, hyper))
         first, *others = [trace for _, _, trace in stacked]
@@ -571,7 +580,7 @@ class TestStackedDescentOracle:
     def test_max_iters_zero_returns_each_start(self):
         problems = self.stack_of_four(ObjectiveKind.F4, 3)
         for (_, u0, v0), (u, v, trace) in zip(
-                problems, minimize_many(problems, HyperParams(max_iters=0))):
+                problems, minimize_many(*as_stack(problems), HyperParams(max_iters=0))):
             np.testing.assert_array_equal(u, u0)
             np.testing.assert_array_equal(v, v0)
             assert trace.iterations == 0 and trace.reason is StopReason.MAX_ITERS

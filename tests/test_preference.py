@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metamine.data_model import PreferenceMatrix
 from metamine.preference import (OutcomeCube, _average_ranks, _rank_correlations,
                                  build_preference_from_significance,
                                  build_preference_matrix, mcnemar_wins, points,
@@ -183,6 +184,18 @@ class TestMcnemarOracle:
             assert pair_outcome(correct[:, 0], correct[:, 1]) == expected
 
 
+@st.composite
+def tournaments(draw):
+    """An n x m x m stack of win matrices in which each unordered pair of
+    workflows is won by k, won by l, or tied, the form of every source's
+    wins (McNemar's, the significance reader's and synth's)."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    outcomes = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n * m * m,
+                             max_size=n * m * m))
+    sign = np.triu(np.reshape(outcomes, (n, m, m)), 1)
+    return (sign - sign.transpose(0, 2, 1)) > 0
+
+
 class TestPoints:
     def test_wins_losses_and_neither(self):
         # w0 beats w1 and w2; w1 and w2 tie; w3 beats w1
@@ -197,6 +210,15 @@ class TestPoints:
         np.testing.assert_array_equal(points(stack),
                                       np.vstack([points(w) for w in stack]))
         assert np.all(points(stack).sum(axis=1) == 6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tournaments())
+    def test_tournament_rows_keep_the_invariants(self, wins):
+        # the rows sum to m(m-1)/2 and lie on the half-point grid in
+        # [0, m-1], so an R built from wins needs no check of its own
+        n, m, _ = wins.shape
+        r = PreferenceMatrix(range(n), range(m), points(wins))
+        assert r.invariant_violations() == []
 
 
 class TestBuildPreferenceMatrix:

@@ -218,14 +218,13 @@ class TestEuclideanStrategy:
         rng = np.random.default_rng(10)
         train = rng.standard_normal((4, 3))
         r = make_r(rng.random((4, 2)))
-        pred = euclidean_strategy(train[2], train, r, n=1, task=Task.WORKFLOW_PREFS)
+        pred = euclidean_strategy(train[2], train, r.scores, n=1)
         np.testing.assert_allclose(pred.values, r.scores[2])
 
     def test_equidistant_pair_averages_rows(self):
         train = np.array([[1.0, 0.0], [-1.0, 0.0]])
         r = make_r([[2.0, 0.0], [0.0, 2.0]])
-        pred = euclidean_strategy(np.zeros(2), train, r, n=2,
-                                  task=Task.WORKFLOW_PREFS)
+        pred = euclidean_strategy(np.zeros(2), train, r.scores, n=2)
         np.testing.assert_allclose(pred.values, [1.0, 1.0])
 
     def test_matches_brute_force(self):
@@ -237,14 +236,8 @@ class TestEuclideanStrategy:
         picked = np.argsort(dists, kind="stable")[:3]
         w = 1.0 / (1.0 + dists[picked])
         expected = (w[:, None] * r.scores[picked]).sum(axis=0) / w.sum()
-        pred = euclidean_strategy(query, train, r, n=3, task=Task.WORKFLOW_PREFS)
+        pred = euclidean_strategy(query, train, r.scores, n=3)
         np.testing.assert_allclose(pred.values, expected)
-
-    def test_pair_task_rejected(self):
-        r = make_r([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="heterogeneous"):
-            euclidean_strategy(np.zeros(2), np.zeros((2, 2)), r, n=1,
-                               task=Task.PAIR_SCORE)
 
 
 class TestPredict:
@@ -289,8 +282,7 @@ class TestEuclideanEmptyTraining:
     def test_empty_training_table_rejected(self):
         r = make_r(np.zeros((0, 3)))
         with pytest.raises(ValueError, match="empty training set"):
-            euclidean_strategy(np.zeros(4), np.zeros((0, 4)), r, n=2,
-                               task=Task.WORKFLOW_PREFS)
+            euclidean_strategy(np.zeros(4), np.zeros((0, 4)), r.scores, n=2)
 
 
 class TestQueryTable:

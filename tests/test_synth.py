@@ -28,15 +28,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="bogus"):
             SynthConfig(mode="bogus")
 
+    @pytest.mark.parametrize("sigma", [1e-300, 0.3])
+    def test_noise_in_exact_mode_rejected(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma applies to the "
+                                             "noisy and outcome modes only"):
+            SynthConfig(noise_sigma=sigma, mode=SynthMode.EXACT_BILINEAR)
+        assert SynthConfig(noise_sigma=0.0).mode is SynthMode.EXACT_BILINEAR
+
 
 class TestGenerate:
     def test_outputs_pass_validation(self):
         for mode in SynthMode:
+            sigma = 0.0 if mode is SynthMode.EXACT_BILINEAR else 0.3
             res = generate(SynthConfig(n=5, m=4, d=4, l=3, latent_t=2,
-                                       noise_sigma=0.3, seed=1, mode=mode,
+                                       noise_sigma=sigma, seed=1, mode=mode,
                                        instances_per_dataset=40))
             assert validate_tables(res.x, res.a, res.performance).passed
-            res.preferences.check_invariants()
+            assert res.preferences.invariant_violations() == []
 
     def test_exact_mode_preferences_follow_score_order(self):
         res = generate(SynthConfig(n=6, m=5, d=4, l=3, latent_t=2, seed=2))

@@ -9,13 +9,15 @@ from a fresh working directory and with relative paths only, so that no
 output names the tree it came from. Every command's stdout, stderr and exit
 code are stored as files next to the files it writes, failing commands
 included. The significance CSV that `ingest --significance` reads,
-faulty copies of it and of the performance CSV, two outcome directories
-(one read partly through csv, one whose columns differ between files),
-and a small bundle whose ids only a quoting CSV writer gets right, are
+faulty copies of it and of the performance CSV, outcome directories
+(one read partly through csv, and four that ingest rejects), a small
+bundle whose ids only a quoting CSV writer gets right, and two bundles
+too small for a protocol, are
 written here, from seeded RNGs, and copied into both working directories,
 with a query table whose 2nd and 3rd rows overflow a model's scores, and
 faulty copies of the quoted tables, query tables, config and model files
-that the CLI rejects, so that every validation message is compared too.
+that the CLI rejects, so that every validation message the CLI can reach
+is compared too.
 So are usage errors, bad flag values, and a descent that stops on
 line_search_failure. A MEAN_QUERY step of the matrix is
 no CLI command: it writes a copy of a query table with one more row, at
@@ -81,8 +83,13 @@ MEAN_QUERY = "@mean-query"     # model, query table, out
 # inputs that ingest and predict reject, in one directory
 BAD = "bad/in"
 # outcome directories over s10x7's ids: one that ingest reads partly
-# through csv, one whose columns differ between files
+# through csv, one whose columns differ between files, one whose file
+# has one workflow column, one with a cell 2, and one that holds no file
 OUTCOMES_CSV, OUTCOMES_COLUMNS = "outcomes/csv", "outcomes/columns"
+OUTCOMES_ONE, OUTCOMES_TWO = "outcomes/one", "outcomes/two"
+OUTCOMES_EMPTY = "outcomes/empty"
+# bundles too small for a protocol: datasets x workflows
+TINY = ("5x1", "1x4")
 # query tables over s12x8's feature widths, each with a feature name the
 # model does not store, a repeated id and a non-finite cell
 WRONG_QUERIES = {
@@ -161,16 +168,23 @@ def quoted_tables(d=3, l=2, seed=11):
 def faulty_tables(quoted):
     """{path: text} of copies of quoted_tables' tables that ingest rejects
     (an X whose 2nd row repeats the 1st's id and whose 3rd holds a nan, an
-    R whose first two rows trade places, an A with a non-numeric token),
+    R whose first two rows trade places, an A with a non-numeric token;
+    Rs whose first row breaks the row sum, the half-point grid or the
+    [0, m-1] range, and one that repeats its first row's id at the end),
     and of f3 model files with U and V of s12x8's widths: one that stores
     no feature names, and one whose u holds a non-numeric cell."""
     x, r, a = (csv_rows(quoted[f"{QUOTED}/{name}.csv"]) for name in "XRA")
     x[2][0], x[3][2] = x[1][0], "nan"
+    faults = {"sum": ["0", "1", "2", "2"], "grid": ["0.25", "0.75", "2", "3"],
+              "range": ["-0.5", "1.5", "1", "4"]}
+    wrong_r = {f"{BAD}/r-{fault}.csv": csv_text([r[0], [r[1][0], *row], *r[2:]])
+               for fault, row in faults.items()}
+    wrong_r[f"{BAD}/r-ids.csv"] = csv_text([*r, r[1]])
     r[1], r[2] = r[2], r[1]
     a[2][1] = "0,5"
     u = model_doc()["u"]
     return {f"{BAD}/X.csv": csv_text(x), f"{BAD}/R.csv": csv_text(r),
-            f"{BAD}/A.csv": csv_text(a),
+            f"{BAD}/A.csv": csv_text(a), **wrong_r,
             f"{BAD}/nameless.json": json.dumps(model_doc()),
             f"{BAD}/u-token.json": json.dumps(model_doc(u=[*u[:3], ["abc"], u[4]]))}
 
@@ -192,7 +206,9 @@ def outcome_dirs(rows=20, seed=13):
     per dataset in the form write_outcome_dir writes, except that in
     OUTCOMES_CSV ds004.csv writes a cell as 1.0, so that it is read through
     csv, and in OUTCOMES_COLUMNS ds005.csv names its columns in reverse
-    order, which ingest rejects."""
+    order, which ingest rejects. Two more that ingest rejects hold one
+    file: OUTCOMES_ONE's has one workflow column, OUTCOMES_TWO's a cell
+    2, which is read through csv."""
     rng = random.Random(seed)
     ids = [f"wf{k:03d}" for k in range(7)]
     out = {}
@@ -204,19 +220,86 @@ def outcome_dirs(rows=20, seed=13):
         if i == 4:
             lines[3] = "1.0" + lines[3][1:]
         out[f"{OUTCOMES_CSV}/ds{i:03d}.csv"] = "".join([",".join(ids) + "\r\n", *lines])
+    out[f"{OUTCOMES_ONE}/ds000.csv"] = "wf000\r\n0\r\n1\r\n"
+    out[f"{OUTCOMES_TWO}/ds000.csv"] = "wf000,wf001\r\n0,1\r\n1,2\r\n"
     return out
+
+
+def tiny_tables():
+    """{path: text} of the raw tables of the TINY bundles: one feature
+    column each side, and in each row of R the scores 0..m-1."""
+    out = {}
+    for shape in TINY:
+        n, m = map(int, shape.split("x"))
+        ds, wf = [f"ds{i}" for i in range(n)], [f"wf{k}" for k in range(m)]
+        raw = f"tiny/{shape}/raw"
+        out[f"{raw}/X.csv"] = csv_text([["id", "f0"], *([e, f"{i}.5"]
+                                                         for i, e in enumerate(ds))])
+        out[f"{raw}/A.csv"] = csv_text([["id", "g0"], *([e, f"{k}.25"]
+                                                         for k, e in enumerate(wf))])
+        out[f"{raw}/performance.csv"] = csv_text(
+            [["dataset_id", "workflow_id", "performance"],
+             *([e, w, "0.5"] for e in ds for w in wf)])
+        out[f"{raw}/R.csv"] = csv_text([["dataset_id", *wf],
+                                        *([e, *map(str, range(m))] for e in ds)])
+    return out
+
+
+def faulty_models():
+    """name -> text or bytes of a model file that predict rejects, each
+    for one fault: not UTF-8, not JSON, not an object, of another format
+    version, and one per rule of io.MODEL_SCHEMA and of U and V against
+    the records, the feature names and t."""
+    record = model_doc()["x_standardization"]
+    u = model_doc()["u"]
+    docs = {"list": [model_doc()], "version": model_doc(format_version=2),
+            "lacks-t": {k: v for k, v in model_doc().items() if k != "t"},
+            "hyper-key": model_doc(hyper={"bogus": 1}),
+            "hyper-iters": model_doc(hyper={"max_iters": 1.5}),
+            "scale": model_doc(x_standardization={
+                **record, "scale": ["1.0", "0.0", "1.0", "1.0", "1.0"]}),
+            "u-nan": model_doc(u=[*u[:2], ["nan"], *u[3:]]),
+            "u-huge": model_doc(u=[*u[:2], [10 ** 400], *u[3:]]),
+            "u-null": model_doc(u=[*u[:1], [None], *u[2:]]),
+            "matrix": model_doc(u=[*u[:4], ["1.0", "2.0"]]),
+            "record-type": model_doc(x_standardization=[]),
+            "record-lacks": model_doc(x_standardization={
+                k: v for k, v in record.items() if k != "scale"}),
+            "record-mean": model_doc(x_standardization={**record, "mean": "0.0"}),
+            "record-columns": model_doc(x_standardization={
+                **record, "constant_columns": [5]}),
+            "hyper-type": model_doc(hyper=[]),
+            "hyper-float": model_doc(hyper={"mu1": "0.5"}),
+            "hyper-huge": model_doc(hyper={"mu2": 10 ** 400}),
+            "hyper-range": model_doc(hyper={"mu1": -1.0}),
+            "hyper-init": model_doc(hyper={"init": "zeros"}),
+            "objective": model_doc(objective="f9"),
+            "t": model_doc(t=0),
+            "names": model_doc(x_feature_names=["f0", 1]),
+            "u-record": model_doc(x_standardization={
+                **record, "mean": record["mean"][:4]}),
+            "u-names": model_doc(x_feature_names=["f0", "f1", "f2", "f3"]),
+            "u-t": model_doc(t=2),
+            "v-record": model_doc(a_standardization={
+                k: v[:3] for k, v in record.items()})}
+    return {**{name: json.dumps(doc) for name, doc in docs.items()},
+            "latin1": json.dumps(model_doc(objective="fé"),
+                                 ensure_ascii=False).encode("latin-1"),
+            "syntax": json.dumps(model_doc())[:-1]}
 
 
 def faulty_files(significance, quoted):
     """{path: text or bytes} of more files that are rejected, each for one
     fault: performance and significance CSVs made from the good ones,
-    descriptor tables (not UTF-8, empty, a header alone, and one whose
-    first feature holds values near 1e200), config and model files."""
+    descriptor tables (not UTF-8, empty, a header alone, a header with the
+    id column alone, a row short of a field, and one whose first feature
+    holds values near 1e200), config files and faulty_models' files."""
     perf = csv_rows(quoted[f"{QUOTED}/performance.csv"])
     x = quoted[f"{QUOTED}/X.csv"]
-    huge = csv_rows(x)
+    huge, short = csv_rows(x), csv_rows(x)
     for row in huge[1:]:
         row[1] = repr(float(row[1]) * 1e200)
+    short[3] = short[3][:-1]
     lines = significance.splitlines(keepends=True)
 
     def sig(index, change):
@@ -224,29 +307,32 @@ def faulty_files(significance, quoted):
         return "".join([*lines[:index], ",".join(change(fields)) + "\n",
                         *lines[index + 1:]])
 
-    record = model_doc()["x_standardization"]
-    models = {"list": [model_doc()], "version": model_doc(format_version=2),
-              "lacks-t": {k: v for k, v in model_doc().items() if k != "t"},
-              "hyper-key": model_doc(hyper={"bogus": 1}),
-              "hyper-iters": model_doc(hyper={"max_iters": 1.5}),
-              "scale": model_doc(x_standardization={
-                  **record, "scale": ["1.0", "0.0", "1.0", "1.0", "1.0"]})}
     return {
         f"{BAD}/perf-duplicate.csv": csv_text([*perf, [*perf[3][:2], "0.5"]]),
         f"{BAD}/perf-missing.csv": csv_text([*perf[:5], *perf[6:]]),
         f"{BAD}/perf-short.csv": csv_text([*perf[:4], perf[4][:2], *perf[5:]]),
+        f"{BAD}/perf-range.csv": csv_text([*perf[:7], [*perf[7][:2], "1.5"],
+                                           *perf[8:]]),
+        f"{BAD}/perf-header.csv": csv_text([["dataset_id", "workflow", "performance"],
+                                            *perf[1:]]),
         f"{BAD}/sig-outcome.csv": sig(10, lambda f: [*f[:3], "draw"]),
         f"{BAD}/sig-short.csv": sig(20, lambda f: f[:3]),
         f"{BAD}/sig-self.csv": sig(30, lambda f: [f[0], f[1], f[1], f[3]]),
+        f"{BAD}/sig-header.csv": sig(0, lambda f: [*f[:3], "result"]),
         f"{BAD}/x-latin1.csv": x.encode("latin-1"),     # "dé5" is not UTF-8
         f"{BAD}/x-empty.csv": "",
         f"{BAD}/x-header.csv": x[:x.index("\n") + 1],
+        f"{BAD}/x-ids.csv": csv_text([row[:1] for row in csv_rows(x)]),
+        f"{BAD}/x-short.csv": csv_text(short),
         f"{BAD}/x-huge.csv": csv_text(huge),
         f"{BAD}/config-list.json": "[]\n",
         f"{BAD}/config-key.json": '{"bogus": 1}\n',
         f"{BAD}/config-type.json": '{"max_iters": "many"}\n',
         f"{BAD}/config-choice.json": '{"init": "zeros"}\n',
-        **{f"{BAD}/model-{name}.json": json.dumps(doc) for name, doc in models.items()},
+        f"{BAD}/config-bool.json": '{"max_iters": true}\n',
+        f"{BAD}/config-latin1.json": '{"preset": "é"}\n'.encode("latin-1"),
+        f"{BAD}/config-syntax.json": '{"max_iters": 5\n',
+        **{f"{BAD}/model-{name}.json": data for name, data in faulty_models().items()},
     }
 
 
@@ -330,6 +416,18 @@ def matrix():
     # a descent that stops on line_search_failure at its first iteration
     cmds.append(["train", "--bundle", "s12x8/b", "--objective", "f3",
                  "--mu1", "1e18", *ITERS, "--out", "s12x8/f3-lsf.json"])
+    # a preset's hyperparameters, under train and evaluate
+    cmds.append(["train", "--bundle", "s12x8/b", "--objective", "f3",
+                 "--preset", "paper-task1", *ITERS, "--out", "s12x8/f3-preset.json"])
+    cmds.append(["evaluate", "--bundle", "s12x8/b", "--protocol", "lodo",
+                 "--strategies", "def,f4", "--preset", "paper-task1", *ITERS,
+                 "--out", "s12x8/lodo-preset"])
+    # bundles too small for the protocols run on them below
+    for shape in TINY:
+        raw = f"tiny/{shape}/raw"
+        cmds.append(["ingest", "--x", f"{raw}/X.csv", "--a", f"{raw}/A.csv",
+                      "--performance", f"{raw}/performance.csv",
+                      "--preferences", f"{raw}/R.csv", "--out", f"tiny/{shape}/b"])
 
     # commands that fail: their stderr and exit codes are compared too
     cmds += [
@@ -343,10 +441,17 @@ def matrix():
         ["ingest", *tables, "--significance", SIG_DUPLICATE, "--out", "bad/b"],
         ["ingest", *tables, "--significance", SIG_MISSING, "--out", "bad/b"],
         *(["ingest", *tables, "--significance", f"{BAD}/sig-{fault}.csv",
-           "--out", "bad/b"] for fault in ("outcome", "short", "self")),
-        ["ingest", *tables, "--outcomes-dir", OUTCOMES_COLUMNS, "--out", "bad/b"],
+           "--out", "bad/b"] for fault in ("outcome", "short", "self", "header")),
+        *(["ingest", *tables, "--outcomes-dir", directory, "--out", "bad/b"]
+          for directory in (OUTCOMES_COLUMNS, OUTCOMES_ONE, OUTCOMES_TWO,
+                            OUTCOMES_EMPTY)),
         ["evaluate", "--bundle", "s12x8/b", "--protocol", "lodo",
          "--strategies", "def,nope", "--out", "bad/e"],
+        ["evaluate", "--bundle", "s12x8/b", "--protocol", "lodo",
+         "--strategies", "def,def,f4", "--out", "bad/e"],
+        *(["evaluate", "--bundle", f"tiny/{shape}/b", "--protocol", protocol,
+           "--out", "bad/e"] for shape, protocol in (
+              ("5x1", "lodo"), ("1x4", "lowo"), ("5x1", "lodwo"))),
         ["evaluate", "--bundle", "s12x8/b", "--protocol", "lodwo",
          "--strategies", "ec,f1", "--out", "bad/e"],
         ["predict", "--model", "s12x8/f1-seeded_gaussian.json",
@@ -367,24 +472,35 @@ def matrix():
          "--out", "bad/e"],
         ["train", "--bundle", "s12x8/b", "--objective", "f3", "--preset", "nope",
          "--out", "bad/m.json"],
-        ["train", "--bundle", "s12x8/b", "--objective", "f3", "--mu1", "-1",
-         "--out", "bad/m.json"],
+        *(["train", "--bundle", "s12x8/b", "--objective", "f3", flag, value,
+           "--out", "bad/m.json"]
+          for flag, value in (("--mu1", "-1"), ("--neighbors", "0"),
+                              ("--max-iters", "-1"), ("--rel-tol", "0"),
+                              ("--mu1", "1e308"))),
+        *(["synth", *flags, "--out", "bad/synth"]
+          for flags in (["--latent-t", "0"], ["--mode", "noisy", "--noise-sigma", "-1"],
+                        ["--mode", "outcome", "--instances", "0"])),
         *(["--config", f"{BAD}/config-{fault}.json", "train", "--bundle", "s12x8/b",
            "--objective", "f3", "--out", "bad/m.json"]
-          for fault in ("list", "key", "type", "choice")),
+          for fault in ("list", "key", "type", "choice", "bool", "latin1", "syntax")),
         *(["predict", "--model", f"{BAD}/model-{fault}.json", "--bundle", "s12x8/b",
            "--task", "workflow_prefs", "--x", "queries/X.csv", "--out", "bad/p.csv"]
-          for fault in ("list", "version", "lacks-t", "hyper-key", "hyper-iters",
-                        "scale")),
+          for fault in faulty_models()),
+        # a bundle whose X is wider than a model that stores no names
+        ["predict", "--model", f"{BAD}/nameless.json", "--bundle", "s15x10/b",
+         "--task", "workflow_prefs", "--x", "queries/X.csv", "--out", "bad/p.csv"],
     ]
     # faulty tables, query tables and model files, each exit 1
     quoted = {name: f"{QUOTED}/{name}.csv"
               for name in ("X", "A", "R", "performance")}
     for name, bad in [*((name, name) for name in ("X", "A", "R")),
                       *(("performance", f"perf-{fault}")
-                        for fault in ("duplicate", "missing", "short")),
+                        for fault in ("duplicate", "missing", "short", "range",
+                                      "header")),
+                      *(("R", f"r-{fault}") for fault in ("sum", "grid", "range", "ids")),
                       *(("X", f"x-{fault}")
-                        for fault in ("latin1", "empty", "header", "huge"))]:
+                        for fault in ("latin1", "empty", "header", "ids", "short",
+                                      "huge"))]:
         tables = {**quoted, name: f"{BAD}/{bad}.csv"}
         cmds.append(["ingest", "--x", tables["X"], "--a", tables["A"],
                      "--performance", tables["performance"],
@@ -510,7 +626,7 @@ def main(argv=None):
         quoted = quoted_tables()
         inputs = {SIGNIFICANCE: significance, HUGE: HUGE_TEXT, **quoted,
                   **faulty_significance(significance), **faulty_tables(quoted),
-                  **WRONG_QUERIES, **outcome_dirs(),
+                  **WRONG_QUERIES, **outcome_dirs(), **tiny_tables(),
                   **faulty_files(significance, quoted)}
         for name, src in (("base", tmp / "base" / "src"), ("head", REPO / "src")):
             for rel, data in inputs.items():
@@ -518,6 +634,7 @@ def main(argv=None):
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_bytes(data if isinstance(data, bytes)
                                  else data.encode("utf-8"))
+            (work[name] / OUTCOMES_EMPTY).mkdir(parents=True)
             done = run_tree(src, work[name], cmds)
             if done.returncode:
                 print(f"{name} tree: the runner failed\n{done.stderr}",
