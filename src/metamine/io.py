@@ -33,7 +33,11 @@ Every CSV writer joins its lines itself, by one rule: a text cell is
 quoted as csv.writer (excel dialect) quotes it, and csv.writer formats
 the header and each distinct id or text cell once; a float is written as
 repr does, the shortest decimal string that parses back to the same
-float; and every line ends in CR LF. Every reader takes UTF-8 and drops a
+float; and every line ends in CR LF. A long CSV's lines are joined once
+per row. Every CSV reader splits quote-free lines at their commas, and
+leaves a file with a quote, a NUL or a line over csv's field limit to
+csv, for the same rows; a field over that limit is an IngestError that
+names the file and line. Every reader takes UTF-8 and drops a
 leading byte-order mark; a CSV or JSON file that is not UTF-8, or a JSON
 file that does not parse, is an IngestError that names the file.
 """
@@ -77,13 +81,39 @@ def _not_utf8(path, exc):
                        f"0x{exc.object[exc.start]:02x}: {exc.reason})")
 
 
+def _split_rows(fh):
+    """The rows of fh as csv.reader gives them, read in blocks of lines
+    (each keeps its CR LF, LF or lone CR, the ends of csv's records) and
+    split at commas; None once a block is not UTF-8 or holds a quote, a NUL
+    or a line over csv's field limit, to leave the file to csv."""
+    rows, limit = [], csv.field_size_limit()
+    try:
+        for lines in iter(lambda: fh.readlines(1 << 14), []):
+            text = "".join(lines)
+            if '"' in text or "\0" in text or max(map(len, lines)) > limit:
+                return None
+            # list() sizes each row exactly, as csv does
+            rows += [list(c.split(",")) if c else []
+                     for c in (line.rstrip("\r\n") for line in lines)]
+    except UnicodeDecodeError:
+        return None
+    return rows
+
+
 def _read_rows(path):
-    """The rows of a UTF-8 CSV file, a leading byte-order mark dropped."""
+    """The rows of a UTF-8 CSV file, a leading byte-order mark dropped. A
+    field over csv's limit is an IngestError that names the line."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+            rows = _split_rows(fh)
+            if rows is None:
+                fh.seek(0)      # under utf-8-sig, drops the BOM again
+                reader = csv.reader(fh)
+                rows = list(reader)
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
+    except csv.Error as exc:
+        raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise IngestError(f"{path}: empty file (header row required)")
     return rows
@@ -229,11 +259,17 @@ def read_performance_csv(path) -> PerformanceMatrix:
                              workflow_ids=workflow_ids, values=values)
 
 
+def _long_lines(head, cells, row, end):
+    """A line per cell k, head + cells[k] + row[k] + end, in one join."""
+    pieces = [head, None, None, end] * len(cells)
+    pieces[1::4], pieces[2::4] = cells, row
+    return "".join(pieces)
+
+
 def write_performance_csv(path, perf: PerformanceMatrix):
-    workflows = _cells(perf.workflow_ids)
+    workflows = [f"{wf}," for wf in _cells(perf.workflow_ids)]
     _write_lines(path, ["dataset_id", "workflow_id", "performance"],
-                 ("".join(f"{ds},{wf},{value}\r\n"
-                          for wf, value in zip(workflows, row))
+                 (_long_lines(f"{ds},", workflows, row, "\r\n")
                   for ds, row in zip(_cells(perf.dataset_ids),
                                      _reprs(perf.values))))
 
@@ -323,12 +359,11 @@ def write_outcome_dir(directory, cube: OutcomeCube):
 def write_predictions_csv(path, query_ids, target_ids, strategy, prediction):
     """A query table's PreferencePrediction, made by strategy: a line per
     query and target, values[q, t] scoring query_ids[q] for target_ids[t]."""
-    targets = _cells(target_ids)
+    targets = [f"{tid}," for tid in _cells(target_ids)]
     heads = _cells([text for qid, flags in zip(query_ids, prediction.flags)
                     for text in (qid, ";".join(flags))])
     _write_lines(path, ["query_id", "target_id", "score", "strategy", "flags"], (
-        "".join(f"{qid},{tid},{score},{strategy.value},{flags}\r\n"
-                for tid, score in zip(targets, row))
+        _long_lines(f"{qid},", targets, row, f",{strategy.value},{flags}\r\n")
         for qid, flags, row in zip(heads[::2], heads[1::2],
                                    _reprs(prediction.values))))
 
@@ -424,8 +459,7 @@ def read_json(path):
 def write_json(path, doc):
     """Deterministic JSON: sorted keys, one-space indent, final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def _record_to_dict(rec: StandardizationRecord):

@@ -204,6 +204,28 @@ class TestTextDecoding:
         assert self.ingest(raw, tmp_path / "bundle", outcomes_dir=outcomes) == 1
         assert capsys.readouterr().err.strip() == f"error: {message}"
 
+    @pytest.mark.parametrize("command", ["ingest", "train"])
+    def test_over_long_field_names_the_file_and_line(self, raw, tmp_path,
+                                                      capsys, command):
+        """A field longer than csv's limit is bad input (exit 1) that names
+        the file and its line, in a raw table and in a bundle's."""
+        bundle = tmp_path / "b"
+        if command == "train":
+            assert self.ingest(raw, bundle, preferences=raw / "R.csv") == 0
+        x = (bundle if command == "train" else raw) / "X.csv"
+        lines = x.read_text(encoding="utf-8").splitlines(keepends=True)
+        long_id = "d" * (csv.field_size_limit() + 10_000)
+        x.write_text("".join([lines[0], long_id + lines[1][lines[1].index(","):],
+                              *lines[2:]]), encoding="utf-8", newline="")
+        capsys.readouterr()
+        code = (main(["train", "--bundle", str(bundle), "--objective", "f3",
+                      "--out", str(tmp_path / "m.json")]) if command == "train"
+                else self.ingest(raw, bundle, preferences=raw / "R.csv"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {x}: line 2: field larger than field limit "
+            f"({csv.field_size_limit()})\n")
+
 
 class TestSignificanceCsv:
     def test_builds_valid_preference_matrix(self, tmp_path):
@@ -868,6 +890,99 @@ class TestOutcomeBytePath:
                                                            [[1.0, 0.0]]]
 
 
+def csv_rows_or_error(path):
+    """What _read_rows gives when csv.reader reads every file: csv's rows,
+    or the message of the IngestError for a file csv refuses or that holds
+    no row."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            return f"{path}: line {reader.line_num}: {exc}"
+    return rows or f"{path}: empty file (header row required)"
+
+
+def read_rows_or_error(path):
+    try:
+        return metamine.io._read_rows(path)
+    except IngestError as exc:
+        return str(exc)
+
+
+class TestReaderMatchesCsv:
+    """_read_rows splits quote-free text at its commas itself and leaves
+    every other file to csv; either way it gives csv.reader's rows, or the
+    same error."""
+
+    @settings(deadline=None, max_examples=400,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.text(st.sampled_from(
+               [",", '"', "\r", "\n", "\0", "\x0c", "\x1c", "\x85", "\u2028",
+                " ", "a", "1"]), max_size=40),
+           bom=st.booleans())
+    def test_any_text(self, tmp_path, text, bom):
+        path = tmp_path / "t.csv"
+        path.write_bytes((codecs.BOM_UTF8 if bom else b"") + text.encode("utf-8"))
+        assert read_rows_or_error(path) == csv_rows_or_error(path)
+
+    @pytest.mark.parametrize("quote", [None, 100, 6000])
+    def test_file_of_several_blocks(self, tmp_path, quote):
+        """A file of several blocks, quote-free or with a quoted field in
+        its first block or in one past 64 KB."""
+        lines = ["id,f0,f1\r\n", *(f"ds{i},{i}.5,-{i}.25\n" for i in range(8000))]
+        assert sum(map(len, lines[:6000])) > 1 << 16
+        if quote is not None:
+            lines[quote] = f'"ds,{quote}",0.5,"1.5"\r\n'
+        path = tmp_path / "x.csv"
+        path.write_text("".join(lines), encoding="utf-8", newline="")
+        rows = read_rows_or_error(path)
+        assert rows == csv_rows_or_error(path)
+        assert len(rows) == 8001
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize("line", [2, 6000])
+    def test_line_over_the_field_limit(self, tmp_path, quoted, line):
+        """The IngestError names the file and csv's line, whether the file
+        would otherwise be split or read through csv."""
+        lines = ["id,f0\r\n", *(f"ds{i},{i}.5\r\n" for i in range(8000))]
+        lines[line - 1] = "x" * (csv.field_size_limit() + 1) + ",0.5\r\n"
+        if quoted:
+            lines[2] = '"ds1",1.5\r\n'
+        path = tmp_path / "x.csv"
+        path.write_text("".join(lines), encoding="utf-8", newline="")
+        want = (f"{path}: line {line}: field larger than field limit "
+                f"({csv.field_size_limit()})")
+        assert csv_rows_or_error(path) == want
+        with pytest.raises(IngestError) as caught:
+            metamine.io._read_rows(path)
+        assert str(caught.value) == want
+
+    def test_written_tables_never_reach_csv(self, tmp_path, monkeypatch):
+        """The tables that write_bundle writes, CR LF or with LF line ends,
+        are split without csv.reader and read back bit for bit."""
+        res = generate(SynthConfig(n=6, m=5, d=4, l=3, latent_t=2, seed=3))
+        data = MetaMiningData(x=res.x, a=res.a, r=res.preferences,
+                              performance=res.performance)
+        crlf, lf = tmp_path / "crlf", tmp_path / "lf"
+        write_bundle(crlf, data, preference_source="preferences")
+        lf.mkdir()
+        for path in crlf.iterdir():
+            (lf / path.name).write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+
+        def no_csv(*args, **kwargs):
+            raise AssertionError("read through csv.reader")
+        monkeypatch.setattr(csv, "reader", no_csv)
+        for directory in (crlf, lf):
+            back = read_bundle(directory, performance=True)
+            for got, want in ((back.x.features, res.x.features),
+                              (back.a.features, res.a.features),
+                              (back.performance.values, res.performance.values),
+                              (back.r.scores, res.preferences.scores)):
+                assert got.tobytes() == want.tobytes()
+            assert back.x.entity_ids == res.x.entity_ids
+
+
 class TestReadBundlePerformance:
     """read_bundle opens performance.csv only when the caller asks for P,
     and then checks it by the bundle rule."""
@@ -1109,7 +1224,7 @@ class TestWritersMatchCsvWriter:
                     (want / f"{eid}.csv").read_bytes()
 
     @hypothesis_settings
-    @given(data=st.data(), k=st.integers(1, 4), q=st.integers(0, 4))
+    @given(data=st.data(), k=st.integers(0, 4), q=st.integers(0, 4))
     def test_predictions(self, tmp_path, data, k, q):
         targets, queries = data.draw(cell_texts(k)), data.draw(cell_texts(q))
         strategy = data.draw(st.sampled_from(Strategy))

@@ -12,7 +12,10 @@ included. The significance CSV that `ingest --significance` reads,
 faulty copies of it and of the performance CSV, outcome directories
 (one read partly through csv, and four that ingest rejects), a small
 bundle whose ids only a quoting CSV writer gets right, and two bundles
-too small for a protocol, are
+too small for a protocol, and copies of a quote-free bundle's tables
+that reach both of the CSV reader's paths (LF line ends, a lone CR line
+break, a quoted numeric cell, a blank line and an id longer than csv's
+field limit), are
 written here, from seeded RNGs, and copied into both working directories,
 with a query table whose 2nd and 3rd rows overflow a model's scores, and
 faulty copies of the quoted tables, query tables, config and model files
@@ -90,6 +93,10 @@ OUTCOMES_ONE, OUTCOMES_TWO = "outcomes/one", "outcomes/two"
 OUTCOMES_EMPTY = "outcomes/empty"
 # bundles too small for a protocol: datasets x workflows
 TINY = ("5x1", "1x4")
+# a quote-free bundle's raw tables with LF line ends ("lf"), and X tables
+# that differ from lf's X in one place each (see relined_tables)
+RELINED = "relined"
+RELINED_KINDS = ("lf", "cr", "quoted", "blank", "long")
 # query tables over s12x8's feature widths, each with a feature name the
 # model does not store, a repeated id and a non-finite cell
 WRONG_QUERIES = {
@@ -243,6 +250,37 @@ def tiny_tables():
         out[f"{raw}/R.csv"] = csv_text([["dataset_id", *wf],
                                         *([e, *map(str, range(m))] for e in ds)])
     return out
+
+
+def relined_tables(n=6, m=4, seed=17):
+    """{path: text} of the raw tables of a quote-free n x m bundle with LF
+    line ends, under RELINED/lf, and for every other kind of RELINED_KINDS
+    an X that differs from lf's in one place: a lone CR line break (cr), a
+    quoted numeric cell (quoted), a blank line (blank), and a first id of
+    140,000 characters, longer than csv's field limit (long). Ingest and
+    predict reject the last two."""
+    rng = random.Random(seed)
+    ds, wf = [f"ds{i}" for i in range(n)], [f"wf{k}" for k in range(m)]
+
+    def descriptors(ids, prefix):
+        return [["id", *(f"{prefix}{k}" for k in range(3))],
+                *([eid, *(repr(rng.gauss(0, 1)) for _ in range(3))] for eid in ids)]
+
+    lf = {"X": descriptors(ds, "f"), "A": descriptors(wf, "g"),
+          "performance": [["dataset_id", "workflow_id", "performance"],
+                          *([e, w, repr(rng.random())] for e in ds for w in wf)],
+          "R": [["dataset_id", *wf],
+                *([e, *map(repr, rng.sample(range(m), m))] for e in ds)]}
+    out = {f"{RELINED}/lf/{name}.csv": csv_text(rows).replace("\r\n", "\n")
+           for name, rows in lf.items()}
+    lines = out[f"{RELINED}/lf/X.csv"].splitlines(keepends=True)
+    first = lines[1].split(",")
+    x = {"cr": [*lines[:2], lines[2].replace("\n", "\r"), *lines[3:]],
+         "quoted": [lines[0], ",".join([first[0], '"0.5"', *first[2:]]), *lines[2:]],
+         "blank": [*lines[:3], "\n", *lines[3:]],
+         "long": [lines[0], ",".join(["d" * 140_000, *first[1:]]), *lines[2:]]}
+    return {**out, **{f"{RELINED}/{kind}/X.csv": "".join(text)
+                      for kind, text in x.items()}}
 
 
 def faulty_models():
@@ -428,6 +466,23 @@ def matrix():
         cmds.append(["ingest", "--x", f"{raw}/X.csv", "--a", f"{raw}/A.csv",
                       "--performance", f"{raw}/performance.csv",
                       "--preferences", f"{raw}/R.csv", "--out", f"tiny/{shape}/b"])
+
+    # the quote-free bundle's tables through both of the CSV reader's paths
+    lf = {name: f"{RELINED}/lf/{name}.csv" for name in ("X", "A", "performance", "R")}
+    for kind in RELINED_KINDS:
+        cmds.append(["ingest", "--x", f"{RELINED}/{kind}/X.csv", "--a", lf["A"],
+                     "--performance", lf["performance"], "--preferences", lf["R"],
+                     "--out", f"{RELINED}/{kind}/b"])
+    cmds.append(["train", "--bundle", f"{RELINED}/lf/b", "--objective", "f3",
+                 "--t", "2", *ITERS, "--out", f"{RELINED}/f3.json"])
+    for kind in RELINED_KINDS[:-1]:     # the long id is ingest's alone
+        cmds.append(["predict", "--model", f"{RELINED}/f3.json", "--bundle",
+                     f"{RELINED}/lf/b", "--task", "workflow_prefs",
+                     "--x", f"{RELINED}/{kind}/X.csv",
+                     "--out", f"{RELINED}/pred-{kind}.csv"])
+    cmds.append(["predict", "--model", f"{RELINED}/f3.json", "--bundle",
+                 f"{RELINED}/lf/b", "--task", "pair_score", "--x", lf["X"],
+                 "--a", lf["A"], "--out", f"{RELINED}/pred-pair.csv"])
 
     # commands that fail: their stderr and exit codes are compared too
     cmds += [
@@ -626,7 +681,7 @@ def main(argv=None):
         quoted = quoted_tables()
         inputs = {SIGNIFICANCE: significance, HUGE: HUGE_TEXT, **quoted,
                   **faulty_significance(significance), **faulty_tables(quoted),
-                  **WRONG_QUERIES, **outcome_dirs(), **tiny_tables(),
+                  **WRONG_QUERIES, **outcome_dirs(), **tiny_tables(), **relined_tables(),
                   **faulty_files(significance, quoted)}
         for name, src in (("base", tmp / "base" / "src"), ("head", REPO / "src")):
             for rel, data in inputs.items():
