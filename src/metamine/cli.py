@@ -4,13 +4,15 @@ Each value is resolved in the order built-in defaults (HyperParams for
 the hyperparameters) < --preset < --config file < flags on the command
 line. After every subcommand, main writes the fully resolved
 configuration, the values it actually used, next to its outputs, so runs
-are reproducible from the artifacts alone. Exit codes: 0 success, 1 validation error, 2 runtime
-failure.
+are reproducible from the artifacts alone. Exit codes: 0 success, 1 an
+IngestError (input the command cannot use) or an OSError, 2 any other
+exception: a runtime failure, which is a bug.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import fields
 from enum import Enum
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .data_model import HyperParams, MetaMiningData
+from .data_model import HyperParams, IngestError, MetaMiningData
 from .evaluation import (Protocol, report_table, run_lodo, run_lodwo,
                          run_lowo)
 from .metric_learning import ObjectiveKind, train
@@ -62,10 +64,6 @@ _STRATEGY_ALIASES = {
 }
 
 
-class CliError(ValueError):
-    """A command line or config file the command cannot use (exit 1)."""
-
-
 def _from_flags(cls, dests, resolved):
     """The dataclass cls built from the resolved values of its flags."""
     return cls(**{field: resolved[dest] for field, dest in dests.items()})
@@ -75,8 +73,8 @@ def _preset_values(preset, objective):
     """A preset's hyperparameters under their CLI dests."""
     if (preset, objective) not in PRESETS:
         known = sorted({p for p, _ in PRESETS})
-        raise CliError(f"no preset {preset!r} for objective {objective!r} "
-                       f"(known presets: {known})")
+        raise IngestError(f"no preset {preset!r} for objective {objective!r} "
+                          f"(known presets: {known})")
     return {_HYPER_FIELDS[k]: v for k, v in PRESETS[preset, objective].items()}
 
 
@@ -87,16 +85,15 @@ def _config_value(path, action, value):
     if value is None and action.default is None:
         return None
     expected = action.type or str
+    given = f"{path}: config value {action.dest}={json.dumps(value)}"
     try:
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise ValueError
         parsed = expected(str(value))
     except ValueError:
-        raise CliError(f"{path}: config value {action.dest}={value!r} is not "
-                       f"a valid {expected.__name__}") from None
+        raise IngestError(f"{given} is not a valid {expected.__name__}") from None
     if action.choices is not None and parsed not in action.choices:
-        raise CliError(f"{path}: config value {action.dest}={value!r} is not "
-                       f"one of {list(action.choices)}")
+        raise IngestError(f"{given} is not one of {list(action.choices)}")
     return parsed
 
 
@@ -115,12 +112,12 @@ def _parse(parser, argv):
     if args.config:
         config = io.read_json(args.config)
         if not isinstance(config, dict):
-            raise CliError(f"{args.config}: config must be a JSON object")
+            raise IngestError(f"{args.config}: config must be a JSON object")
         config.pop("subcommand", None)  # resolved-config files carry it
         unknown = sorted(k for k in config if k not in actions)
         if unknown:
-            raise CliError(f"{args.config}: unknown config keys for "
-                           f"{args.subcommand}: {unknown}")
+            raise IngestError(f"{args.config}: unknown config keys for "
+                              f"{args.subcommand}: {unknown}")
         config = {k: _config_value(args.config, actions[k], v)
                   for k, v in config.items()}
     preset = getattr(args, "preset", None) or config.get("preset")
@@ -158,8 +155,8 @@ def cmd_ingest(resolved):
     sources = [s for s in ("preferences", "outcomes_dir", "significance")
                if resolved[s]]
     if len(sources) != 1:
-        raise CliError("exactly one of --preferences, --outcomes-dir, "
-                       "--significance is required")
+        raise IngestError("exactly one of --preferences, --outcomes-dir, "
+                          "--significance is required")
     x = io.read_descriptor_csv(resolved["x"])
     a = io.read_descriptor_csv(resolved["a"])
     perf = io.read_performance_csv(resolved["performance"])
@@ -203,10 +200,10 @@ def cmd_evaluate(resolved):
         strategies = [_STRATEGY_ALIASES[s.strip()]
                       for s in resolved["strategies"].split(",") if s.strip()]
     except KeyError as exc:
-        raise CliError(f"unknown strategy {exc.args[0]!r} "
-                       f"(known: {sorted(_STRATEGY_ALIASES)})")
+        raise IngestError(f"unknown strategy {exc.args[0]!r} "
+                          f"(known: {sorted(_STRATEGY_ALIASES)})")
     if resolved["jobs"] < 1:
-        raise CliError(f"jobs must be positive, got {resolved['jobs']}")
+        raise IngestError(f"jobs must be positive, got {resolved['jobs']}")
     hyper = _from_flags(HyperParams, _HYPER_FIELDS, resolved)
     runner = {Protocol.LODO: run_lodo, Protocol.LOWO: run_lowo,
               Protocol.LODWO: run_lodwo}[protocol]
@@ -222,9 +219,7 @@ def cmd_evaluate(resolved):
         print(table)
     else:
         print(f"report written to {out}")
-    all_failed = report.folds and all(f.failed and not any(f.metrics.values())
-                                      for f in report.folds)
-    return 2 if all_failed else 0
+    return 0
 
 
 def cmd_predict(resolved):
@@ -233,7 +228,7 @@ def cmd_predict(resolved):
     # the model's own strategy: kNN for f1/f2, direct scoring for f3/f4
     strategy = _STRATEGY_ALIASES[params.objective]
     if task not in TASKS[strategy]:
-        raise CliError({
+        raise IngestError({
             Task.WORKFLOW_PREFS: "model cannot rank workflows for a dataset",
             Task.DATASET_PREFS: "model cannot rank datasets for a workflow",
             Task.PAIR_SCORE: "homogeneous model cannot score dataset-workflow pairs",
@@ -242,7 +237,7 @@ def cmd_predict(resolved):
     if n is None:
         n = params.hyper.n_neighbors
     elif n < 1:
-        raise CliError(f"--neighbors must be positive, got {n}")
+        raise IngestError(f"--neighbors must be positive, got {n}")
     bundle = resolved["bundle"]
     data = io.read_bundle(bundle)
     # a ranking scores against the bundle's entities, so its X and A must
@@ -253,15 +248,15 @@ def cmd_predict(resolved):
         ("A.csv", data.a, params.a_feature_names, params.v))
     for name, table, names, weights in sides:
         if names is not None and table.feature_names != names:
-            raise CliError(f"{bundle}: {name} feature names do not match "
-                           "the model's")
+            raise IngestError(f"{bundle}: {name} feature names do not match "
+                              "the model's")
         if table.n_features != len(weights):
-            raise CliError(f"{bundle}: {name} has {table.n_features} "
-                           f"features but the model has {len(weights)}")
+            raise IngestError(f"{bundle}: {name} has {table.n_features} "
+                              f"features but the model has {len(weights)}")
 
     def queries(flag, names, weights):
         if not resolved[flag]:
-            raise CliError(f"task {task.value} needs --{flag}")
+            raise IngestError(f"task {task.value} needs --{flag}")
         return io.read_queries(resolved[flag], flag.upper(), names, len(weights))
 
     qx = qa = None
@@ -279,9 +274,9 @@ def cmd_predict(resolved):
                        data.x, data.a, data.r, params, n)
     bad = np.argwhere(~np.isfinite(pred.values))    # in row order
     if bad.size:
-        raise CliError(f"non-finite score of query {q.entity_ids[bad[0, 0]]!r} "
-                       f"for {targets.entity_ids[bad[0, 1]]!r}: a query "
-                       "descriptor is too large for the model")
+        raise IngestError(f"non-finite score of query {q.entity_ids[bad[0, 0]]!r} "
+                          f"for {targets.entity_ids[bad[0, 1]]!r}: a query "
+                          "descriptor is too large for the model")
 
     out = Path(resolved["out"])
     io.write_predictions_csv(out, q.entity_ids, targets.entity_ids, strategy, pred)
@@ -369,7 +364,7 @@ def main(argv=None):
         code = _COMMANDS[subcommand](resolved)
         _write_resolved_config(resolved["out"], subcommand, resolved)
         return code
-    except (ValueError, OSError) as exc:  # io.IngestError is a ValueError
+    except (IngestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # anything else is a runtime failure

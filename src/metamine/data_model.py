@@ -11,6 +11,11 @@ from typing import Optional
 import numpy as np
 
 
+class IngestError(ValueError):
+    """Input the command cannot use: a file, a flag, a config value or a
+    setting. The one error the CLI reports as a validation error (exit 1)."""
+
+
 class InitScheme(str, Enum):
     SEEDED_GAUSSIAN = "seeded_gaussian"
     SVD_WARM_START = "svd_warm_start"
@@ -191,15 +196,15 @@ class HyperParams:
         _store(self, init=InitScheme)
         for name in ("mu1", "mu2", "alpha", "beta", "gamma"):
             if not 0 <= getattr(self, name) < np.inf:  # nan fails too
-                raise ValueError(f"{name} must be finite and nonnegative")
+                raise IngestError(f"{name} must be finite and nonnegative")
         if self.n_neighbors < 1:
-            raise ValueError("n_neighbors must be positive")
+            raise IngestError("n_neighbors must be positive")
         if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
+            raise IngestError("max_iters must be nonnegative")
         if not 0 < self.rel_tol < np.inf:
-            raise ValueError("rel_tol must be finite and positive")
+            raise IngestError("rel_tol must be finite and positive")
         if self.t is not None and self.t < 1:
-            raise ValueError("t must be positive")
+            raise IngestError("t must be positive")
 
 
 @dataclass(frozen=True)

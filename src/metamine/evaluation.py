@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data_model import HyperParams, MetaMiningData
+from .data_model import HyperParams, IngestError, MetaMiningData
 from .metric_learning import train_many
 from .preference import spearman_many, spearman_rows
 from .recommend import OBJECTIVES, TASKS, Strategy, Task, predict
@@ -30,7 +30,7 @@ class FoldResult:
     metrics: dict                         # strategy -> metric -> float | nan
     predictions: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
-    failed: dict = field(default_factory=dict)  # strategy -> error message
+    failed: dict = field(default_factory=dict)  # always {}: bench/ reads it
 
 
 # baseline -> the tag of its comparison rows in report_table
@@ -184,8 +184,7 @@ _TASK_NAME = {Task.WORKFLOW_PREFS: "workflow ranking",
 
 def _metrics(pred, truth, perf_row):
     """The metrics of one prediction but rho, and the rows its rho ranks
-    (None for a pair score, which has no rho). Raises the ValueError
-    spearman would."""
+    (None for a pair score, which has no rho)."""
     if np.ndim(pred) == 0:  # pair score
         return {"mae": abs(float(pred) - truth)}, None
     rows = spearman_rows(pred, truth)
@@ -221,7 +220,8 @@ def _fold(task, held, training, models, data, strategies, hyper):
     """Score every strategy on one fold of the task, held = (i, j) as in
     _training_sets, with the fold's training set and trained models, all
     but rho. Returns the FoldResult and the (strategy, rows) of each
-    strategy whose rho is still to be computed."""
+    strategy whose rho is still to be computed. Any error a strategy
+    raises ends the run."""
     i, j = held
     x_train, a_train, r_train = training
     x_new = None if i is None else data.x.features[i]
@@ -239,36 +239,32 @@ def _fold(task, held, training, models, data, strategies, hyper):
     fold = FoldResult(held_out=held_out, metrics={})
     ranked = []
     for s in strategies:
-        try:
-            pred = predict(s, task, x_new, a_new, x_train, a_train, r_train,
-                           models.get(OBJECTIVES.get(s)), hyper.n_neighbors)
-            metrics, rows = _metrics(pred.values, truth, perf_row)
-            fold.metrics[s] = metrics
-            fold.predictions[s] = pred.values
-            fold.flags.extend(f"{s.value}:{flag}" for flag in pred.flags)
-            if rows is not None:
-                ranked.append((s, rows))
-        except ValueError as exc:  # fold flagged, excluded from aggregates
-            fold.metrics[s] = {}
-            fold.failed[s] = str(exc)
+        pred = predict(s, task, x_new, a_new, x_train, a_train, r_train,
+                       models.get(OBJECTIVES.get(s)), hyper.n_neighbors)
+        metrics, rows = _metrics(pred.values, truth, perf_row)
+        fold.metrics[s] = metrics
+        fold.predictions[s] = pred.values
+        fold.flags.extend(f"{s.value}:{flag}" for flag in pred.flags)
+        if rows is not None:
+            ranked.append((s, rows))
     return fold, ranked
 
 
 def _run(protocol, data, strategies, hyper, held):
     """Drop the strategies that cannot serve the protocol's task (each
-    with a notice; a ValueError if none is left, or if one is listed
+    with a notice; an IngestError if none is left, or if one is listed
     twice), train every fold's models, then score one fold per held-out
     key. The rho of every fold and strategy is computed last, in one
     spearman_many."""
     repeated = [s.value for k, s in enumerate(strategies) if s in strategies[:k]]
     if repeated:
-        raise ValueError(f"strategy {repeated[0]} is listed more than once")
+        raise IngestError(f"strategy {repeated[0]} is listed more than once")
     task = _TASK[protocol]
     notices = [f"strategy {s.value} is not applicable to {_TASK_NAME[task]}; excluded"
                for s in strategies if task not in TASKS[s]]
     strategies = [s for s in strategies if task in TASKS[s]]
     if not strategies:
-        raise ValueError(f"no strategy left to run for {_TASK_NAME[task]}")
+        raise IngestError(f"no strategy left to run for {_TASK_NAME[task]}")
     training_sets = _training_sets(held, data)
     models = _train_fold_models(strategies, training_sets, hyper)
     scored = [_fold(task, key, training, fold_models, data, strategies, hyper)
@@ -286,11 +282,11 @@ def run_lodo(data: MetaMiningData, strategies, hyper: HyperParams) -> Evaluation
     """Leave one dataset out; every learning strategy is retrained on the
     remaining datasets (standardization refit per fold)."""
     if data.x.n_entities < 3 or data.a.n_entities < 2:
-        raise ValueError("leave-one-dataset-out needs at least 3 datasets "
-                         "and 2 workflows")
+        raise IngestError("leave-one-dataset-out needs at least 3 datasets "
+                          "and 2 workflows")
     if data.performance is None:
-        raise ValueError("leave-one-dataset-out scores the top-5 performance "
-                         "and needs the performance matrix P")
+        raise IngestError("leave-one-dataset-out scores the top-5 performance "
+                          "and needs the performance matrix P")
     return _run(Protocol.LODO, data, strategies, hyper,
                 [(i, None) for i in range(data.x.n_entities)])
 
@@ -299,8 +295,8 @@ def run_lowo(data: MetaMiningData, strategies, hyper: HyperParams) -> Evaluation
     """Leave one workflow out (dataset-preference task). The default
     strategy's prediction is constant, so its rank correlation is NA."""
     if data.a.n_entities < 3 or data.x.n_entities < 2:
-        raise ValueError("leave-one-workflow-out needs at least 3 workflows "
-                         "and 2 datasets")
+        raise IngestError("leave-one-workflow-out needs at least 3 workflows "
+                          "and 2 datasets")
     report = _run(Protocol.LOWO, data, strategies, hyper,
                   [(None, j) for j in range(data.a.n_entities)])
     if Strategy.DEFAULT in report.strategies:
@@ -313,7 +309,7 @@ def run_lodwo(data: MetaMiningData, strategies, hyper: HyperParams) -> Evaluatio
     """Leave one dataset and one workflow out (pair-score task). Only
     heterogeneous strategies and the default apply."""
     if data.x.n_entities < 3 or data.a.n_entities < 3:
-        raise ValueError("leave-one-of-each-out needs at least 3 of each entity")
+        raise IngestError("leave-one-of-each-out needs at least 3 of each entity")
     return _run(Protocol.LODWO, data, strategies, hyper,
                 [(i, j) for i in range(data.x.n_entities)
                  for j in range(data.a.n_entities)])

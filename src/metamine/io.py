@@ -54,20 +54,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .data_model import (DescriptorTable, HyperParams, MetaMiningData,
-                         ModelParams, PerformanceMatrix, PreferenceMatrix,
-                         StandardizationRecord, validate_queries,
-                         validate_tables)
+from .data_model import (DescriptorTable, HyperParams, IngestError,
+                         MetaMiningData, ModelParams, PerformanceMatrix,
+                         PreferenceMatrix, StandardizationRecord,
+                         validate_queries, validate_tables)
 from .metric_learning import ObjectiveKind
 from .preference import OutcomeCube
 
 MODEL_FORMAT_VERSION = 1
 # significance CSV outcome -> (workflow k beats l, l beats k)
 _OUTCOMES = {"k_wins": (True, False), "l_wins": (False, True), "tie": (False, False)}
-
-
-class IngestError(ValueError):
-    """Raised on malformed input files (missing headers, bad values)."""
 
 
 def _reprs(values):

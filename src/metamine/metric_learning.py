@@ -23,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .data_model import (DescriptorTable, HyperParams, InitScheme,
-                         ModelParams, PreferenceMatrix, _store,
+from .data_model import (DescriptorTable, HyperParams, IngestError,
+                         InitScheme, ModelParams, PreferenceMatrix, _store,
                          standardize_stack)
 from .preference import similarity_stack
 
@@ -266,7 +266,7 @@ def _descend(kind, red: ReducedObjective, u, v, hyper):
     res = _residuals(kind, red, u, v)
     f = _value(kind, red, u, v, res, hyper)
     if not np.isfinite(f).all():
-        raise ValueError(f"objective {kind.value}: the starting value is not finite")
+        raise IngestError(f"objective {kind.value}: the starting value is not finite")
     step = np.ones(k)
     live = np.ones(k, dtype=bool)
     stops = [None] * k                      # what stop records, per problem
@@ -294,8 +294,8 @@ def _descend(kind, red: ReducedObjective, u, v, hyper):
         gu, gv = _gradient(kind, red, u, v, res, hyper)
         g_sq = _sq(gu) + _sq(gv)
         if not np.isfinite(g_sq).all():
-            raise ValueError(f"objective {kind.value}: the squared gradient norm "
-                             f"is not finite at iteration {it}")
+            raise IngestError(f"objective {kind.value}: the squared gradient norm "
+                              f"is not finite at iteration {it}")
         norms.append(np.sqrt(g_sq))
         if np.count_nonzero(g_sq) < k:          # a stationary point
             if not stop((g_sq == 0.0) & live, StopReason.REL_TOL, it, flat=True):

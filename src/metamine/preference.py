@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import PreferenceMatrix, _as_readonly, _store
+from .data_model import IngestError, PreferenceMatrix, _as_readonly, _store
 
 # the level of every McNemar comparison, and its chi-square(1) critical
 # value, scipy.stats.chi2.ppf(1 - ALPHA, 1) (tests/test_preference.py
@@ -94,7 +94,7 @@ def score_dataset(correctness) -> np.ndarray:
     """
     mat = np.asarray(correctness, dtype=float)
     if mat.shape[1] < 2:
-        raise ValueError("need at least two workflows to compare")
+        raise IngestError("need at least two workflows to compare")
     return points(mcnemar_wins(mat))
 
 

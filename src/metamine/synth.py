@@ -9,8 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .data_model import (DescriptorTable, PerformanceMatrix, PreferenceMatrix,
-                         _store)
+from .data_model import (DescriptorTable, IngestError, PerformanceMatrix,
+                         PreferenceMatrix, _store)
 from .preference import (OutcomeCube, build_preference_from_significance,
                          build_preference_matrix)
 
@@ -40,15 +40,15 @@ class SynthConfig:
     def __post_init__(self):
         _store(self, mode=SynthMode)
         if min(self.n, self.m, self.d, self.l) < 3:
-            raise ValueError("all sizes must be at least 3")
+            raise IngestError("all sizes must be at least 3")
         if not 1 <= self.latent_t <= min(self.d, self.l):
-            raise ValueError("latent_t must be in [1, min(d, l)]")
+            raise IngestError("latent_t must be in [1, min(d, l)]")
         if not 0 <= self.noise_sigma < np.inf:  # nan fails too
-            raise ValueError("noise_sigma must be finite and nonnegative")
+            raise IngestError("noise_sigma must be finite and nonnegative")
         if self.mode is SynthMode.EXACT_BILINEAR and self.noise_sigma > 0:
-            raise ValueError("noise_sigma applies to the noisy and outcome modes only")
+            raise IngestError("noise_sigma applies to the noisy and outcome modes only")
         if self.mode is SynthMode.OUTCOME_LEVEL and self.instances_per_dataset < 1:
-            raise ValueError("outcome-level mode needs at least one instance per dataset")
+            raise IngestError("outcome-level mode needs at least one instance per dataset")
 
 
 @dataclass(frozen=True)

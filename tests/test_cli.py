@@ -363,9 +363,12 @@ class TestTrain:
                     "--objective", "f3", "--out", str(second)]) == 0
         assert json.loads(second.read_text())["hyper"]["max_iters"] == 4
 
+    # a value is named as the config file spells it, in JSON
     @pytest.mark.parametrize("value, message", [
         (5.5, "config value max_iters=5.5 is not a valid int"),
-        ("abc", "config value max_iters='abc' is not a valid int"),
+        ("abc", 'config value max_iters="abc" is not a valid int'),
+        (True, "config value max_iters=true is not a valid int"),
+        (None, "config value max_iters=null is not a valid int"),
     ])
     def test_mistyped_config_value_exits_one(self, bundle, tmp_path, capsys,
                                              value, message):
@@ -494,6 +497,24 @@ class TestBundleValidation:
         assert not (tmp_path / "again").exists()
 
 
+BUGS = ("KeyError", "numpy shape ValueError")
+
+
+def seed_bug(monkeypatch, bug):
+    """Put a programming error in the direct predictor that f3 and f4
+    serve rankings with: a KeyError, or a product by p_query where
+    p_target belongs, which numpy refuses as a ValueError because the
+    bundle's d = 4 and l = 3 differ."""
+    import metamine.recommend
+    served = metamine.recommend._direct_predict
+
+    def broken(query, targets_std, p_query, p_target):
+        if bug == "KeyError":
+            raise KeyError("missing")
+        return served(query, targets_std, p_query, p_query)
+    monkeypatch.setattr(metamine.recommend, "_direct_predict", broken)
+
+
 class TestEvaluate:
     def test_lodo_report_files(self, bundle, tmp_path):
         out = tmp_path / "report"
@@ -537,17 +558,17 @@ class TestEvaluate:
         assert code == 1
         assert "unknown strategy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bug", BUGS)
     def test_programming_error_in_strategy_exits_two(self, bundle, tmp_path,
-                                                     monkeypatch, capsys):
-        import metamine.recommend
-
-        def broken(*args, **kwargs):
-            raise KeyError("missing")
-        monkeypatch.setattr(metamine.recommend, "default_strategy", broken)
+                                                     monkeypatch, capsys, bug):
+        seed_bug(monkeypatch, bug)
+        out = tmp_path / "r"
         code = run(["evaluate", "--bundle", str(bundle), "--protocol", "lodo",
-                    "--strategies", "def", "--out", str(tmp_path / "r")])
+                    "--strategies", "def,f4", "--max-iters", "5",
+                    "--out", str(out)])
         assert code == 2
-        assert "runtime failure" in capsys.readouterr().err
+        assert "runtime failure:" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_nonpositive_jobs_exits_one(self, bundle, tmp_path, capsys, jobs):
@@ -596,6 +617,20 @@ class TestPredict:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 6 * 5
+
+    @pytest.mark.parametrize("bug", BUGS)
+    def test_programming_error_in_predictor_exits_two(self, bundle, tmp_path,
+                                                      monkeypatch, capsys, bug):
+        model = self.train_model(bundle, tmp_path)
+        seed_bug(monkeypatch, bug)
+        out = tmp_path / "pred.csv"
+        code = run(["predict", "--model", str(model), "--bundle", str(bundle),
+                    "--task", "workflow_prefs", "--x", str(bundle / "X.csv"),
+                    "--out", str(out)])
+        assert code == 2
+        assert "runtime failure:" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_name("pred.csv.config.json").exists()
 
     def test_pair_task_rejected_for_homogeneous_model(self, bundle, tmp_path, capsys):
         model = self.train_model(bundle, tmp_path, objective="f1")

@@ -1,7 +1,8 @@
 """The exit-code contract under malformed input, as a property: a model
-file, a bundle table or a --config file with one field broken makes
-`main()` exit 0 or 1 (a validation error), never 2 (a runtime failure), and
-a run that exits 0 writes no NaN. A model or --config file that starts
+file, a bundle table or a --config file with one field broken, or with one
+to three of its bytes edited, makes `main()` exit 0 or 1 (a validation
+error, one `error:` line), never 2 (a runtime failure), and a run that
+exits 0 writes no NaN. A model or --config file that starts
 with a byte-order mark still reads; one that is not UTF-8 exits 1 with an
 error naming it."""
 
@@ -183,18 +184,59 @@ def config_case(draw, valid, work):
             "--objective", "f3", "--out", work / "out" / "m.json"], expected
 
 
-@settings(deadline=None, max_examples=500)
+@st.composite
+def byte_case(draw, valid, work):
+    """One to three byte edits (a bit flipped, a byte inserted or one
+    deleted) anywhere in one file a train, evaluate or predict run reads."""
+    bundle, model, config = work / "bundle", work / "model.json", work / "config.json"
+    shutil.copytree(valid / "bundle", bundle)
+    shutil.copy(valid / "f3.json", model)
+    shutil.copy(valid / "f3.json.config.json", config)
+    target = draw(st.sampled_from((*(bundle / t for t in TABLES),
+                                   bundle / "manifest.json", model, config)))
+    text = bytearray(target.read_bytes())
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(("flip", "insert", "delete")))
+        at = draw(st.integers(0, len(text) - (edit != "insert")))
+        if edit == "flip":
+            text[at] ^= 1 << draw(st.integers(0, 7))
+        elif edit == "insert":
+            text.insert(at, draw(st.integers(0, 255)))
+        else:
+            del text[at]
+        note(f"{target.name}: {edit} at byte {at}")
+    target.write_bytes(text)
+    out = work / "out"
+    train = ["train", "--bundle", bundle, "--objective", "f3",
+             "--max-iters", "5", "--out", out / "m.json"]
+    predict = ["predict", "--model", model, "--bundle", bundle,
+               "--task", "pair_score", "--x", valid / "raw" / "X.csv",
+               "--a", valid / "raw" / "A.csv", "--out", out / "p.csv"]
+    if target == config:
+        return ["--config", config, *train], ((0, 1), "")
+    if target == model:
+        return predict, ((0, 1), "")
+    return draw(st.sampled_from((train, predict, [
+        "evaluate", "--bundle", bundle, "--protocol", "lodo",
+        "--strategies", "def,ec,f3", "--max-iters", "5", "--out", out]))), \
+        ((0, 1), "")
+
+
+@settings(deadline=None, max_examples=660)
 @given(data=st.data())
 def test_one_broken_field_exits_zero_or_one(valid, data):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "out").mkdir()
         case = data.draw(st.sampled_from((model_case, bundle_case,
-                                          config_case)))
+                                          config_case, byte_case)))
         argv, (codes, message) = data.draw(case(valid, work))
         with contextlib.redirect_stderr(io.StringIO()) as err:
             code = run(argv)
         assert code in codes and message in err.getvalue()
+        errors = [line for line in err.getvalue().splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == (code == 1)
         if code == 0:
             assert not _writes_nan(work / "out")
 

@@ -7,7 +7,7 @@ scipy (at import time or in a function), only data_model._store sets
 the field of a frozen container, the CLI's choices come from their
 enums, every function the benchmark wraps exists, every command it
 runs parses, and each of its ops calls the wrapped functions recorded
-for it."""
+for it and passes its workload's check."""
 
 import ast
 import dataclasses
@@ -402,7 +402,8 @@ def test_benchmark_ops_call_the_recorded_targets(name, tmp_path):
     so a refactor that moves the work out from under a wrapper leaves that
     layer's metrics at 0 and raises nothing. Each workload, shrunk, runs
     its set-up and one op through cli.main with every target wrapped; the
-    targets the op never calls must be the recorded ones."""
+    targets the op never calls must be the recorded ones, and the op's
+    outputs must pass the workload's own check."""
     from metamine import cli
     layers = load_bench("layers")
     workload = dataclasses.replace(load_bench("workloads").WORKLOADS[name],
@@ -422,3 +423,4 @@ def test_benchmark_ops_call_the_recorded_targets(name, tmp_path):
     called = {span.name for span in tracer.spans} | {
         target for _, target in tracer.counts}
     assert {t.name for t in layers.TARGETS} - called == NEVER_CALLED[name]
+    assert workload.check(inputs, out, workload.reference(inputs)).problems == ()
