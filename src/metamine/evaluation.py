@@ -7,6 +7,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 
 import numpy as np
 
@@ -45,13 +46,10 @@ class EvaluationReport:
     notices: list = field(default_factory=list)
 
     def aggregate(self, strategy, metric):
-        """Mean over folds where the metric is defined; None if nowhere."""
-        vals = [f.metrics[strategy][metric] for f in self.folds
-                if strategy in f.metrics and metric in f.metrics[strategy]]
-        vals = [v for v in vals if v is not None and not math.isnan(v)]
-        if not vals:
-            return None
-        return float(np.mean(vals))
+        """Mean over folds where the metric is not NaN; None if nowhere."""
+        vals = [f.metrics[strategy][metric] for f in self.folds]
+        vals = [v for v in vals if not math.isnan(v)]
+        return float(np.mean(vals)) if vals else None
 
     def to_dict(self):
         # the folds' metric names in first-seen order
@@ -81,8 +79,7 @@ class EvaluationReport:
                 {
                     "held_out": f.held_out,
                     "metrics": {
-                        s.value: {m: (None if v is None or (isinstance(v, float)
-                                                            and math.isnan(v)) else v)
+                        s.value: {m: None if math.isnan(v) else v
                                   for m, v in mm.items()}
                         for s, mm in f.metrics.items()
                     },
@@ -122,8 +119,8 @@ def report_table(doc):
                 continue
             cells = [f"{tag:>12}"]
             for m in metrics:
-                c = comp.get(m)
-                if c is None or c["p"] is None:
+                c = comp[m]
+                if c["p"] is None:
                     cells.append(f"{'NA':>12}")
                 else:
                     cells.append(f"{c['wins']}/{c['total']} p={c['p']:.3f}".rjust(12))
@@ -156,7 +153,7 @@ def binomial_sign_test(wins: int, total: int) -> float:
 
 def compare_strategies(report: EvaluationReport, strategy, baseline, metric):
     """Per-fold strict-win count of strategy over baseline on one metric,
-    with the exact binomial p. Folds where either value is undefined are
+    with the exact binomial p. Folds where either value is NaN are
     skipped. Returns (wins, total, p); p is None when no fold is
     comparable."""
     wins = 0
@@ -164,22 +161,26 @@ def compare_strategies(report: EvaluationReport, strategy, baseline, metric):
     for f in report.folds:
         if strategy not in f.metrics or baseline not in f.metrics:
             raise ValueError("strategy and baseline must share every fold")
-        a = f.metrics[strategy].get(metric)
-        b = f.metrics[baseline].get(metric)
-        if a is None or b is None or math.isnan(a) or math.isnan(b):
+        a, b = f.metrics[strategy][metric], f.metrics[baseline][metric]
+        if math.isnan(a) or math.isnan(b):
             continue
         total += 1
-        if (a > b) if HIGHER_IS_BETTER.get(metric, True) else (a < b):
+        if (a > b) if HIGHER_IS_BETTER[metric] else (a < b):
             wins += 1
     return wins, total, binomial_sign_test(wins, total) if total else None
 
 
-# task each protocol serves, and how its exclusion notices name it
-_TASK = {Protocol.LODO: Task.WORKFLOW_PREFS, Protocol.LOWO: Task.DATASET_PREFS,
-         Protocol.LODWO: Task.PAIR_SCORE}
-_TASK_NAME = {Task.WORKFLOW_PREFS: "workflow ranking",
-              Task.DATASET_PREFS: "dataset ranking",
-              Task.PAIR_SCORE: "pair scoring"}
+# protocol -> (the task it serves, how exclusion notices name that task,
+# whether it holds out datasets and workflows, the fewest datasets and
+# workflows it runs on, and the message when there are fewer)
+_PROTOCOLS = {
+    Protocol.LODO: (Task.WORKFLOW_PREFS, "workflow ranking", (True, False), (3, 2),
+                    "leave-one-dataset-out needs at least 3 datasets and 2 workflows"),
+    Protocol.LOWO: (Task.DATASET_PREFS, "dataset ranking", (False, True), (2, 3),
+                    "leave-one-workflow-out needs at least 3 workflows and 2 datasets"),
+    Protocol.LODWO: (Task.PAIR_SCORE, "pair scoring", (True, True), (3, 3),
+                     "leave-one-of-each-out needs at least 3 of each entity"),
+}
 
 
 def _metrics(pred, truth, perf_row):
@@ -194,32 +195,10 @@ def _metrics(pred, truth, perf_row):
     return out, rows
 
 
-def _training_sets(held, data):
-    """Each fold's (X, A, R) with dataset i and/or workflow j held out,
-    held = [(i, j), ...] with None for the axis kept whole. Folds that hold
-    out one entity share its one dropped X or A; each gets its own R."""
-    xs = {i: data.x if i is None else data.x.drop_entity(i)
-          for i in {i for i, _ in held}}
-    as_ = {j: data.a if j is None else data.a.drop_entity(j)
-           for j in {j for _, j in held}}
-    return [(xs[i], as_[j], data.r.drop(dataset_index=i, workflow_index=j))
-            for i, j in held]
-
-
-def _train_fold_models(strategies, training_sets, hyper):
-    """Per fold, the model of each objective the learning strategies use,
-    retrained on the fold's training set (standardization refit per
-    fold). Every fold's descents run in one train_many."""
-    kinds = sorted({OBJECTIVES[s] for s in strategies if s in OBJECTIVES})
-    trained = iter(train_many([(kind, *training) for training in training_sets
-                               for kind in kinds], hyper))
-    return [{kind: next(trained)[0] for kind in kinds} for _ in training_sets]
-
-
 def _fold(task, held, training, models, data, strategies, hyper):
-    """Score every strategy on one fold of the task, held = (i, j) as in
-    _training_sets, with the fold's training set and trained models, all
-    but rho. Returns the FoldResult and the (strategy, rows) of each
+    """Score every strategy on one fold of the task, held = (i, j) with
+    None for the axis kept whole, with the fold's training set and trained
+    models, all but rho. Returns the FoldResult and the (strategy, rows) of each
     strategy whose rho is still to be computed. Any error a strategy
     raises ends the run."""
     i, j = held
@@ -250,25 +229,41 @@ def _fold(task, held, training, models, data, strategies, hyper):
     return fold, ranked
 
 
-def _run(protocol, data, strategies, hyper, held):
-    """Drop the strategies that cannot serve the protocol's task (each
-    with a notice; an IngestError if none is left, or if one is listed
-    twice), train every fold's models, then score one fold per held-out
-    key. The rho of every fold and strategy is computed last, in one
-    spearman_many."""
+def _run(protocol, data, strategies, hyper):
+    """Check the data's size for the protocol (and P for LODO), drop the
+    strategies that cannot serve its task (each with a notice; an
+    IngestError if none is left, or if one is listed twice), train every
+    fold's models in one train_many (standardization refit per fold), then
+    score one fold per held-out key. The folds that hold out one entity
+    share its one dropped X or A; each gets its own R. The rho of every
+    fold and strategy is computed last, in one spearman_many."""
+    task, task_name, held_axes, fewest, too_small = _PROTOCOLS[protocol]
+    sizes = (data.x.n_entities, data.a.n_entities)
+    if any(size < least for size, least in zip(sizes, fewest)):
+        raise IngestError(too_small)
+    if protocol is Protocol.LODO and data.performance is None:
+        raise IngestError("leave-one-dataset-out scores the top-5 performance "
+                          "and needs the performance matrix P")
     repeated = [s.value for k, s in enumerate(strategies) if s in strategies[:k]]
     if repeated:
         raise IngestError(f"strategy {repeated[0]} is listed more than once")
-    task = _TASK[protocol]
-    notices = [f"strategy {s.value} is not applicable to {_TASK_NAME[task]}; excluded"
+    notices = [f"strategy {s.value} is not applicable to {task_name}; excluded"
                for s in strategies if task not in TASKS[s]]
     strategies = [s for s in strategies if task in TASKS[s]]
     if not strategies:
-        raise IngestError(f"no strategy left to run for {_TASK_NAME[task]}")
-    training_sets = _training_sets(held, data)
-    models = _train_fold_models(strategies, training_sets, hyper)
-    scored = [_fold(task, key, training, fold_models, data, strategies, hyper)
-              for key, training, fold_models in zip(held, training_sets, models)]
+        raise IngestError(f"no strategy left to run for {task_name}")
+    # per axis, the held-out indices (None: kept whole) and the table without each
+    keys = [range(size) if out else (None,) for size, out in zip(sizes, held_axes)]
+    xs, as_ = ({k: table if k is None else table.drop_entity(k) for k in axis_keys}
+               for table, axis_keys in zip((data.x, data.a), keys))
+    held = list(product(*keys))
+    training = [(xs[i], as_[j], data.r.drop(dataset_index=i, workflow_index=j))
+                for i, j in held]
+    kinds = sorted({OBJECTIVES[s] for s in strategies if s in OBJECTIVES})
+    models = iter([model for model, _ in train_many(
+        [(kind, *t) for t in training for kind in kinds], hyper)])
+    scored = [_fold(task, key, t, {kind: next(models) for kind in kinds},
+                    data, strategies, hyper) for key, t in zip(held, training)]
     ranked = [(fold, s, rows) for fold, pending in scored for s, rows in pending]
     for (fold, s, _), rho in zip(ranked, spearman_many(
             [rows for _, _, rows in ranked])):
@@ -281,24 +276,13 @@ def _run(protocol, data, strategies, hyper, held):
 def run_lodo(data: MetaMiningData, strategies, hyper: HyperParams) -> EvaluationReport:
     """Leave one dataset out; every learning strategy is retrained on the
     remaining datasets (standardization refit per fold)."""
-    if data.x.n_entities < 3 or data.a.n_entities < 2:
-        raise IngestError("leave-one-dataset-out needs at least 3 datasets "
-                          "and 2 workflows")
-    if data.performance is None:
-        raise IngestError("leave-one-dataset-out scores the top-5 performance "
-                          "and needs the performance matrix P")
-    return _run(Protocol.LODO, data, strategies, hyper,
-                [(i, None) for i in range(data.x.n_entities)])
+    return _run(Protocol.LODO, data, strategies, hyper)
 
 
 def run_lowo(data: MetaMiningData, strategies, hyper: HyperParams) -> EvaluationReport:
     """Leave one workflow out (dataset-preference task). The default
     strategy's prediction is constant, so its rank correlation is NA."""
-    if data.a.n_entities < 3 or data.x.n_entities < 2:
-        raise IngestError("leave-one-workflow-out needs at least 3 workflows "
-                          "and 2 datasets")
-    report = _run(Protocol.LOWO, data, strategies, hyper,
-                  [(None, j) for j in range(data.a.n_entities)])
+    report = _run(Protocol.LOWO, data, strategies, hyper)
     if Strategy.DEFAULT in report.strategies:
         report.notices.append(
             "default strategy yields a constant dataset-preference vector; rho is NA")
@@ -308,8 +292,4 @@ def run_lowo(data: MetaMiningData, strategies, hyper: HyperParams) -> Evaluation
 def run_lodwo(data: MetaMiningData, strategies, hyper: HyperParams) -> EvaluationReport:
     """Leave one dataset and one workflow out (pair-score task). Only
     heterogeneous strategies and the default apply."""
-    if data.x.n_entities < 3 or data.a.n_entities < 3:
-        raise IngestError("leave-one-of-each-out needs at least 3 of each entity")
-    return _run(Protocol.LODWO, data, strategies, hyper,
-                [(i, j) for i in range(data.x.n_entities)
-                 for j in range(data.a.n_entities)])
+    return _run(Protocol.LODWO, data, strategies, hyper)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from metamine.data_model import HyperParams, PreferenceMatrix
+from metamine.data_model import (DescriptorTable, HyperParams, IngestError,
+                                 PreferenceMatrix)
 from metamine.evaluation import (MetaMiningData, Protocol, binomial_sign_test,
                                  compare_strategies, run_lodo, run_lodwo,
                                  run_lowo, top_k_performance)
@@ -305,6 +306,31 @@ class TestBatchedRho:
                           ("run_lodwo", 3): [0, 0], ("run_lodwo", 2): [2, 2]}
 
 
+class TestSharedDrops:
+    """The folds that hold out one entity share its one dropped X or A:
+    each entity is dropped once per run, and R once per fold."""
+
+    @pytest.mark.parametrize("runner", [run_lodo, run_lowo, run_lodwo])
+    def test_drop_counts(self, monkeypatch, runner):
+        counts = {"drop_entity": 0, "drop": 0}
+
+        def counted(cls, name):
+            method = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return method(*args, **kwargs)
+            monkeypatch.setattr(cls, name, wrapper)
+        counted(DescriptorTable, "drop_entity")
+        counted(PreferenceMatrix, "drop")
+        n, m = 5, 4
+        hyper = HyperParams(max_iters=3, seed=0, t=2)
+        runner(synth_data(seed=19, n=n, m=m),
+               [Strategy.DEFAULT, Strategy.F3_DIRECT, Strategy.F4_DIRECT], hyper)
+        assert (counts["drop_entity"], counts["drop"]) == {
+            run_lodo: (n, n), run_lowo: (m, m), run_lodwo: (n + m, n * m)}[runner]
+
+
 class TestCompareStrategies:
     def make_report(self, a_vals, b_vals, metric="mae"):
         from metamine.evaluation import EvaluationReport, FoldResult
@@ -416,6 +442,36 @@ class TestValidationErrors:
     def test_lodwo_needs_three_of_each(self):
         with pytest.raises(ValueError, match="needs at least 3 of each entity"):
             run_lodwo(self.data(n=2, m=4), [Strategy.DEFAULT], FAST)
+
+    @pytest.mark.parametrize("runner, n, m, message", [
+        (run_lodo, 2, 2, "leave-one-dataset-out needs at least 3 datasets "
+                         "and 2 workflows"),
+        (run_lodo, 3, 1, "leave-one-dataset-out needs at least 3 datasets "
+                         "and 2 workflows"),
+        (run_lodo, 3, 2, None),
+        (run_lowo, 1, 3, "leave-one-workflow-out needs at least 3 workflows "
+                         "and 2 datasets"),
+        (run_lowo, 2, 2, "leave-one-workflow-out needs at least 3 workflows "
+                         "and 2 datasets"),
+        (run_lowo, 2, 3, None),
+        (run_lodwo, 2, 3, "leave-one-of-each-out needs at least 3 of each entity"),
+        (run_lodwo, 3, 2, "leave-one-of-each-out needs at least 3 of each entity"),
+        (run_lodwo, 3, 3, None),
+    ])
+    def test_size_bounds(self, runner, n, m, message):
+        # one entity short on either axis is an IngestError with the
+        # protocol's message; the fewest of each runs every fold
+        data = self.data(n=n, m=m)
+        strategies = [Strategy.DEFAULT, Strategy.F4_DIRECT]
+        if message is not None:
+            with pytest.raises(IngestError) as raised:
+                runner(data, strategies, FAST)
+            assert str(raised.value) == message
+        else:
+            report = runner(data, strategies, FAST)
+            assert len(report.folds) == {run_lodo: n, run_lowo: m,
+                                         run_lodwo: n * m}[runner]
+            assert report.strategies == strategies
 
     @pytest.mark.parametrize("wins, total, message", [
         (5, 3, r"wins must lie in \[0, total\]"),

@@ -11,8 +11,9 @@ code are stored as files next to the files it writes, failing commands
 included. The significance CSV that `ingest --significance` reads,
 faulty copies of it and of the performance CSV, outcome directories
 (one read partly through csv, and four that ingest rejects), a small
-bundle whose ids only a quoting CSV writer gets right, and two bundles
-too small for a protocol, and copies of a quote-free bundle's tables
+bundle whose ids only a quoting CSV writer gets right, five small
+bundles (each protocol is run at and one entity below its fewest
+datasets and workflows), and copies of a quote-free bundle's tables
 that reach both of the CSV reader's paths (LF line ends, a lone CR line
 break, a quoted numeric cell, a blank line and an id longer than csv's
 field limit), are
@@ -91,8 +92,11 @@ BAD = "bad/in"
 OUTCOMES_CSV, OUTCOMES_COLUMNS = "outcomes/csv", "outcomes/columns"
 OUTCOMES_ONE, OUTCOMES_TWO = "outcomes/one", "outcomes/two"
 OUTCOMES_EMPTY = "outcomes/empty"
-# bundles too small for a protocol: datasets x workflows
-TINY = ("5x1", "1x4")
+# small bundles, datasets x workflows: 5x1 and 1x4 are too small for a
+# protocol, and each protocol runs on every SIZE_RULE shape, one entity
+# short of its fewest datasets or workflows or at exactly that many
+TINY = ("5x1", "1x4", "3x2", "2x3", "3x3")
+SIZE_RULE = TINY[2:]
 # a quote-free bundle's raw tables with LF line ends ("lf"), and X tables
 # that differ from lf's X in one place each (see relined_tables)
 RELINED = "relined"
@@ -460,12 +464,17 @@ def matrix():
     cmds.append(["evaluate", "--bundle", "s12x8/b", "--protocol", "lodo",
                  "--strategies", "def,f4", "--preset", "paper-task1", *ITERS,
                  "--out", "s12x8/lodo-preset"])
-    # bundles too small for the protocols run on them below
+    # small bundles: the protocols' size rules on both sides of each bound
     for shape in TINY:
         raw = f"tiny/{shape}/raw"
         cmds.append(["ingest", "--x", f"{raw}/X.csv", "--a", f"{raw}/A.csv",
                       "--performance", f"{raw}/performance.csv",
                       "--preferences", f"{raw}/R.csv", "--out", f"tiny/{shape}/b"])
+    for shape in SIZE_RULE:
+        for protocol in ("lodo", "lowo", "lodwo"):
+            cmds.append(["evaluate", "--bundle", f"tiny/{shape}/b",
+                         "--protocol", protocol, "--strategies", STRATEGIES,
+                         *ITERS, "--out", f"tiny/{shape}/{protocol}"])
 
     # the quote-free bundle's tables through both of the CSV reader's paths
     lf = {name: f"{RELINED}/lf/{name}.csv" for name in ("X", "A", "performance", "R")}
