@@ -2,7 +2,10 @@
 
 Each value is resolved in the order built-in defaults (HyperParams for
 the hyperparameters) < --preset < --config file < flags on the command
-line. After every subcommand, main writes the fully resolved
+line. One parser, built on the first call of main, serves every command
+of a process; preset and config layers are parsed on a parser of their
+own, so each command of a process resolves its values as a fresh process
+would. After every subcommand, main writes the fully resolved
 configuration, the values it actually used, next to its outputs, so runs
 are reproducible from the artifacts alone. Exit codes: 0 success, 1 an
 IngestError (input the command cannot use) or an OSError, 2 any other
@@ -12,6 +15,7 @@ exception: a runtime failure, which is a bug.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -100,9 +104,12 @@ def _config_value(path, action, value):
 def _parse(parser, argv):
     """Parse argv over layered defaults: built-in < preset < config file.
 
-    Preset and config values become defaults of the chosen subcommand's
-    parser and argv is parsed again, so every flag on the command line wins,
-    however it is spelled (--max-iters=5, --max-it 5). Returns the
+    parser is the one every command of the process shares, and is never
+    changed: its defaults stay the built-in ones. Preset and config values
+    become defaults of the chosen subcommand on a parser of their own, built
+    for this call, and argv is parsed again there, so every flag on the
+    command line wins, however it is spelled (--max-iters=5, --max-it 5),
+    and the next command resolves as a fresh process would. Returns the
     subcommand's name and its resolved values, one per flag of the
     subcommand."""
     args = parser.parse_args(argv)
@@ -126,8 +133,9 @@ def _parse(parser, argv):
     layered = {**(_preset_values(preset, objective) if preset else {}),
                **config}
     if layered:
-        subparser.set_defaults(**layered)
-        args = parser.parse_args(argv)
+        layered_parser = build_parser()
+        layered_parser.subcommands[args.subcommand].set_defaults(**layered)
+        args = layered_parser.parse_args(argv)
     return args.subcommand, {dest: getattr(args, dest) for dest in actions}
 
 
@@ -357,8 +365,14 @@ _COMMANDS = {"synth": cmd_synth, "ingest": cmd_ingest, "train": cmd_train,
              "evaluate": cmd_evaluate, "predict": cmd_predict}
 
 
+@functools.cache
+def _shared_parser():
+    """The parser of every command in this process; _parse never changes it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         subcommand, resolved = _parse(parser, argv)
         code = _COMMANDS[subcommand](resolved)

@@ -1290,6 +1290,51 @@ class TestReportBuiltOnce:
         assert (out / "report.txt").read_text() == calls[0].render_table() + "\n"
 
 
+class TestOneParserPerProcess:
+    """main parses every command of a process with one parser, and the
+    preset and config layers of one command never reach the next."""
+
+    def test_layered_defaults_do_not_leak(self, bundle, tmp_path,
+                                          monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mu1": 7.0}))
+        train = ["train", "--bundle", str(bundle), "--objective", "f4",
+                 "--max-iters", "5", "--out", "model.json"]
+        runs = {"first": train, "preset": [*train, "--preset", "paper-task1"],
+                "config": ["--config", str(cfg), *train], "last": train}
+        for name, argv in runs.items():
+            # the same relative --out, so the resolved configs may match
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert run(argv) == 0
+        for name in ("model.json", "model.json.config.json"):
+            first = (tmp_path / "first" / name).read_bytes()
+            assert (tmp_path / "last" / name).read_bytes() == first
+            for layered in ("preset", "config"):
+                assert (tmp_path / layered / name).read_bytes() != first
+
+    def test_only_layered_commands_build_a_parser(self, bundle, tmp_path,
+                                                  monkeypatch):
+        from metamine import cli
+        calls, build_parser = [], cli.build_parser
+
+        def counted():
+            calls.append(1)
+            return build_parser()
+        monkeypatch.setattr(cli, "build_parser", counted)
+        train = ["train", "--bundle", str(bundle), "--objective", "f4",
+                 "--max-iters", "5"]
+        assert run([*train, "--out", str(tmp_path / "m0.json")]) == 0
+        first = len(calls)      # 0 if this process already built its parser
+        assert first <= 1
+        for i in range(1, 4):
+            assert run([*train, "--out", str(tmp_path / f"m{i}.json")]) == 0
+        assert len(calls) == first
+        assert run([*train, "--preset", "paper-task1",
+                    "--out", str(tmp_path / "preset.json")]) == 0
+        assert len(calls) == first + 1
+
+
 def _ids(path, column):
     """The ids in one column of a CSV's data rows."""
     with open(path, newline="") as fh:

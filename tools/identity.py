@@ -23,7 +23,10 @@ faulty copies of the quoted tables, query tables, config and model files
 that the CLI rejects, so that every validation message the CLI can reach
 is compared too.
 So are usage errors, bad flag values, and a descent that stops on
-line_search_failure. A MEAN_QUERY step of the matrix is
+line_search_failure. The --config train and the --preset train and
+evaluate are each followed by the same command without the layer, so a
+layered default that one command leaves on the parser of its process
+shows as a differing byte in the next. A MEAN_QUERY step of the matrix is
 no CLI command: it writes a copy of a query table with one more row, at
 a model's x_standardization.mean, where every learned similarity is 0.
 
@@ -451,19 +454,27 @@ def matrix():
         cmds.append(["predict", "--model", "quoted/f3.json", "--bundle",
                      "quoted/b", "--task", task, *queries,
                      "--out", f"quoted/pred-{task}.csv"])
-    # a resolved config read back as a config file
+    # a resolved config read back as a config file, then the same command
+    # without it: a config value left on the process's parser shows there
+    config_train = ["train", "--bundle", "s12x8/b", "--objective", "f4",
+                    "--max-iters", "5"]
     cmds.append(["--config", "s12x8/f4-svd_warm_start.json.config.json",
-                 "train", "--bundle", "s12x8/b", "--objective", "f4",
-                 "--max-iters", "5", "--out", "s12x8/f4-config.json"])
+                 *config_train, "--out", "s12x8/f4-config.json"])
+    cmds.append([*config_train, "--out", "s12x8/f4-after-config.json"])
     # a descent that stops on line_search_failure at its first iteration
     cmds.append(["train", "--bundle", "s12x8/b", "--objective", "f3",
                  "--mu1", "1e18", *ITERS, "--out", "s12x8/f3-lsf.json"])
-    # a preset's hyperparameters, under train and evaluate
-    cmds.append(["train", "--bundle", "s12x8/b", "--objective", "f3",
-                 "--preset", "paper-task1", *ITERS, "--out", "s12x8/f3-preset.json"])
-    cmds.append(["evaluate", "--bundle", "s12x8/b", "--protocol", "lodo",
-                 "--strategies", "def,f4", "--preset", "paper-task1", *ITERS,
+    # a preset's hyperparameters, under train and evaluate, then the same
+    # commands without it
+    preset_train = ["train", "--bundle", "s12x8/b", "--objective", "f3", *ITERS]
+    preset_evaluate = ["evaluate", "--bundle", "s12x8/b", "--protocol", "lodo",
+                       "--strategies", "def,f4", *ITERS]
+    cmds.append([*preset_train, "--preset", "paper-task1",
+                 "--out", "s12x8/f3-preset.json"])
+    cmds.append([*preset_evaluate, "--preset", "paper-task1",
                  "--out", "s12x8/lodo-preset"])
+    cmds.append([*preset_train, "--out", "s12x8/f3-after-preset.json"])
+    cmds.append([*preset_evaluate, "--out", "s12x8/lodo-after-preset"])
     # small bundles: the protocols' size rules on both sides of each bound
     for shape in TINY:
         raw = f"tiny/{shape}/raw"
