@@ -201,6 +201,8 @@ class HyperParams:
             raise IngestError("n_neighbors must be positive")
         if self.max_iters < 0:
             raise IngestError("max_iters must be nonnegative")
+        if self.seed < 0:
+            raise IngestError("seed must be nonnegative")
         if not 0 < self.rel_tol < np.inf:
             raise IngestError("rel_tol must be finite and positive")
         if self.t is not None and self.t < 1:

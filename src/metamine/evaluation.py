@@ -128,15 +128,19 @@ def report_table(doc):
     return "\n".join(lines)
 
 
-def top_k_performance(predicted, perf_row, k: int) -> float:
-    """Mean true performance of the k workflows ranked highest by the
-    prediction; prediction ties break by stable index order."""
+def top_k_performance(predicted, performance, k: int) -> float | np.ndarray:
+    """Mean true performance of the k workflows ranked highest by a
+    prediction row, ties broken by stable index order: a float for one row,
+    an array for a stack of rows (..., m) and the performance rows they
+    broadcast against."""
     predicted = np.asarray(predicted, dtype=float)
-    perf_row = np.asarray(perf_row, dtype=float)
-    if k > predicted.size:
+    performance = np.asarray(performance, dtype=float)
+    if k > predicted.shape[-1]:
         raise ValueError("k exceeds the number of workflows")
-    order = np.argsort(-predicted, kind="stable")
-    return float(perf_row[order[:k]].mean())
+    order = np.argsort(-predicted, axis=-1, kind="stable")[..., :k]
+    performance = np.broadcast_to(performance, predicted.shape)
+    top = np.take_along_axis(performance, order, -1).mean(axis=-1)
+    return top if top.ndim else float(top)
 
 
 def binomial_sign_test(wins: int, total: int) -> float:
@@ -183,60 +187,15 @@ _PROTOCOLS = {
 }
 
 
-def _metrics(pred, truth, perf_row):
-    """The metrics of one prediction but rho, and the rows its rho ranks
-    (None for a pair score, which has no rho)."""
-    if np.ndim(pred) == 0:  # pair score
-        return {"mae": abs(float(pred) - truth)}, None
-    rows = spearman_rows(pred, truth)
-    out = {"mae": float(np.mean(np.abs(pred - truth)))}
-    if perf_row is not None:
-        out["t5p"] = top_k_performance(pred, perf_row, min(5, len(perf_row)))
-    return out, rows
-
-
-def _fold(task, held, training, models, data, strategies, hyper):
-    """Score every strategy on one fold of the task, held = (i, j) with
-    None for the axis kept whole, with the fold's training set and trained
-    models, all but rho. Returns the FoldResult and the (strategy, rows) of each
-    strategy whose rho is still to be computed. Any error a strategy
-    raises ends the run."""
-    i, j = held
-    x_train, a_train, r_train = training
-    x_new = None if i is None else data.x.features[i]
-    a_new = None if j is None else data.a.features[j]
-    perf_row = None
-    if task is Task.WORKFLOW_PREFS:
-        held_out, truth = data.x.entity_ids[i], data.r.scores[i]
-        perf_row = data.performance.values[i]
-    elif task is Task.DATASET_PREFS:
-        held_out, truth = data.a.entity_ids[j], data.r.scores[:, j]
-    else:
-        held_out = (data.x.entity_ids[i], data.a.entity_ids[j])
-        truth = float(data.r.scores[i, j])
-
-    fold = FoldResult(held_out=held_out, metrics={})
-    ranked = []
-    for s in strategies:
-        pred = predict(s, task, x_new, a_new, x_train, a_train, r_train,
-                       models.get(OBJECTIVES.get(s)), hyper.n_neighbors)
-        metrics, rows = _metrics(pred.values, truth, perf_row)
-        fold.metrics[s] = metrics
-        fold.predictions[s] = pred.values
-        fold.flags.extend(f"{s.value}:{flag}" for flag in pred.flags)
-        if rows is not None:
-            ranked.append((s, rows))
-    return fold, ranked
-
-
 def _run(protocol, data, strategies, hyper):
     """Check the data's size for the protocol (and P for LODO), drop the
     strategies that cannot serve its task (each with a notice; an
     IngestError if none is left, or if one is listed twice), train every
     fold's models in one train_many (standardization refit per fold), then
-    score one fold per held-out key. The folds that hold out one entity
-    share its one dropped X or A; each gets its own R. The rho of every
-    fold and strategy is computed last, in one spearman_many."""
+    predict with every strategy on one fold per held-out key (an error ends
+    the run). The folds that hold out one entity share its one dropped X or
+    A; each gets its own R. Each metric is then computed over every
+    strategy and fold at once, every rho in one spearman_many."""
     task, task_name, held_axes, fewest, too_small = _PROTOCOLS[protocol]
     sizes = (data.x.n_entities, data.a.n_entities)
     if any(size < least for size, least in zip(sizes, fewest)):
@@ -262,13 +221,35 @@ def _run(protocol, data, strategies, hyper):
     kinds = sorted({OBJECTIVES[s] for s in strategies if s in OBJECTIVES})
     models = iter([model for model, _ in train_many(
         [(kind, *t) for t in training for kind in kinds], hyper)])
-    scored = [_fold(task, key, t, {kind: next(models) for kind in kinds},
-                    data, strategies, hyper) for key, t in zip(held, training)]
-    ranked = [(fold, s, rows) for fold, pending in scored for s, rows in pending]
-    for (fold, s, _), rho in zip(ranked, spearman_many(
-            [rows for _, _, rows in ranked])):
-        fold.metrics[s] = {"rho": rho, **fold.metrics[s]}
-    folds = [fold for fold, _ in scored]
+    # each fold's held-out id and truth, in fold order
+    ids, r = (data.x.entity_ids, data.a.entity_ids), data.r.scores
+    held_out, truth = {Task.WORKFLOW_PREFS: (ids[0], r),
+                       Task.DATASET_PREFS: (ids[1], r.T),
+                       Task.PAIR_SCORE: (product(*ids), r.ravel())}[task]
+    folds = [FoldResult(held_out=h, metrics={}) for h in held_out]
+    for (i, j), t, fold in zip(held, training, folds):
+        fold_models = {kind: next(models) for kind in kinds}
+        x_new = None if i is None else data.x.features[i]
+        a_new = None if j is None else data.a.features[j]
+        for s in strategies:
+            pred = predict(s, task, x_new, a_new, *t,
+                           fold_models.get(OBJECTIVES.get(s)), hyper.n_neighbors)
+            fold.predictions[s] = pred.values
+            fold.flags.extend(f"{s.value}:{flag}" for flag in pred.flags)
+    preds = np.array([[f.predictions[s] for f in folds] for s in strategies])
+    scores = {}             # metric -> its values, (strategy, fold)
+    if task is not Task.PAIR_SCORE:
+        scores["rho"] = np.reshape(spearman_many(
+            [spearman_rows(p, t) for by_fold in preds
+             for p, t in zip(by_fold, truth)]), preds.shape[:2])
+    # a pair score's error is the mean of its one entry
+    scores["mae"] = np.abs(preds - truth).reshape(*preds.shape[:2], -1).mean(axis=-1)
+    if task is Task.WORKFLOW_PREFS:
+        scores["t5p"] = top_k_performance(preds, data.performance.values,
+                                          min(5, preds.shape[-1]))
+    table = np.stack(list(scores.values()), axis=-1).tolist()
+    for k, fold in enumerate(folds):
+        fold.metrics = {s: dict(zip(scores, rows[k])) for s, rows in zip(strategies, table)}
     return EvaluationReport(protocol=protocol, strategies=strategies,
                             folds=folds, notices=notices)
 

@@ -45,6 +45,8 @@ class SynthConfig:
             raise IngestError("latent_t must be in [1, min(d, l)]")
         if not 0 <= self.noise_sigma < np.inf:  # nan fails too
             raise IngestError("noise_sigma must be finite and nonnegative")
+        if self.seed < 0:
+            raise IngestError("seed must be nonnegative")
         if self.mode is SynthMode.EXACT_BILINEAR and self.noise_sigma > 0:
             raise IngestError("noise_sigma applies to the noisy and outcome modes only")
         if self.mode is SynthMode.OUTCOME_LEVEL and self.instances_per_dataset < 1:

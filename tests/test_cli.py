@@ -1182,6 +1182,54 @@ class TestNoiseInExactMode:
         assert not out.exists()
 
 
+class TestNegativeSeed:
+    """numpy's generator takes no negative seed: SynthConfig and
+    HyperParams reject one, from a flag, a config file or a model file
+    alike, so the command exits 1, not 2, and writes nothing."""
+
+    COMMANDS = {
+        "synth": lambda bundle: ["synth"],
+        "train": lambda bundle: ["train", "--bundle", str(bundle),
+                                 "--objective", "f4"],
+        "evaluate": lambda bundle: ["evaluate", "--bundle", str(bundle),
+                                    "--protocol", "lodo"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_flag_exits_one(self, bundle, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run([*self.COMMANDS[command](bundle), "--seed", "-1",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_config_exits_one(self, bundle, tmp_path, capsys, command):
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        config.write_text('{"seed": -1}')
+        capsys.readouterr()
+        assert run(["--config", str(config), *self.COMMANDS[command](bundle),
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+        assert not out.exists()
+
+    def test_model_file_exits_one(self, bundle, tmp_path, capsys):
+        model, out = tmp_path / "model.json", tmp_path / "p.csv"
+        assert run(["train", "--bundle", str(bundle), "--objective", "f3",
+                    "--max-iters", "5", "--t", "2", "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        doc["hyper"]["seed"] = -1
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["predict", "--model", str(model), "--bundle", str(bundle),
+                    "--task", "pair_score", "--x", str(bundle / "X.csv"),
+                    "--a", str(bundle / "A.csv"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}: hyper: seed must be nonnegative\n")
+        assert not out.exists()
+
+
 class TestNoStrategyLeft:
     @pytest.mark.parametrize("protocol, strategies, task", [
         ("lodo", "", "workflow ranking"),

@@ -306,6 +306,46 @@ class TestBatchedRho:
                           ("run_lodwo", 3): [0, 0], ("run_lodwo", 2): [2, 2]}
 
 
+class TestStackedMetricsBitForBit:
+    """A protocol scores all its folds as one stack; each fold's metrics
+    keep the bits of that fold scored alone. 140 entities a row reach
+    numpy's recursive pairwise sum, which rows of 8 to 128 never do."""
+
+    @pytest.mark.parametrize("runner, n, m", [(run_lowo, 140, 3),
+                                              (run_lodo, 4, 140)])
+    def test_each_fold_as_scored_alone(self, runner, n, m):
+        from metamine.preference import spearman
+        data = synth_data(seed=23, n=n, m=m, noise=0.5,
+                          mode=SynthMode.NOISY_BILINEAR)
+        report = runner(data, [Strategy.DEFAULT, Strategy.EUCLIDEAN], FAST)
+        truths = data.r.scores if runner is run_lodo else data.r.scores.T
+        for k, (fold, truth) in enumerate(zip(report.folds, truths)):
+            for s, pred in fold.predictions.items():
+                alone = {"rho": spearman(pred, truth),
+                         "mae": float(np.mean(np.abs(pred - truth)))}
+                if runner is run_lodo:
+                    perf = data.performance.values[k]
+                    alone["t5p"] = top_k_performance(pred, perf, 5)
+                assert list(fold.metrics[s]) == list(alone)
+                for name, value in alone.items():
+                    got = fold.metrics[s][name]
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == np.float64(value).tobytes()
+
+    def test_stacked_top_k_equals_its_rows(self):
+        rng = np.random.default_rng(29)
+        pred = rng.random((3, 7, 140))
+        pred[0, 0, :9] = pred[0, 0, 0]          # ties break by index
+        perf = rng.random((7, 140))
+        stacked = top_k_performance(pred, perf, 5)
+        assert stacked.shape == (3, 7)
+        for s, rows in enumerate(pred):
+            for k, row in enumerate(rows):
+                alone = top_k_performance(row, perf[k], 5)
+                assert type(alone) is float
+                assert stacked[s, k].tobytes() == np.float64(alone).tobytes()
+
+
 class TestSharedDrops:
     """The folds that hold out one entity share its one dropped X or A:
     each entity is dropped once per run, and R once per fold."""

@@ -4,7 +4,8 @@ to three of its bytes edited, makes `main()` exit 0 or 1 (a validation
 error, one `error:` line), never 2 (a runtime failure), and a run that
 exits 0 writes no NaN. A model or --config file that starts
 with a byte-order mark still reads; one that is not UTF-8 exits 1 with an
-error naming it."""
+error naming it. Every int and float flag of every subcommand, given -1
+or 0, does the same."""
 
 import codecs
 import contextlib
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from metamine.cli import main
+from metamine.cli import build_parser, main
 
 # One field's mutation: dropped, a wrong type, nan/inf (as a JSON number
 # and as the repr string a model file holds), zero, an empty list.
@@ -446,3 +447,46 @@ def test_one_broken_config_field_of_any_subcommand_exits_zero_or_one(
         assert code in (0, 1)
         if code == 0:
             assert not _output_holds_nan(work / "out")
+
+
+# subcommand -> its command line on the valid fixture's files, with few
+# descent iterations; a numeric flag given after it wins
+NUMERIC_COMMANDS = {
+    "synth": lambda valid, out: ["synth", "--n", "6", "--m", "5", "--d", "4",
+                                 "--l", "3", "--latent-t", "2", "--out", out],
+    "train": lambda valid, out: ["train", "--bundle", valid / "bundle",
+                                 "--objective", "f4", "--max-iters", "3",
+                                 "--t", "2", "--out", out / "m.json"],
+    "evaluate": lambda valid, out: ["evaluate", "--bundle", valid / "bundle",
+                                    "--protocol", "lodo", "--strategies",
+                                    "def,ec,f1,f4", "--max-iters", "3",
+                                    "--t", "2", "--out", out / "report"],
+    "predict": lambda valid, out: ["predict", "--model", valid / "f1.json",
+                                   "--bundle", valid / "bundle", "--task",
+                                   "workflow_prefs", "--x", valid / "raw" / "X.csv",
+                                   "--out", out / "p.csv"],
+}
+
+
+def _numeric_flags():
+    """(subcommand, flag) of every int and float flag of the CLI."""
+    for name, subparser in build_parser().subcommands.items():
+        for action in subparser._actions:
+            if action.type in (int, float):
+                yield name, action.option_strings[0]
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+@pytest.mark.parametrize("subcommand, flag", sorted(_numeric_flags()))
+def test_numeric_flag_at_minus_one_and_zero_exits_zero_or_one(
+        valid, tmp_path, subcommand, flag, value):
+    out = tmp_path / "out"
+    out.mkdir()
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run([*NUMERIC_COMMANDS[subcommand](valid, out), flag, value])
+    errors = [line for line in err.getvalue().splitlines()
+              if line.startswith("error:")]
+    assert code in (0, 1)
+    assert len(errors) == (code == 1)
+    if code == 0:
+        assert not _output_holds_nan(out)

@@ -543,18 +543,18 @@ def matrix():
         ["predict", "--model", "s12x8/f1-seeded_gaussian.json",
          "--bundle", "s12x8/b", "--task", "workflow_prefs", "--neighbors", "0",
          "--x", "queries/X.csv", "--out", "bad/p.csv"],
-        ["evaluate", "--bundle", "s12x8/b", "--protocol", "lodo", "--jobs", "0",
-         "--out", "bad/e"],
+        *(["evaluate", "--bundle", "s12x8/b", "--protocol", "lodo", flag, value,
+           "--out", "bad/e"] for flag, value in (("--jobs", "0"), ("--seed", "-1"))),
         ["train", "--bundle", "s12x8/b", "--objective", "f3", "--preset", "nope",
          "--out", "bad/m.json"],
         *(["train", "--bundle", "s12x8/b", "--objective", "f3", flag, value,
            "--out", "bad/m.json"]
           for flag, value in (("--mu1", "-1"), ("--neighbors", "0"),
                               ("--max-iters", "-1"), ("--rel-tol", "0"),
-                              ("--mu1", "1e308"))),
+                              ("--mu1", "1e308"), ("--seed", "-1"))),
         *(["synth", *flags, "--out", "bad/synth"]
           for flags in (["--latent-t", "0"], ["--mode", "noisy", "--noise-sigma", "-1"],
-                        ["--mode", "outcome", "--instances", "0"])),
+                        ["--mode", "outcome", "--instances", "0"], ["--seed", "-1"])),
         *(["--config", f"{BAD}/config-{fault}.json", "train", "--bundle", "s12x8/b",
            "--objective", "f3", "--out", "bad/m.json"]
           for fault in ("list", "key", "type", "choice", "bool", "latin1", "syntax")),
