@@ -257,78 +257,73 @@ def _descend(kind, red: ReducedObjective, u, v, hyper):
     all in lock-step: one loop, each product taken once for the stack.
 
     Every problem keeps its own step size, backtracking and stop reason,
-    and takes exactly the steps it would take alone. A problem that stops
-    stays in the stack with step 0, its trials accepted, so the loop does
-    no per-problem work until a problem stops. Each gradient reuses the
-    residuals of the accepted trial. Returns the (U, V, TrainTrace) of
-    each problem, in stack order."""
+    and takes exactly the steps it would take alone. A problem leaves the
+    stack in the iteration it stops, so the loop holds only the problems
+    still descending; ids maps each position to its problem. Each
+    gradient reuses the residuals of the accepted trial. Returns the (U,
+    V, TrainTrace) of each problem, in stack order."""
     k = len(u)
     res = _residuals(kind, red, u, v)
     f = _value(kind, red, u, v, res, hyper)
     if not np.isfinite(f).all():
         raise IngestError(f"objective {kind.value}: the starting value is not finite")
     step = np.ones(k)
-    live = np.ones(k, dtype=bool)
-    stops = [None] * k                      # what stop records, per problem
-    values, steps, norms = [f], [], []      # per iteration, all problems
-
-    def trial(s):
-        """(u, v) - s (gU, gV), each problem moved by its own step, with
-        its residuals and objective value."""
-        s_col = s[:, None, None]
-        u_new, v_new = u - s_col * gu, v - s_col * gv
-        res_new = _residuals(kind, red, u_new, v_new)
-        return u_new, v_new, res_new, _value(kind, red, u_new, v_new,
-                                             res_new, hyper)
-
-    def stop(mask, reason, n, flat=False):
-        """Stop the problems of `mask` after n accepted steps, flat if at a
-        zero gradient, keeping a copy of their current U and V (a later
-        step-0 trial may turn a -0.0 into 0.0); returns how many are live."""
-        for j in np.flatnonzero(mask).tolist():
-            stops[j] = (u[j].copy(), v[j].copy(), reason, n, flat)
-        live[mask] = False
-        return np.count_nonzero(live)
-
+    ids = np.arange(k)
+    ends = [None] * k                       # the U, V and reason each stops with
+    # (ids, entries, which of them count) per iteration
+    values, steps, norms = [(ids, f, np.ones(k, dtype=bool))], [], []
     for it in range(hyper.max_iters):
         gu, gv = _gradient(kind, red, u, v, res, hyper)
         g_sq = _sq(gu) + _sq(gv)
         if not np.isfinite(g_sq).all():
             raise IngestError(f"objective {kind.value}: the squared gradient norm "
                               f"is not finite at iteration {it}")
-        norms.append(np.sqrt(g_sq))
-        if np.count_nonzero(g_sq) < k:          # a stationary point
-            if not stop((g_sq == 0.0) & live, StopReason.REL_TOL, it, flat=True):
-                break
-        s = 2.0 * step * live       # try growing the last accepted step
-        stopped = ~live
+        flat = g_sq == 0.0              # a stationary point: accepted, its trial discarded
+        s = 2.0 * step                  # try growing the last accepted step
         for _bt in range(MAX_BACKTRACKS):
-            u_new, v_new, res_new, f_new = trial(s)
-            accepted = (f_new <= f - ARMIJO_ACCEPT * s * g_sq) | stopped
-            if np.count_nonzero(accepted) == k:
+            s_col = s[:, None, None]
+            u_new, v_new = u - s_col * gu, v - s_col * gv
+            res_new = _residuals(kind, red, u_new, v_new)
+            f_new = _value(kind, red, u_new, v_new, res_new, hyper)
+            accepted = (f_new <= f - ARMIJO_ACCEPT * s * g_sq) | flat
+            if np.count_nonzero(accepted) == len(s):
                 break
             # shrink only the steps not accepted: an accepted problem
             # repeats its trial and gets the same value back
             s = np.where(accepted, s, s * ARMIJO_SHRINK)
-        else:
-            if not stop(~accepted, StopReason.LINE_SEARCH_FAILURE, it):
-                break
-            s = s * live                # the failed problems stay put
-            u_new, v_new, res_new, f_new = trial(s)
-        u, v, res, step = u_new, v_new, res_new, s
-        values.append(f_new)
-        steps.append(s)
+        moved = accepted ^ flat         # those taking their step: flat ones are accepted
         decrease = (f - f_new) / np.maximum(np.abs(f), _TINY)
-        f = f_new
-        converged = (decrease < hyper.rel_tol) & live
-        if (np.count_nonzero(converged)
-                and not stop(converged, StopReason.REL_TOL, it + 1)):
-            break
-    stop(live.copy(), StopReason.MAX_ITERS, len(steps))
-    columns = [np.reshape(table, (len(table), k)).T.tolist()
-               for table in (values, steps, norms)]
-    return [(uj, vj, TrainTrace(vals[:n + 1], sts[:n], nrm[:n + flat], reason))
-            for (uj, vj, reason, n, flat), vals, sts, nrm in zip(stops, *columns)]
+        keep = moved & (decrease >= hyper.rel_tol)
+        norms.append((ids, np.sqrt(g_sq), accepted))
+        values.append((ids, f_new, moved))
+        steps.append((ids, s, moved))
+        if np.count_nonzero(keep) < len(keep):
+            # the flat and the failed leave before their step, rel_tol after it
+            for j in np.flatnonzero(~keep).tolist():
+                at_u, at_v = (u_new, v_new) if moved[j] else (u, v)
+                ends[ids[j]] = (at_u[j].copy(), at_v[j].copy(), StopReason.REL_TOL
+                                if accepted[j] else StopReason.LINE_SEARCH_FAILURE)
+            red = _each(lambda field: field[keep], red)
+            ids, u_new, v_new, f_new, s = (a[keep] for a in (ids, u_new, v_new, f_new, s))
+            res_new = [e if e is None else e[keep] for e in res_new]
+            if not len(ids):
+                break
+        u, v, res, f, step = u_new, v_new, res_new, f_new, s
+    for j, i in enumerate(ids.tolist()):
+        ends[i] = (u[j].copy(), v[j].copy(), StopReason.MAX_ITERS)
+
+    def in_order(log):
+        """Each problem's counted entries of a log, in iteration order."""
+        if not log:
+            return [[] for _ in range(k)]
+        at, entries, counts = (np.concatenate(column) for column in zip(*log))
+        at = at[counts]
+        edges = np.cumsum(np.bincount(at, minlength=k)).tolist()
+        entries = entries[counts][np.argsort(at, kind="stable")].tolist()
+        return [entries[a:b] for a, b in zip([0, *edges], edges)]
+
+    return [(uj, vj, TrainTrace(*traces, reason)) for (uj, vj, reason), *traces
+            in zip(ends, *map(in_order, (values, steps, norms)))]
 
 
 def minimize_many(obj: Objective, u0: np.ndarray, v0: np.ndarray,

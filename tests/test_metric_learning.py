@@ -526,7 +526,7 @@ class TestStackedDescentOracle:
 
     @pytest.mark.parametrize("kind", list(ObjectiveKind))
     @pytest.mark.parametrize("stop", ["rel_tol", "zero_gradient",
-                                      "line_search_failure"])
+                                      "line_search_failure", "staggered"])
     def test_one_problem_stops_while_the_others_go_on(self, kind, stop):
         problems = self.stack_of_four(kind, 17)
         hyper = HyperParams(mu1=0.2, mu2=0.3, max_iters=30, rel_tol=1e-6)
@@ -536,13 +536,37 @@ class TestStackedDescentOracle:
                 mu1=0.2, mu2=0.3, max_iters=3000, rel_tol=1e-15))
         elif stop == "zero_gradient":      # every gradient is 0 at U = V = 0
             u0, v0 = np.zeros_like(u0), np.zeros_like(v0)
-        else:                              # so far out that no step is short enough
+        elif stop == "line_search_failure":  # so far out that no step is short enough
             u0, v0 = 1e10 * u0, 1e10 * v0
+        else:   # three problems stop, each for its own reason in its own iteration
+            hyper = replace(hyper, mu1=0.25, mu2=0.25)
+            # 1: zero targets and a start so small that the fit terms'
+            # gradients underflow to 0, leaving the regularizers' U / 2 and
+            # V / 2: the first trial step, 2, lands exactly on U = V = 0
+            obj = replace(obj, **{name: np.zeros_like(getattr(obj, name))
+                                  for name in ("s_x", "s_a", "r")})
+            u0, v0 = 1e-120 * u0, 1e-120 * v0
+            # 2: fails its line search in iteration 0
+            obj2, u2, v2 = problems[2]
+            problems[2] = (obj2, 1e10 * u2, 1e10 * v2)
+            # 3: starts five steps short of where it stops on rel_tol alone
+            obj3, u3, v3 = problems[3]
+            alone = minimize(obj3, u3, v3, replace(hyper, max_iters=3000))[2]
+            problems[3] = (obj3, *minimize(obj3, u3, v3, replace(
+                hyper, max_iters=alone.iterations - 5))[:2])
         problems[1] = (obj, u0, v0)
         stacked = minimize_many(*as_stack(problems), hyper)
         for problem, got in zip(problems, stacked):
             assert_same_descent(got, descend_alone(*problem, hyper))
         traces = [trace for _, _, trace in stacked]
+        if stop == "staggered":    # the stack compacts in iterations 0, 1 and >= 2
+            assert traces[1].reason is StopReason.REL_TOL and traces[1].iterations == 1
+            assert traces[1].gradient_norms[1] == 0.0
+            assert traces[2].reason is StopReason.LINE_SEARCH_FAILURE
+            assert traces[2].iterations == 0
+            assert traces[3].reason is StopReason.REL_TOL
+            assert 3 <= traces[3].iterations < traces[0].iterations
+            return
         assert traces[1].reason.value == stop.replace("zero_gradient", "rel_tol")
         assert traces[1].iterations < min(traces[i].iterations for i in (0, 2, 3))
 
@@ -563,9 +587,9 @@ class TestStackedDescentOracle:
         assert all(t.iterations > 1 for i, (_, _, t) in enumerate(stacked) if i != 2)
 
     def test_long_run_after_a_stop(self):
-        # a problem stopped at a zero gradient in iteration 0 keeps step 0
-        # while the others run past iteration 1,024, where a step doubled
-        # once per iteration from 1 overflows
+        # a problem stopped at a zero gradient in iteration 0 leaves the
+        # stack, while the others run past iteration 1,024, where a step
+        # doubled once per iteration from 1 overflows
         problems = self.stack_of_four(ObjectiveKind.F4, 11)
         obj, u0, v0 = problems[0]
         problems[0] = (obj, np.zeros_like(u0), np.zeros_like(v0))
@@ -576,6 +600,26 @@ class TestStackedDescentOracle:
         first, *others = [trace for _, _, trace in stacked]
         assert first.reason is StopReason.REL_TOL and first.iterations == 0
         assert min(t.iterations for t in others) >= 1100
+
+    def test_a_stopped_problem_leaves_the_stack(self):
+        # after iteration 0 every residual is taken for the three problems
+        # still descending, none for the one stopped at a zero gradient
+        problems = self.stack_of_four(ObjectiveKind.F4, 11)
+        obj, u0, v0 = problems[0]
+        problems[0] = (obj, np.zeros_like(u0), np.zeros_like(v0))
+        calls = mock.Mock()
+        with mock.patch.object(ml, "_residuals", wraps=ml._residuals) as residuals, \
+                mock.patch.object(ml, "_gradient", wraps=ml._gradient) as gradient:
+            calls.attach_mock(residuals, "residuals")
+            calls.attach_mock(gradient, "gradient")
+            stacked = minimize_many(*as_stack(problems),
+                                    HyperParams(mu1=0.01, mu2=0.01, max_iters=20))
+        names = [name for name, _, _ in calls.mock_calls]
+        iteration_1 = names.index("gradient", names.index("gradient") + 1)
+        later = [len(args[2]) for name, args, _ in calls.mock_calls[iteration_1:]
+                 if name == "residuals"]
+        assert len(later) >= 19 and max(later) <= 3
+        assert [trace.iterations for _, _, trace in stacked] == [0, 20, 20, 20]
 
     def test_max_iters_zero_returns_each_start(self):
         problems = self.stack_of_four(ObjectiveKind.F4, 3)

@@ -22,13 +22,15 @@ with a query table whose 2nd and 3rd rows overflow a model's scores, and
 faulty copies of the quoted tables, query tables, config and model files
 that the CLI rejects, so that every validation message the CLI can reach
 is compared too.
-So are usage errors, bad flag values, and a descent that stops on
-line_search_failure. The --config train and the --preset train and
-evaluate are each followed by the same command without the layer, so a
-layered default that one command leaves on the parser of its process
-shows as a differing byte in the next. A MEAN_QUERY step of the matrix is
-no CLI command: it writes a copy of a query table with one more row, at
-a model's x_standardization.mean, where every learned similarity is 0.
+So are usage errors, bad flag values, a descent that stops on
+line_search_failure, and an evaluate at the default max_iters, whose
+descents stop on rel_tol at staggered iterations. The --config train
+and the --preset train and evaluate are each followed by the same
+command without the layer, so a layered default that one command leaves
+on the parser of its process shows as a differing byte in the next. A
+MEAN_QUERY step of the matrix is no CLI command: it writes a copy of a
+query table with one more row, at a model's x_standardization.mean,
+where every learned similarity is 0.
 
 Prints every file, stdout, stderr or exit code whose bytes differ, then the
 line count of each src/metamine module in both trees, and exits 1 if any
@@ -403,6 +405,10 @@ def matrix():
     cmds.append(["evaluate", "--bundle", "s12x8/b", "--protocol", "lodwo",
                  "--strategies", "def,f3,f4", "--t", "2", *ITERS,
                  "--format", "table", "--out", "s12x8/lodwo-t2"])
+    # the default stopping rule: problems of one stack stop on rel_tol in
+    # iterations 38 to 784, so the stack compacts again and again
+    cmds.append(["evaluate", "--bundle", "s12x8/b", "--protocol", "lodwo",
+                 "--strategies", "def,f3,f4", "--out", "s12x8/lodwo-default"])
 
     # outcome and significance sources of R
     raw = "s10x7/raw"
