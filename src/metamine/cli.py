@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .data_model import HyperParams, IngestError, MetaMiningData
+from .data_model import (HyperParams, IngestError, MetaMiningData,
+                         PerformanceMatrix, validate_queries)
 from .evaluation import (Protocol, report_table, run_lodo, run_lodwo,
                          run_lowo)
 from .metric_learning import ObjectiveKind, train
@@ -159,6 +160,21 @@ def cmd_synth(resolved):
     return 0
 
 
+def _in_bundle_order(table, x, a):
+    """P, or R from a significance CSV, whose ids follow first appearance,
+    in X's dataset order and A's workflow order when it holds exactly
+    their ids; as it is otherwise, for validation to name the mismatch."""
+    index = []
+    for ids, wanted in ((table.dataset_ids, x.entity_ids),
+                        (table.workflow_ids, a.entity_ids)):
+        position = {eid: k for k, eid in enumerate(ids)}
+        if len(ids) != len(wanted) or position.keys() != set(wanted):
+            return table
+        index.append([position[eid] for eid in wanted])
+    values = table.values if isinstance(table, PerformanceMatrix) else table.scores
+    return type(table)(x.entity_ids, a.entity_ids, values[np.ix_(*index)])
+
+
 def cmd_ingest(resolved):
     sources = [s for s in ("preferences", "outcomes_dir", "significance")
                if resolved[s]]
@@ -167,14 +183,14 @@ def cmd_ingest(resolved):
                           "--significance is required")
     x = io.read_descriptor_csv(resolved["x"])
     a = io.read_descriptor_csv(resolved["a"])
-    perf = io.read_performance_csv(resolved["performance"])
+    perf = _in_bundle_order(io.read_performance_csv(resolved["performance"]), x, a)
     if resolved["preferences"]:
         r = io.read_preference_csv(resolved["preferences"])
     elif resolved["outcomes_dir"]:
         r = build_preference_matrix(io.read_outcome_dir(resolved["outcomes_dir"]))
     else:
-        ds_ids, wf_ids, wins = io.read_significance_csv(resolved["significance"])
-        r = build_preference_from_significance(ds_ids, wf_ids, wins)
+        r = _in_bundle_order(build_preference_from_significance(
+            *io.read_significance_csv(resolved["significance"])), x, a)
     data = io.check_bundle(MetaMiningData(x=x, a=a, r=r, performance=perf),
                            "ingest")
     out = Path(resolved["out"])
@@ -263,9 +279,14 @@ def cmd_predict(resolved):
                               f"features but the model has {len(weights)}")
 
     def queries(flag, names, weights):
-        if not resolved[flag]:
+        path = resolved[flag]
+        if not path:
             raise IngestError(f"task {task.value} needs --{flag}")
-        return io.read_queries(resolved[flag], flag.upper(), names, len(weights))
+        table = io.read_descriptor_csv(path)
+        report = validate_queries(flag.upper(), table, names, len(weights))
+        if not report.passed:
+            raise IngestError(f"{path}: query table fails validation:\n{report}")
+        return table
 
     qx = qa = None
     if task is not Task.DATASET_PREFS:

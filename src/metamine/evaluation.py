@@ -12,8 +12,8 @@ from itertools import product
 import numpy as np
 
 from .data_model import HyperParams, IngestError, MetaMiningData
-from .metric_learning import train_many
-from .preference import spearman_many, spearman_rows
+from .metric_learning import StopReason, train_many
+from .preference import spearman_many
 from .recommend import OBJECTIVES, TASKS, Strategy, Task, predict
 
 HIGHER_IS_BETTER = {"rho": True, "t5p": True, "mae": False}
@@ -191,7 +191,8 @@ def _run(protocol, data, strategies, hyper):
     """Check the data's size for the protocol (and P for LODO), drop the
     strategies that cannot serve its task (each with a notice; an
     IngestError if none is left, or if one is listed twice), train every
-    fold's models in one train_many (standardization refit per fold), then
+    fold's models in one train_many (standardization refit per fold; a
+    notice for each strategy whose model did not move in some fold), then
     predict with every strategy on one fold per held-out key (an error ends
     the run). The folds that hold out one entity share its one dropped X or
     A; each gets its own R. Each metric is then computed over every
@@ -219,8 +220,15 @@ def _run(protocol, data, strategies, hyper):
     training = [(xs[i], as_[j], data.r.drop(dataset_index=i, workflow_index=j))
                 for i, j in held]
     kinds = sorted({OBJECTIVES[s] for s in strategies if s in OBJECTIVES})
-    models = iter([model for model, _ in train_many(
-        [(kind, *t) for t in training for kind in kinds], hyper)])
+    trained = train_many([(kind, *t) for t in training for kind in kinds], hyper)
+    models = iter([model for model, _ in trained])
+    # objective -> the folds whose descent stopped on line_search_failure at once
+    stalled = {kind: sum(trace.reason is StopReason.LINE_SEARCH_FAILURE
+                         and not trace.iterations for _, trace in trained[k::len(kinds)])
+               for k, kind in enumerate(kinds)}
+    notices += [f"strategy {s.value}: training stopped on line_search_failure "
+                f"after 0 iterations in {stalled[OBJECTIVES[s]]} of {len(held)} folds"
+                for s in strategies if stalled.get(OBJECTIVES.get(s))]
     # each fold's held-out id and truth, in fold order
     ids, r = (data.x.entity_ids, data.a.entity_ids), data.r.scores
     held_out, truth = {Task.WORKFLOW_PREFS: (ids[0], r),
@@ -239,9 +247,7 @@ def _run(protocol, data, strategies, hyper):
     preds = np.array([[f.predictions[s] for f in folds] for s in strategies])
     scores = {}             # metric -> its values, (strategy, fold)
     if task is not Task.PAIR_SCORE:
-        scores["rho"] = np.reshape(spearman_many(
-            [spearman_rows(p, t) for by_fold in preds
-             for p, t in zip(by_fold, truth)]), preds.shape[:2])
+        scores["rho"] = spearman_many(preds, truth)
     # a pair score's error is the mean of its one entry
     scores["mae"] = np.abs(preds - truth).reshape(*preds.shape[:2], -1).mean(axis=-1)
     if task is Task.WORKFLOW_PREFS:

@@ -57,7 +57,7 @@ import numpy as np
 from .data_model import (DescriptorTable, HyperParams, IngestError,
                          MetaMiningData, ModelParams, PerformanceMatrix,
                          PreferenceMatrix, StandardizationRecord,
-                         validate_queries, validate_tables)
+                         validate_tables)
 from .metric_learning import ObjectiveKind
 from .preference import OutcomeCube
 
@@ -202,17 +202,6 @@ def read_descriptor_csv(path) -> DescriptorTable:
         path, "header must name an id column and at least one feature")
     return DescriptorTable(entity_ids=ids, features=features,
                            feature_names=feature_names)
-
-
-def read_queries(path, where, feature_names, n_features) -> DescriptorTable:
-    """Read a table of query entities and check it by validate_queries under
-    the label where ("X" or "A"): the bundle's rules for ids and values, and
-    a model's features (their names, or their count where it stores none)."""
-    table = read_descriptor_csv(path)
-    report = validate_queries(where, table, feature_names, n_features)
-    if not report.passed:
-        raise IngestError(f"{path}: query table fails validation:\n{report}")
-    return table
 
 
 def write_descriptor_csv(path, table: DescriptorTable):

@@ -85,24 +85,13 @@ def mcnemar_wins(correctness) -> np.ndarray:
     return (statistic > _CHI2_CRITICAL) & (b > b.T)  # b > c rules out b+c = 0
 
 
-def score_dataset(correctness) -> np.ndarray:
-    """Comparison points of every workflow on one dataset.
-
-    correctness: (instances x m) 0/1 matrix. Each unordered workflow pair is
-    compared once with McNemar; the resulting score vector sums to
-    m(m-1)/2.
-    """
-    mat = np.asarray(correctness, dtype=float)
-    if mat.shape[1] < 2:
-        raise IngestError("need at least two workflows to compare")
-    return points(mcnemar_wins(mat))
-
-
 def build_preference_matrix(cube: OutcomeCube) -> PreferenceMatrix:
-    """Populate R: row i holds the comparison points of all workflows on
-    dataset i."""
+    """Populate R: row i holds the points of all workflows on dataset i,
+    each workflow pair compared once with McNemar (mcnemar_wins)."""
+    if len(cube.workflow_ids) < 2:
+        raise IngestError("need at least two workflows to compare")
     return PreferenceMatrix(cube.dataset_ids, cube.workflow_ids,
-                            np.vstack([score_dataset(mat) for mat in cube.matrices]))
+                            points([mcnemar_wins(mat) for mat in cube.matrices]))
 
 
 def build_preference_from_significance(dataset_ids, workflow_ids,
@@ -146,35 +135,28 @@ def _rank_correlations(vectors):
     return corr, sq == 0.0
 
 
-def spearman_rows(x, y):
-    """x and y as the two rows of the array spearman ranks, checked as
-    spearman checks them (a ValueError on a length mismatch or fewer
-    than two values)."""
+def spearman_many(x, y):
+    """spearman of each row pair of two stacks (..., m) that broadcast
+    against each other, all pairs ranked in one _rank_correlations call:
+    an array of the broadcast shape less its last axis."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    corr, constant = _rank_correlations(np.stack([x, y], axis=-2))
+    return np.where(constant.any(axis=-1), np.nan, corr[..., 0, 1])
+
+
+def spearman(x, y):
+    """Tie-aware Spearman correlation: Pearson over average ranks.
+
+    Returns nan when either vector is constant (correlation undefined),
+    and raises a ValueError on a length mismatch or fewer than two values.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size < 2:
         raise ValueError("need at least two observations")
-    return np.vstack([x.ravel(), y.ravel()])
-
-
-def spearman_many(rows):
-    """spearman of each pair of rows that spearman_rows gives, in order,
-    all the pairs ranked as one stack in one call: the pairs must share
-    one length. [] for no pairs."""
-    if not rows:
-        return []
-    corr, constant = _rank_correlations(np.stack(rows))
-    return np.where(constant.any(axis=-1), np.nan, corr[:, 0, 1]).tolist()
-
-
-def spearman(x, y):
-    """Tie-aware Spearman correlation: Pearson over average ranks.
-
-    Returns nan when either vector is constant (correlation undefined).
-    """
-    return spearman_many([spearman_rows(x, y)])[0]
+    return float(spearman_many(x.ravel(), y.ravel()))
 
 
 def similarity_stack(scores):

@@ -2,12 +2,17 @@ import csv
 import json
 import os
 import shutil
+import random
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metamine
 from metamine.cli import build_parser, main
@@ -1389,19 +1394,35 @@ def _ids(path, column):
         return [row[column] for row in list(csv.reader(fh))[1:]]
 
 
-def _ties_first_seen_swapped(bundle, path):
-    """A significance CSV of all ties whose first line names the second
+def _ties(bundle, path, first_seen_swapped=False):
+    """A significance CSV of all ties over a bundle's ids, each pair named
+    in A's order; with first_seen_swapped, its first line names the second
     workflow first, so its workflows are seen in another order than A's."""
     wf, datasets = _ids(bundle / "A.csv", 0), _ids(bundle / "X.csv", 0)
-    pairs = [(1, 0)] + [(k, l) for k in range(len(wf))
-                        for l in range(k + 1, len(wf)) if (k, l) != (0, 1)]
+    pairs = [(k, l) for k in range(len(wf)) for l in range(k + 1, len(wf))]
+    if first_seen_swapped:
+        pairs[0] = (1, 0)
     path.write_text("dataset_id,workflow_k,workflow_l,outcome\n" + "".join(
         f"{ds},{wf[k]},{wf[l]},tie\n" for ds in datasets for k, l in pairs))
 
 
+def _bundle_bytes(directory):
+    """The bytes of a bundle's tables and manifest."""
+    return {name: (Path(directory) / name).read_bytes()
+            for name in ("X.csv", "A.csv", "performance.csv", "R.csv",
+                         "manifest.json")}
+
+
+def _ingest_files(files, out):
+    return run(["ingest", *(str(v) for pair in files.items() for v in pair),
+                "--out", str(out)])
+
+
 class TestIdsInAnotherOrder:
-    """Ids that match their table's as a set but not in order are named at
-    the first position where they differ, with both ids there."""
+    """Ids that match their table's as a set but not in order: a wide R's
+    are named at the first position where they differ, with both ids
+    there; a long-format table (P, or a significance CSV) is put in X's
+    and A's order, and ingests to the bundle of the ordered file."""
 
     def swapped_rows(self, bundle, path, name):
         lines = (bundle / name).read_text().splitlines()
@@ -1420,21 +1441,102 @@ class TestIdsInAnotherOrder:
                  "--performance": bundle / "performance.csv",
                  "--preferences": bundle / "R.csv"}
         if flag == "--significance":
-            _ties_first_seen_swapped(bundle, edited)
+            _ties(bundle, tmp_path / "ordered.csv")
+            _ties(bundle, edited, first_seen_swapped=True)
             del files["--preferences"]
         else:
             self.swapped_rows(bundle, edited, name)
+        ordered = dict(files)
+        if flag == "--significance":
+            ordered[flag] = tmp_path / "ordered.csv"
         files[flag] = edited
-        code = run(["ingest", *(str(v) for pair in files.items() for v in pair),
-                    "--out", str(tmp_path / "out")])
+        code = _ingest_files(files, tmp_path / "out")
         table = "X" if axis == "dataset" else "A"
         expected, got = _ids(bundle / f"{table}.csv", 0), _ids(edited, column)
         assert got[0] == expected[1]
+        if flag != "--preferences":
+            assert code == 0
+            assert _ingest_files(ordered, tmp_path / "ordered") == 0
+            assert (_bundle_bytes(tmp_path / "out")
+                    == _bundle_bytes(tmp_path / "ordered"))
+            return
         assert code == 1
         assert (f"{where}[{axis}_ids]: {axis} ids do not match {table} entity "
                 f"ids (position 0 holds {got[0]!r} where {table} holds "
                 f"{expected[0]!r})") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+# a significance outcome as the same pair named the other way round says it
+_MIRRORED = {"k_wins": "l_wins", "l_wins": "k_wins", "tie": "tie"}
+
+
+class TestLongFormatRowOrder:
+    """Any order of a long-format table's data rows ingests to the bundle
+    of the file in X's and A's order, and so does a significance CSV whose
+    pairs are named either way round, each outcome mirrored with it."""
+
+    @pytest.fixture(scope="class")
+    def raw(self, tmp_path_factory):
+        """A 4 x 4 synth problem, a significance CSV over its ids with
+        every pair in A's order and seeded outcomes, and the bundles that
+        ingest makes of each source in that order."""
+        raw = tmp_path_factory.mktemp("raw")
+        assert run(["synth", "--n", "4", "--m", "4", "--d", "3", "--l", "3",
+                    "--latent-t", "2", "--seed", "5", "--out", str(raw)]) == 0
+        rng = random.Random(3)
+        wf, datasets = _ids(raw / "A.csv", 0), _ids(raw / "X.csv", 0)
+        (raw / "sig.csv").write_text(
+            "dataset_id,workflow_k,workflow_l,outcome\n" + "".join(
+                f"{ds},{wf[k]},{wf[l]},{rng.choice(list(_MIRRORED))}\n"
+                for ds in datasets for k in range(len(wf))
+                for l in range(k + 1, len(wf))))
+        for flag, name in (("--performance", "performance.csv"),
+                           ("--significance", "sig.csv")):
+            assert _ingest_files(self.files(raw, flag, raw / name),
+                                 raw / flag.strip("-")) == 0
+        return raw
+
+    @staticmethod
+    def files(raw, flag, table):
+        """ingest's flags, table as the one under flag: R from the
+        significance CSV, or from R.csv when table is P."""
+        files = {"--x": raw / "X.csv", "--a": raw / "A.csv",
+                 "--performance": raw / "performance.csv"}
+        if flag == "--significance":
+            files[flag] = table
+        else:
+            files.update({"--preferences": raw / "R.csv", flag: table})
+        return files
+
+    def shuffled(self, raw, flag, name, data, flip):
+        """The bundle bytes of name's data rows in a drawn order, each
+        significance row drawn either way round when flip."""
+        header, *rows = (raw / name).read_text().splitlines()
+        rows = data.draw(st.permutations(rows))
+        if flip:
+            flips = data.draw(st.lists(st.booleans(), min_size=len(rows),
+                                       max_size=len(rows)))
+            rows = [f"{ds},{wl},{wk},{_MIRRORED[outcome]}" if turn else row
+                    for row, turn in zip(rows, flips)
+                    for ds, wk, wl, outcome in [row.split(",")]]
+        with tempfile.TemporaryDirectory() as tmp:
+            table = Path(tmp) / name
+            table.write_text("\n".join([header, *rows]) + "\n")
+            assert _ingest_files(self.files(raw, flag, table), Path(tmp) / "b") == 0
+            return _bundle_bytes(Path(tmp) / "b")
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_performance_rows_in_any_order(self, raw, data):
+        assert (self.shuffled(raw, "--performance", "performance.csv", data, False)
+                == _bundle_bytes(raw / "performance"))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_significance_rows_in_any_order_either_way_round(self, raw, data):
+        assert (self.shuffled(raw, "--significance", "sig.csv", data, True)
+                == _bundle_bytes(raw / "significance"))
 
 
 class TestModelInitIsCheckedByHyperParams:
@@ -1590,6 +1692,20 @@ class TestTrainingThatCannotStart:
                     "5", "--out", str(out)]) == 1
         assert "the starting value is not finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_evaluate_notes_descents_that_never_moved(self, bundle, tmp_path):
+        # at mu1 = 1e18 every f3 and f4 fold stops on line_search_failure
+        # after 0 iterations; each strategy served by those models says so
+        out = tmp_path / "report"
+        assert run(["evaluate", "--bundle", str(bundle), "--protocol", "lodo",
+                    "--strategies", "def,f3,f4,f4-knn", "--mu1", "1e18",
+                    "--out", str(out)]) == 0
+        notes = [f"strategy {s}: training stopped on line_search_failure "
+                 "after 0 iterations in 8 of 8 folds"
+                 for s in ("f3_direct", "f4_direct", "f4_knn")]
+        assert json.loads((out / "report.json").read_text())["notices"] == notes
+        lines = (out / "report.txt").read_text().splitlines()
+        assert lines[1:4] == [f"note: {note}" for note in notes]
 
     def test_overflowing_trials_fail_the_line_search(self, bundle, tmp_path,
                                                      capsys):

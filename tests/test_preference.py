@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metamine.data_model import PreferenceMatrix
+from metamine.data_model import IngestError, PreferenceMatrix
 from metamine.preference import (OutcomeCube, _average_ranks, _rank_correlations,
                                  build_preference_from_significance,
                                  build_preference_matrix, mcnemar_wins, points,
-                                 score_dataset, similarity_target, spearman,
-                                 spearman_many, spearman_rows)
+                                 similarity_target, spearman, spearman_many)
 
 
 def pearson(x, y):
@@ -35,6 +34,14 @@ def vectors_with_discordants(b, c, both=5, neither=5):
     k = [1] * b + [0] * c + [1] * both + [0] * neither
     l = [0] * b + [1] * c + [1] * both + [0] * neither
     return np.array(k), np.array(l)
+
+
+def dataset_points(correct):
+    """The comparison points of every workflow on one dataset: R's row of
+    a one-dataset cube."""
+    cube = OutcomeCube(("d0",), tuple(f"w{j}" for j in range(correct.shape[1])),
+                       (correct,))
+    return build_preference_matrix(cube).scores[0]
 
 
 def pair_outcome(k, l):
@@ -93,10 +100,10 @@ class TestMcnemar:
             1 - preference.ALPHA, 1)
 
 
-class TestScoreDataset:
+class TestDatasetPoints:
     def test_all_ties_symmetric(self):
         correct = np.ones((10, 3))
-        np.testing.assert_array_equal(score_dataset(correct), [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(dataset_points(correct), [1.0, 1.0, 1.0])
 
     def test_one_clear_winner(self):
         # workflow 0 right on 30 instances where 1 and 2 are wrong;
@@ -105,12 +112,12 @@ class TestScoreDataset:
         block[:, 0] = 1.0
         rest = np.ones((5, 3))
         correct = np.vstack([block, rest])
-        np.testing.assert_array_equal(score_dataset(correct), [2.0, 0.5, 0.5])
+        np.testing.assert_array_equal(dataset_points(correct), [2.0, 0.5, 0.5])
 
     def test_matches_exhaustive_pairwise_tally(self):
         rng = np.random.default_rng(11)
         correct = (rng.random((60, 4)) < rng.uniform(0.3, 0.9, size=4)).astype(float)
-        scores = score_dataset(correct)
+        scores = dataset_points(correct)
         expected = np.zeros(4)
         for k, l in itertools.combinations(range(4), 2):
             outcome = pair_outcome(correct[:, k], correct[:, l])
@@ -128,8 +135,8 @@ class TestScoreDataset:
         rng = np.random.default_rng(4)
         correct = (rng.random((40, 5)) < 0.7).astype(float)
         perm = [3, 1, 4, 0, 2]
-        permuted = score_dataset(correct[:, perm])
-        direct = score_dataset(correct)
+        permuted = dataset_points(correct[:, perm])
+        direct = dataset_points(correct)
         np.testing.assert_array_equal(permuted, direct[perm])
 
 
@@ -155,7 +162,7 @@ def oracle_scores(correct):
 
 
 class TestMcnemarOracle:
-    def test_score_dataset_matches_per_pair_formula(self):
+    def test_dataset_points_match_per_pair_formula(self):
         rng = np.random.default_rng(21)
         for _ in range(150):
             instances = int(rng.integers(1, 70))
@@ -164,14 +171,14 @@ class TestMcnemarOracle:
                        < rng.uniform(0.05, 0.95, size=m)).astype(float)
             if rng.random() < 0.3:          # an identical pair: b + c = 0
                 correct[:, -1] = correct[:, 0]
-            assert score_dataset(correct).tolist() == oracle_scores(correct)
+            assert dataset_points(correct).tolist() == oracle_scores(correct)
 
     def test_every_discordant_count_up_to_40(self):
         for b in range(41):
             for c in range(41 - b):
                 k, l = vectors_with_discordants(b, c)
                 correct = np.column_stack([k, l]).astype(float)
-                assert score_dataset(correct).tolist() == oracle_scores(correct)
+                assert dataset_points(correct).tolist() == oracle_scores(correct)
 
     def test_pair_rule_matches_per_pair_formula(self):
         rng = np.random.default_rng(22)
@@ -230,10 +237,22 @@ class TestBuildPreferenceMatrix:
                            workflow_ids=tuple(f"w{j}" for j in range(m)),
                            matrices=mats)
 
-    def test_single_dataset_reduces_to_score_dataset(self):
+    def test_single_dataset_reduces_to_points_of_its_wins(self):
         cube = self.make_cube(n=1, m=4, seed=2)
         r = build_preference_matrix(cube)
-        np.testing.assert_array_equal(r.scores[0], score_dataset(cube.matrices[0]))
+        np.testing.assert_array_equal(r.scores[0],
+                                      points(mcnemar_wins(cube.matrices[0])))
+
+    def test_each_row_is_its_dataset_alone(self):
+        cube = self.make_cube(n=5, m=4, seed=6)
+        r = build_preference_matrix(cube)
+        for row, mat in zip(r.scores, cube.matrices):
+            assert row.tobytes() == dataset_points(mat).tobytes()
+
+    def test_one_workflow_rejected(self):
+        with pytest.raises(IngestError, match="need at least two workflows "
+                                              "to compare"):
+            build_preference_matrix(self.make_cube(n=2, m=1))
 
     def test_row_sum_identity(self):
         r = build_preference_matrix(self.make_cube(n=6, m=5, seed=3))
@@ -433,25 +452,26 @@ class TestStackedRanks:
     @settings(deadline=None, max_examples=100)
     @given(rank_stacks())
     def test_spearman_many_equals_one_at_a_time(self, stack):
-        pairs = [spearman_rows(x, y) for matrix in stack
-                 for x, y in zip(matrix, matrix[::-1])]
-        shorter = [spearman_rows(x[1:], y[1:]) for x, y in pairs
-                   if x.size > 2]
-        for group in (pairs, shorter):       # one length per call
-            got = spearman_many(group)
-            assert len(got) == len(group)
-            for rho, (x, y) in zip(got, group):
-                want = spearman(x, y)
+        # each matrix's rows against its rows reversed and against its
+        # first row (broadcast), then all of them less their first entry
+        pairs = [(stack, stack[:, ::-1]), (stack, stack[:, :1])]
+        if stack.shape[-1] > 2:
+            pairs += [(x[..., 1:], y[..., 1:]) for x, y in pairs]
+        for x, y in pairs:
+            got = spearman_many(x, y)
+            assert got.shape == stack.shape[:2]
+            xs, ys = (np.broadcast_to(v, x.shape).reshape(-1, x.shape[-1])
+                      for v in (x, y))
+            for rho, row_x, row_y in zip(got.ravel(), xs, ys):
+                want = spearman(row_x, row_y)
                 assert np.float64(rho).tobytes() == np.float64(want).tobytes()
 
     def test_spearman_many_of_no_pairs_is_empty(self):
-        assert spearman_many([]) == []
+        assert spearman_many(np.empty((0, 3)), np.empty((0, 3))).shape == (0,)
 
     def test_spearman_many_rejects_pairs_of_two_lengths(self):
-        pairs = [spearman_rows([1.0, 2.0, 3.0], [3.0, 1.0, 2.0]),
-                 spearman_rows([1.0, 2.0], [2.0, 1.0])]
         with pytest.raises(ValueError):
-            spearman_many(pairs)
+            spearman_many([[1.0, 2.0, 3.0]], [[2.0, 1.0]])
 
     @settings(deadline=None, max_examples=300)
     @given(rank_stacks())
@@ -462,11 +482,11 @@ class TestStackedRanks:
 
 
 class TestValidationErrors:
-    def test_spearman_rows_needs_two_values(self):
-        with pytest.raises(ValueError, match="need at least two observations"):
-            spearman_rows([1.0], [2.0])
+    def test_spearman_needs_two_values(self):
         with pytest.raises(ValueError, match="need at least two observations"):
             spearman([1.0], [2.0])
+        with pytest.raises(ValueError, match=r"length mismatch: \(2,\) vs \(3,\)"):
+            spearman([1.0, 2.0], [1.0, 2.0, 3.0])
 
     def test_cube_needs_one_matrix_per_dataset(self):
         with pytest.raises(ValueError, match="one correctness matrix required"):

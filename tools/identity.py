@@ -9,7 +9,9 @@ from a fresh working directory and with relative paths only, so that no
 output names the tree it came from. Every command's stdout, stderr and exit
 code are stored as files next to the files it writes, failing commands
 included. The significance CSV that `ingest --significance` reads,
-faulty copies of it and of the performance CSV, outcome directories
+faulty copies of it and of the performance CSV, a performance and a
+significance CSV whose rows are shuffled (each significance pair named
+either way round), outcome directories
 (one read partly through csv, and four that ingest rejects), a small
 bundle whose ids only a quoting CSV writer gets right, five small
 bundles (each protocol is run at and one entity below its fewest
@@ -23,7 +25,8 @@ faulty copies of the quoted tables, query tables, config and model files
 that the CLI rejects, so that every validation message the CLI can reach
 is compared too.
 So are usage errors, bad flag values, a descent that stops on
-line_search_failure, and an evaluate at the default max_iters, whose
+line_search_failure (in train, and in every f3 and f4 fold of an
+evaluate), and an evaluate at the default max_iters, whose
 descents stop on rel_tol at staggered iterations. The --config train
 and the --preset train and evaluate are each followed by the same
 command without the layer, so a layered default that one command leaves
@@ -77,6 +80,7 @@ TASKS = {"f1": ["workflow_prefs"], "f2": ["dataset_prefs"],
          "f4": ["workflow_prefs", "dataset_prefs", "pair_score"]}
 SIGNIFICANCE = "sig.csv"
 SIG_DUPLICATE, SIG_MISSING = "sig-duplicate.csv", "sig-missing.csv"
+PERF_SHUFFLED, SIG_SHUFFLED = "perf-shuffled.csv", "sig-shuffled.csv"
 QUOTED = "quoted/raw"
 # Ids csv quotes: a comma, a quote, line breaks, and text beside them that
 # it leaves bare (spaces, non-ASCII letters).
@@ -145,6 +149,27 @@ def faulty_significance(text):
     ds, k, l, _ = lines[40].rstrip("\n").split(",")
     return {SIG_DUPLICATE: f"{text}{ds},{l},{k},tie\n",
             SIG_MISSING: "".join(lines[:40] + lines[41:])}
+
+
+def shuffled_tables(significance, seed=19):
+    """{path: text} of two long-format CSVs over s10x7's ids whose rows
+    follow neither X's nor A's order, which ingest puts in that order: a
+    performance CSV of uniform values, and the significance CSV's rows,
+    each named either way round with its outcome mirrored."""
+    rng = random.Random(seed)
+    perf = [f"ds{i:03d},wf{k:03d},{rng.random()!r}" for i in range(10)
+            for k in range(7)]
+    mirrored = {"k_wins": "l_wins", "l_wins": "k_wins", "tie": "tie"}
+    header, *sig = significance.splitlines()
+    for k, row in enumerate(sig):
+        ds, wk, wl, outcome = row.split(",")
+        if rng.random() < 0.5:
+            sig[k] = f"{ds},{wl},{wk},{mirrored[outcome]}"
+    rng.shuffle(perf)
+    rng.shuffle(sig)
+    return {PERF_SHUFFLED: "\n".join(["dataset_id,workflow_id,performance",
+                                      *perf]) + "\n",
+            SIG_SHUFFLED: "\n".join([header, *sig]) + "\n"}
 
 
 def csv_text(rows):
@@ -423,6 +448,14 @@ def matrix():
                  "--out", "s10x7/lodo-significance"])
     cmds.append(["ingest", *tables, "--outcomes-dir", OUTCOMES_CSV,
                  "--out", "s10x7/b-outcomes-csv"])
+    # long-format rows in a shuffled order, then a train on each bundle
+    cmds.append(["ingest", *tables[:4], "--performance", PERF_SHUFFLED,
+                 "--preferences", f"{raw}/R.csv", "--out", "s10x7/b-perf-shuffled"])
+    cmds.append(["ingest", *tables, "--significance", SIG_SHUFFLED,
+                 "--out", "s10x7/b-sig-shuffled"])
+    for shuffled in ("perf-shuffled", "sig-shuffled"):
+        cmds.append(["train", "--bundle", f"s10x7/b-{shuffled}", "--objective",
+                     "f3", *ITERS, "--out", f"s10x7/f3-{shuffled}.json"])
 
     # predict every task each model serves, with queries of the same widths
     cmds.append(["synth", "--n", "4", "--m", "3", "--d", "5", "--l", "4",
@@ -470,6 +503,15 @@ def matrix():
     # a descent that stops on line_search_failure at its first iteration
     cmds.append(["train", "--bundle", "s12x8/b", "--objective", "f3",
                  "--mu1", "1e18", *ITERS, "--out", "s12x8/f3-lsf.json"])
+    # an evaluate whose every f3 and f4 fold stops so, which its report notes
+    cmds.append(["synth", "--n", "8", "--m", "5", "--d", "4", "--l", "3",
+                 "--latent-t", "2", "--out", "s8x5/raw"])
+    cmds.append(["ingest", "--x", "s8x5/raw/X.csv", "--a", "s8x5/raw/A.csv",
+                 "--performance", "s8x5/raw/performance.csv",
+                 "--preferences", "s8x5/raw/R.csv", "--out", "s8x5/b"])
+    cmds.append(["evaluate", "--bundle", "s8x5/b", "--protocol", "lodo",
+                 "--strategies", "def,f3,f4", "--mu1", "1e18",
+                 "--out", "s8x5/lodo-lsf"])
     # a preset's hyperparameters, under train and evaluate, then the same
     # commands without it
     preset_train = ["train", "--bundle", "s12x8/b", "--objective", "f3", *ITERS]
@@ -707,6 +749,7 @@ def main(argv=None):
         quoted = quoted_tables()
         inputs = {SIGNIFICANCE: significance, HUGE: HUGE_TEXT, **quoted,
                   **faulty_significance(significance), **faulty_tables(quoted),
+                  **shuffled_tables(significance),
                   **WRONG_QUERIES, **outcome_dirs(), **tiny_tables(), **relined_tables(),
                   **faulty_files(significance, quoted)}
         for name, src in (("base", tmp / "base" / "src"), ("head", REPO / "src")):
