@@ -161,8 +161,9 @@ def _residuals(kind, red: ReducedObjective, u: np.ndarray, v: np.ndarray):
     fx, fa, fr = _TERMS[kind]
     p = red.rx @ u if fx or fr else None
     w = red.ra @ v if fa or fr else None
-    e1 = red.s_x - p @ p.mT if fx else None
-    e2 = red.s_a - w @ w.mT if fa else None
+    # .copy(): each slice is one dgemm, not numpy's slower dsyrk for x @ x.mT
+    e1 = red.s_x - p @ p.mT.copy() if fx else None
+    e2 = red.s_a - w @ w.mT.copy() if fa else None
     e3 = red.r - p @ w.mT if fr else None
     return p, w, e1, e2, e3
 

@@ -501,6 +501,26 @@ class TestStackedDescentOracle:
                 assert_same_descent(got, expected)
                 assert_same_descent(minimize(*problem, hyper), expected)
 
+    @pytest.mark.parametrize("kind", list(ObjectiveKind))
+    def test_stack_equals_one_at_a_time_where_blas_routines_differ(self, kind):
+        # P 13 x 4 and W 12 x 4: shapes where OpenBLAS 0.3.31's dsyrk and
+        # dgemm round P P' and W W' differently, unlike every shape stacks()
+        # draws, so a stack whose slices took another routine than a stack
+        # of one would show here
+        rng = np.random.default_rng(23)
+        problems = []
+        for scale in (1.0, 0.3, 5.0, 0.0):
+            obj = Objective(kind=kind, x=rng.standard_normal((16, 13)),
+                            a=rng.standard_normal((14, 12)),
+                            s_x=symmetric(rng, 16), s_a=symmetric(rng, 14),
+                            r=rng.standard_normal((16, 14)))
+            problems.append((obj, scale * rng.standard_normal((13, 4)),
+                             scale * rng.standard_normal((12, 4))))
+        hyper = HyperParams(mu1=0.1, mu2=0.2, alpha=0.7, beta=1.3, gamma=0.5,
+                            max_iters=40, rel_tol=1e-12)
+        for problem, got in zip(problems, minimize_many(*as_stack(problems), hyper)):
+            assert_same_descent(got, descend_alone(*problem, hyper))
+
     @settings(deadline=None, max_examples=60)
     @given(stacks())
     def test_results_own_their_data(self, case):

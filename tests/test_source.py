@@ -4,7 +4,8 @@ module-level name is used somewhere in the package, every defaulted
 parameter of a package function is set by some call of the package or
 the benchmark, no module imports
 scipy (at import time or in a function), only data_model._store sets
-the field of a frozen container, the CLI's choices come from their
+the field of a frozen container, metric_learning multiplies no array by
+its own transpose view, the CLI's choices come from their
 enums, every function the benchmark wraps exists, every command it
 runs parses, and each of its ops calls the wrapped functions recorded
 for it and passes its workload's check."""
@@ -250,6 +251,35 @@ def test_check_sees_a_field_set_outside_store():
         "        f = lambda: object.__setattr__(self, 'b', 2)\n"
         "        setattr(self, 'c', 3)\n"
         "object.__setattr__(C, 'd', 4)\n") == ["_store", "__post_init__", None]
+
+
+def self_transpose_products(source):
+    """Each `@` of a module whose operands are one expression and its own
+    `.mT` or `.T` view, as source text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            for a, b in ((node.left, node.right), (node.right, node.left)):
+                if (isinstance(b, ast.Attribute) and b.attr in ("mT", "T")
+                        and ast.dump(b.value) == ast.dump(a)):
+                    found.append(ast.unparse(node))
+                    break
+    return found
+
+
+def test_descent_makes_no_self_transpose_product():
+    """numpy hands a buffer times its own transpose view to dsyrk, slower
+    than dgemm on the descent's stacks (README, Determinism), so every Gram
+    product of the trainer multiplies by a copied transpose."""
+    source = Path(metamine.__file__).parent / "metric_learning.py"
+    assert self_transpose_products(source.read_text(encoding="utf-8")) == []
+
+
+def test_check_sees_a_self_transpose_product():
+    assert self_transpose_products(
+        "a = p @ p.mT\nb = w.T @ w\nc = s - red.rx @ red.rx.mT\n"
+        "d = p @ p.mT.copy()\ne = p @ w.mT\nf = p.mT @ q\n") \
+        == ["p @ p.mT", "w.T @ w", "red.rx @ red.rx.mT"]
 
 
 def flag_choices(parser, subcommand, dest):

@@ -26,8 +26,10 @@ that the CLI rejects, so that every validation message the CLI can reach
 is compared too.
 So are usage errors, bad flag values, a descent that stops on
 line_search_failure (in train, and in every f3 and f4 fold of an
-evaluate), and an evaluate at the default max_iters, whose
-descents stop on rel_tol at staggered iterations. The --config train
+evaluate), an evaluate at the default max_iters, whose
+descents stop on rel_tol at staggered iterations, and f1, f2 and f4 under
+train and all three protocols at a 20 x 14 shape (EDGE) where dsyrk and
+dgemm round the descent's Gram products differently. The --config train
 and the --preset train and evaluate are each followed by the same
 command without the layer, so a layered default that one command leaves
 on the parser of its process shows as a differing byte in the next. A
@@ -35,7 +37,9 @@ MEAN_QUERY step of the matrix is no CLI command: it writes a copy of a
 query table with one more row, at a model's x_standardization.mean,
 where every learned similarity is 0.
 
-Prints every file, stdout, stderr or exit code whose bytes differ, then the
+The matrix is 240 commands writing 1,258 files (stdout, stderr and exit
+code included). Prints every file, stdout, stderr or exit code whose bytes
+differ, then the
 line count of each src/metamine module in both trees, and exits 1 if any
 byte differs, 0 if none, and 2 if a tree cannot be extracted or run.
 Standard library only; BLAS is pinned to one thread.
@@ -71,6 +75,12 @@ SHAPES = {
     "s10x7": ["--n", "10", "--m", "7", "--d", "12", "--l", "9",
               "--mode", "outcome", "--instances", "30", "--seed", "4"],
 }
+# a shape whose P is 13 x t and W 12 x t, where OpenBLAS 0.3.31's dsyrk
+# and dgemm round P P' and W W' differently; the shapes above have at
+# most 10 rows, where the two agree for t < 16
+EDGE = "s20x14"
+EDGE_FLAGS = ["--n", "20", "--m", "14", "--d", "13", "--l", "12",
+              "--mode", "noisy", "--noise-sigma", "0.3", "--seed", "5"]
 INITS = ("seeded_gaussian", "svd_warm_start")
 STRATEGIES = "def,ec,f1,f2,f3,f4,f4-knn"
 ITERS = ["--max-iters", "40"]
@@ -434,6 +444,19 @@ def matrix():
     # iterations 38 to 784, so the stack compacts again and again
     cmds.append(["evaluate", "--bundle", "s12x8/b", "--protocol", "lodwo",
                  "--strategies", "def,f3,f4", "--out", "s12x8/lodwo-default"])
+    # f1, f2 and f4 where the Gram products P P' and W W' round differently
+    # under dsyrk and dgemm
+    cmds.append(["synth", *EDGE_FLAGS, "--out", f"{EDGE}/raw"])
+    cmds.append(["ingest", "--x", f"{EDGE}/raw/X.csv", "--a", f"{EDGE}/raw/A.csv",
+                 "--performance", f"{EDGE}/raw/performance.csv",
+                 "--preferences", f"{EDGE}/raw/R.csv", "--out", f"{EDGE}/b"])
+    for protocol in ("lodo", "lowo", "lodwo"):
+        cmds.append(["evaluate", "--bundle", f"{EDGE}/b", "--protocol", protocol,
+                     "--strategies", "def,f1,f2,f4", *ITERS,
+                     "--out", f"{EDGE}/{protocol}"])
+    for objective in ("f1", "f2", "f4"):
+        cmds.append(["train", "--bundle", f"{EDGE}/b", "--objective", objective,
+                     *ITERS, "--out", f"{EDGE}/{objective}.json"])
 
     # outcome and significance sources of R
     raw = "s10x7/raw"
