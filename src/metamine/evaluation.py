@@ -192,11 +192,12 @@ def _run(protocol, data, strategies, hyper):
     strategies that cannot serve its task (each with a notice; an
     IngestError if none is left, or if one is listed twice), train every
     fold's models in one train_many (standardization refit per fold; a
-    notice for each strategy whose model did not move in some fold), then
-    predict with every strategy on one fold per held-out key (an error ends
-    the run). The folds that hold out one entity share its one dropped X or
-    A; each gets its own R. Each metric is then computed over every
-    strategy and fold at once, every rho in one spearman_many."""
+    notice for each strategy whose model did not move in some fold, and on
+    dataset preferences one that def's rho is NA), then predict with every
+    strategy on one fold per held-out key (an error ends the run). The
+    folds that hold out one entity share its one dropped X or A; each gets
+    its own R. Each metric is then computed over every strategy and fold at
+    once, every rho in one spearman_many."""
     task, task_name, held_axes, fewest, too_small = _PROTOCOLS[protocol]
     sizes = (data.x.n_entities, data.a.n_entities)
     if any(size < least for size, least in zip(sizes, fewest)):
@@ -229,6 +230,8 @@ def _run(protocol, data, strategies, hyper):
     notices += [f"strategy {s.value}: training stopped on line_search_failure "
                 f"after 0 iterations in {stalled[OBJECTIVES[s]]} of {len(held)} folds"
                 for s in strategies if stalled.get(OBJECTIVES.get(s))]
+    if task is Task.DATASET_PREFS and Strategy.DEFAULT in strategies:
+        notices.append("default strategy yields a constant dataset-preference vector; rho is NA")
     # each fold's held-out id and truth, in fold order
     ids, r = (data.x.entity_ids, data.a.entity_ids), data.r.scores
     held_out, truth = {Task.WORKFLOW_PREFS: (ids[0], r),
@@ -269,11 +272,7 @@ def run_lodo(data: MetaMiningData, strategies, hyper: HyperParams) -> Evaluation
 def run_lowo(data: MetaMiningData, strategies, hyper: HyperParams) -> EvaluationReport:
     """Leave one workflow out (dataset-preference task). The default
     strategy's prediction is constant, so its rank correlation is NA."""
-    report = _run(Protocol.LOWO, data, strategies, hyper)
-    if Strategy.DEFAULT in report.strategies:
-        report.notices.append(
-            "default strategy yields a constant dataset-preference vector; rho is NA")
-    return report
+    return _run(Protocol.LOWO, data, strategies, hyper)
 
 
 def run_lodwo(data: MetaMiningData, strategies, hyper: HyperParams) -> EvaluationReport:

@@ -155,13 +155,17 @@ def predict_dataset_prefs_direct(a_new, x_all_std, params: ModelParams):
 
 
 def default_strategy(task: Task, r_train: PreferenceMatrix) -> PreferencePrediction:
-    """Training-average prediction: column means (workflow prefs), row
-    means (dataset prefs), or the grand mean (pair score)."""
+    """Training-average prediction: column means (workflow prefs), m/2 for
+    every dataset (dataset prefs), or the grand mean (pair score)."""
     scores = r_train.scores
     if task is Task.WORKFLOW_PREFS:
         values = scores.mean(axis=0)
     elif task is Task.DATASET_PREFS:
-        values = scores.mean(axis=1)
+        # With m = r_train.n_workflows, each dataset's points over the m + 1
+        # workflows (the new one too) sum to (m+1)m/2: it averages m/2. The
+        # row means of a fold's R are (m(m+1)/2 - truth) / m, so they would
+        # leak the held-out truth, ranked exactly backwards.
+        values = np.full(r_train.n_datasets, r_train.n_workflows / 2.0)
     else:
         values = np.asarray(scores.mean())
     return PreferencePrediction(values)
@@ -196,14 +200,8 @@ def predict(strategy: Strategy, task: Task, x_new, a_new, x, a,
         raise ValueError(f"strategy {strategy.value} cannot serve {task.value}")
     lead = np.shape(a_new if task is Task.DATASET_PREFS else x_new)[:-1]
     if strategy is Strategy.DEFAULT:
-        # With m = r.n_workflows, each dataset's points over the m + 1
-        # workflows (the new one too) sum to (m+1)m/2: it averages m/2. The
-        # row means of a fold's r are (m(m+1)/2 - truth) / m, so they would
-        # leak the held-out truth, ranked exactly backwards.
-        values = (default_strategy(task, r).values if task is not Task.DATASET_PREFS
-                  else np.full(r.n_datasets, r.n_workflows / 2.0))
-        return _unflagged(np.array(np.broadcast_to(values, lead + values.shape)),
-                          lead)
+        values = default_strategy(task, r).values
+        return _unflagged(np.array(np.broadcast_to(values, lead + values.shape)), lead)
     if strategy is Strategy.EUCLIDEAN:
         table, query, rows = ((x, x_new, r.scores) if task is Task.WORKFLOW_PREFS
                               else (a, a_new, r.scores.T))

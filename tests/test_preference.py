@@ -10,7 +10,8 @@ from metamine.data_model import IngestError, PreferenceMatrix
 from metamine.preference import (OutcomeCube, _average_ranks, _rank_correlations,
                                  build_preference_from_significance,
                                  build_preference_matrix, mcnemar_wins, points,
-                                 similarity_target, spearman, spearman_many)
+                                 similarity_stack, similarity_target, spearman,
+                                 spearman_many)
 
 
 def pearson(x, y):
@@ -479,6 +480,66 @@ class TestStackedRanks:
         from scipy import stats
         want = stats.rankdata(stack, method="average", axis=-1)
         assert _average_ranks(stack).tobytes() == want.tobytes()
+
+
+@st.composite
+def tied_preference_matrices(draw):
+    """A valid R, 3-8 x 3-8: each row the points of the tournament that
+    latent scores from {0, 1, 2} decide, with at least one row constant
+    (every workflow tied) and one to m - 2 columns copies of the first."""
+    n, m = draw(st.integers(3, 8)), draw(st.integers(3, 8))
+    latent = np.array(draw(st.lists(st.integers(0, 2), min_size=n * m,
+                                    max_size=n * m))).reshape(n, m)
+    latent[sorted(draw(st.sets(st.integers(0, n - 1), min_size=1,
+                               max_size=n - 1))), :] = 1
+    copies = draw(st.sets(st.integers(1, m - 1), min_size=1, max_size=m - 2))
+    latent[:, sorted(copies)] = latent[:, :1]
+    return points(latent[:, :, None] > latent[:, None, :])
+
+
+def sliced_target(vectors, column, vector):
+    """similarity_stack over the rows of `vectors` without `column`, less
+    row and column `vector` of the matrix and entry `vector` of the mask."""
+    corr, constant = similarity_stack(np.delete(vectors, column, axis=1))
+    keep = np.arange(len(vectors)) != vector
+    return corr[np.ix_(keep, keep)], constant[keep]
+
+
+def same_target(got, want):
+    return (got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+            and np.array_equal(got[1], want[1]))
+
+
+class TestSharedFoldTargets:
+    """A LODWO fold's similarity targets are slices of targets the folds
+    share, bit for bit: its S_X is the S_X of R without column j, less row
+    and column i; its S_A the S_A of R without row i, less row and column j."""
+
+    @staticmethod
+    def fold(scores, i, j):
+        n, m = scores.shape
+        return PreferenceMatrix(range(n), range(m), scores).drop(i, j).scores
+
+    @settings(deadline=None, max_examples=60)
+    @given(tied_preference_matrices())
+    def test_fold_targets_are_slices_of_shared_targets(self, scores):
+        for i, j in itertools.product(*map(range, scores.shape)):
+            fold = self.fold(scores, i, j)
+            assert same_target(sliced_target(scores, j, i), similarity_stack(fold))
+            assert same_target(sliced_target(scores.T, i, j),
+                               similarity_stack(fold.T))
+
+    def test_slicing_the_wrong_entity_differs(self):
+        # distinct rows and columns: a slice that drops row i + 1 (or
+        # column j + 1) is not the fold's target
+        rng = np.random.default_rng(31)
+        scores = np.array([rng.permutation(6) for _ in range(5)], dtype=float)
+        for i, j in itertools.product(range(4), range(5)):
+            fold = self.fold(scores, i, j)
+            assert not same_target(sliced_target(scores, j, i + 1),
+                                   similarity_stack(fold))
+            assert not same_target(sliced_target(scores.T, i, j + 1),
+                                   similarity_stack(fold.T))
 
 
 class TestValidationErrors:

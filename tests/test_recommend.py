@@ -202,7 +202,10 @@ class TestDefaultStrategy:
         # a valid R: every row a permutation of 0..m-1
         m = 5
         scores = np.array([rng.permutation(m).astype(float) for _ in range(4)])
-        pred = default_strategy(Task.DATASET_PREFS, make_r(scores))
+        # the R predict passes on a fold that holds workflow 0 out; its row
+        # means, (m(m-1)/2 - truth) / (m-1), are not constant
+        fold_r = make_r(scores).drop(workflow_index=0)
+        pred = default_strategy(Task.DATASET_PREFS, fold_r)
         np.testing.assert_allclose(pred.values, (m - 1) / 2)
         # spearman against a constant vector is NA, as reported
         assert np.isnan(spearman(pred.values, scores[:, 0]))
@@ -276,6 +279,24 @@ class TestPredict:
         # the fold's row means would rank the held-out column exactly backwards
         assert spearman(r_fold.scores.mean(axis=1), scores[:, 0]) \
             == pytest.approx(-1.0)
+
+    def test_default_serves_default_strategy_on_every_fold(self):
+        # a LODO, a LOWO and a LODWO fold's R from one valid R (rows are
+        # permutations of 0..m-1); def broadcasts default_strategy's values
+        # over one query, and over a table of three
+        rng = np.random.default_rng(14)
+        r = make_r([rng.permutation(5).astype(float) for _ in range(4)])
+        for r_fold in (r.drop(dataset_index=1), r.drop(workflow_index=2),
+                       r.drop(dataset_index=1, workflow_index=2)):
+            for task in Task:
+                for lead in ((), (3,)):
+                    q = np.zeros(lead + (2,))
+                    pred = predict(Strategy.DEFAULT, task, q, q, None, None,
+                                   r_fold, None, 2)
+                    values = default_strategy(task, r_fold).values
+                    want = np.broadcast_to(values, lead + values.shape)
+                    assert pred.values.shape == want.shape, task
+                    assert pred.values.tobytes() == want.tobytes(), task
 
 
 class TestEuclideanEmptyTraining:

@@ -5,14 +5,16 @@ parameter of a package function is set by some call of the package or
 the benchmark, no module imports
 scipy (at import time or in a function), only data_model._store sets
 the field of a frozen container, metric_learning multiplies no array by
-its own transpose view, the CLI's choices come from their
-enums, every function the benchmark wraps exists, every command it
+its own transpose view, every backticked `<module>.<name>` of a
+package module in README.md names an attribute that exists, the CLI's
+choices come from their enums, every function the benchmark wraps exists, every command it
 runs parses, and each of its ops calls the wrapped functions recorded
 for it and passes its workload's check."""
 
 import ast
 import dataclasses
 import importlib.util
+import re
 import sys
 from enum import Enum
 from pathlib import Path
@@ -72,7 +74,7 @@ def dead_private_names(sources):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):    # io._write_csv
+            elif isinstance(node, ast.Attribute):    # io._write_lines
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):   # from .io import _x
                 used.update(alias.name for alias in node.names)
@@ -280,6 +282,31 @@ def test_check_sees_a_self_transpose_product():
         "a = p @ p.mT\nb = w.T @ w\nc = s - red.rx @ red.rx.mT\n"
         "d = p @ p.mT.copy()\ne = p @ w.mT\nf = p.mT @ q\n") \
         == ["p @ p.mT", "w.T @ w", "red.rx @ red.rx.mT"]
+
+
+def missing_readme_names(text):
+    """`<module>.<name>` of each backticked span of a markdown text, fenced
+    blocks aside, that starts with a package module (after an optional
+    `metamine.`) and an attribute the module lacks; `<module>.py` is a
+    file name."""
+    modules = "|".join(p.stem for p in PACKAGE if p.stem != "__init__")
+    spans = re.findall(r"`([^`]*)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    found = [re.match(rf"(?:metamine\.)?({modules})\.(\w+)", span) for span in spans]
+    return [f"{m[1]}.{m[2]}" for m in found if m and m[2] != "py"
+            and not hasattr(importlib.import_module(f"metamine.{m[1]}"), m[2])]
+
+
+def test_readme_names_exist():
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    assert missing_readme_names(text) == []
+
+
+def test_check_sees_a_missing_readme_name():
+    assert missing_readme_names(
+        "`io._write_csv`, `io.py`, `metamine.cli.main`, `recommend.predict(q)`,"
+        " `metamine.io.nope`, `Objective.kind`, `np.matvec`\n```sh\n"
+        "`io.fenced`\n```\n`preference.spearman` `synth.gone`") \
+        == ["io._write_csv", "io.nope", "synth.gone"]
 
 
 def flag_choices(parser, subcommand, dest):
