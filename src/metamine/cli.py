@@ -17,12 +17,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import fields
 from enum import Enum
 from pathlib import Path
 
-import numpy as np
+# BLAS runs on one thread unless the user set a count. numpy reads these
+# once, when it first loads, so they are set before the import below.
+os.environ.update({name: os.environ.get(name, "1") for name in (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+import numpy as np  # noqa: E402
 
 from . import io
 from .data_model import (HyperParams, IngestError, MetaMiningData,

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -32,6 +34,17 @@ def _store(obj, **convert):
     through convert[name]: the one way a container stores its fields."""
     for name, to_stored in convert.items():
         object.__setattr__(obj, name, to_stored(getattr(obj, name)))
+
+
+def _each(change, *stacks):
+    """The first of `stacks`, dataclasses of one type, with each array field
+    set to change(that field of every stack), and each StandardizationRecord
+    field to _each of the stacks' records."""
+    return replace(stacks[0], **{
+        name: (change if isinstance(value, np.ndarray) else partial(_each, change))(
+            *(vars(stack)[name] for stack in stacks))
+        for name, value in vars(stacks[0]).items()
+        if isinstance(value, (np.ndarray, StandardizationRecord))})
 
 
 @dataclass(frozen=True)
@@ -131,16 +144,26 @@ class PreferenceMatrix:
                       for i, j in np.argwhere(np.isfinite(self.scores) & bad)]
         return found
 
-    def drop(self, dataset_index=None, workflow_index=None) -> "PreferenceMatrix":
-        """Submatrix with one row and/or one column removed. The result is a
-        plain score table; row-sum invariants no longer apply."""
-        rows = [i for i in range(self.n_datasets) if i != dataset_index]
-        cols = [j for j in range(self.n_workflows) if j != workflow_index]
-        return PreferenceMatrix(
-            dataset_ids=[self.dataset_ids[i] for i in rows],
-            workflow_ids=[self.workflow_ids[j] for j in cols],
-            scores=self.scores[np.ix_(rows, cols)],
-        )
+    def drop(self, dataset_index=None, workflow_index=None):
+        """Submatrix with one row and/or one column removed (None: kept
+        whole), a plain score table: row-sum invariants no longer apply.
+        Given an index sequence per axis, a fold each, the folds' scores
+        on a leading fold axis."""
+        stacked = np.ndim(dataset_index) > 0
+        rows, cols = (kept(size, h if stacked else [h]) for size, h in
+                      zip(self.scores.shape, (dataset_index, workflow_index)))
+        scores = self.scores[rows[:, :, None], cols[:, None, :]]
+        return scores if stacked else PreferenceMatrix(
+            [self.dataset_ids[i] for i in rows[0]],
+            [self.workflow_ids[j] for j in cols[0]], scores[0])
+
+
+def kept(size, held):
+    """Per fold, the indices of the entities it keeps on an axis of size
+    entities where it holds out held[f], a row per fold; held is all None
+    (the folds keep the axis whole) or all indices."""
+    keep = np.arange(size - (held[0] is not None))
+    return keep + (keep >= np.array([size if h is None else h for h in held])[:, None])
 
 
 @dataclass(frozen=True)
@@ -152,6 +175,19 @@ class MetaMiningData:
     a: DescriptorTable
     r: PreferenceMatrix
     performance: Optional[PerformanceMatrix] = None
+
+    def folds(self, held):
+        """predict's inputs for a stack of folds, one per (dataset, workflow)
+        of held (None: an axis kept whole): the held-out entities' features
+        (None for a kept axis), then X's and A's features and R's scores less
+        what each fold holds out, each on a leading fold axis."""
+        i, j = zip(*held)
+        rows, cols = kept(self.x.n_entities, i), kept(self.a.n_entities, j)
+        return (None if i[0] is None else self.x.features[list(i)],
+                None if j[0] is None else self.a.features[list(j)],
+                SimpleNamespace(features=self.x.features[rows]),
+                SimpleNamespace(features=self.a.features[cols]),
+                SimpleNamespace(scores=self.r.drop(i, j)))
 
 
 @dataclass(frozen=True)
@@ -168,7 +204,11 @@ class StandardizationRecord:
         _store(self, mean=_as_readonly, scale=_as_readonly, constant_columns=tuple)
 
     def apply(self, features: np.ndarray) -> np.ndarray:
-        return (np.asarray(features, dtype=float) - self.mean) / self.scale
+        """(features - mean) / scale of a row or a table of rows; a record
+        with a leading fold axis applies to each fold's row or table."""
+        features = np.asarray(features, dtype=float)
+        at = (..., *[None] * (features.ndim - self.mean.ndim), slice(None))
+        return (features - self.mean[at]) / self.scale[at]
 
 
 @dataclass(frozen=True)
@@ -233,7 +273,7 @@ class ModelParams:
         _store(self, u=_as_readonly, v=_as_readonly, **{
             name: tuple for name in ("x_feature_names", "a_feature_names")
             if getattr(self, name) is not None})
-        if self.u.shape[1] != self.t or self.v.shape[1] != self.t:
+        if self.u.shape[-1] != self.t or self.v.shape[-1] != self.t:
             raise ValueError("u and v must both have t columns")
 
 

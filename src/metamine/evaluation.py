@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 
 from .data_model import HyperParams, IngestError, MetaMiningData
-from .metric_learning import StopReason, train_many
+from .metric_learning import _TARGET_CELLS, StopReason, train_many
 from .preference import spearman_many
 from .recommend import OBJECTIVES, TASKS, Strategy, Task, predict
 
@@ -191,13 +191,13 @@ def _run(protocol, data, strategies, hyper):
     """Check the data's size for the protocol (and P for LODO), drop the
     strategies that cannot serve its task (each with a notice; an
     IngestError if none is left, or if one is listed twice), train every
-    fold's models in one train_many (standardization refit per fold; a
-    notice for each strategy whose model did not move in some fold, and on
-    dataset preferences one that def's rho is NA), then predict with every
-    strategy on one fold per held-out key (an error ends the run). The
-    folds that hold out one entity share its one dropped X or A; each gets
-    its own R. Each metric is then computed over every strategy and fold at
-    once, every rho in one spearman_many."""
+    fold's models in one train_many over the fold source, the bundle and
+    each fold's held-out keys (a notice for each strategy whose model did
+    not move in some fold, and on dataset preferences one that def's rho
+    is NA). Then predict with one call per strategy and stack of folds,
+    cut where a model's t changes or R's cells pass _TARGET_CELLS; an
+    error ends the run. Each metric is computed over every strategy and
+    fold at once."""
     task, task_name, held_axes, fewest, too_small = _PROTOCOLS[protocol]
     sizes = (data.x.n_entities, data.a.n_entities)
     if any(size < least for size, least in zip(sizes, fewest)):
@@ -213,20 +213,17 @@ def _run(protocol, data, strategies, hyper):
     strategies = [s for s in strategies if task in TASKS[s]]
     if not strategies:
         raise IngestError(f"no strategy left to run for {task_name}")
-    # per axis, the held-out indices (None: kept whole) and the table without each
-    keys = [range(size) if out else (None,) for size, out in zip(sizes, held_axes)]
-    xs, as_ = ({k: table if k is None else table.drop_entity(k) for k in axis_keys}
-               for table, axis_keys in zip((data.x, data.a), keys))
-    held = list(product(*keys))
-    training = [(xs[i], as_[j], data.r.drop(dataset_index=i, workflow_index=j))
-                for i, j in held]
+    # each fold's held-out (dataset, workflow), None for an axis kept whole
+    held = list(product(*(range(size) if out else (None,)
+                          for size, out in zip(sizes, held_axes))))
     kinds = sorted({OBJECTIVES[s] for s in strategies if s in OBJECTIVES})
-    trained = train_many([(kind, *t) for t in training for kind in kinds], hyper)
-    models = iter([model for model, _ in trained])
-    # objective -> the folds whose descent stopped on line_search_failure at once
+    trained = train_many([(kind, data.x, data.a, data.r, (i, j))
+                          for i, j in held for kind in kinds], hyper)
+    # objective -> each fold's (model, trace); how many stopped at once
+    runs = {kind: trained[k::len(kinds)] for k, kind in enumerate(kinds)}
     stalled = {kind: sum(trace.reason is StopReason.LINE_SEARCH_FAILURE
-                         and not trace.iterations for _, trace in trained[k::len(kinds)])
-               for k, kind in enumerate(kinds)}
+                         and not trace.iterations for _, trace in run)
+               for kind, run in runs.items()}
     notices += [f"strategy {s.value}: training stopped on line_search_failure "
                 f"after 0 iterations in {stalled[OBJECTIVES[s]]} of {len(held)} folds"
                 for s in strategies if stalled.get(OBJECTIVES.get(s))]
@@ -238,15 +235,17 @@ def _run(protocol, data, strategies, hyper):
                        Task.DATASET_PREFS: (ids[1], r.T),
                        Task.PAIR_SCORE: (product(*ids), r.ravel())}[task]
     folds = [FoldResult(held_out=h, metrics={}) for h in held_out]
-    for (i, j), t, fold in zip(held, training, folds):
-        fold_models = {kind: next(models) for kind in kinds}
-        x_new = None if i is None else data.x.features[i]
-        a_new = None if j is None else data.a.features[j]
+    size = max(1, _TARGET_CELLS // r.size)      # folds a stack holds at most
+    edges = [f for f in range(len(held)) if not f % size
+             or any(run[f][0].t != run[f - 1][0].t for run in runs.values())]
+    for start, stop in zip(edges, edges[1:] + [len(held)]):
+        stack = data.folds(held[start:stop])
         for s in strategies:
-            pred = predict(s, task, x_new, a_new, *t,
-                           fold_models.get(OBJECTIVES.get(s)), hyper.n_neighbors)
-            fold.predictions[s] = pred.values
-            fold.flags.extend(f"{s.value}:{flag}" for flag in pred.flags)
+            models = [m for m, _ in runs[OBJECTIVES[s]][start:stop]] if s in OBJECTIVES else None
+            pred = predict(s, task, *stack, models, hyper.n_neighbors)
+            for fold, values, flags in zip(folds[start:stop], pred.values, pred.flags):
+                fold.predictions[s] = values
+                fold.flags.extend(f"{s.value}:{flag}" for flag in flags)
     preds = np.array([[f.predictions[s] for f in folds] for s in strategies])
     scores = {}             # metric -> its values, (strategy, fold)
     if task is not Task.PAIR_SCORE:

@@ -15,17 +15,18 @@ descriptor tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .data_model import (DescriptorTable, HyperParams, IngestError,
-                         InitScheme, ModelParams, PreferenceMatrix, _store,
-                         standardize_stack)
+                         InitScheme, ModelParams, PreferenceMatrix, _each, _store,
+                         kept, standardize_stack)
 from .preference import similarity_stack
 
 ARMIJO_ACCEPT = 1e-4
@@ -102,14 +103,6 @@ def _sq(m):
     return np.vecdot(flat, flat)
 
 
-def _each(change, *stacks):
-    """The first of `stacks`, Objectives or ReducedObjectives of one kind,
-    with each array field set to change(that field of every stack)."""
-    return replace(stacks[0], **{
-        name: change(*(vars(stack)[name] for stack in stacks))
-        for name, value in vars(stacks[0]).items() if isinstance(value, np.ndarray)})
-
-
 def _project(q_left, target, q_right):
     """Per problem of a stack, the small target Q_l' T Q_r and the squared
     norm of what the projection drops, ||T - Q_l (Q_l' T Q_r) Q_r'||^2,
@@ -141,12 +134,13 @@ class ReducedObjective:
     c_r: Optional[np.ndarray]
 
 
-def _reduce(obj: Objective) -> ReducedObjective:
-    """The ReducedObjective stack of an Objective stack, of its kind's targets."""
+def _reduce(obj: Objective, qr_x=None, qr_a=None) -> ReducedObjective:
+    """The ReducedObjective stack of an Objective stack, of its kind's
+    targets, from the thin QRs (Q, R) of its X and A stacks where given."""
     fx, fa, fr = _TERMS[obj.kind]
     # numpy's reduced QR gives Q n x min(n, d), also when n < d
-    qx, rx = np.linalg.qr(obj.x)
-    qa, ra = np.linalg.qr(obj.a)
+    qx, rx = qr_x or np.linalg.qr(obj.x)
+    qa, ra = qr_a or np.linalg.qr(obj.a)
     s_x, c_x = _project(qx, obj.s_x if fx else None, qx)
     s_a, c_a = _project(qa, obj.s_a if fa else None, qa)
     r, c_r = _project(qx, obj.r if fr else None, qa)
@@ -344,24 +338,22 @@ def minimize(obj: Objective, u0: np.ndarray, v0: np.ndarray,
     return _descend(obj.kind, obj.reduced, u0[None], v0[None], hyper)[0]
 
 
-def _objective_stack(kind: ObjectiveKind, x_std, a_std, rs) -> Objective:
-    """The Objective stack of stacked standardized features, with the
-    targets the kind requires from the preference matrices rs (S_X and
-    S_A each in one call)."""
-    fx, fa, fr = _TERMS[kind]
-    scores = np.stack([r.scores for r in rs])
-    return Objective(kind, x_std, a_std,
-                     s_x=similarity_stack(scores)[0] if fx else None,
-                     s_a=similarity_stack(scores.mT)[0] if fa else None,
-                     r=scores if fr else None)
+def _objective_stack(kind: ObjectiveKind, x_std, a_std, scores, s_x, s_a) -> Objective:
+    """The Objective stack of stacked standardized features and similarity
+    targets (None where the kind fits none), with the preference scores
+    where the kind fits them."""
+    return Objective(kind, x_std, a_std, s_x, s_a, scores if _TERMS[kind][2] else None)
 
 
 def build_objective(kind: ObjectiveKind, x_std: np.ndarray, a_std: np.ndarray,
                     r: PreferenceMatrix) -> Objective:
     """Assemble an Objective from standardized features and the preference
-    matrix, with the targets the kind requires: _objective_stack of one."""
-    return _each(lambda field: field[0], _objective_stack(
-        ObjectiveKind(kind), x_std[None], a_std[None], [r]))
+    matrix, with the targets the kind requires: S_X over R's rows, S_A over
+    its columns."""
+    fx, fa, _ = _TERMS[ObjectiveKind(kind)]
+    return _objective_stack(ObjectiveKind(kind), x_std, a_std, r.scores,
+                            similarity_stack(r.scores)[0] if fx else None,
+                            similarity_stack(r.scores.T)[0] if fa else None)
 
 
 def train(kind: ObjectiveKind, x: DescriptorTable, a: DescriptorTable,
@@ -375,33 +367,103 @@ def train(kind: ObjectiveKind, x: DescriptorTable, a: DescriptorTable,
     return train_many([(kind, x, a, r)], hyper)[0]
 
 
+def _sources(kind, x, a, r, held):
+    """A problem's fold X, fold A and R, and the sources of the S_X and S_A
+    its kind fits (None where it fits none), each as (key, matrix, held-out
+    index, axis): the matrix less that index along that axis (None: whole),
+    the key naming it by its matrix's source and what it holds out."""
+    i, j = held
+    fx, fa, _ = _TERMS[kind]
+    return (((id(x), i), x.features, i, 0), ((id(a), j), a.features, j, 0),
+            ((id(r), "s_x", j), r.scores, j, 1) if fx else None,
+            ((id(r), "s_a", i), r.scores.T, i, 1) if fa else None,
+            ((id(r), "r"), r.scores, None, 0))
+
+
+def _distinct(items, compute):
+    """key -> (compute of a stack of matrices of one shape, the key's index
+    in it) for items (key, matrix, index, axis), each distinct key's matrix
+    less that index along that axis (None: whole): one compute per shape."""
+    shapes = {}
+    for key, matrix, index, axis in dict((item[0], item) for item in items).values():
+        value = matrix if index is None else np.delete(matrix, index, axis)
+        shapes.setdefault(value.shape, {})[key] = value
+    return {key: (done, k) for same in shapes.values()
+            for done in [compute(np.stack(list(same.values())))] for k, key in enumerate(same)}
+
+
+def _gather(shared, items, compute, rows=None, cols=None):
+    """What _distinct finds for items of one shape, from shared where it
+    holds every key, else built for items alone: its result and their
+    indices in it, or each item's matrix at its rows and cols, one gather."""
+    found = shared if all(item[0] in shared for item in items) else _distinct(items, compute)
+    done, at = found[items[0][0]][0], np.array([found[item[0]][1] for item in items])
+    return (done, at) if rows is None else done[at[:, None, None], rows[:, :, None],
+                                                cols[:, None, :]]
+
+
+def _targets(scores):
+    """The similarity target over the rows of each matrix of a stack."""
+    return similarity_stack(scores)[0]
+
+
+def _set_up(features, t):
+    """A table stack standardized, its records, its numeric ranks (None for
+    a fixed t) and its thin QRs."""
+    z, records = standardize_stack(features)
+    return z, records, None if t else np.linalg.matrix_rank(z), *np.linalg.qr(z)
+
+
 def train_many(problems, hyper: HyperParams):
-    """train for each (kind, x, a, r) of `problems`, grouped by kind and
-    shapes of X and A, each group set up in stacks of one problem or at
-    most _TARGET_CELLS target cells and descended once per t. Returns the
-    (ModelParams, TrainTrace) of each, in order, as train gives it alone."""
-    problems = [(ObjectiveKind(kind), x, a, r) for kind, x, a, r in problems]
+    """train for each (kind, x, a, r) of `problems`, or each (kind, x, a, r,
+    (i, j)): the fold of the fold source (x, a, r) that holds dataset i and
+    workflow j out (None: none). What more than one problem uses is set up
+    once, before the stacks, in one stacked call per shape: each distinct
+    fold X and A standardized, ranked and QR-factored, and each distinct
+    target built, S_X of r less column j and S_A of r less row i, for the
+    folds to slice; what one problem alone uses is built in its set-up
+    stack. Grouped by kind, shapes and held-out axes, the problems are set
+    up in stacks of one or at most _TARGET_CELLS target cells, each
+    gathering its arrays by one fancy index apiece, and descended once per
+    t. Returns the (ModelParams, TrainTrace) of each, in order, as train
+    gives it alone."""
+    problems = [(ObjectiveKind(kind), x, a, r, *(held or [(None, None)]))
+                for kind, x, a, r, *held in problems]
+    sources = [_sources(*problem) for problem in problems]
+    uses = Counter(item[0] for items in sources for item in items if item)
+    set_up, shared = partial(_set_up, t=hyper.t), {}
+    # what more than one problem uses, built once before the stacks
+    for part, compute in enumerate((set_up, set_up, _targets, _targets, np.asarray)):
+        shared.update(_distinct((items[part] for items in sources if items[part]
+                                 and uses[items[part][0]] > 1), compute))
     groups = {}
-    for index, (kind, x, a, _) in enumerate(problems):
-        groups.setdefault((kind, x.features.shape, a.features.shape), []).append(index)
+    for index, (kind, x, a, _, (i, j)) in enumerate(problems):
+        groups.setdefault((kind, x.features.shape, a.features.shape,
+                           i is None, j is None), []).append(index)
     out = [None] * len(problems)
-    for (kind, (n, _), (m, _)), members in groups.items():
+    for (kind, (n, _), (m, _), whole_x, whole_a), members in groups.items():
         fx, fa, _ = _TERMS[kind]
-        size = max(1, _TARGET_CELLS // max(1, fx * n * n + fa * m * m))
+        cells = fx * (n - (not whole_x)) ** 2 + fa * (m - (not whole_a)) ** 2
+        size = max(1, _TARGET_CELLS // max(1, cells))
         by_t = {}   # t -> (index and records, red, u0, v0) of each set-up stack
         for start in range(0, len(members), size):
             stack = members[start:start + size]
-            _, xs, as_, rs = zip(*(problems[i] for i in stack))
-            x_std, x_records = standardize_stack(np.stack([x.features for x in xs]))
-            a_std, a_records = standardize_stack(np.stack([a.features for a in as_]))
+            x_items, a_items, sx_items, sa_items, r_items = zip(*(sources[k] for k in stack))
+            (zx, x_records, x_ranks, qx, rx), at_x = _gather(shared, x_items, set_up)
+            (za, a_records, a_ranks, qa, ra), at_a = _gather(shared, a_items, set_up)
+            i, j = zip(*(problems[k][4] for k in stack))
+            rows, cols = kept(n, i), kept(m, j)
             ts = [hyper.t] * len(stack) if hyper.t else np.maximum(1, np.minimum(
-                np.linalg.matrix_rank(x_std), np.linalg.matrix_rank(a_std))).tolist()
-            obj = _objective_stack(kind, x_std, a_std, rs)
-            red = _reduce(obj)
+                x_ranks[at_x], a_ranks[at_a])).tolist()
+            obj = _objective_stack(
+                kind, zx[at_x], za[at_a], _gather(shared, r_items, np.asarray, rows, cols),
+                _gather(shared, sx_items, _targets, rows, rows) if fx else None,
+                _gather(shared, sa_items, _targets, cols, cols) if fa else None)
+            red = _reduce(obj, (qx[at_x], rx[at_x]), (qa[at_a], ra[at_a]))
             for t in dict.fromkeys(ts):
-                pick = [j for j, tj in enumerate(ts) if tj == t]
+                pick = [k for k, tk in enumerate(ts) if tk == t]
                 by_t.setdefault(t, []).append((
-                    [(stack[j], x_records[j], a_records[j]) for j in pick],
+                    [(stack[k], x_records[at_x[k]], a_records[at_a[k]]) for k in pick],
                     _each(lambda field: field[pick], red),
                     *initialize(_each(lambda field: field[pick], obj), t, hyper)))
         for t, pieces in by_t.items():

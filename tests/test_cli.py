@@ -1323,6 +1323,54 @@ class TestNoScipyStatsAtStartUp:
         assert done.returncode == 0, done.stderr
 
 
+_BLAS_THREADS = """
+import ctypes, json, os
+import metamine.cli
+import numpy
+threads = None      # OpenBLAS's own count, where numpy loaded an OpenBLAS
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as maps:
+        paths = {line.split()[-1] for line in maps if "openblas" in line.split()[-1]}
+    for path in paths:
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            get = getattr(ctypes.CDLL(path), name, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                threads = get()
+print(json.dumps({"env": [os.environ.get(name) for name in (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")], "threads": threads}))
+"""
+
+
+class TestOneBlasThread:
+    """The metamine entry point runs BLAS on one thread unless the user set
+    a count: before numpy first loads, it sets OPENBLAS_NUM_THREADS,
+    OMP_NUM_THREADS and MKL_NUM_THREADS to 1 wherever they are unset."""
+
+    @staticmethod
+    def started_with(**variables):
+        env = {k: v for k, v in os.environ.items() if k not in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        src = os.path.dirname(os.path.dirname(metamine.__file__))
+        env.update(variables, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", _BLAS_THREADS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    def test_unset_variables_become_one(self):
+        seen = self.started_with()
+        assert seen["env"] == ["1", "1", "1"]
+        assert seen["threads"] in (None, 1)
+
+    def test_a_count_the_user_set_is_kept(self):
+        seen = self.started_with(OPENBLAS_NUM_THREADS="2")
+        assert seen["env"] == ["2", "1", "1"]
+        assert seen["threads"] in (None, min(2, os.cpu_count()))
+
+
 class TestReportBuiltOnce:
     def test_evaluate_builds_the_report_dict_once(self, bundle, tmp_path,
                                                  monkeypatch):

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metamine.data_model import (DescriptorTable, HyperParams, IngestError,
                                  PreferenceMatrix)
 from metamine.evaluation import (MetaMiningData, Protocol, binomial_sign_test,
                                  compare_strategies, run_lodo, run_lodwo,
                                  run_lowo, top_k_performance)
-from metamine.recommend import Strategy
+from metamine.metric_learning import train
+from metamine.recommend import OBJECTIVES, TASKS, Strategy, Task, predict
 from metamine.synth import SynthConfig, SynthMode, generate
 
 from conftest import make_tables
@@ -253,12 +256,15 @@ class TestBatchedRho:
             pred = served(strategy, task, *args)
             if strategy is Strategy.DEFAULT:
                 values = pred.values.copy()
-                change = len(altered) % 3
-                if change == 1:
-                    values[0] = math.nan           # rho is nan
-                elif change == 2:
-                    values[:] = 1.0                # constant: rho is nan
-                altered[len(altered)] = values
+                # a row per fold served, in fold order: one call may serve
+                # one fold or a stack of them
+                for row in values.reshape(-1, values.shape[-1]):
+                    change = len(altered) % 3
+                    if change == 1:
+                        row[0] = math.nan          # rho is nan
+                    elif change == 2:
+                        row[:] = 1.0               # constant: rho is nan
+                    altered[len(altered)] = row
                 pred = dataclasses.replace(pred, values=values)
             return pred
         monkeypatch.setattr(metamine.evaluation, "predict", predict)
@@ -346,29 +352,46 @@ class TestStackedMetricsBitForBit:
                 assert stacked[s, k].tobytes() == np.float64(alone).tobytes()
 
 
-class TestSharedDrops:
-    """The folds that hold out one entity share its one dropped X or A:
-    each entity is dropped once per run, and R once per fold."""
+class TestSharedSetUp:
+    """A protocol's folds share their set-up: no fold gets its own copy of
+    X or A (drop_entity), the folds' R are gathered to predict by one drop
+    of a stack of folds, each distinct target is built once (S_X of R less
+    each held-out workflow, S_A of R less each held-out dataset) and each
+    distinct fold X and A is standardized once, for f3 and f4 alike: n + m
+    tables in LODWO, not 2nm."""
 
     @pytest.mark.parametrize("runner", [run_lodo, run_lowo, run_lodwo])
-    def test_drop_counts(self, monkeypatch, runner):
-        counts = {"drop_entity": 0, "drop": 0}
+    def test_set_up_counts(self, monkeypatch, runner):
+        import metamine.metric_learning as ml
+        n, m = 6, 4
+        counts = {"drop_entity": 0, "drop": 0, "s_x": 0, "s_a": 0, "standardized": 0}
 
-        def counted(cls, name):
-            method = getattr(cls, name)
+        def counted(holder, name, count):
+            method = getattr(holder, name)
 
             def wrapper(*args, **kwargs):
-                counts[name] += 1
+                count(*args)
                 return method(*args, **kwargs)
-            monkeypatch.setattr(cls, name, wrapper)
-        counted(DescriptorTable, "drop_entity")
-        counted(PreferenceMatrix, "drop")
-        n, m = 5, 4
+            monkeypatch.setattr(holder, name, wrapper)
+
+        def add(key, amount=1):
+            counts[key] += amount
+        counted(DescriptorTable, "drop_entity", lambda *_: add("drop_entity"))
+        counted(PreferenceMatrix, "drop", lambda *_: add("drop"))
+        # a stack of S_X's sources has n - 1 or n rows (datasets), S_A's m or fewer
+        counted(ml, "similarity_stack", lambda scores: add(
+            "s_x" if scores.shape[-2] >= n - 1 else "s_a", len(scores)))
+        counted(ml, "standardize_stack", lambda features: add("standardized", len(features)))
         hyper = HyperParams(max_iters=3, seed=0, t=2)
         runner(synth_data(seed=19, n=n, m=m),
                [Strategy.DEFAULT, Strategy.F3_DIRECT, Strategy.F4_DIRECT], hyper)
-        assert (counts["drop_entity"], counts["drop"]) == {
-            run_lodo: (n, n), run_lowo: (m, m), run_lodwo: (n + m, n * m)}[runner]
+        assert counts == {
+            run_lodo: {"drop_entity": 0, "drop": 1, "s_x": 1, "s_a": n,
+                       "standardized": n + 1},
+            run_lowo: {"drop_entity": 0, "drop": 1, "s_x": m, "s_a": 1,
+                       "standardized": 1 + m},
+            run_lodwo: {"drop_entity": 0, "drop": 1, "s_x": m, "s_a": n,
+                        "standardized": n + m}}[runner]
 
 
 class TestCompareStrategies:
@@ -525,3 +548,171 @@ class TestValidationErrors:
     def test_top_k_beyond_the_workflows(self):
         with pytest.raises(ValueError, match="k exceeds the number of workflows"):
             top_k_performance([0.3, 0.1, 0.2], [0.5, 0.6, 0.7], k=4)
+
+
+def oracle_data(seed=3, n=7, m=6):
+    """A noisy synth bundle with d = 3 < l = 4, whose first X column is 1
+    on dataset 2 and 0 elsewhere: the folds that hold dataset 2 out see
+    that column constant, so their X has rank 2, and at t = None their
+    models get t = 2 where every other fold's get 3."""
+    res = generate(SynthConfig(n=n, m=m, d=3, l=4, latent_t=2, noise_sigma=0.4,
+                               seed=seed, mode=SynthMode.NOISY_BILINEAR))
+    features = res.x.features.copy()
+    features[:, 0] = np.arange(n) == 2
+    x = DescriptorTable(res.x.entity_ids, features, res.x.feature_names)
+    return MetaMiningData(x=x, a=res.a, r=res.preferences,
+                          performance=res.performance)
+
+
+ORACLE = HyperParams(max_iters=40, seed=0, mu1=0.05, mu2=0.05, n_neighbors=3)
+# runner -> its task, the held-out (dataset, workflow) of fold k of an n x m
+# bundle (None for an axis kept whole), and the middle fold the oracle
+# checks: on LODO and LODWO one that holds dataset 2 out
+PROTOCOL_FOLDS = {
+    run_lodo: (Task.WORKFLOW_PREFS, lambda k, n, m: (k, None), lambda n, m: 2),
+    run_lowo: (Task.DATASET_PREFS, lambda k, n, m: (None, k), lambda n, m: m // 2),
+    run_lodwo: (Task.PAIR_SCORE, lambda k, n, m: divmod(k, m), lambda n, m: 2 * m + 3),
+}
+
+
+def fold_built_alone(runner, data, i, j, hyper, r=None):
+    """What a fold holding out (i, j) predicts when built on its own:
+    drop_entity, PreferenceMatrix.drop (of r, the bundle's R by default),
+    train alone per learning strategy and predict alone, for every
+    strategy that serves the protocol's task. Returns (strategy ->
+    values, flags), the flags tagged as a report tags them."""
+    task, _, _ = PROTOCOL_FOLDS[runner]
+    x = data.x if i is None else data.x.drop_entity(i)
+    a = data.a if j is None else data.a.drop_entity(j)
+    r = (data.r if r is None else r).drop(dataset_index=i, workflow_index=j)
+    x_new = None if i is None else data.x.features[i]
+    a_new = None if j is None else data.a.features[j]
+    values, flags = {}, []
+    for s in Strategy:
+        if task not in TASKS[s]:
+            continue
+        model = train(OBJECTIVES[s], x, a, r, hyper)[0] if s in OBJECTIVES else None
+        pred = predict(s, task, x_new, a_new, x, a, r, model, hyper.n_neighbors)
+        values[s] = pred.values
+        flags += [f"{s.value}:{flag}" for flag in pred.flags]
+    return values, flags
+
+
+def fold_differences(fold, expected):
+    """Where a report's fold differs from (values, flags), byte for byte."""
+    values, flags = expected
+    found = [s for s in values if np.asarray(fold.predictions[s]).tobytes()
+             != np.asarray(values[s]).tobytes()
+             or np.shape(fold.predictions[s]) != np.shape(values[s])]
+    if list(fold.predictions) != list(values):
+        found.append("strategies")
+    return found + (["flags"] if fold.flags != flags else [])
+
+
+class TestFoldOracle:
+    """Each fold of a protocol run is the fold built on its own: the
+    first, a middle and the last fold of LODO, LOWO and LODWO predict and
+    flag byte for byte what drop_entity, PreferenceMatrix.drop, train
+    alone and predict alone give them, with every strategy that serves
+    the task, kNN ones included, at t = None (one fold's t differs)."""
+
+    @pytest.mark.parametrize("runner", [run_lodo, run_lowo, run_lodwo])
+    def test_folds_equal_folds_built_alone(self, runner):
+        data = oracle_data()
+        n, m = data.r.scores.shape
+        report = runner(data, list(Strategy), ORACLE)
+        _, where, middle = PROTOCOL_FOLDS[runner]
+        for k in (0, middle(n, m), len(report.folds) - 1):
+            expected = fold_built_alone(runner, data, *where(k, n, m), ORACLE)
+            assert fold_differences(report.folds[k], expected) == [], k
+
+    def test_one_fold_picks_another_t(self):
+        data = oracle_data()
+        ts = [train("f4", data.x.drop_entity(i), data.a, data.r.drop(dataset_index=i),
+                    HyperParams(max_iters=0))[0].t for i in range(7)]
+        assert ts == [3, 3, 2, 3, 3, 3, 3]
+
+    @pytest.mark.parametrize("runner", [run_lodo, run_lowo, run_lodwo])
+    def test_a_fold_fed_its_neighbours_r_differs(self, runner):
+        """The check can fail: fold k built from the R that fold k + 1
+        trains on (the bundle's R with k + 1's held-out entries in k's
+        place) predicts other bytes than the run's fold k."""
+        data = oracle_data()
+        n, m = data.r.scores.shape
+        report = runner(data, list(Strategy), ORACLE)
+        _, where, middle = PROTOCOL_FOLDS[runner]
+        for k in (0, middle(n, m)):
+            i, j = where(k, n, m)
+            ni, nj = where(k + 1, n, m)
+            scores = data.r.scores.copy()
+            if i is not None:
+                scores[[i, ni]] = scores[[ni, i]]
+            if j is not None:
+                scores[:, [j, nj]] = scores[:, [nj, j]]
+            swapped = PreferenceMatrix(data.r.dataset_ids, data.r.workflow_ids, scores)
+            expected = fold_built_alone(runner, data, i, j, ORACLE, r=swapped)
+            assert fold_differences(report.folds[k], expected) != [], k
+
+
+@st.composite
+def held_out_changes(draw, runner):
+    """A fold k of a drawn bundle under the protocol runner, and new values
+    for the R entries fold k holds out (its row, its column, or both),
+    drawn on the half-point grid or off it."""
+    n, m = draw(st.integers(3, 6)), draw(st.integers(3, 5))
+    data = synth_data(seed=draw(st.integers(0, 50)), n=n, m=m, noise=0.3,
+                      mode=SynthMode.NOISY_BILINEAR)
+    _, where, _ = PROTOCOL_FOLDS[runner]
+    k = draw(st.integers(0, {run_lodo: n, run_lowo: m, run_lodwo: n * m}[runner] - 1))
+    held = held_mask(n, m, *where(k, n, m))
+    values = st.one_of(st.integers(0, 2 * m - 2).map(lambda v: v / 2.0),
+                       st.floats(-10, 10, allow_nan=False))
+    new = draw(st.lists(values, min_size=int(held.sum()), max_size=int(held.sum())))
+    return data, k, held, new
+
+
+def held_mask(n, m, i, j):
+    """The R entries a fold holding out (i, j) does not train on."""
+    held = np.zeros((n, m), dtype=bool)
+    if i is not None:
+        held[i] = True
+    if j is not None:
+        held[:, j] = True
+    return held
+
+
+def with_entries(data, mask, new):
+    scores = data.r.scores.copy()
+    scores[mask] = new
+    return MetaMiningData(x=data.x, a=data.a, performance=data.performance,
+                          r=PreferenceMatrix(data.r.dataset_ids, data.r.workflow_ids,
+                                             scores))
+
+
+class TestHeldOutEntriesUnseen:
+    """A fold never sees the R entries it holds out: any change to them
+    leaves that fold's predictions and flags byte-identical, with every
+    strategy that serves the task; a property per protocol."""
+
+    HYPER = HyperParams(max_iters=8, seed=1, mu1=0.05, mu2=0.05, n_neighbors=2)
+
+    @pytest.mark.parametrize("runner", [run_lodo, run_lowo, run_lodwo])
+    @settings(deadline=None, max_examples=25)
+    @given(case=st.data())
+    def test_changing_held_out_entries_changes_nothing(self, runner, case):
+        data, k, held, new = case.draw(held_out_changes(runner))
+        before = runner(data, list(Strategy), self.HYPER).folds[k]
+        after = runner(with_entries(data, held, new), list(Strategy), self.HYPER).folds[k]
+        assert fold_differences(after, (before.predictions, before.flags)) == []
+
+    @pytest.mark.parametrize("runner", [run_lodo, run_lowo, run_lodwo])
+    def test_changing_a_neighbours_entries_does(self, runner):
+        """The property can fail: reversing the entries that fold 1 holds
+        out, some of which fold 0 trains on, changes fold 0's predictions."""
+        data = synth_data(seed=5, n=6, m=5, noise=0.3, mode=SynthMode.NOISY_BILINEAR)
+        n, m = data.r.scores.shape
+        held = held_mask(n, m, *PROTOCOL_FOLDS[runner][1](1, n, m))
+        before = runner(data, list(Strategy), self.HYPER).folds[0]
+        after = runner(with_entries(data, held, data.r.scores[held][::-1]),
+                       list(Strategy), self.HYPER).folds[0]
+        assert fold_differences(after, (before.predictions, before.flags)) != []

@@ -29,7 +29,9 @@ line_search_failure (in train, and in every f3 and f4 fold of an
 evaluate), an evaluate at the default max_iters, whose
 descents stop on rel_tol at staggered iterations, and f1, f2 and f4 under
 train and all three protocols at a 20 x 14 shape (EDGE) where dsyrk and
-dgemm round the descent's Gram products differently. The --config train
+dgemm round the descent's Gram products differently, and a LODWO at
+40 x 25 and a LODO at 70 x 10 (STACKED) whose folds train in more than
+one bounded set-up stack. The --config train
 and the --preset train and evaluate are each followed by the same
 command without the layer, so a layered default that one command leaves
 on the parser of its process shows as a differing byte in the next. A
@@ -37,7 +39,7 @@ MEAN_QUERY step of the matrix is no CLI command: it writes a copy of a
 query table with one more row, at a model's x_standardization.mean,
 where every learned similarity is 0.
 
-The matrix is 240 commands writing 1,258 files (stdout, stderr and exit
+The matrix is 246 commands writing 1,304 files (stdout, stderr and exit
 code included). Prints every file, stdout, stderr or exit code whose bytes
 differ, then the
 line count of each src/metamine module in both trees, and exits 1 if any
@@ -81,6 +83,11 @@ SHAPES = {
 EDGE = "s20x14"
 EDGE_FLAGS = ["--n", "20", "--m", "14", "--d", "13", "--l", "12",
               "--mode", "noisy", "--noise-sigma", "0.3", "--seed", "5"]
+# (shape, strategies, protocol) of the runs whose folds split into set-up
+# stacks: 1,000 LODWO folds 125 to an f4 stack, so 8 stacks (and 4 stacks
+# of folds to predict), and 70 LODO folds 55 to an f1 and 53 to an f4
+# stack, so 2 stacks each
+STACKED = (("s40x25", "def,f3,f4", "lodwo"), ("s70x10", "def,f1,f2,f4-knn", "lodo"))
 INITS = ("seeded_gaussian", "svd_warm_start")
 STRATEGIES = "def,ec,f1,f2,f3,f4,f4-knn"
 ITERS = ["--max-iters", "40"]
@@ -457,6 +464,18 @@ def matrix():
     for objective in ("f1", "f2", "f4"):
         cmds.append(["train", "--bundle", f"{EDGE}/b", "--objective", objective,
                      *ITERS, "--out", f"{EDGE}/{objective}.json"])
+    # protocols whose folds fill more than one bounded set-up stack
+    # (metric_learning._TARGET_CELLS // (n^2 + m^2) below the fold count)
+    for name, strategies, protocol in STACKED:
+        n, m = name[1:].split("x")
+        cmds.append(["synth", "--n", n, "--m", m, "--mode", "noisy",
+                     "--noise-sigma", "0.3", "--seed", "6", "--out", f"{name}/raw"])
+        cmds.append(["ingest", "--x", f"{name}/raw/X.csv", "--a", f"{name}/raw/A.csv",
+                     "--performance", f"{name}/raw/performance.csv",
+                     "--preferences", f"{name}/raw/R.csv", "--out", f"{name}/b"])
+        cmds.append(["evaluate", "--bundle", f"{name}/b", "--protocol", protocol,
+                     "--strategies", strategies, "--max-iters", "20",
+                     "--out", f"{name}/{protocol}"])
 
     # outcome and significance sources of R
     raw = "s10x7/raw"
